@@ -56,6 +56,8 @@ def main(argv=None) -> int:
         return _fail(f"model error: {exc}", 3)
     except OSError as exc:
         return _fail(f"model error: {exc}", 3)
+    except RecursionError:
+        return _fail("term error: term nests too deeply", 2)
 
 
 def _fail(message: str, code: int) -> int:
@@ -137,9 +139,13 @@ def _parse_grid(text: str | None):
     if text is None:
         return None
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
+        grid = tuple(Fraction(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise EngineError(f"bad --godel-grid value: {exc}") from exc
+    for value in grid:
+        if not 0 <= value <= 1:
+            raise EngineError(f"bad --godel-grid value: {value} lies outside [0, 1]")
+    return grid
 
 
 def _named_relation(model, name: str) -> PRel:

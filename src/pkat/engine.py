@@ -28,6 +28,8 @@ from .lattice import LatticeId, carrier, elem
 from .plts import Model, model_to_dict, program_relation, diagonal_relation
 from .relp import (
     PRel,
+    align,
+    from_ranks,
     identity,
     prel_to_entries,
     r_dot,
@@ -35,6 +37,7 @@ from .relp import (
     r_plus,
     r_star,
     t_complement,
+    value_table,
     zero,
 )
 from .syntax import (
@@ -53,7 +56,7 @@ from .syntax import (
     sort_check,
     sort_of,
 )
-from .twist import Weight, weight_to_json, wbot, wleq
+from .twist import Weight, weight_to_json
 
 DEFAULT_GODEL_GRID: tuple[Fraction, ...] = (
     Fraction(0),
@@ -383,9 +386,9 @@ def evaluate(term: Term, model: Model) -> PRel:
 def _eval(term: Term, model: Model) -> PRel:
     match term:
         case Zero():
-            return zero(model.lattice, model.states)
+            return zero(model.lattice, model.states, model.values)
         case One():
-            return identity(model.lattice, model.states)
+            return identity(model.lattice, model.states, model.values)
         case Atom(name):
             if name in model.programs:
                 return program_relation(model, name)
@@ -419,24 +422,53 @@ def _grid_elems(lattice: LatticeId, godel_grid) -> tuple:
     return carrier(lattice)
 
 
+@dataclass(frozen=True)
+class _Space:
+    """The candidates of one (lattice, grid), nearest classical consistency
+    first: each a weight with its (tt, ff) ranks into ``values``."""
+
+    values: tuple[Fraction, ...]
+    cells: tuple[tuple[Weight, int, int], ...]
+
+
+def _space(lattice: LatticeId, godel_grid) -> _Space:
+    """Built once per check; its loops draw from it."""
+    elems = _grid_elems(lattice, godel_grid)
+    pairs = [Weight(t, f) for t in elems for f in elems]
+    if lattice is LatticeId.BOOL2:
+        pairs = [w for w in pairs if w.tt.value + w.ff.value == 1]
+    pairs.sort(key=lambda w: (abs(w.tt.value + w.ff.value - 1), w.tt.value, w.ff.value))
+    values = value_table(e.value for e in elems)
+    return _Space(values, tuple(
+        (w, values.index(w.tt.value), values.index(w.ff.value)) for w in pairs
+    ))
+
+
 def weight_space(lattice: LatticeId, godel_grid=None) -> tuple[Weight, ...]:
     """All candidate weights, nearest classical consistency first.
 
     Over the Boolean lattice only the consistent corners TOP and BOT
     are generated, so checks over it coincide with ordinary relations.
     """
-    values = _grid_elems(lattice, godel_grid)
-    pairs = [Weight(t, f) for t in values for f in values]
-    if lattice is LatticeId.BOOL2:
-        pairs = [w for w in pairs if w.tt.value + w.ff.value == 1]
-    pairs.sort(key=lambda w: (abs(w.tt.value + w.ff.value - 1), w.tt.value, w.ff.value))
-    return tuple(pairs)
+    return tuple(w for w, _, _ in _space(lattice, godel_grid).cells)
+
+
+def _matrix(lattice, states, space: _Space, cells) -> PRel:
+    _, tt, ff = zip(*cells)
+    return from_ranks(lattice, states, space.values, tt, ff)
+
+
+def _test_matrix(lattice, states, space: _Space, diagonal) -> PRel:
+    """The test carrying the space cells ``diagonal`` on its diagonal."""
+    n, bot = len(states), (None, 0, len(space.values) - 1)
+    cells = [diagonal[k // (n + 1)] if k % (n + 1) == 0 else bot for k in range(n * n)]
+    return _matrix(lattice, states, space, cells)
 
 
 def _nth_matrix(
     lattice: LatticeId,
     states: tuple[str, ...],
-    space: tuple[Weight, ...],
+    space: _Space,
     diagonal_only: bool,
     index: int,
 ) -> PRel:
@@ -446,35 +478,29 @@ def _nth_matrix(
     digits = []
     rem = index
     for _ in range(cells):
-        rem, d = divmod(rem, len(space))
-        digits.append(d)
+        rem, d = divmod(rem, len(space.cells))
+        digits.append(space.cells[d])
     digits.reverse()
-    if not diagonal_only:
-        return PRel(lattice, states, tuple(space[d] for d in digits))
-    b = wbot(lattice)
-    weights = tuple(
-        space[digits[i]] if i == j else b for i in range(n) for j in range(n)
-    )
-    return PRel(lattice, states, weights)
+    build = _test_matrix if diagonal_only else _matrix
+    return build(lattice, states, space, digits)
+
+
+def _draw(rng: random.Random, space: _Space, count: int) -> list:
+    return [rng.choice(space.cells) for _ in range(count)]
 
 
 def random_prel(
     rng: random.Random, lattice: LatticeId, states: tuple[str, ...], godel_grid=None
 ) -> PRel:
-    space = weight_space(lattice, godel_grid)
-    n = len(states)
-    return PRel(lattice, states, tuple(rng.choice(space) for _ in range(n * n)))
+    space = _space(lattice, godel_grid)
+    return _matrix(lattice, states, space, _draw(rng, space, len(states) ** 2))
 
 
 def random_test(
     rng: random.Random, lattice: LatticeId, states: tuple[str, ...], godel_grid=None
 ) -> PRel:
-    space = weight_space(lattice, godel_grid)
-    n = len(states)
-    diag = [rng.choice(space) for _ in range(n)]
-    b = wbot(lattice)
-    weights = tuple(diag[i] if i == j else b for i in range(n) for j in range(n))
-    return PRel(lattice, states, weights)
+    space = _space(lattice, godel_grid)
+    return _test_matrix(lattice, states, space, _draw(rng, space, len(states)))
 
 
 def random_model(
@@ -485,15 +511,21 @@ def random_model(
     test_names: Iterable[str],
     godel_grid=None,
 ) -> Model:
-    space = weight_space(lattice, godel_grid)
+    space = _space(lattice, godel_grid)
+    return _random_model(rng, lattice, states, space, program_names, test_names)
+
+
+def _random_model(rng, lattice, states, space: _Space, program_names, test_names) -> Model:
     programs = {
-        name: random_prel(rng, lattice, states, godel_grid)
+        name: _matrix(lattice, states, space, _draw(rng, space, len(states) ** 2))
         for name in sorted(program_names)
     }
-    tests = {
-        name: {s: rng.choice(space) for s in states} for name in sorted(test_names)
-    }
-    return Model(lattice, states, programs, tests)
+    tests, diagonals = {}, {}
+    for name in sorted(test_names):
+        drawn = _draw(rng, space, len(states))
+        tests[name] = {s: w for s, (w, _, _) in zip(states, drawn)}
+        diagonals[name] = _test_matrix(lattice, states, space, drawn)
+    return Model(lattice, states, programs, tests, values=space.values, diagonals=diagonals)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +533,16 @@ def random_model(
 
 
 def _first_break(lhs: PRel, rhs: PRel, require_leq: bool):
-    for ((u, v), lw), (_, rw) in zip(lhs.pairs(), rhs.pairs()):
-        bad = not wleq(lw, rw) if require_leq else lw != rw
-        if bad:
-            return (u, v), lw, rw
-    return None
+    """The first entry where lhs = rhs (lhs <= rhs) fails, decoded; else None."""
+    if r_leq(lhs, rhs) if require_leq else lhs == rhs:
+        return None
+    lhs, rhs = align(lhs, rhs)
+    cells = zip(lhs.tt, rhs.tt, lhs.ff, rhs.ff)
+    for k, (lt, rt, lf, rf) in enumerate(cells):
+        if (lt > rt or lf < rf) if require_leq else (lt != rt or lf != rf):
+            n = len(lhs.states)
+            u, v = lhs.states[k // n], lhs.states[k % n]
+            return (u, v), lhs.entry(u, v), rhs.entry(u, v)
 
 
 def _check_instance(ax: _Axiom, env: Mapping[str, PRel], ident: PRel, zer: PRel):
@@ -542,9 +579,10 @@ def check_axiom(
     verdict carries the first counterexample in enumeration order.
     """
     ax = _AXIOMS[AxiomId(axiom)]
-    states = states_for(n_states)
-    space = weight_space(lattice, godel_grid)
-    ident, zer = identity(lattice, states), zero(lattice, states)
+    states, n = states_for(n_states), n_states
+    space = _space(lattice, godel_grid)
+    ident = identity(lattice, states, space.values)
+    zer = zero(lattice, states, space.values)
 
     def fails(env, found, checked):
         entry, lw, rw = found
@@ -560,9 +598,8 @@ def check_axiom(
         )
 
     if mode == "exhaustive":
-        n = len(states)
         sizes = [
-            len(space) ** (n if sort is Sort.TEST else n * n) for _, sort in ax.vars
+            len(space.cells) ** (n if sort is Sort.TEST else n * n) for _, sort in ax.vars
         ]
         total = 1
         for size in sizes:
@@ -596,9 +633,9 @@ def check_axiom(
         for k in range(1, samples + 1):
             env = {
                 name: (
-                    random_test(rng, lattice, states, godel_grid)
+                    _test_matrix(lattice, states, space, _draw(rng, space, n))
                     if sort is Sort.TEST
-                    else random_prel(rng, lattice, states, godel_grid)
+                    else _matrix(lattice, states, space, _draw(rng, space, n * n))
                 )
                 for name, sort in ax.vars
             }
@@ -631,13 +668,14 @@ def find_boolean_witness(
     violating test, or holds when the whole space is clean.
     """
     states = states_for(n_states)
-    space = weight_space(lattice, godel_grid)
-    total = len(space) ** len(states)
+    space = _space(lattice, godel_grid)
+    total = len(space.cells) ** len(states)
     if total > max_space:
         raise EngineError(
             f"witness space of {total} candidates exceeds {max_space}"
         )
-    ident, zer = identity(lattice, states), zero(lattice, states)
+    ident = identity(lattice, states, space.values)
+    zer = zero(lattice, states, space.values)
     goals = {
         AxiomId.TEST_NON_CONTRA: lambda t, tc: (r_dot(t, tc), zer),
         AxiomId.TEST_EXCL_MIDDLE: lambda t, tc: (r_plus(t, tc), ident),
@@ -733,8 +771,9 @@ def equiv_random(
         sort_of(term, programs, tests)
     states = states_for(n_states)
     rng = random.Random(seed)
+    space = _space(lattice, godel_grid)
     for k in range(1, samples + 1):
-        model = random_model(rng, lattice, states, programs, tests & names, godel_grid)
+        model = _random_model(rng, lattice, states, space, programs, tests & names)
         lhs, rhs = _eval(t1, model), _eval(t2, model)
         if lhs != rhs:
             entry, lw, rw = _first_break(lhs, rhs, require_leq=False)
@@ -800,8 +839,8 @@ def recheck(verdict: Verdict) -> bool:
     if verdict.axiom is not None:
         ax = _AXIOMS[verdict.axiom]
         some = next(iter(w.assignment.values()))
-        ident = identity(some.lattice, some.states)
-        zer = zero(some.lattice, some.states)
+        ident = identity(some.lattice, some.states, some.values)
+        zer = zero(some.lattice, some.states, some.values)
         return _check_instance(ax, w.assignment, ident, zer) is not None
     if w.terms is not None and w.model is not None:
         parsed = [parse(t) for t in w.terms]

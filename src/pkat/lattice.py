@@ -61,7 +61,7 @@ class LatticeElem:
                 raise CarrierError(
                     f"{_fraction_text(v)!r} is not one of bot, u, top"
                 )
-        elif not (_ZERO <= v <= _ONE):
+        elif not (0 <= v.numerator <= v.denominator):
             raise CarrierError(f"{_fraction_text(v)} lies outside [0, 1]")
 
     def __repr__(self):
@@ -139,27 +139,37 @@ def _require_same(a: LatticeElem, b: LatticeElem) -> None:
         )
 
 
+def _le(p: Fraction, q: Fraction) -> bool:
+    """``p <= q`` by cross-multiplication.
+
+    Fraction keeps its denominator positive, so this is exact; it skips
+    the generic numeric dispatch of ``Fraction.__le__``, which dominates
+    the cost of every lattice operation below.
+    """
+    return p is q or p.numerator * q.denominator <= q.numerator * p.denominator
+
+
 def meet(a: LatticeElem, b: LatticeElem) -> LatticeElem:
     """Greatest lower bound (min on the chain)."""
     _require_same(a, b)
-    return a if a.value <= b.value else b
+    return a if _le(a.value, b.value) else b
 
 
 def join(a: LatticeElem, b: LatticeElem) -> LatticeElem:
     """Least upper bound (max on the chain)."""
     _require_same(a, b)
-    return b if a.value <= b.value else a
+    return b if _le(a.value, b.value) else a
 
 
 def leq(a: LatticeElem, b: LatticeElem) -> bool:
     _require_same(a, b)
-    return a.value <= b.value
+    return _le(a.value, b.value)
 
 
 def implies(a: LatticeElem, b: LatticeElem) -> LatticeElem:
     """Residuum of meet: the greatest c with meet(a, c) <= b."""
     _require_same(a, b)
-    return top(a.lattice) if a.value <= b.value else b
+    return top(a.lattice) if _le(a.value, b.value) else b
 
 
 def big_join(lattice: LatticeId, elems: Iterable[LatticeElem]) -> LatticeElem:

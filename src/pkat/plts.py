@@ -25,10 +25,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import CarrierError, LatticeMismatchError, ModelError
 from .lattice import LatticeElem, LatticeId, bottom, elem, elem_to_json, top
-from .relp import PRel, from_entries, from_diagonal
+from .relp import PRel, from_entries, from_diagonal, value_table
 from .twist import Weight, wbot, weight_from_json, weight_to_json
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -41,6 +42,10 @@ class Model:
     programs: dict[str, PRel] = field(default_factory=dict)
     tests: dict[str, dict[str, Weight]] = field(default_factory=dict)
     test_carrier: tuple[LatticeElem, ...] | None = None
+    # Relations share the table ``values`` (see ``relp``); ``diagonals``
+    # holds each test's subidentity relation on it, built on first use.
+    values: tuple[Fraction, ...] = field(default=(), compare=False, repr=False)
+    diagonals: dict[str, PRel] = field(default_factory=dict, compare=False, repr=False)
 
 
 def valuation(m: Model, prop: str, state: str) -> Weight:
@@ -62,7 +67,9 @@ def diagonal_relation(m: Model, name: str) -> PRel:
     """The subidentity matrix of a test."""
     if name not in m.tests:
         raise ModelError(f"unknown test {name!r}")
-    return from_diagonal(m.lattice, m.states, m.tests[name])
+    if name not in m.diagonals:
+        m.diagonals[name] = from_diagonal(m.lattice, m.states, m.tests[name], m.values)
+    return m.diagonals[name]
 
 
 def load_model(document: str | bytes) -> Model:
@@ -72,6 +79,8 @@ def load_model(document: str | bytes) -> Model:
         raw = json.loads(document, object_pairs_hook=_checked_pairs)
     except json.JSONDecodeError as exc:
         raise ModelError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ModelError("invalid JSON: document nests too deeply") from exc
     return model_from_dict(raw)
 
 
@@ -102,17 +111,22 @@ def model_from_dict(raw) -> Model:
     states = _read_states(raw.get("states"))
     carrier = _read_test_carrier(lattice, raw.get("test_carrier"))
 
-    programs: dict[str, PRel] = {}
-    for name, entries in _named_section(raw.get("programs"), "programs").items():
-        _check_name(name, programs, {})
-        programs[name] = _read_program(lattice, states, name, entries)
+    entries: dict[str, dict[tuple[str, str], Weight]] = {}
+    for name, items in _named_section(raw.get("programs"), "programs").items():
+        _check_name(name, entries, {})
+        entries[name] = _read_program(lattice, states, name, items)
 
     tests: dict[str, dict[str, Weight]] = {}
     for name, body in _named_section(raw.get("tests"), "tests").items():
-        _check_name(name, programs, tests)
+        _check_name(name, entries, tests)
         tests[name] = _read_test(lattice, states, name, body, carrier)
 
-    return Model(lattice, states, programs, tests, carrier)
+    weights = [w for table in (*entries.values(), *tests.values()) for w in table.values()]
+    values = value_table({x.value for w in weights for x in (w.tt, w.ff)})
+    programs = {
+        name: from_entries(lattice, states, table, values) for name, table in entries.items()
+    }
+    return Model(lattice, states, programs, tests, carrier, values)
 
 
 def _read_states(value) -> tuple[str, ...]:
@@ -173,7 +187,7 @@ def _read_quad(lattice, states, owner, item) -> tuple[str, str, Weight]:
     return u, v, w
 
 
-def _read_program(lattice, states, name, entries) -> PRel:
+def _read_program(lattice, states, name, entries) -> dict[tuple[str, str], Weight]:
     if not isinstance(entries, list):
         raise ModelError(f"program {name!r}: expected an array of entries")
     table: dict[tuple[str, str], Weight] = {}
@@ -182,7 +196,7 @@ def _read_program(lattice, states, name, entries) -> PRel:
         if (u, v) in table:
             raise ModelError(f"program {name!r}: duplicate entry ({u!r}, {v!r})")
         table[(u, v)] = w
-    return from_entries(lattice, states, table)
+    return table
 
 
 def _read_test(lattice, states, name, body, carrier) -> dict[str, Weight]:

@@ -7,6 +7,16 @@ pair-meets over intermediate states; star is the least solution of
 |W| + 1 rounds -- a longer path only loses evidence, so matrix powers
 beyond |W| add nothing to the join.
 
+On a chain, pair-join is max on the support and min on the opposition
+(pair-meet the reverse), so no operation makes a value its operands did
+not hold.  A relation therefore keeps ``values``, a sorted table of
+exact rationals that always holds 0 and 1, and two flat row-major
+tuples ``tt`` and ``ff`` of integer ranks into it; every operation here
+works on the ranks alone.  Relations built together share one table,
+and operands on different tables are lifted to their merged table
+first.  Weights are decoded only at the boundary:
+``weights``, ``entry``, ``pairs`` and the exporters below.
+
 Tests are the subidentity matrices: everything off the diagonal is the
 least weight.  Complementing a test swaps evidence on the diagonal
 only, which keeps the result subidentity.
@@ -14,64 +24,92 @@ only, which keeps the result subidentity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from fractions import Fraction
+from itertools import product
+from operator import ge, le
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ShapeError, SortError
-from .lattice import LatticeId
-from .twist import Weight, format_weight, negate, weight_to_json, wbot, wjoin, wleq, wmeet, wtop
+from .lattice import LatticeElem, LatticeId
+from .twist import Weight, format_weight, wbot, weight_to_json
 
 
-@dataclass(frozen=True, slots=True)
+def value_table(values: Iterable[Fraction]) -> tuple[Fraction, ...]:
+    """The sorted table holding ``values``, 0 and 1."""
+    return tuple(sorted({*values, Fraction(0), Fraction(1)}))
+
+
+def _check_states(states: tuple[str, ...]) -> None:
+    if not states:
+        raise ShapeError("a relation needs a nonempty state set")
+    if len(set(states)) != len(states):
+        raise ShapeError("duplicate state name")
+
+
 class PRel:
-    """A total map (state, state) -> Weight, row-major over ``states``."""
+    """A total map (state, state) -> Weight, row-major over ``states``,
+    held as ``tt``/``ff`` ranks into the table ``values``.  Never mutated:
+    relations are shared, and equal relations hash alike."""
 
-    lattice: LatticeId
-    states: tuple[str, ...]
-    weights: tuple[Weight, ...]
+    __slots__ = ("lattice", "states", "values", "tt", "ff")
 
-    def __post_init__(self):
-        n = len(self.states)
-        if n == 0:
-            raise ShapeError("a relation needs a nonempty state set")
-        if len(set(self.states)) != n:
-            raise ShapeError("duplicate state name")
-        if len(self.weights) != n * n:
-            raise ShapeError(
-                f"expected {n * n} entries for {n} states, got {len(self.weights)}"
-            )
-        for w in self.weights:
-            if w.lattice is not self.lattice:
-                raise ShapeError("entry weight from a different lattice")
+    def __new__(cls, lattice: LatticeId, states, weights, values=()):
+        """Encode ``weights`` on a table that also holds ``values``."""
+        states, n = tuple(states), len(states)
+        _check_states(states)
+        if len(weights) != n * n:
+            raise ShapeError(f"expected {n * n} entries for {n} states, got {len(weights)}")
+        if any(w.lattice is not lattice for w in weights):
+            raise ShapeError("entry weight from a different lattice")
+        # Encode each distinct weight object once: defaults are shared objects.
+        unique = {id(w): w for w in weights}
+        table = value_table([*values, *(x.value for w in unique.values() for x in (w.tt, w.ff))])
+        rank = {v: i for i, v in enumerate(table)}
+        code = {k: (rank[w.tt.value], rank[w.ff.value]) for k, w in unique.items()}
+        tt, ff = zip(*[code[id(w)] for w in weights])
+        return from_ranks(lattice, states, table, tt, ff)
+
+    def __eq__(self, other):
+        if not isinstance(other, PRel):
+            return NotImplemented
+        if self.lattice is not other.lattice or self.states != other.states:
+            return False
+        r, s = align(self, other)
+        return r.tt == s.tt and r.ff == s.ff
+
+    def __hash__(self):
+        return hash((self.lattice, self.states, self.weights))
+
+    def __repr__(self):
+        return f"PRel({self.lattice}, {self.states!r}, {self.weights!r})"
+
+    @property
+    def weights(self) -> tuple[Weight, ...]:
+        elems = [LatticeElem(self.lattice, v) for v in self.values]
+        return tuple(Weight(elems[t], elems[f]) for t, f in zip(self.tt, self.ff))
 
     def entry(self, u: str, v: str) -> Weight:
         n = len(self.states)
         try:
-            i = self.states.index(u)
-            j = self.states.index(v)
+            k = self.states.index(u) * n + self.states.index(v)
         except ValueError as exc:
             raise ShapeError(f"unknown state in ({u!r}, {v!r})") from exc
-        return self.weights[i * n + j]
+        support, opposition = (self.values[ranks[k]] for ranks in (self.tt, self.ff))
+        return Weight(LatticeElem(self.lattice, support), LatticeElem(self.lattice, opposition))
 
     def pairs(self) -> Iterator[tuple[tuple[str, str], Weight]]:
-        n = len(self.states)
-        for i, u in enumerate(self.states):
-            for j, v in enumerate(self.states):
-                yield (u, v), self.weights[i * n + j]
+        return zip(product(self.states, repeat=2), self.weights)
 
 
-def build(
-    lattice: LatticeId, states: tuple[str, ...], fn: Callable[[str, str], Weight]
-) -> PRel:
-    return PRel(
-        lattice, tuple(states), tuple(fn(u, v) for u in states for v in states)
-    )
+def from_ranks(lattice: LatticeId, states, values, tt, ff) -> PRel:
+    """A relation straight from ranks into a table made by ``value_table``."""
+    r = object.__new__(PRel)
+    r.lattice, r.states, r.values, r.tt, r.ff = lattice, states, values, tt, ff
+    return r
 
 
 def from_entries(
-    lattice: LatticeId,
-    states: tuple[str, ...],
-    entries: Mapping[tuple[str, str], Weight],
+    lattice: LatticeId, states, entries: Mapping[tuple[str, str], Weight], values=()
 ) -> PRel:
     """Total relation from a sparse entry map; missing pairs get BOT."""
     known = set(states)
@@ -79,49 +117,65 @@ def from_entries(
         if u not in known or v not in known:
             raise ShapeError(f"entry ({u!r}, {v!r}) names an unknown state")
     default = wbot(lattice)
-    return build(lattice, tuple(states), lambda u, v: entries.get((u, v), default))
+    cells = [entries.get(uv, default) for uv in product(states, repeat=2)]
+    return PRel(lattice, states, cells, values)
 
 
-def identity(lattice: LatticeId, states: tuple[str, ...]) -> PRel:
-    t, b = wtop(lattice), wbot(lattice)
-    return build(lattice, tuple(states), lambda u, v: t if u == v else b)
+def identity(lattice: LatticeId, states: tuple[str, ...], values=()) -> PRel:
+    """TOP on the diagonal, BOT elsewhere, on the table holding ``values``."""
+    states, table = tuple(states), value_table(values)
+    _check_states(states)
+    n, top = len(states), len(table) - 1
+    tt = tuple(top if k % (n + 1) == 0 else 0 for k in range(n * n))
+    return from_ranks(lattice, states, table, tt, tuple(top - t for t in tt))
 
 
-def zero(lattice: LatticeId, states: tuple[str, ...]) -> PRel:
-    b = wbot(lattice)
-    return build(lattice, tuple(states), lambda u, v: b)
+def zero(lattice: LatticeId, states: tuple[str, ...], values=()) -> PRel:
+    states, table = tuple(states), value_table(values)
+    _check_states(states)
+    n, top = len(states), len(table) - 1
+    return from_ranks(lattice, states, table, (0,) * n * n, (top,) * n * n)
 
 
-def _require_compat(r: PRel, s: PRel) -> None:
+def _lift(r: PRel, table: tuple) -> PRel:
+    if r.values == table:
+        return r
+    rank = {v: i for i, v in enumerate(table)}
+    m = [rank[v] for v in r.values]
+    return from_ranks(r.lattice, r.states, table, tuple(map(m.__getitem__, r.tt)),
+                      tuple(map(m.__getitem__, r.ff)))
+
+
+def align(r: PRel, s: PRel) -> tuple[PRel, PRel]:
+    """Both operands on one table, after checking they are compatible."""
     if r.lattice is not s.lattice:
-        raise ShapeError(
-            f"cannot combine {r.lattice.value} with {s.lattice.value} relations"
-        )
+        raise ShapeError(f"cannot combine {r.lattice.value} with {s.lattice.value} relations")
     if r.states != s.states:
         raise ShapeError("relations range over different state spaces")
+    if r.values == s.values:
+        return r, s
+    table = value_table((*r.values, *s.values))
+    return _lift(r, table), _lift(s, table)
+
+
+def _product(a: tuple, b: tuple, n: int, add, mul) -> tuple:
+    """Row-major n x n product: ``add`` over k of ``mul(a[i,k], b[k,j])``."""
+    rows = [a[i:i + n] for i in range(0, n * n, n)]
+    cols = [b[j::n] for j in range(n)]
+    return tuple(add(map(mul, row, col)) for row in rows for col in cols)
 
 
 def r_plus(r: PRel, s: PRel) -> PRel:
-    _require_compat(r, s)
-    return PRel(
-        r.lattice, r.states, tuple(wjoin(x, y) for x, y in zip(r.weights, s.weights))
-    )
+    r, s = align(r, s)
+    return from_ranks(r.lattice, r.states, r.values, tuple(map(max, r.tt, s.tt)),
+                      tuple(map(min, r.ff, s.ff)))
 
 
 def r_dot(r: PRel, s: PRel) -> PRel:
-    _require_compat(r, s)
+    r, s = align(r, s)
     n = len(r.states)
-    rw, sw = r.weights, s.weights
-    b = wbot(r.lattice)
-    out = []
-    for i in range(n):
-        row = i * n
-        for j in range(n):
-            acc = b
-            for k in range(n):
-                acc = wjoin(acc, wmeet(rw[row + k], sw[k * n + j]))
-            out.append(acc)
-    return PRel(r.lattice, r.states, tuple(out))
+    return from_ranks(r.lattice, r.states, r.values,
+                      _product(r.tt, s.tt, n, max, min), _product(r.ff, s.ff, n, min, max))
 
 
 def r_star(r: PRel) -> PRel:
@@ -131,56 +185,47 @@ def r_star(r: PRel) -> PRel:
 
 def r_star_steps(r: PRel) -> tuple[PRel, int]:
     """Star together with the number of fixpoint rounds taken."""
-    ident = identity(r.lattice, r.states)
-    current = ident
-    for step in range(1, len(r.states) + 2):
-        nxt = r_plus(ident, r_dot(r, current))
-        if nxt == current:
-            return current, step
-        current = nxt
-    raise RuntimeError(
-        "star iteration failed to stabilize within |W| + 1 rounds"
-    )
+    n = len(r.states)
+    one = identity(r.lattice, r.states, r.values)
+    tt, ff = one.tt, one.ff
+    for step in range(1, n + 2):
+        nxt_tt = tuple(map(max, one.tt, _product(r.tt, tt, n, max, min)))
+        nxt_ff = tuple(map(min, one.ff, _product(r.ff, ff, n, min, max)))
+        if nxt_tt == tt and nxt_ff == ff:
+            return from_ranks(r.lattice, r.states, r.values, tt, ff), step
+        tt, ff = nxt_tt, nxt_ff
+    raise RuntimeError("star iteration failed to stabilize within |W| + 1 rounds")
 
 
 def r_leq(r: PRel, s: PRel) -> bool:
-    _require_compat(r, s)
-    return all(wleq(x, y) for x, y in zip(r.weights, s.weights))
+    r, s = align(r, s)
+    return all(map(le, r.tt, s.tt)) and all(map(ge, r.ff, s.ff))
 
 
 def is_test(r: PRel) -> bool:
     """True when every off-diagonal entry is the least weight."""
-    n = len(r.states)
-    b = wbot(r.lattice)
-    return all(
-        r.weights[i * n + j] == b for i in range(n) for j in range(n) if i != j
-    )
+    n, top = len(r.states), len(r.values) - 1
+    return all(r.tt[k] == 0 and r.ff[k] == top for k in range(n * n) if k % (n + 1))
 
 
 def t_complement(t: PRel) -> PRel:
     """Swap evidence on the diagonal; off-diagonal entries stay BOT."""
     if not is_test(t):
         raise SortError("complement is defined on tests (subidentity relations)")
-    n = len(t.states)
-    out = list(t.weights)
-    for i in range(n):
-        out[i * n + i] = negate(out[i * n + i])
-    return PRel(t.lattice, t.states, tuple(out))
+    step = len(t.states) + 1
+    tt, ff = list(t.tt), list(t.ff)
+    tt[::step], ff[::step] = t.ff[::step], t.tt[::step]
+    return from_ranks(t.lattice, t.states, t.values, tuple(tt), tuple(ff))
 
 
-def from_diagonal(
-    lattice: LatticeId, states: tuple[str, ...], diagonal: Mapping[str, Weight]
-) -> PRel:
+def from_diagonal(lattice: LatticeId, states, diagonal: Mapping[str, Weight], values=()) -> PRel:
     known = set(states)
     for u in diagonal:
         if u not in known:
             raise ShapeError(f"diagonal entry names unknown state {u!r}")
     b = wbot(lattice)
-    return build(
-        lattice,
-        tuple(states),
-        lambda u, v: diagonal.get(u, b) if u == v else b,
-    )
+    cells = [diagonal.get(u, b) if u == v else b for u, v in product(states, repeat=2)]
+    return PRel(lattice, states, cells, values)
 
 
 def prel_to_entries(r: PRel) -> list[list]:

@@ -62,7 +62,6 @@ class ConsistencyClass(Enum):
     CONSISTENT = "consistent"
     VAGUE = "vague"
     INCONSISTENT = "inconsistent"
-    UNCLASSIFIED = "unclassified"
 
 
 def weight(lattice: LatticeId, tt: ElemLike, ff: ElemLike) -> Weight:
@@ -119,11 +118,8 @@ def classify(x: Weight) -> ConsistencyClass:
     """Place a weight on the vagueness/inconsistency square.
 
     All built-in lattices embed into [0, 1] (the chain as 0, 1/2, 1),
-    so the classification compares tt + ff with 1.  Weights from a
-    lattice without such an embedding would be unclassified.
+    so the classification compares tt + ff with 1.
     """
-    if x.lattice not in LatticeId:
-        return ConsistencyClass.UNCLASSIFIED
     total = x.tt.value + x.ff.value
     if total > 1:
         return ConsistencyClass.INCONSISTENT

@@ -198,6 +198,28 @@ def test_sort_error_exit_two(capsys):
     assert code == 2 and "sort error" in err
 
 
+def test_deep_terms_are_term_errors(capsys):
+    depth = 3000
+    for term in (
+        "!" * depth + "p",
+        "(" * depth + "r" + ")" * depth,
+        ";".join(["r"] * depth),
+    ):
+        code, out, err = run(capsys, "eval", "--model", MODEL, "--term", term)
+        assert code == 2 and out == ""
+        assert err == "term error: term nests too deeply\n"
+
+
+def test_godel_grid_outside_unit_interval_is_usage_error(capsys):
+    grid = ("--godel-grid", "0,2")
+    code, _, err = run(capsys, "axioms", "--lattice", "godel", "--states", "1",
+                       "--samples", "5", *grid)
+    assert code == 2 and "engine error" in err and "outside [0, 1]" in err
+    code, _, err = run(capsys, "equiv", "--t1", "p;q", "--t2", "q;p", "--lattice",
+                       "godel", "--states", "2", "--random", "5", *grid)
+    assert code == 2 and "engine error" in err and "outside [0, 1]" in err
+
+
 def test_model_errors_exit_three(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--model", "no_such.json", "--term", "r")
     assert code == 3
@@ -205,6 +227,14 @@ def test_model_errors_exit_three(capsys, tmp_path):
     bad.write_text('{"lattice": "nope", "states": ["s"]}')
     code, _, err = run(capsys, "eval", "--model", str(bad), "--term", "r")
     assert code == 3 and "unknown lattice" in err
+
+
+def test_deeply_nested_model_is_model_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"lattice": "godel", "states": ' + "[" * 100000 + "]" * 100000 + "}")
+    code, out, err = run(capsys, "eval", "--model", str(deep), "--term", "r")
+    assert code == 3 and out == ""
+    assert err == "model error: invalid JSON: document nests too deeply\n"
 
 
 def test_json_output_stable(capsys):

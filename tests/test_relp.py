@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -20,15 +21,20 @@ from pkat.relp import (
     from_diagonal,
     zero,
 )
-from pkat.twist import wbot, weight, wtop
+from pkat.twist import negate, wbot, weight, wjoin, wleq, wtop
 
 from helpers import (
     B2,
+    GD,
     L3,
     LUKA_WEIGHTS,
     dict_matrix,
+    gw,
     lw,
+    oracle_dot,
+    oracle_identity,
     oracle_star,
+    random_godel_elem,
 )
 
 W = ("w1", "w2")
@@ -226,3 +232,73 @@ def test_format_and_entries_export(rel_r):
     assert ["w1", "w2", "top", "bot"] in rows
     assert len(rows) == 4  # defaults made explicit
     assert format_prel(rel_r, unicode=True).count("⊤") > 0
+
+
+# --- rank kernel against the Weight-level oracles ------------------------------
+
+THIRDS = tuple(gw(Fraction(t, 3), Fraction(f, 3)) for t in (1, 2) for f in (1, 2))
+QUARTERS = tuple(gw(Fraction(t, 4), Fraction(f, 4)) for t in (1, 2, 3) for f in (1, 2, 3))
+
+
+def _random_rel(rng, lattice, states, pool):
+    return PRel(lattice, states, tuple(rng.choice(pool) for _ in range(len(states) ** 2)))
+
+
+def _check_pair(r, s):
+    states, lattice = r.states, r.lattice
+    a, b = dict_matrix(r), dict_matrix(s)
+    assert dict_matrix(r_plus(r, s)) == {k: wjoin(a[k], b[k]) for k in a}
+    assert dict_matrix(r_dot(r, s)) == oracle_dot(states, a, b, lattice)
+    assert r_leq(r, s) == all(wleq(a[k], b[k]) for k in a)
+    assert (r == s) == (a == b)
+    # The same weights re-encoded on another table stay equal, hash alike.
+    again = PRel(lattice, states, s.weights, values=r.values)
+    assert again == s and hash(again) == hash(s)
+    assert is_test(r) == all(w == wbot(lattice) for (u, v), w in a.items() if u != v)
+
+
+def _check_star(r):
+    states, lattice, a = r.states, r.lattice, dict_matrix(r)
+    star, steps = r_star_steps(r)
+    joined = power = oracle_identity(states, lattice)
+    for rounds in range(1, len(states) + 2):
+        power = oracle_dot(states, a, power, lattice)
+        grown = {k: wjoin(joined[k], power[k]) for k in joined}
+        if grown == joined:
+            break
+        joined = grown
+    assert (dict_matrix(star), steps) == (joined, rounds)
+
+
+def _check_complement(t):
+    d = dict_matrix(t)
+    expected = {(u, v): negate(w) if u == v else w for (u, v), w in d.items()}
+    assert dict_matrix(t_complement(t)) == expected
+
+
+def test_rank_kernel_matches_weight_oracles():
+    rng = random.Random(2506)
+    for i in range(60):
+        n = 1 + i % 5
+        states = tuple(f"s{k}" for k in range(n))
+        godel_pool = tuple(
+            gw(random_godel_elem(rng), random_godel_elem(rng)) for _ in range(6)
+        )
+        entries = {uv: rng.choice(LUKA_WEIGHTS) for uv in product(states, states)}
+        sparse = from_entries(L3, states, {k: w for k, w in entries.items() if rng.random() < 0.4})
+        luka = [_random_rel(rng, L3, states, LUKA_WEIGHTS) for _ in range(2)]
+        pairs = [
+            tuple(luka),
+            (sparse, identity(L3, states)),
+            (_random_rel(rng, GD, states, THIRDS), _random_rel(rng, GD, states, QUARTERS)),
+            (_random_rel(rng, GD, states, godel_pool), zero(GD, states)),
+        ]
+        for r, s in pairs:
+            _check_pair(r, s)
+            _check_pair(s, r)
+            _check_pair(r, r)
+            _check_star(r)
+        for lattice, pool in ((L3, LUKA_WEIGHTS), (GD, godel_pool)):
+            _check_complement(
+                from_diagonal(lattice, states, {u: rng.choice(pool) for u in states})
+            )
