@@ -36,7 +36,7 @@ from .errors import (
 )
 from .lattice import LatticeId
 from .plts import diagonal_relation, load_model, model_to_dict, program_relation
-from .relp import PRel, format_prel, prel_to_entries, r_star_steps
+from .relp import PRel, format_grid, format_prel, prel_to_entries, r_star_steps
 from .syntax import parse, pretty
 from .twist import classify, format_weight
 
@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_model(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         return load_model(handle.read())
 
 
@@ -157,22 +157,7 @@ def _named_relation(model, name: str) -> PRel:
 
 
 def _class_grid(rel: PRel) -> str:
-    n = len(rel.states)
-    cells = [classify(w).value for w in rel.weights]
-    widths = [
-        max(len(rel.states[j]), max(len(cells[i * n + j]) for i in range(n)))
-        for j in range(n)
-    ]
-    label = max(len(s) for s in rel.states)
-    lines = [
-        " " * label
-        + "  "
-        + "  ".join(s.ljust(widths[j]) for j, s in enumerate(rel.states))
-    ]
-    for i, u in enumerate(rel.states):
-        row = "  ".join(cells[i * n + j].ljust(widths[j]) for j in range(n))
-        lines.append(u.ljust(label) + "  " + row)
-    return "\n".join(line.rstrip() for line in lines)
+    return format_grid(rel.states, [classify(w).value for w in rel.weights])
 
 
 def _classification(rel: PRel) -> list[list[str]]:
@@ -220,21 +205,18 @@ def _cmd_star(args) -> int:
     return 0
 
 
-def _describe_witness(verdict: Verdict, unicode: bool) -> list[str]:
+def _witness_parts(verdict: Verdict, unicode: bool, eq: str) -> list[str]:
+    """Each assigned relation as ``name{eq}{(u,v): w, ...}``, then the break."""
     w = verdict.witness
-    lines = []
-    for name, rel in w.assignment.items():
-        shown = ", ".join(
-            f"({u},{v}): {format_weight(value, unicode)}"
-            for (u, v), value in rel.pairs()
-        )
-        lines.append(f"  {name} = {{{shown}}}")
+    parts = [
+        f"{name}{eq}{{"
+        + ", ".join(f"({u},{v}): {format_weight(x, unicode)}" for (u, v), x in rel.pairs())
+        + "}"
+        for name, rel in w.assignment.items()
+    ]
     u, v = w.entry
-    lines.append(
-        f"  at ({u},{v}): lhs={format_weight(w.lhs, unicode)} "
-        f"rhs={format_weight(w.rhs, unicode)}"
-    )
-    return lines
+    lhs, rhs = format_weight(w.lhs, unicode), format_weight(w.rhs, unicode)
+    return parts + [f"at ({u},{v}): lhs={lhs} rhs={rhs}"]
 
 
 def _print_verdict(verdict: Verdict, args, lead: list[str]) -> int:
@@ -250,8 +232,8 @@ def _print_verdict(verdict: Verdict, args, lead: list[str]) -> int:
             print("status: holds")
         return 0
     print("status: fails")
-    for line in _describe_witness(verdict, args.unicode):
-        print(line)
+    for part in _witness_parts(verdict, args.unicode, " = "):
+        print("  " + part)
     if verdict.witness.model is not None and verdict.mode == "random":
         print("countermodel: " + json.dumps(model_to_dict(verdict.witness.model)))
     return 1
@@ -287,19 +269,7 @@ def _axiom_row(verdict: Verdict, unicode: bool) -> str:
         f"{verdict.status.value:<5} checked={verdict.samples}"
     )
     if verdict.status is Status.FAILS:
-        w = verdict.witness
-        parts = []
-        for name, rel in w.assignment.items():
-            cells = ", ".join(
-                f"({u},{v}): {format_weight(weight, unicode)}"
-                for (u, v), weight in rel.pairs()
-            )
-            parts.append(f"{name}={{{cells}}}")
-        u, v = w.entry
-        row += (
-            f"  witness {' '.join(parts)} at ({u},{v}): "
-            f"lhs={format_weight(w.lhs, unicode)} rhs={format_weight(w.rhs, unicode)}"
-        )
+        row += "  witness " + " ".join(_witness_parts(verdict, unicode, "="))
     return row
 
 

@@ -1,9 +1,14 @@
 """Interprets terms over models and verifies the algebra mechanically.
 
-Terms evaluate compositionally to weight matrices.  Axiom checking
-instantiates matrix variables either exhaustively over a finite weight
-space or by seeded sampling; equivalence checking compares two terms on
-a given model or on a stream of random models.
+Terms evaluate compositionally to weight matrices over an assignment of
+their atoms.  Every law is term text: each catalog axiom is stored once,
+as the formula it prints, and an equivalence t1 = t2 or a triple
+{b} p {c} (read b;p <= b;p;c) becomes a law of the same shape.  One
+instance check evaluates a law's sides with the one evaluator and
+reports the first entry where it breaks; axiom checking runs it over
+assignments drawn exhaustively from a finite weight space or by seeded
+sampling, equivalence over a given model or a stream of random models,
+and ``recheck`` over a verdict's own witness.
 
 Candidate spaces are enumerated deterministically, ordered by distance
 from classical consistency (|tt + ff - 1|, ties broken by component),
@@ -18,14 +23,16 @@ interval lattice all pairs over a finite grid (default 0, 1/4, 1/2,
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from math import prod
+from typing import Iterable, Mapping
 
 from .errors import EngineError, SortError
 from .lattice import LatticeId, carrier, elem
-from .plts import Model, model_to_dict, program_relation, diagonal_relation
+from .plts import Model, model_to_dict, diagonal_relation
 from .relp import (
     PRel,
     align,
@@ -136,237 +143,76 @@ class Verdict:
     seed: int | None = None
 
 
-_Side = Callable[[Mapping[str, PRel], PRel, PRel], PRel]
-
-
 @dataclass(frozen=True)
-class _Axiom:
-    ident: AxiomId
+class _Law:
+    """Goals ``lhs = rhs`` (``lhs <= rhs`` when ``leq``), required only where
+    the premise ``lhs <= rhs``, if any, holds.  ``vars`` are a catalog
+    law's variables in witness order; ``formula`` and ``terms`` are what a
+    witness prints."""
+
     formula: str
-    vars: tuple[tuple[str, Sort], ...]
-    equations: tuple[tuple[_Side, _Side], ...] = ()
-    implication: tuple[tuple[_Side, _Side], tuple[_Side, _Side]] | None = None
+    goals: tuple[tuple[Term, Term], ...]
+    leq: bool = False
+    premise: tuple[Term, Term] | None = None
+    vars: tuple[tuple[str, Sort], ...] = ()
+    terms: tuple[str, ...] | None = None
 
 
-def _build_catalog() -> dict[AxiomId, _Axiom]:
-    P, T = Sort.PROGRAM, Sort.TEST
-    table = [
-        _Axiom(
-            AxiomId.PLUS_ASSOC,
-            "p + (q + r) = (p + q) + r",
-            (("p", P), ("q", P), ("r", P)),
-            equations=(
-                (
-                    lambda e, I, Z: r_plus(e["p"], r_plus(e["q"], e["r"])),
-                    lambda e, I, Z: r_plus(r_plus(e["p"], e["q"]), e["r"]),
-                ),
-            ),
-        ),
-        _Axiom(
-            AxiomId.PLUS_COMM,
-            "p + q = q + p",
-            (("p", P), ("q", P)),
-            equations=(
-                (
-                    lambda e, I, Z: r_plus(e["p"], e["q"]),
-                    lambda e, I, Z: r_plus(e["q"], e["p"]),
-                ),
-            ),
-        ),
-        _Axiom(
-            AxiomId.PLUS_ZERO,
-            "p + 0 = p",
-            (("p", P),),
-            equations=(
-                (lambda e, I, Z: r_plus(e["p"], Z), lambda e, I, Z: e["p"]),
-            ),
-        ),
-        _Axiom(
-            AxiomId.PLUS_IDEM,
-            "p + p = p",
-            (("p", P),),
-            equations=(
-                (lambda e, I, Z: r_plus(e["p"], e["p"]), lambda e, I, Z: e["p"]),
-            ),
-        ),
-        _Axiom(
-            AxiomId.DOT_ASSOC,
-            "p;(q;r) = (p;q);r",
-            (("p", P), ("q", P), ("r", P)),
-            equations=(
-                (
-                    lambda e, I, Z: r_dot(e["p"], r_dot(e["q"], e["r"])),
-                    lambda e, I, Z: r_dot(r_dot(e["p"], e["q"]), e["r"]),
-                ),
-            ),
-        ),
-        _Axiom(
-            AxiomId.DOT_ONE,
-            "1;p = p;1 = p",
-            (("p", P),),
-            equations=(
-                (lambda e, I, Z: r_dot(I, e["p"]), lambda e, I, Z: e["p"]),
-                (lambda e, I, Z: r_dot(e["p"], I), lambda e, I, Z: e["p"]),
-            ),
-        ),
-        _Axiom(
-            AxiomId.DOT_DIST_L,
-            "p;(q + r) = p;q + p;r",
-            (("p", P), ("q", P), ("r", P)),
-            equations=(
-                (
-                    lambda e, I, Z: r_dot(e["p"], r_plus(e["q"], e["r"])),
-                    lambda e, I, Z: r_plus(r_dot(e["p"], e["q"]), r_dot(e["p"], e["r"])),
-                ),
-            ),
-        ),
-        _Axiom(
-            AxiomId.DOT_DIST_R,
-            "(p + q);r = p;r + q;r",
-            (("p", P), ("q", P), ("r", P)),
-            equations=(
-                (
-                    lambda e, I, Z: r_dot(r_plus(e["p"], e["q"]), e["r"]),
-                    lambda e, I, Z: r_plus(r_dot(e["p"], e["r"]), r_dot(e["q"], e["r"])),
-                ),
-            ),
-        ),
-        _Axiom(
-            AxiomId.DOT_ZERO,
-            "0;p = p;0 = 0",
-            (("p", P),),
-            equations=(
-                (lambda e, I, Z: r_dot(Z, e["p"]), lambda e, I, Z: Z),
-                (lambda e, I, Z: r_dot(e["p"], Z), lambda e, I, Z: Z),
-            ),
-        ),
-        _Axiom(
-            AxiomId.STAR_UNFOLD_L,
-            "1 + p;p* = p*",
-            (("p", P),),
-            equations=(
-                (
-                    lambda e, I, Z: r_plus(I, r_dot(e["p"], r_star(e["p"]))),
-                    lambda e, I, Z: r_star(e["p"]),
-                ),
-            ),
-        ),
-        _Axiom(
-            AxiomId.STAR_UNFOLD_R,
-            "1 + p*;p = p*",
-            (("p", P),),
-            equations=(
-                (
-                    lambda e, I, Z: r_plus(I, r_dot(r_star(e["p"]), e["p"])),
-                    lambda e, I, Z: r_star(e["p"]),
-                ),
-            ),
-        ),
-        _Axiom(
-            AxiomId.STAR_IND_L,
-            "p;r <= r  ->  p*;r <= r",
-            (("p", P), ("r", P)),
-            implication=(
-                (lambda e, I, Z: r_dot(e["p"], e["r"]), lambda e, I, Z: e["r"]),
-                (
-                    lambda e, I, Z: r_dot(r_star(e["p"]), e["r"]),
-                    lambda e, I, Z: e["r"],
-                ),
-            ),
-        ),
-        _Axiom(
-            AxiomId.STAR_IND_R,
-            "r;p <= r  ->  r;p* <= r",
-            (("p", P), ("r", P)),
-            implication=(
-                (lambda e, I, Z: r_dot(e["r"], e["p"]), lambda e, I, Z: e["r"]),
-                (
-                    lambda e, I, Z: r_dot(e["r"], r_star(e["p"])),
-                    lambda e, I, Z: e["r"],
-                ),
-            ),
-        ),
-        _Axiom(
-            AxiomId.TEST_PLUS_OVER_DOT,
-            "a + b;c = (a + b);(a + c)",
-            (("a", T), ("b", T), ("c", T)),
-            equations=(
-                (
-                    lambda e, I, Z: r_plus(e["a"], r_dot(e["b"], e["c"])),
-                    lambda e, I, Z: r_dot(r_plus(e["a"], e["b"]), r_plus(e["a"], e["c"])),
-                ),
-            ),
-        ),
-        _Axiom(
-            AxiomId.TEST_DOT_COMM,
-            "a;b = b;a",
-            (("a", T), ("b", T)),
-            equations=(
-                (
-                    lambda e, I, Z: r_dot(e["a"], e["b"]),
-                    lambda e, I, Z: r_dot(e["b"], e["a"]),
-                ),
-            ),
-        ),
-        _Axiom(
-            AxiomId.TEST_DOT_OVER_PLUS,
-            "a;b + c = (a + c);(b + c)",
-            (("a", T), ("b", T), ("c", T)),
-            equations=(
-                (
-                    lambda e, I, Z: r_plus(r_dot(e["a"], e["b"]), e["c"]),
-                    lambda e, I, Z: r_dot(r_plus(e["a"], e["c"]), r_plus(e["b"], e["c"])),
-                ),
-            ),
-        ),
-        _Axiom(
-            AxiomId.TEST_DOT_IDEM,
-            "a;a = a",
-            (("a", T),),
-            equations=(
-                (lambda e, I, Z: r_dot(e["a"], e["a"]), lambda e, I, Z: e["a"]),
-            ),
-        ),
-        _Axiom(
-            AxiomId.TEST_DOUBLE_NEG,
-            "!!a = a",
-            (("a", T),),
-            equations=(
-                (
-                    lambda e, I, Z: t_complement(t_complement(e["a"])),
-                    lambda e, I, Z: e["a"],
-                ),
-            ),
-        ),
-        _Axiom(
-            AxiomId.TEST_PLUS_ONE,
-            "a + 1 = 1",
-            (("a", T),),
-            equations=(
-                (lambda e, I, Z: r_plus(e["a"], I), lambda e, I, Z: I),
-            ),
-        ),
-        _Axiom(
-            AxiomId.TEST_NON_CONTRA,
-            "a;!a = 0",
-            (("a", T),),
-            equations=(
-                (lambda e, I, Z: r_dot(e["a"], t_complement(e["a"])), lambda e, I, Z: Z),
-            ),
-        ),
-        _Axiom(
-            AxiomId.TEST_EXCL_MIDDLE,
-            "a + !a = 1",
-            (("a", T),),
-            equations=(
-                (lambda e, I, Z: r_plus(e["a"], t_complement(e["a"])), lambda e, I, Z: I),
-            ),
-        ),
-    ]
-    return {ax.ident: ax for ax in table}
+# Each law once, as printed.  A chain ``t0 = t1 = ... = tk`` is the
+# equations ti = tk; ``l <= r  ->  l' <= r'`` is a Horn law.  Variables
+# a, b, c range over tests and all others over programs; a witness lists
+# them in alphabetical order.
+_CATALOG = {
+    AxiomId.PLUS_ASSOC: "p + (q + r) = (p + q) + r",
+    AxiomId.PLUS_COMM: "p + q = q + p",
+    AxiomId.PLUS_ZERO: "p + 0 = p",
+    AxiomId.PLUS_IDEM: "p + p = p",
+    AxiomId.DOT_ASSOC: "p;(q;r) = (p;q);r",
+    AxiomId.DOT_ONE: "1;p = p;1 = p",
+    AxiomId.DOT_DIST_L: "p;(q + r) = p;q + p;r",
+    AxiomId.DOT_DIST_R: "(p + q);r = p;r + q;r",
+    AxiomId.DOT_ZERO: "0;p = p;0 = 0",
+    AxiomId.STAR_UNFOLD_L: "1 + p;p* = p*",
+    AxiomId.STAR_UNFOLD_R: "1 + p*;p = p*",
+    AxiomId.STAR_IND_L: "p;r <= r  ->  p*;r <= r",
+    AxiomId.STAR_IND_R: "r;p <= r  ->  r;p* <= r",
+    AxiomId.TEST_PLUS_OVER_DOT: "a + b;c = (a + b);(a + c)",
+    AxiomId.TEST_DOT_COMM: "a;b = b;a",
+    AxiomId.TEST_DOT_OVER_PLUS: "a;b + c = (a + c);(b + c)",
+    AxiomId.TEST_DOT_IDEM: "a;a = a",
+    AxiomId.TEST_DOUBLE_NEG: "!!a = a",
+    AxiomId.TEST_PLUS_ONE: "a + 1 = 1",
+    AxiomId.TEST_NON_CONTRA: "a;!a = 0",
+    AxiomId.TEST_EXCL_MIDDLE: "a + !a = 1",
+}
+_TEST_VARS = frozenset("abc")
 
 
-_AXIOMS = _build_catalog()
+def _law(formula: str) -> _Law:
+    """A catalog law from the text it prints."""
+    sides = [parse(side) for side in re.split("<=|->|=", formula)]
+    names = sorted(frozenset().union(*map(atoms, sides)))
+    variables = tuple((x, Sort.TEST if x in _TEST_VARS else Sort.PROGRAM) for x in names)
+    if "->" in formula:
+        pl, pr, cl, cr = sides
+        return _Law(formula, ((cl, cr),), leq=True, premise=(pl, pr), vars=variables)
+    *lefts, right = sides
+    return _Law(formula, tuple((left, right) for left in lefts), vars=variables)
+
+
+_AXIOMS = {ident: _law(formula) for ident, formula in _CATALOG.items()}
+
+
+def _equation(t1: Term, t2: Term) -> _Law:
+    terms = (pretty(t1), pretty(t2))
+    return _Law(" = ".join(terms), ((t1, t2),), terms=terms)
+
+
+def _triple(pre: Term, prog: Term, post: Term) -> _Law:
+    """{pre} prog {post}: pre;prog <= pre;prog;post."""
+    terms = (pretty(pre), pretty(prog), pretty(post))
+    lhs = Dot(pre, prog)
+    return _Law("{%s} %s {%s}" % terms, ((lhs, Dot(lhs, post)),), leq=True, terms=terms)
 
 
 def axiom_formula(axiom: AxiomId) -> str:
@@ -380,27 +226,32 @@ def axiom_formula(axiom: AxiomId) -> str:
 def evaluate(term: Term, model: Model) -> PRel:
     """Interpret a term as a weight matrix over the model's states."""
     sort_check(term, model)
-    return _eval(term, model)
+    env = _atom_assignment(model, atoms(term))
+    return _eval(term, env, *_units(model.lattice, model.states, model.values))
 
 
-def _eval(term: Term, model: Model) -> PRel:
+def _units(lattice: LatticeId, states, values) -> tuple[PRel, PRel]:
+    """The relations ``1`` and ``0``, built once per check."""
+    return identity(lattice, states, values), zero(lattice, states, values)
+
+
+def _eval(term: Term, env: Mapping[str, PRel], one: PRel, zer: PRel) -> PRel:
+    """Interpret a term over an assignment of its atoms."""
     match term:
-        case Zero():
-            return zero(model.lattice, model.states, model.values)
-        case One():
-            return identity(model.lattice, model.states, model.values)
         case Atom(name):
-            if name in model.programs:
-                return program_relation(model, name)
-            return diagonal_relation(model, name)
-        case Plus(left, right):
-            return r_plus(_eval(left, model), _eval(right, model))
+            return env[name]
         case Dot(left, right):
-            return r_dot(_eval(left, model), _eval(right, model))
+            return r_dot(_eval(left, env, one, zer), _eval(right, env, one, zer))
+        case Plus(left, right):
+            return r_plus(_eval(left, env, one, zer), _eval(right, env, one, zer))
         case Star(inner):
-            return r_star(_eval(inner, model))
+            return r_star(_eval(inner, env, one, zer))
         case Not(inner):
-            return t_complement(_eval(inner, model))
+            return t_complement(_eval(inner, env, one, zer))
+        case One():
+            return one
+        case Zero():
+            return zer
 
 
 # ---------------------------------------------------------------------------
@@ -489,18 +340,23 @@ def _draw(rng: random.Random, space: _Space, count: int) -> list:
     return [rng.choice(space.cells) for _ in range(count)]
 
 
+def _random_relation(rng, lattice, states, space: _Space, test: bool) -> PRel:
+    n = len(states)
+    if test:
+        return _test_matrix(lattice, states, space, _draw(rng, space, n))
+    return _matrix(lattice, states, space, _draw(rng, space, n * n))
+
+
 def random_prel(
     rng: random.Random, lattice: LatticeId, states: tuple[str, ...], godel_grid=None
 ) -> PRel:
-    space = _space(lattice, godel_grid)
-    return _matrix(lattice, states, space, _draw(rng, space, len(states) ** 2))
+    return _random_relation(rng, lattice, states, _space(lattice, godel_grid), False)
 
 
 def random_test(
     rng: random.Random, lattice: LatticeId, states: tuple[str, ...], godel_grid=None
 ) -> PRel:
-    space = _space(lattice, godel_grid)
-    return _test_matrix(lattice, states, space, _draw(rng, space, len(states)))
+    return _random_relation(rng, lattice, states, _space(lattice, godel_grid), True)
 
 
 def random_model(
@@ -517,7 +373,7 @@ def random_model(
 
 def _random_model(rng, lattice, states, space: _Space, program_names, test_names) -> Model:
     programs = {
-        name: _matrix(lattice, states, space, _draw(rng, space, len(states) ** 2))
+        name: _random_relation(rng, lattice, states, space, False)
         for name in sorted(program_names)
     }
     tests, diagonals = {}, {}
@@ -529,7 +385,7 @@ def _random_model(rng, lattice, states, space: _Space, program_names, test_names
 
 
 # ---------------------------------------------------------------------------
-# Axiom checking
+# Law checking
 
 
 def _first_break(lhs: PRel, rhs: PRel, require_leq: bool):
@@ -545,20 +401,48 @@ def _first_break(lhs: PRel, rhs: PRel, require_leq: bool):
             return (u, v), lhs.entry(u, v), rhs.entry(u, v)
 
 
-def _check_instance(ax: _Axiom, env: Mapping[str, PRel], ident: PRel, zer: PRel):
-    """None when the instance satisfies the axiom, else the break info."""
-    if ax.implication is not None:
-        (pl, pr), (cl, cr) = ax.implication
-        if not r_leq(pl(env, ident, zer), pr(env, ident, zer)):
+def _break(law: _Law, env: Mapping[str, PRel], one: PRel, zer: PRel):
+    """None when the instance ``env`` satisfies the law, else its first
+    break: the entry and the two sides' weights there."""
+    if law.premise is not None:
+        pl, pr = law.premise
+        if not r_leq(_eval(pl, env, one, zer), _eval(pr, env, one, zer)):
             return None
-        lhs, rhs = cl(env, ident, zer), cr(env, ident, zer)
-        return _first_break(lhs, rhs, require_leq=True)
-    for fl, fr in ax.equations:
-        lhs, rhs = fl(env, ident, zer), fr(env, ident, zer)
-        found = _first_break(lhs, rhs, require_leq=False)
+    for lhs, rhs in law.goals:
+        found = _first_break(_eval(lhs, env, one, zer), _eval(rhs, env, one, zer), law.leq)
         if found is not None:
             return found
     return None
+
+
+def _check(law: _Law, instances, one: PRel, zer: PRel, lattice, n_states, mode, **fields):
+    """Check the law on each (assignment, model) of ``instances`` in turn:
+    fails at the first break with its witness, else holds; ``samples``
+    counts the instances checked."""
+    k = 0
+    for k, (env, model) in enumerate(instances, 1):
+        found = _break(law, env, one, zer)
+        if found is not None:
+            witness = Witness(dict(env), *found, law.formula, model, law.terms)
+            return Verdict(Status.FAILS, lattice, n_states, mode, witness=witness,
+                           samples=k, **fields)
+    return Verdict(Status.HOLDS, lattice, n_states, mode, samples=k, **fields)
+
+
+def _assignments(law: _Law, lattice, states, space: _Space):
+    """How many assignments of the law's variables there are, and an
+    iterator over all of them in lexicographic order."""
+    n = len(states)
+    tests = [sort is Sort.TEST for _, sort in law.vars]
+    sizes = [len(space.cells) ** (n if test else n * n) for test in tests]
+    strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+    total = prod(sizes)
+    envs = (
+        ({name: _nth_matrix(lattice, states, space, test, index // stride % size)
+          for (name, _), test, stride, size in zip(law.vars, tests, strides, sizes)}, None)
+        for index in range(total)
+    )
+    return total, envs
 
 
 def check_axiom(
@@ -578,81 +462,30 @@ def check_axiom(
     above ``max_space``); random mode draws seeded samples.  A failing
     verdict carries the first counterexample in enumeration order.
     """
-    ax = _AXIOMS[AxiomId(axiom)]
-    states, n = states_for(n_states), n_states
+    ident = AxiomId(axiom)
+    law = _AXIOMS[ident]
+    states = states_for(n_states)
     space = _space(lattice, godel_grid)
-    ident = identity(lattice, states, space.values)
-    zer = zero(lattice, states, space.values)
-
-    def fails(env, found, checked):
-        entry, lw, rw = found
-        return Verdict(
-            Status.FAILS,
-            lattice,
-            n_states,
-            mode,
-            axiom=ax.ident,
-            witness=Witness(dict(env), entry, lw, rw, ax.formula),
-            samples=checked,
-            seed=seed if mode == "random" else None,
-        )
-
     if mode == "exhaustive":
-        sizes = [
-            len(space.cells) ** (n if sort is Sort.TEST else n * n) for _, sort in ax.vars
-        ]
-        total = 1
-        for size in sizes:
-            total *= size
+        total, instances = _assignments(law, lattice, states, space)
         if total > max_space:
             raise EngineError(
                 f"exhaustive space of {total} instantiations exceeds {max_space}"
             )
-        for index in range(total):
-            rem = index
-            digits = []
-            for size in reversed(sizes):
-                rem, d = divmod(rem, size)
-                digits.append(d)
-            digits.reverse()
-            env = {
-                name: _nth_matrix(lattice, states, space, sort is Sort.TEST, d)
-                for (name, sort), d in zip(ax.vars, digits)
-            }
-            found = _check_instance(ax, env, ident, zer)
-            if found is not None:
-                return fails(env, found, index + 1)
-        return Verdict(
-            Status.HOLDS, lattice, n_states, mode, axiom=ax.ident, samples=total
-        )
-
-    if mode == "random":
+        seed = None
+    elif mode == "random":
         if not samples or samples < 1:
             raise EngineError("random mode needs a positive sample count")
         rng = random.Random(seed)
-        for k in range(1, samples + 1):
-            env = {
-                name: (
-                    _test_matrix(lattice, states, space, _draw(rng, space, n))
-                    if sort is Sort.TEST
-                    else _matrix(lattice, states, space, _draw(rng, space, n * n))
-                )
-                for name, sort in ax.vars
-            }
-            found = _check_instance(ax, env, ident, zer)
-            if found is not None:
-                return fails(env, found, k)
-        return Verdict(
-            Status.HOLDS,
-            lattice,
-            n_states,
-            mode,
-            axiom=ax.ident,
-            samples=samples,
-            seed=seed,
+        instances = (
+            ({name: _random_relation(rng, lattice, states, space, sort is Sort.TEST)
+              for name, sort in law.vars}, None)
+            for _ in range(samples)
         )
-
-    raise EngineError(f"unknown mode {mode!r}")
+    else:
+        raise EngineError(f"unknown mode {mode!r}")
+    units = _units(lattice, states, space.values)
+    return _check(law, instances, *units, lattice, n_states, mode, axiom=ident, seed=seed)
 
 
 def find_boolean_witness(
@@ -669,45 +502,17 @@ def find_boolean_witness(
     """
     states = states_for(n_states)
     space = _space(lattice, godel_grid)
-    total = len(space.cells) ** len(states)
-    if total > max_space:
-        raise EngineError(
-            f"witness space of {total} candidates exceeds {max_space}"
-        )
-    ident = identity(lattice, states, space.values)
-    zer = zero(lattice, states, space.values)
-    goals = {
-        AxiomId.TEST_NON_CONTRA: lambda t, tc: (r_dot(t, tc), zer),
-        AxiomId.TEST_EXCL_MIDDLE: lambda t, tc: (r_plus(t, tc), ident),
-    }
-    out: dict[AxiomId, Verdict] = {}
-    for index in range(total):
-        t = _nth_matrix(lattice, states, space, True, index)
-        tc = t_complement(t)
-        for ident_ax, build in goals.items():
-            if ident_ax in out:
-                continue
-            lhs, rhs = build(t, tc)
-            found = _first_break(lhs, rhs, require_leq=False)
-            if found is not None:
-                entry, lw, rw = found
-                out[ident_ax] = Verdict(
-                    Status.FAILS,
-                    lattice,
-                    n_states,
-                    "search",
-                    axiom=ident_ax,
-                    witness=Witness({"a": t}, entry, lw, rw, axiom_formula(ident_ax)),
-                    samples=index + 1,
-                )
-        if len(out) == len(goals):
-            break
-    for ident_ax in goals:
-        if ident_ax not in out:
-            out[ident_ax] = Verdict(
-                Status.HOLDS, lattice, n_states, "search", axiom=ident_ax, samples=total
+    units = _units(lattice, states, space.values)
+    out = {}
+    for ident in BOOLEAN_AXIOMS:
+        total, instances = _assignments(_AXIOMS[ident], lattice, states, space)
+        if total > max_space:
+            raise EngineError(
+                f"witness space of {total} candidates exceeds {max_space}"
             )
-    return {ax: out[ax] for ax in BOOLEAN_AXIOMS}
+        out[ident] = _check(_AXIOMS[ident], instances, *units, lattice, n_states,
+                            "search", axiom=ident)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -724,26 +529,19 @@ def _atom_assignment(model: Model, names: Iterable[str]) -> dict[str, PRel]:
     return out
 
 
+def _on_model(law: _Law, model: Model, names: Iterable[str]) -> Verdict:
+    """Check the law on the model's relations: one instance, so no count."""
+    env = _atom_assignment(model, names)
+    units = _units(model.lattice, model.states, model.values)
+    verdict = _check(law, [(env, model)], *units, model.lattice, len(model.states), "model")
+    return replace(verdict, samples=None)
+
+
 def equiv(t1: Term, t2: Term, model: Model) -> Verdict:
     """Exact equality of the two interpretations on one model."""
     sort_check(t1, model)
     sort_check(t2, model)
-    lhs, rhs = _eval(t1, model), _eval(t2, model)
-    if lhs == rhs:
-        return Verdict(Status.HOLDS, model.lattice, len(model.states), "model")
-    entry, lw, rw = _first_break(lhs, rhs, require_leq=False)
-    witness = Witness(
-        _atom_assignment(model, atoms(t1) | atoms(t2)),
-        entry,
-        lw,
-        rw,
-        f"{pretty(t1)} = {pretty(t2)}",
-        model=model,
-        terms=(pretty(t1), pretty(t2)),
-    )
-    return Verdict(
-        Status.FAILS, model.lattice, len(model.states), "model", witness=witness
-    )
+    return _on_model(_equation(t1, t2), model, atoms(t1) | atoms(t2))
 
 
 def equiv_random(
@@ -772,32 +570,14 @@ def equiv_random(
     states = states_for(n_states)
     rng = random.Random(seed)
     space = _space(lattice, godel_grid)
-    for k in range(1, samples + 1):
-        model = _random_model(rng, lattice, states, space, programs, tests & names)
-        lhs, rhs = _eval(t1, model), _eval(t2, model)
-        if lhs != rhs:
-            entry, lw, rw = _first_break(lhs, rhs, require_leq=False)
-            witness = Witness(
-                _atom_assignment(model, names),
-                entry,
-                lw,
-                rw,
-                f"{pretty(t1)} = {pretty(t2)}",
-                model=model,
-                terms=(pretty(t1), pretty(t2)),
-            )
-            return Verdict(
-                Status.FAILS,
-                lattice,
-                n_states,
-                "random",
-                witness=witness,
-                samples=k,
-                seed=seed,
-            )
-    return Verdict(
-        Status.HOLDS, lattice, n_states, "random", samples=samples, seed=seed
+    models = (
+        _random_model(rng, lattice, states, space, programs, tests & names)
+        for _ in range(samples)
     )
+    instances = ((_atom_assignment(m, names), m) for m in models)
+    units = _units(lattice, states, space.values)
+    return _check(_equation(t1, t2), instances, *units, lattice, n_states, "random",
+                  seed=seed)
 
 
 def hoare_check(pre: Term, prog: Term, post: Term, model: Model) -> Verdict:
@@ -807,24 +587,8 @@ def hoare_check(pre: Term, prog: Term, post: Term, model: Model) -> Verdict:
     if sort_check(post, model) is not Sort.TEST:
         raise SortError("the postcondition must be a test")
     sort_check(prog, model)
-    lhs = r_dot(_eval(pre, model), _eval(prog, model))
-    rhs = r_dot(lhs, _eval(post, model))
-    formula = f"{{{pretty(pre)}}} {pretty(prog)} {{{pretty(post)}}}"
-    if r_leq(lhs, rhs):
-        return Verdict(Status.HOLDS, model.lattice, len(model.states), "model")
-    entry, lw, rw = _first_break(lhs, rhs, require_leq=True)
-    witness = Witness(
-        _atom_assignment(model, atoms(pre) | atoms(prog) | atoms(post)),
-        entry,
-        lw,
-        rw,
-        formula,
-        model=model,
-        terms=(pretty(pre), pretty(prog), pretty(post)),
-    )
-    return Verdict(
-        Status.FAILS, model.lattice, len(model.states), "model", witness=witness
-    )
+    names = atoms(pre) | atoms(prog) | atoms(post)
+    return _on_model(_triple(pre, prog, post), model, names)
 
 
 # ---------------------------------------------------------------------------
@@ -832,24 +596,22 @@ def hoare_check(pre: Term, prog: Term, post: Term, model: Model) -> Verdict:
 
 
 def recheck(verdict: Verdict) -> bool:
-    """Re-evaluate a failing verdict's witness; True iff it reproduces."""
+    """Re-run a failing verdict's law on its witness assignment; True iff
+    it breaks at the same entry with the same weights."""
     if verdict.status is not Status.FAILS or verdict.witness is None:
         raise EngineError("only failing verdicts carry a witness to recheck")
     w = verdict.witness
     if verdict.axiom is not None:
-        ax = _AXIOMS[verdict.axiom]
-        some = next(iter(w.assignment.values()))
-        ident = identity(some.lattice, some.states, some.values)
-        zer = zero(some.lattice, some.states, some.values)
-        return _check_instance(ax, w.assignment, ident, zer) is not None
-    if w.terms is not None and w.model is not None:
-        parsed = [parse(t) for t in w.terms]
-        if len(parsed) == 2:
-            return equiv(parsed[0], parsed[1], w.model).status is Status.FAILS
-        if len(parsed) == 3:
-            again = hoare_check(parsed[0], parsed[1], parsed[2], w.model)
-            return again.status is Status.FAILS
-    raise EngineError("verdict carries no recheckable witness")
+        law = _AXIOMS[verdict.axiom]
+    elif w.terms is not None and len(w.terms) in (2, 3):
+        law = (_equation if len(w.terms) == 2 else _triple)(*map(parse, w.terms))
+    else:
+        raise EngineError("verdict carries no recheckable witness")
+    basis = next(iter(w.assignment.values()), w.model)
+    if basis is None:
+        raise EngineError("verdict carries no recheckable witness")
+    units = _units(basis.lattice, basis.states, basis.values)
+    return _break(law, w.assignment, *units) == (w.entry, w.lhs, w.rhs)
 
 
 def _witness_to_dict(w: Witness) -> dict:

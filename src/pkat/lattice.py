@@ -90,7 +90,11 @@ def elem(lattice: LatticeId, value: ElemLike) -> LatticeElem:
         )
     if isinstance(value, str):
         return _elem_from_text(lattice, value)
-    return LatticeElem(lattice, Fraction(value))
+    try:
+        exact = Fraction(value)
+    except TypeError as exc:
+        raise CarrierError(f"{value!r} is not a lattice value") from exc
+    return LatticeElem(lattice, exact)
 
 
 def _elem_from_text(lattice: LatticeId, text: str) -> LatticeElem:

@@ -18,6 +18,12 @@ weight (0, 1).  A test may also be written in the program entry form
 decimal strings ("0.25").  Unknown fields and duplicate keys are
 rejected.  An optional ``"test_carrier"`` field lists the values test
 weights may draw from (it must include bot and top).
+
+A ``bool2`` model is four-valued: a weight may be any pair over {0, 1},
+including (1, 1) and (0, 0), and such weights evaluate like any other.
+The ``bool2`` checks in ``engine`` draw only the classical corners
+(1, 0) and (0, 1), so their verdicts speak about ordinary relations, not
+about every model this loader accepts.
 """
 
 from __future__ import annotations
@@ -73,10 +79,12 @@ def diagonal_relation(m: Model, name: str) -> PRel:
 
 
 def load_model(document: str | bytes) -> Model:
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
     try:
+        if isinstance(document, bytes):
+            document = document.decode("utf-8")
         raw = json.loads(document, object_pairs_hook=_checked_pairs)
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:

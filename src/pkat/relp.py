@@ -235,19 +235,16 @@ def prel_to_entries(r: PRel) -> list[list]:
 
 def format_prel(r: PRel, unicode: bool = False) -> str:
     """Aligned matrix with one weight pair per entry."""
-    n = len(r.states)
-    cells = [format_weight(w, unicode) for w in r.weights]
-    widths = [
-        max(len(r.states[j]), max(len(cells[i * n + j]) for i in range(n)))
-        for j in range(n)
-    ]
-    label = max(len(s) for s in r.states)
-    lines = [
-        " " * label
-        + "  "
-        + "  ".join(s.ljust(widths[j]) for j, s in enumerate(r.states))
-    ]
-    for i, u in enumerate(r.states):
+    return format_grid(r.states, [format_weight(w, unicode) for w in r.weights])
+
+
+def format_grid(states, cells: list[str]) -> str:
+    """Row-major cell strings as a matrix labelled by ``states``."""
+    n = len(states)
+    widths = [max(len(states[j]), *(len(cells[i * n + j]) for i in range(n))) for j in range(n)]
+    label = max(len(s) for s in states)
+    lines = [" " * label + "  " + "  ".join(s.ljust(w) for s, w in zip(states, widths))]
+    for i, u in enumerate(states):
         row = "  ".join(cells[i * n + j].ljust(widths[j]) for j in range(n))
         lines.append(u.ljust(label) + "  " + row)
     return "\n".join(line.rstrip() for line in lines)

@@ -237,6 +237,27 @@ def test_deeply_nested_model_is_model_error(capsys, tmp_path):
     assert err == "model error: invalid JSON: document nests too deeply\n"
 
 
+def test_model_that_is_not_utf8_is_model_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"lattice": "lukasiewicz3", "states": ["w1"]}\xff')
+    code, out, err = run(capsys, "eval", "--model", str(bad), "--term", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("model error: not UTF-8 text: ")
+
+
+def test_non_scalar_weight_component_is_model_error(capsys, tmp_path):
+    for component in (["top"], None, {}):
+        for section in (
+            {"programs": {"r": [["w1", "w1", "top", component]]}},
+            {"tests": {"p": {"w1": [component, "bot"]}}},
+        ):
+            doc = tmp_path / "doc.json"
+            doc.write_text(json.dumps({"lattice": "lukasiewicz3", "states": ["w1"], **section}))
+            code, out, err = run(capsys, "eval", "--model", str(doc), "--term", "1")
+            assert code == 3 and out == ""
+            assert err.startswith("model error: ") and "is not a lattice value" in err
+
+
 def test_json_output_stable(capsys):
     first = run(capsys, "axioms", "--lattice", "lukasiewicz3", "--states", "1",
                 "--exhaustive", "--json")

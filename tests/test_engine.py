@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -305,6 +306,26 @@ def test_random_model_is_seed_deterministic():
     m2 = random_model(random.Random(9), L3, states, ("p",), ("a",))
     assert m1 == m2
     assert set(m1.programs) == {"p"} and set(m1.tests) == {"a"}
+
+
+def test_recheck_reproduces_the_exact_witness(two_state_model):
+    verdict = check_axiom(219, L3, 1, "exhaustive")
+    assert recheck(verdict)
+    w = verdict.witness
+    assert not recheck(replace(verdict, witness=replace(w, lhs=lw("top", "top"))))
+    assert not recheck(replace(verdict, witness=replace(w, rhs=lw("u", "u"))))
+    triple = hoare_check(parse("p"), parse("r"), parse("p"), two_state_model)
+    assert recheck(triple)
+    assert not recheck(replace(triple, witness=replace(triple.witness, entry=("w2", "w1"))))
+
+
+def test_recheck_with_an_empty_assignment(two_state_model):
+    verdict = equiv(parse("1"), parse("0"), two_state_model)
+    assert verdict.status is Status.FAILS and verdict.witness.assignment == {}
+    assert recheck(verdict)
+    again = equiv_random(parse("1"), parse("0"), GD, 2, 5, 0)
+    assert again.status is Status.FAILS and again.witness.assignment == {}
+    assert recheck(again)
 
 
 def test_recheck_requires_failure():

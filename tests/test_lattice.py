@@ -205,6 +205,13 @@ def test_carrier_validation():
         LatticeElem(L3, Fraction(1, 3))
 
 
+def test_non_scalar_values_rejected():
+    for lattice in (B2, L3, GD):
+        for value in (["top"], None, {}, (1,)):
+            with pytest.raises(CarrierError):
+                elem(lattice, value)
+
+
 def test_godel_has_no_finite_carrier():
     with pytest.raises(CarrierError):
         carrier(GD)

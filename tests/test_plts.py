@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pkat.engine import evaluate, weight_space
 from pkat.errors import ModelError
 from pkat.plts import (
     load_model,
@@ -11,9 +12,10 @@ from pkat.plts import (
     diagonal_relation,
     valuation,
 )
+from pkat.syntax import parse
 from pkat.twist import wbot, weight
 
-from helpers import GD, L3, lw
+from helpers import B2, GD, L3, lw
 
 
 def doc(**overrides):
@@ -217,3 +219,20 @@ def test_bytes_input_accepted():
 def test_unicode_weight_text_accepted():
     m = load_model(doc(tests={"p": {"w1": ["⊤", "⊥"]}}))
     assert valuation(m, "p", "w1") == lw("top", "bot")
+
+
+def test_bool2_models_are_four_valued():
+    """A bool2 model may hold all four pairs over {0, 1}, including (1,1)
+    and (0,0); the bool2 checks draw only the corners (1,0) and (0,1)."""
+    doc = {
+        "lattice": "bool2",
+        "states": ["s"],
+        "programs": {"r": [["s", "s", 1, 1]]},
+        "tests": {"p": {"s": [0, 0]}},
+    }
+    m = load_model(json.dumps(doc))
+    both, neither = weight(B2, 1, 1), weight(B2, 0, 0)
+    assert evaluate(parse("r;r*"), m).entry("s", "s") == both
+    assert evaluate(parse("!p"), m).entry("s", "s") == neither
+    assert evaluate(parse("p + !p"), m).entry("s", "s") == neither
+    assert set(weight_space(B2)) == {weight(B2, 1, 0), weight(B2, 0, 1)}
