@@ -1,13 +1,16 @@
 """Command-line front end: evaluate terms, check axioms, compare programs.
 
 Exit codes: 0 success / property holds, 1 a checked property fails
-(witness printed), 2 usage or term error, 3 model or validation error.
+(witness printed), 2 usage or term error, 3 model or validation error,
+141 stdout was closed before the output was written (as a process
+killed by SIGPIPE reports it; nothing is printed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -45,7 +48,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``pkat ... | head``).  Point stdout at
+        # devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         return _fail(f"term error: {exc}", 2)
     except SortError as exc:
@@ -53,8 +63,6 @@ def main(argv=None) -> int:
     except EngineError as exc:
         return _fail(f"engine error: {exc}", 2)
     except (ModelError, CarrierError, ShapeError, LatticeMismatchError) as exc:
-        return _fail(f"model error: {exc}", 3)
-    except OSError as exc:
         return _fail(f"model error: {exc}", 3)
     except RecursionError:
         return _fail("term error: term nests too deeply", 2)
@@ -106,8 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="run the axiom suite over a lattice")
     p.add_argument("--lattice", required=True, choices=[l.value for l in LatticeId])
     p.add_argument("--states", type=int, required=True)
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--samples", type=int)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exhaustive", action="store_true", help="the default")
+    mode.add_argument("--samples", type=int, help="random mode: instances per axiom")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--godel-grid", metavar="VALUES")
     common(p)
@@ -131,8 +140,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_model(path: str):
-    with open(path, "rb") as handle:
-        return load_model(handle.read())
+    try:
+        with open(path, "rb") as handle:
+            document = handle.read()
+    except OSError as exc:
+        raise ModelError(str(exc)) from exc
+    return load_model(document)
 
 
 def _parse_grid(text: str | None):
@@ -276,7 +289,7 @@ def _axiom_row(verdict: Verdict, unicode: bool) -> str:
 def _cmd_axioms(args) -> int:
     lattice = LatticeId.from_name(args.lattice)
     grid = _parse_grid(args.godel_grid)
-    if args.samples:
+    if args.samples is not None:
         mode, extra = "random", {"samples": args.samples, "seed": args.seed}
     else:
         mode, extra = "exhaustive", {}

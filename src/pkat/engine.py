@@ -47,6 +47,7 @@ from .relp import (
     value_table,
     zero,
 )
+from .setp import _from_test
 from .syntax import (
     Atom,
     Dot,
@@ -209,7 +210,8 @@ def _equation(t1: Term, t2: Term) -> _Law:
 
 
 def _triple(pre: Term, prog: Term, post: Term) -> _Law:
-    """{pre} prog {post}: pre;prog <= pre;prog;post."""
+    """{pre} prog {post}: pre;prog <= pre;prog;post.  The right side
+    extends the left one, which ``_break`` evaluates once."""
     terms = (pretty(pre), pretty(prog), pretty(post))
     lhs = Dot(pre, prog)
     return _Law("{%s} %s {%s}" % terms, ((lhs, Dot(lhs, post)),), leq=True, terms=terms)
@@ -304,59 +306,26 @@ def weight_space(lattice: LatticeId, godel_grid=None) -> tuple[Weight, ...]:
     return tuple(w for w, _, _ in _space(lattice, godel_grid).cells)
 
 
-def _matrix(lattice, states, space: _Space, cells) -> PRel:
+def _relation(lattice, states, space: _Space, test: bool, index=None, rng=None) -> PRel:
+    """A relation built from space cells, row-major, or a test built from
+    cells on its diagonal: the ``index``-th in lexicographic cell order,
+    or else cells drawn from ``rng``."""
+    n, k = len(states), len(space.cells)
+    if index is None:
+        cells = [rng.choice(space.cells) for _ in range(n if test else n * n)]
+    else:
+        cells = [space.cells[index // k ** i % k] for i in reversed(range(n if test else n * n))]
+    if test:
+        bot = (None, 0, len(space.values) - 1)
+        cells = [cells[j // (n + 1)] if j % (n + 1) == 0 else bot for j in range(n * n)]
     _, tt, ff = zip(*cells)
     return from_ranks(lattice, states, space.values, tt, ff)
-
-
-def _test_matrix(lattice, states, space: _Space, diagonal) -> PRel:
-    """The test carrying the space cells ``diagonal`` on its diagonal."""
-    n, bot = len(states), (None, 0, len(space.values) - 1)
-    cells = [diagonal[k // (n + 1)] if k % (n + 1) == 0 else bot for k in range(n * n)]
-    return _matrix(lattice, states, space, cells)
-
-
-def _nth_matrix(
-    lattice: LatticeId,
-    states: tuple[str, ...],
-    space: _Space,
-    diagonal_only: bool,
-    index: int,
-) -> PRel:
-    """Decode the index-th matrix in lexicographic cell order."""
-    n = len(states)
-    cells = n if diagonal_only else n * n
-    digits = []
-    rem = index
-    for _ in range(cells):
-        rem, d = divmod(rem, len(space.cells))
-        digits.append(space.cells[d])
-    digits.reverse()
-    build = _test_matrix if diagonal_only else _matrix
-    return build(lattice, states, space, digits)
-
-
-def _draw(rng: random.Random, space: _Space, count: int) -> list:
-    return [rng.choice(space.cells) for _ in range(count)]
-
-
-def _random_relation(rng, lattice, states, space: _Space, test: bool) -> PRel:
-    n = len(states)
-    if test:
-        return _test_matrix(lattice, states, space, _draw(rng, space, n))
-    return _matrix(lattice, states, space, _draw(rng, space, n * n))
 
 
 def random_prel(
     rng: random.Random, lattice: LatticeId, states: tuple[str, ...], godel_grid=None
 ) -> PRel:
-    return _random_relation(rng, lattice, states, _space(lattice, godel_grid), False)
-
-
-def random_test(
-    rng: random.Random, lattice: LatticeId, states: tuple[str, ...], godel_grid=None
-) -> PRel:
-    return _random_relation(rng, lattice, states, _space(lattice, godel_grid), True)
+    return _relation(lattice, states, _space(lattice, godel_grid), False, rng=rng)
 
 
 def random_model(
@@ -373,15 +342,11 @@ def random_model(
 
 def _random_model(rng, lattice, states, space: _Space, program_names, test_names) -> Model:
     programs = {
-        name: _random_relation(rng, lattice, states, space, False)
-        for name in sorted(program_names)
+        name: _relation(lattice, states, space, False, rng=rng) for name in sorted(program_names)
     }
-    tests, diagonals = {}, {}
-    for name in sorted(test_names):
-        drawn = _draw(rng, space, len(states))
-        tests[name] = {s: w for s, (w, _, _) in zip(states, drawn)}
-        diagonals[name] = _test_matrix(lattice, states, space, drawn)
-    return Model(lattice, states, programs, tests, values=space.values, diagonals=diagonals)
+    tests = {name: _from_test(_relation(lattice, states, space, True, rng=rng))
+             for name in sorted(test_names)}
+    return Model(lattice, states, programs, tests, values=space.values)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +374,12 @@ def _break(law: _Law, env: Mapping[str, PRel], one: PRel, zer: PRel):
         if not r_leq(_eval(pl, env, one, zer), _eval(pr, env, one, zer)):
             return None
     for lhs, rhs in law.goals:
-        found = _first_break(_eval(lhs, env, one, zer), _eval(rhs, env, one, zer), law.leq)
+        left = _eval(lhs, env, one, zer)
+        if isinstance(rhs, Dot) and rhs.left is lhs:  # a triple: rhs is lhs;post
+            right = r_dot(left, _eval(rhs.right, env, one, zer))
+        else:
+            right = _eval(rhs, env, one, zer)
+        found = _first_break(left, right, law.leq)
         if found is not None:
             return found
     return None
@@ -438,7 +408,7 @@ def _assignments(law: _Law, lattice, states, space: _Space):
     strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
     total = prod(sizes)
     envs = (
-        ({name: _nth_matrix(lattice, states, space, test, index // stride % size)
+        ({name: _relation(lattice, states, space, test, index // stride % size)
           for (name, _), test, stride, size in zip(law.vars, tests, strides, sizes)}, None)
         for index in range(total)
     )
@@ -454,12 +424,11 @@ def check_axiom(
     samples: int | None = None,
     seed: int | None = None,
     godel_grid=None,
-    max_space: int = MAX_EXHAUSTIVE,
 ) -> Verdict:
     """Check one axiom by instantiating its variables over relations.
 
     Exhaustive mode walks the whole finite instantiation space (refused
-    above ``max_space``); random mode draws seeded samples.  A failing
+    above ``MAX_EXHAUSTIVE``); random mode draws seeded samples.  A failing
     verdict carries the first counterexample in enumeration order.
     """
     ident = AxiomId(axiom)
@@ -468,9 +437,9 @@ def check_axiom(
     space = _space(lattice, godel_grid)
     if mode == "exhaustive":
         total, instances = _assignments(law, lattice, states, space)
-        if total > max_space:
+        if total > MAX_EXHAUSTIVE:
             raise EngineError(
-                f"exhaustive space of {total} instantiations exceeds {max_space}"
+                f"exhaustive space of {total} instantiations exceeds {MAX_EXHAUSTIVE}"
             )
         seed = None
     elif mode == "random":
@@ -478,7 +447,7 @@ def check_axiom(
             raise EngineError("random mode needs a positive sample count")
         rng = random.Random(seed)
         instances = (
-            ({name: _random_relation(rng, lattice, states, space, sort is Sort.TEST)
+            ({name: _relation(lattice, states, space, sort is Sort.TEST, rng=rng)
               for name, sort in law.vars}, None)
             for _ in range(samples)
         )
@@ -492,7 +461,6 @@ def find_boolean_witness(
     lattice: LatticeId,
     n_states: int,
     godel_grid=None,
-    max_space: int = MAX_EXHAUSTIVE,
 ) -> dict[AxiomId, Verdict]:
     """Search tests refuting non-contradiction and excluded middle.
 
@@ -506,9 +474,9 @@ def find_boolean_witness(
     out = {}
     for ident in BOOLEAN_AXIOMS:
         total, instances = _assignments(_AXIOMS[ident], lattice, states, space)
-        if total > max_space:
+        if total > MAX_EXHAUSTIVE:
             raise EngineError(
-                f"witness space of {total} candidates exceeds {max_space}"
+                f"witness space of {total} candidates exceeds {MAX_EXHAUSTIVE}"
             )
         out[ident] = _check(_AXIOMS[ident], instances, *units, lattice, n_states,
                             "search", axiom=ident)

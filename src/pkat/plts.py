@@ -2,9 +2,10 @@
 
 A model fixes a lattice, an ordered nonempty set of states, named
 program relations (total weight matrices) and named tests (one weight
-per state).  A test name used inside a term denotes the subidentity
-matrix carrying its per-state weights on the diagonal.  The document
-format::
+per state).  A test is stored once, as a ``setp.PSet``: the subidentity
+matrix carrying its per-state weights on the diagonal, which is what
+the test's name denotes inside a term.  Programs and tests share one
+value table (see ``relp``), built at load.  The document format::
 
     {"lattice": "lukasiewicz3",
      "states": ["w1", "w2"],
@@ -35,8 +36,9 @@ from fractions import Fraction
 
 from .errors import CarrierError, LatticeMismatchError, ModelError
 from .lattice import LatticeElem, LatticeId, bottom, elem, elem_to_json, top
-from .relp import PRel, from_entries, from_diagonal, value_table
-from .twist import Weight, wbot, weight_from_json, weight_to_json
+from .relp import PRel, from_entries, prel_to_entries, value_table
+from .setp import PSet, pset_to_json
+from .twist import Weight, wbot, weight_from_json
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -46,12 +48,10 @@ class Model:
     lattice: LatticeId
     states: tuple[str, ...]
     programs: dict[str, PRel] = field(default_factory=dict)
-    tests: dict[str, dict[str, Weight]] = field(default_factory=dict)
+    tests: dict[str, PSet] = field(default_factory=dict)
     test_carrier: tuple[LatticeElem, ...] | None = None
-    # Relations share the table ``values`` (see ``relp``); ``diagonals``
-    # holds each test's subidentity relation on it, built on first use.
+    # The value table that the programs and tests share (see ``relp``).
     values: tuple[Fraction, ...] = field(default=(), compare=False, repr=False)
-    diagonals: dict[str, PRel] = field(default_factory=dict, compare=False, repr=False)
 
 
 def valuation(m: Model, prop: str, state: str) -> Weight:
@@ -73,9 +73,7 @@ def diagonal_relation(m: Model, name: str) -> PRel:
     """The subidentity matrix of a test."""
     if name not in m.tests:
         raise ModelError(f"unknown test {name!r}")
-    if name not in m.diagonals:
-        m.diagonals[name] = from_diagonal(m.lattice, m.states, m.tests[name], m.values)
-    return m.diagonals[name]
+    return m.tests[name].relation
 
 
 def load_model(document: str | bytes) -> Model:
@@ -124,15 +122,19 @@ def model_from_dict(raw) -> Model:
         _check_name(name, entries, {})
         entries[name] = _read_program(lattice, states, name, items)
 
-    tests: dict[str, dict[str, Weight]] = {}
+    diagonals: dict[str, dict[str, Weight]] = {}
     for name, body in _named_section(raw.get("tests"), "tests").items():
-        _check_name(name, entries, tests)
-        tests[name] = _read_test(lattice, states, name, body, carrier)
+        _check_name(name, entries, diagonals)
+        diagonals[name] = _read_test(lattice, states, name, body, carrier)
 
-    weights = [w for table in (*entries.values(), *tests.values()) for w in table.values()]
+    weights = [w for table in (*entries.values(), *diagonals.values()) for w in table.values()]
     values = value_table({x.value for w in weights for x in (w.tt, w.ff)})
     programs = {
         name: from_entries(lattice, states, table, values) for name, table in entries.items()
+    }
+    tests = {
+        name: PSet(lattice, states, tuple(diagonal.values()), values)
+        for name, diagonal in diagonals.items()
     }
     return Model(lattice, states, programs, tests, carrier, values)
 
@@ -246,14 +248,8 @@ def model_to_dict(m: Model) -> dict:
     out = {
         "lattice": m.lattice.value,
         "states": list(m.states),
-        "programs": {
-            name: [[u, v, *weight_to_json(w)] for (u, v), w in rel.pairs()]
-            for name, rel in m.programs.items()
-        },
-        "tests": {
-            name: {s: weight_to_json(diag[s]) for s in m.states}
-            for name, diag in m.tests.items()
-        },
+        "programs": {name: prel_to_entries(rel) for name, rel in m.programs.items()},
+        "tests": {name: pset_to_json(test) for name, test in m.tests.items()},
     }
     if m.test_carrier is not None:
         out["test_carrier"] = [elem_to_json(e) for e in m.test_carrier]

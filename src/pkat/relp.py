@@ -219,13 +219,8 @@ def t_complement(t: PRel) -> PRel:
 
 
 def from_diagonal(lattice: LatticeId, states, diagonal: Mapping[str, Weight], values=()) -> PRel:
-    known = set(states)
-    for u in diagonal:
-        if u not in known:
-            raise ShapeError(f"diagonal entry names unknown state {u!r}")
-    b = wbot(lattice)
-    cells = [diagonal.get(u, b) if u == v else b for u, v in product(states, repeat=2)]
-    return PRel(lattice, states, cells, values)
+    """The test carrying ``diagonal``; missing states get BOT."""
+    return from_entries(lattice, states, {(u, u): w for u, w in diagonal.items()}, values)
 
 
 def prel_to_entries(r: PRel) -> list[list]:

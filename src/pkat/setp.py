@@ -1,117 +1,119 @@
-"""Pointwise algebra of weighted sets: one weight per state.
+"""Weighted sets: one weight per state, held as the test that carries them.
 
-Sum and product are the pair-join and pair-meet applied pointwise, and
-the complement swaps each pair.  Because pair-meet is idempotent, every
+A ``PSet`` holds the subidentity relation (``relp.PRel``) with the
+set's weights on its diagonal, and each operation here is the kernel's
+operation on it: on the diagonal, ``r_plus`` and ``r_dot`` are
+pair-join and pair-meet pointwise, ``t_complement`` swaps each pair and
+``r_leq`` compares pointwise.  Because pair-meet is idempotent, every
 power of a set beyond the zeroth collapses onto the set itself, so the
-star of any set is the constant-TOP set; the closed form is used
-directly.
+star of any set is the constant-TOP set, the identity relation, which
+``r_star`` reaches in one round.  A ``PSet`` reads as a mapping from
+state to weight, and compares equal to a dict with the same entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import ShapeError
 from .lattice import LatticeId
-from .twist import (
-    Weight,
-    negate,
-    wbot,
-    weight_from_json,
-    weight_to_json,
-    wjoin,
-    wleq,
-    wmeet,
-    wtop,
-)
+from .relp import PRel, from_diagonal, identity, r_dot, r_leq, r_plus, r_star, t_complement, zero
+from .twist import Weight, weight_from_json, weight_to_json
 
 
-@dataclass(frozen=True, slots=True)
-class PSet:
-    """A total map state -> Weight, aligned with ``states``."""
+class PSet(Mapping):
+    """A total map state -> Weight, aligned with ``states``: the test
+    ``relation`` carrying the weights on its diagonal.  Never mutated."""
 
-    lattice: LatticeId
-    states: tuple[str, ...]
-    weights: tuple[Weight, ...]
+    __slots__ = ("relation",)
 
-    def __post_init__(self):
-        if not self.states:
-            raise ShapeError("a weighted set needs a nonempty state set")
-        if len(set(self.states)) != len(self.states):
-            raise ShapeError("duplicate state name")
-        if len(self.weights) != len(self.states):
+    def __init__(self, lattice: LatticeId, states, weights, values=()):
+        """Encode ``weights`` on a table that also holds ``values``."""
+        states = tuple(states)
+        if len(weights) != len(states):
             raise ShapeError("one weight per state required")
-        for w in self.weights:
-            if w.lattice is not self.lattice:
-                raise ShapeError("entry weight from a different lattice")
+        self.relation = from_diagonal(lattice, states, dict(zip(states, weights)), values)
+
+    @property
+    def lattice(self) -> LatticeId:
+        return self.relation.lattice
+
+    @property
+    def states(self) -> tuple[str, ...]:
+        return self.relation.states
+
+    @property
+    def weights(self) -> tuple[Weight, ...]:
+        return tuple(map(self.relation.entry, self.states, self.states))
 
     def value(self, state: str) -> Weight:
-        try:
-            return self.weights[self.states.index(state)]
-        except ValueError as exc:
-            raise ShapeError(f"unknown state {state!r}") from exc
+        return self.relation.entry(state, state)
+
+    def __getitem__(self, state) -> Weight:
+        if state not in self.states:
+            raise KeyError(state)
+        return self.relation.entry(state, state)
+
+    def __iter__(self):
+        return iter(self.states)
+
+    def __len__(self):
+        return len(self.states)
+
+    def __eq__(self, other):
+        if isinstance(other, PSet):
+            return self.relation == other.relation
+        return super().__eq__(other)
+
+    def __hash__(self):
+        return hash(self.relation)
+
+    def __repr__(self):
+        return f"PSet({self.lattice}, {self.states!r}, {self.weights!r})"
+
+
+def _from_test(relation: PRel) -> PSet:
+    """The set a test relation carries."""
+    s = object.__new__(PSet)
+    s.relation = relation
+    return s
 
 
 def from_values(
     lattice: LatticeId, states: tuple[str, ...], values: Mapping[str, Weight]
 ) -> PSet:
     """Total set from a sparse map; missing states get BOT."""
-    known = set(states)
-    for u in values:
-        if u not in known:
-            raise ShapeError(f"value names unknown state {u!r}")
-    default = wbot(lattice)
-    return PSet(
-        lattice, tuple(states), tuple(values.get(u, default) for u in states)
-    )
+    return _from_test(from_diagonal(lattice, states, values))
 
 
 def oslash(lattice: LatticeId, states: tuple[str, ...]) -> PSet:
     """The constant-BOT set (the least element)."""
-    return PSet(lattice, tuple(states), (wbot(lattice),) * len(states))
+    return _from_test(zero(lattice, states))
 
 
 def upsilon(lattice: LatticeId, states: tuple[str, ...]) -> PSet:
     """The constant-TOP set (the greatest element)."""
-    return PSet(lattice, tuple(states), (wtop(lattice),) * len(states))
-
-
-def _require_compat(a: PSet, b: PSet) -> None:
-    if a.lattice is not b.lattice:
-        raise ShapeError(
-            f"cannot combine {a.lattice.value} with {b.lattice.value} sets"
-        )
-    if a.states != b.states:
-        raise ShapeError("sets range over different state spaces")
+    return _from_test(identity(lattice, states))
 
 
 def s_plus(a: PSet, b: PSet) -> PSet:
-    _require_compat(a, b)
-    return PSet(
-        a.lattice, a.states, tuple(wjoin(x, y) for x, y in zip(a.weights, b.weights))
-    )
+    return _from_test(r_plus(a.relation, b.relation))
 
 
 def s_dot(a: PSet, b: PSet) -> PSet:
-    _require_compat(a, b)
-    return PSet(
-        a.lattice, a.states, tuple(wmeet(x, y) for x, y in zip(a.weights, b.weights))
-    )
+    return _from_test(r_dot(a.relation, b.relation))
 
 
 def s_complement(a: PSet) -> PSet:
-    return PSet(a.lattice, a.states, tuple(negate(w) for w in a.weights))
+    return _from_test(t_complement(a.relation))
 
 
 def s_star(a: PSet) -> PSet:
-    # The zeroth power is the constant-TOP set and TOP absorbs joins.
-    return upsilon(a.lattice, a.states)
+    return _from_test(r_star(a.relation))
 
 
 def s_subset(a: PSet, b: PSet) -> bool:
-    _require_compat(a, b)
-    return all(wleq(x, y) for x, y in zip(a.weights, b.weights))
+    return r_leq(a.relation, b.relation)
 
 
 def pset_to_json(a: PSet) -> dict:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .errors import LatticeMismatchError
 from .lattice import (
@@ -105,13 +104,6 @@ def negate(x: Weight) -> Weight:
 def wleq(x: Weight, y: Weight) -> bool:
     _require_same(x, y)
     return leq(x.tt, y.tt) and leq(y.ff, x.ff)
-
-
-def big_wjoin(lattice: LatticeId, weights: Iterable[Weight]) -> Weight:
-    out = wbot(lattice)
-    for w in weights:
-        out = wjoin(out, w)
-    return out
 
 
 def classify(x: Weight) -> ConsistencyClass:

@@ -1,6 +1,12 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
+import pytest
+
+import pkat
 from pkat.cli import main
 
 
@@ -264,3 +270,39 @@ def test_json_output_stable(capsys):
     second = run(capsys, "axioms", "--lattice", "lukasiewicz3", "--states", "1",
                  "--exhaustive", "--json")
     assert first == second
+
+
+def test_axioms_without_a_mode_flag_is_exhaustive(capsys):
+    code, out, _ = run(capsys, "axioms", "--lattice", "bool2", "--states", "1")
+    assert code == 0 and "mode=exhaustive" in out
+
+
+def test_axioms_sample_count_must_be_positive(capsys):
+    for count in ("0", "-5"):
+        code, out, err = run(capsys, "axioms", "--lattice", "bool2", "--states", "1",
+                             "--samples", count)
+        assert code == 2 and out == ""
+        assert err == "engine error: random mode needs a positive sample count\n"
+
+
+def test_axioms_exhaustive_and_samples_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["axioms", "--lattice", "bool2", "--states", "1", "--exhaustive",
+              "--samples", "3"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_closed_stdout_is_not_an_error():
+    # The read end is closed before the child writes, so the write always
+    # fails with EPIPE.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "pkat.cli", "eval", "--model", MODEL, "--term", "r;p"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 141
+    assert err == b""

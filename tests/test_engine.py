@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+import pkat.engine
 from pkat.engine import (
     AxiomId,
     CORE_AXIOMS,
@@ -266,6 +267,24 @@ def test_hoare_worked_example(two_state_model):
     assert verdict.witness.lhs == lw("top", "bot")
     assert verdict.witness.rhs == lw("u", "bot")
     assert recheck(verdict)
+
+
+def test_hoare_evaluates_pre_and_prog_once(two_state_model, monkeypatch):
+    # The triple's law is pre;prog <= pre;prog;post: its right side extends
+    # its left, so r*, r;r*, p;(r;r*) and the final ;p are one call each.
+    calls = {"r_dot": 0, "r_star": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pkat.engine, name, counted(name, getattr(pkat.engine, name)))
+    verdict = hoare_check(parse("p"), parse("r;r*"), parse("p"), two_state_model)
+    assert calls == {"r_dot": 3, "r_star": 1}
+    assert verdict.status is Status.FAILS and recheck(verdict)
 
 
 def test_hoare_sort_requirements(two_state_model):

@@ -236,3 +236,27 @@ def test_bool2_models_are_four_valued():
     assert evaluate(parse("!p"), m).entry("s", "s") == neither
     assert evaluate(parse("p + !p"), m).entry("s", "s") == neither
     assert set(weight_space(B2)) == {weight(B2, 1, 0), weight(B2, 0, 1)}
+
+
+def test_model_tests_read_as_state_to_weight_maps(two_state_model):
+    p = two_state_model.tests["p"]
+    assert p["w1"] == lw("top", "bot") and p["w2"] == lw("u", "bot")
+    assert list(p.items()) == [("w1", lw("top", "bot")), ("w2", lw("u", "bot"))]
+    assert p == {"w1": lw("top", "bot"), "w2": lw("u", "bot")}
+    assert {"w1": lw("top", "bot"), "w2": lw("u", "bot")} == p
+    assert p != {"w1": lw("top", "bot"), "w2": lw("u", "u")}
+    assert "w9" not in p and p.get("w9") is None
+    # the test is stored once: its relation is what terms evaluate
+    assert diagonal_relation(two_state_model, "p") is p.relation
+    assert evaluate(parse("p"), two_state_model) is p.relation
+
+
+def test_canonical_form_of_the_two_state_fixture(data_dir):
+    m = load_model((data_dir / "two_state.json").read_text())
+    assert model_to_dict(m) == {
+        "lattice": "lukasiewicz3",
+        "states": ["w1", "w2"],
+        "programs": {"r": [["w1", "w1", "bot", "top"], ["w1", "w2", "top", "bot"],
+                           ["w2", "w1", "top", "u"], ["w2", "w2", "bot", "top"]]},
+        "tests": {"p": {"w1": ["top", "bot"], "w2": ["u", "bot"]}},
+    }

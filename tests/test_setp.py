@@ -1,13 +1,20 @@
+import json
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pkat.errors import ShapeError
+from pkat.lattice import elem, elem_to_json
+from pkat.plts import load_model
 from pkat.setp import (
     PSet,
     from_values,
     oslash,
+    pset_to_json,
     s_complement,
     s_dot,
     s_plus,
@@ -15,9 +22,9 @@ from pkat.setp import (
     s_subset,
     upsilon,
 )
-from pkat.twist import wjoin, wmeet, wtop
+from pkat.twist import negate, weight, wjoin, wleq, wmeet, wtop
 
-from helpers import B2, L3, LUKA_WEIGHTS, lw
+from helpers import B2, GD, L3, LUKA_WEIGHTS, lw
 
 W = ("w1", "w2")
 
@@ -148,3 +155,59 @@ def test_json_round_trip(phi):
     assert pset_from_json(L3, W, payload) == phi
     with pytest.raises(ShapeError):
         pset_from_json(L3, W, ["not", "a", "map"])
+
+
+# --- the kernel-backed sets against the pointwise algebra --------------------
+
+_POOLS = {L3: (Fraction(0), Fraction(1, 2), Fraction(1))}
+
+
+def _values(lattice):
+    pool = _POOLS.get(lattice)
+    if pool is not None:
+        return st.sampled_from(pool)
+    return st.fractions(min_value=0, max_value=1, max_denominator=6)
+
+
+@st.composite
+def set_operands(draw):
+    """Two sets on one lattice and state space, each on a table of its own:
+    the first straight from its weights, the second widened by extra
+    values, or the test of a loaded model whose program adds values."""
+    lattice = draw(st.sampled_from([L3, GD]))
+    states = tuple(f"w{i}" for i in range(draw(st.integers(1, 4))))
+    value = _values(lattice)
+    weights = st.lists(st.builds(lambda t, f: weight(lattice, t, f), value, value),
+                       min_size=len(states), max_size=len(states))
+    first = PSet(lattice, states, draw(weights))
+    second_weights = draw(weights)
+    if draw(st.booleans()):
+        second = PSet(lattice, states, second_weights, draw(st.lists(value, max_size=3)))
+    else:
+        t, f = (elem_to_json(elem(lattice, draw(value))) for _ in range(2))
+        doc = {
+            "lattice": lattice.value,
+            "states": list(states),
+            "programs": {"r": [[states[0], states[-1], t, f]]},
+            "tests": {"t": pset_to_json(from_values(lattice, states,
+                                                    dict(zip(states, second_weights))))},
+        }
+        second = load_model(json.dumps(doc)).tests["t"]
+    return first, second
+
+
+@settings(max_examples=200, deadline=None)
+@given(set_operands())
+def test_set_algebra_matches_pointwise_oracle(operands):
+    a, b = operands
+    lattice, states = a.lattice, a.states
+    assert s_plus(a, b) == {s: wjoin(a[s], b[s]) for s in states}
+    assert s_dot(a, b) == {s: wmeet(a[s], b[s]) for s in states}
+    assert s_complement(b) == {s: negate(b[s]) for s in states}
+    assert s_star(b) == {s: wtop(lattice) for s in states}
+    assert s_subset(a, b) == all(wleq(a[s], b[s]) for s in states)
+    assert s_subset(b, a) == all(wleq(b[s], a[s]) for s in states)
+    assert (a == b) == all(a[s] == b[s] for s in states)
+    assert a == PSet(lattice, states, a.weights, b.relation.values)
+    assert b == dict(zip(states, b.weights)) and list(b) == list(states)
+    assert hash(b) == hash(PSet(lattice, states, b.weights))
