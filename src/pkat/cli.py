@@ -2,6 +2,7 @@
 
 Exit codes: 0 success / property holds, 1 a checked property fails
 (witness printed), 2 usage or term error, 3 model or validation error,
+74 the output could not be written (``output error: ...`` on stderr),
 141 stdout was closed before the output was written (as a process
 killed by SIGPIPE reports it; nothing is printed).
 """
@@ -51,11 +52,14 @@ def main(argv=None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader went away (``pkat ... | head``).  Point stdout at
+    except OSError as exc:
+        # Writing stdout failed: the reader went away (``pkat ... | head``)
+        # or the device refused it (``> /dev/full``).  Point stdout at
         # devnull so the flush at exit cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        return _fail(f"output error: {exc}", 74)
     except ParseError as exc:
         return _fail(f"term error: {exc}", 2)
     except SortError as exc:

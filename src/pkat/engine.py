@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import prod
@@ -33,6 +32,7 @@ from typing import Iterable, Mapping
 from .errors import EngineError, SortError
 from .lattice import LatticeId, carrier, elem
 from .plts import Model, model_to_dict, diagonal_relation
+from .record import Record
 from .relp import (
     PRel,
     align,
@@ -119,44 +119,27 @@ CORE_AXIOMS = tuple(a for a in AxiomId if a.value < 219)
 BOOLEAN_AXIOMS = (AxiomId.TEST_NON_CONTRA, AxiomId.TEST_EXCL_MIDDLE)
 
 
-@dataclass(frozen=True)
-class Witness:
-    """Enough data to reproduce a failure independently."""
+class Witness(Record):
+    """Enough data to reproduce a failure independently: where the law
+    breaks under ``assignment`` (name to ``PRel``), and both sides there."""
 
-    assignment: dict[str, PRel]
-    entry: tuple[str, str]
-    lhs: Weight
-    rhs: Weight
-    formula: str
-    model: Model | None = None
-    terms: tuple[str, ...] | None = None
+    __slots__ = ("assignment", "entry", "lhs", "rhs", "formula", "model", "terms")
+    _defaults = {"model": None, "terms": None}
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: Status
-    lattice: LatticeId
-    n_states: int
-    mode: str
-    axiom: AxiomId | None = None
-    witness: Witness | None = None
-    samples: int | None = None
-    seed: int | None = None
+class Verdict(Record):
+    __slots__ = ("status", "lattice", "n_states", "mode", "axiom", "witness", "samples", "seed")
+    _defaults = {"axiom": None, "witness": None, "samples": None, "seed": None}
 
 
-@dataclass(frozen=True)
-class _Law:
+class _Law(Record):
     """Goals ``lhs = rhs`` (``lhs <= rhs`` when ``leq``), required only where
     the premise ``lhs <= rhs``, if any, holds.  ``vars`` are a catalog
     law's variables in witness order; ``formula`` and ``terms`` are what a
     witness prints."""
 
-    formula: str
-    goals: tuple[tuple[Term, Term], ...]
-    leq: bool = False
-    premise: tuple[Term, Term] | None = None
-    vars: tuple[tuple[str, Sort], ...] = ()
-    terms: tuple[str, ...] | None = None
+    __slots__ = ("formula", "goals", "leq", "premise", "vars", "terms")
+    _defaults = {"leq": False, "premise": None, "vars": (), "terms": None}
 
 
 # Each law once, as printed.  A chain ``t0 = t1 = ... = tk`` is the
@@ -201,7 +184,15 @@ def _law(formula: str) -> _Law:
     return _Law(formula, tuple((left, right) for left in lefts), vars=variables)
 
 
-_AXIOMS = {ident: _law(formula) for ident, formula in _CATALOG.items()}
+class _Laws(dict):
+    """The catalog, each law parsed on first lookup (most commands use none)."""
+
+    def __missing__(self, ident: AxiomId) -> _Law:
+        law = self[ident] = _law(_CATALOG[ident])
+        return law
+
+
+_AXIOMS = _Laws()
 
 
 def _equation(t1: Term, t2: Term) -> _Law:
@@ -275,13 +266,11 @@ def _grid_elems(lattice: LatticeId, godel_grid) -> tuple:
     return carrier(lattice)
 
 
-@dataclass(frozen=True)
-class _Space:
+class _Space(Record):
     """The candidates of one (lattice, grid), nearest classical consistency
-    first: each a weight with its (tt, ff) ranks into ``values``."""
+    first: ``cells`` are each weight with its (tt, ff) ranks into ``values``."""
 
-    values: tuple[Fraction, ...]
-    cells: tuple[tuple[Weight, int, int], ...]
+    __slots__ = ("values", "cells")
 
 
 def _space(lattice: LatticeId, godel_grid) -> _Space:
@@ -502,7 +491,7 @@ def _on_model(law: _Law, model: Model, names: Iterable[str]) -> Verdict:
     env = _atom_assignment(model, names)
     units = _units(model.lattice, model.states, model.values)
     verdict = _check(law, [(env, model)], *units, model.lattice, len(model.states), "model")
-    return replace(verdict, samples=None)
+    return verdict.replace(samples=None)
 
 
 def equiv(t1: Term, t2: Term, model: Model) -> Verdict:

@@ -15,12 +15,12 @@ which is the greatest c with meet(a, c) <= b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import CarrierError, LatticeMismatchError
+from .record import Record
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -42,27 +42,26 @@ class LatticeId(Enum):
         raise CarrierError(f"unknown lattice {name!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class LatticeElem:
+class LatticeElem(Record):
     """A truth value tagged with the lattice it belongs to."""
 
-    lattice: LatticeId
-    value: Fraction
+    __slots__ = ("lattice", "value")
 
-    def __post_init__(self):
-        v = self.value
-        if not isinstance(v, Fraction):
-            raise CarrierError(f"lattice values must be exact rationals, got {v!r}")
-        if self.lattice is LatticeId.BOOL2:
-            if v != _ZERO and v != _ONE:
-                raise CarrierError(f"{_fraction_text(v)!r} is not a Boolean value")
-        elif self.lattice is LatticeId.LUKASIEWICZ3:
-            if v not in (_ZERO, _HALF, _ONE):
+    def __init__(self, lattice: LatticeId, value: Fraction):
+        if not isinstance(value, Fraction):
+            raise CarrierError(f"lattice values must be exact rationals, got {value!r}")
+        if lattice is LatticeId.BOOL2:
+            if value != _ZERO and value != _ONE:
+                raise CarrierError(f"{_fraction_text(value)!r} is not a Boolean value")
+        elif lattice is LatticeId.LUKASIEWICZ3:
+            if value not in (_ZERO, _HALF, _ONE):
                 raise CarrierError(
-                    f"{_fraction_text(v)!r} is not one of bot, u, top"
+                    f"{_fraction_text(value)!r} is not one of bot, u, top"
                 )
-        elif not (0 <= v.numerator <= v.denominator):
-            raise CarrierError(f"{_fraction_text(v)} lies outside [0, 1]")
+        elif not (0 <= value.numerator <= value.denominator):
+            raise CarrierError(f"{_fraction_text(value)} lies outside [0, 1]")
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "value", value)
 
     def __repr__(self):
         return f"<{self.lattice.value}:{elem_to_text(self)}>"

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import CarrierError, LatticeMismatchError, ModelError
-from .lattice import LatticeElem, LatticeId, bottom, elem, elem_to_json, top
+from .lattice import LatticeId, bottom, elem, elem_to_json, top
+from .record import Record
 from .relp import PRel, from_entries, prel_to_entries, value_table
 from .setp import PSet, pset_to_json
 from .twist import Weight, wbot, weight_from_json
@@ -43,15 +43,16 @@ from .twist import Weight, wbot, weight_from_json
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class Model:
-    lattice: LatticeId
-    states: tuple[str, ...]
-    programs: dict[str, PRel] = field(default_factory=dict)
-    tests: dict[str, PSet] = field(default_factory=dict)
-    test_carrier: tuple[LatticeElem, ...] | None = None
-    # The value table that the programs and tests share (see ``relp``).
-    values: tuple[Fraction, ...] = field(default=(), compare=False, repr=False)
+class Model(Record):
+    """A lattice, its ordered ``states``, ``programs`` (name to ``PRel``),
+    ``tests`` (name to ``PSet``), the ``test_carrier`` elements or None,
+    and ``values``: the table the programs and tests share (see ``relp``),
+    which equality and ``repr`` leave out."""
+
+    __slots__ = ("lattice", "states", "programs", "tests", "test_carrier", "values")
+    _defaults = {"programs": MappingProxyType({}), "tests": MappingProxyType({}),
+                 "test_carrier": None, "values": ()}
+    _compared = __slots__[:-1]
 
 
 def valuation(m: Model, prop: str, state: str) -> Weight:

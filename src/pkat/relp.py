@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import ShapeError, SortError
 from .lattice import LatticeElem, LatticeId
-from .twist import Weight, format_weight, wbot, weight_to_json
+from .twist import Weight, format_weight, weight_to_json
 
 
 def value_table(values: Iterable[Fraction]) -> tuple[Fraction, ...]:
@@ -59,15 +59,7 @@ class PRel:
         _check_states(states)
         if len(weights) != n * n:
             raise ShapeError(f"expected {n * n} entries for {n} states, got {len(weights)}")
-        if any(w.lattice is not lattice for w in weights):
-            raise ShapeError("entry weight from a different lattice")
-        # Encode each distinct weight object once: defaults are shared objects.
-        unique = {id(w): w for w in weights}
-        table = value_table([*values, *(x.value for w in unique.values() for x in (w.tt, w.ff))])
-        rank = {v: i for i, v in enumerate(table)}
-        code = {k: (rank[w.tt.value], rank[w.ff.value]) for k, w in unique.items()}
-        tt, ff = zip(*[code[id(w)] for w in weights])
-        return from_ranks(lattice, states, table, tt, ff)
+        return from_entries(lattice, states, dict(zip(product(states, repeat=2), weights)), values)
 
     def __eq__(self, other):
         if not isinstance(other, PRel):
@@ -111,14 +103,23 @@ def from_ranks(lattice: LatticeId, states, values, tt, ff) -> PRel:
 def from_entries(
     lattice: LatticeId, states, entries: Mapping[tuple[str, str], Weight], values=()
 ) -> PRel:
-    """Total relation from a sparse entry map; missing pairs get BOT."""
-    known = set(states)
+    """Total relation from a sparse entry map; missing pairs get BOT.  Only
+    the listed entries are encoded; every other cell takes the BOT ranks."""
+    states = tuple(states)
+    index = {s: i for i, s in enumerate(states)}
     for u, v in entries:
-        if u not in known or v not in known:
+        if u not in index or v not in index:
             raise ShapeError(f"entry ({u!r}, {v!r}) names an unknown state")
-    default = wbot(lattice)
-    cells = [entries.get(uv, default) for uv in product(states, repeat=2)]
-    return PRel(lattice, states, cells, values)
+    _check_states(states)
+    if any(w.lattice is not lattice for w in entries.values()):
+        raise ShapeError("entry weight from a different lattice")
+    table = value_table([*values, *(x.value for w in entries.values() for x in (w.tt, w.ff))])
+    rank, n = {v: i for i, v in enumerate(table)}, len(states)
+    tt, ff = [0] * (n * n), [len(table) - 1] * (n * n)
+    for (u, v), w in entries.items():
+        k = index[u] * n + index[v]
+        tt[k], ff[k] = rank[w.tt.value], rank[w.ff.value]
+    return from_ranks(lattice, states, table, tuple(tt), tuple(ff))
 
 
 def identity(lattice: LatticeId, states: tuple[str, ...], values=()) -> PRel:

@@ -18,51 +18,42 @@ constants 0 and 1 are tests (they belong to both sorts).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, TYPE_CHECKING, Union
 
 from .errors import ParseError, SortError
+from .record import Record
 
 if TYPE_CHECKING:
     from .plts import Model
 
 
-@dataclass(frozen=True, slots=True)
-class Zero:
-    pass
+class Zero(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class One:
-    pass
+class One(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    name: str
+class Atom(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
-class Plus:
-    left: "Term"
-    right: "Term"
+class Plus(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
-class Dot:
-    left: "Term"
-    right: "Term"
+class Dot(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True)
-class Star:
-    inner: "Term"
+class Star(Record):
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
-    inner: "Term"
+class Not(Record):
+    __slots__ = ("inner",)
 
 
 Term = Union[Zero, One, Atom, Plus, Dot, Star, Not]

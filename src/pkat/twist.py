@@ -17,7 +17,6 @@ contradicting evidence (sum above 1) is inconsistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import LatticeMismatchError
@@ -34,20 +33,21 @@ from .lattice import (
     meet,
     top,
 )
+from .record import Record
 
 
-@dataclass(frozen=True, slots=True)
-class Weight:
+class Weight(Record):
     """Evidence for and against, drawn from one lattice."""
 
-    tt: LatticeElem
-    ff: LatticeElem
+    __slots__ = ("tt", "ff")
 
-    def __post_init__(self):
-        if self.tt.lattice is not self.ff.lattice:
+    def __init__(self, tt: LatticeElem, ff: LatticeElem):
+        if tt.lattice is not ff.lattice:
             raise LatticeMismatchError(
                 "both components of a weight must share a lattice"
             )
+        object.__setattr__(self, "tt", tt)
+        object.__setattr__(self, "ff", ff)
 
     @property
     def lattice(self) -> LatticeId:

@@ -306,3 +306,21 @@ def test_closed_stdout_is_not_an_error():
     child.stderr.close()
     assert child.wait(timeout=60) == 141
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("buffered", [False, True])
+def test_failed_output_write_is_an_output_error(buffered):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        child = subprocess.run(
+            [sys.executable, "-m", "pkat.cli", "eval", "--model", MODEL, "--term", "p;p"],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    assert child.returncode == 74
+    # No traceback: one line naming the failure (ENOSPC on /dev/full).
+    assert child.stderr.startswith(b"output error: [Errno 28]")
+    assert child.stderr.count(b"\n") == 1

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -331,11 +330,11 @@ def test_recheck_reproduces_the_exact_witness(two_state_model):
     verdict = check_axiom(219, L3, 1, "exhaustive")
     assert recheck(verdict)
     w = verdict.witness
-    assert not recheck(replace(verdict, witness=replace(w, lhs=lw("top", "top"))))
-    assert not recheck(replace(verdict, witness=replace(w, rhs=lw("u", "u"))))
+    assert not recheck(verdict.replace(witness=w.replace(lhs=lw("top", "top"))))
+    assert not recheck(verdict.replace(witness=w.replace(rhs=lw("u", "u"))))
     triple = hoare_check(parse("p"), parse("r"), parse("p"), two_state_model)
     assert recheck(triple)
-    assert not recheck(replace(triple, witness=replace(triple.witness, entry=("w2", "w1"))))
+    assert not recheck(triple.replace(witness=triple.witness.replace(entry=("w2", "w1"))))
 
 
 def test_recheck_with_an_empty_assignment(two_state_model):

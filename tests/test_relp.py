@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -302,3 +303,36 @@ def test_rank_kernel_matches_weight_oracles():
             _check_complement(
                 from_diagonal(lattice, states, {u: rng.choice(pool) for u in states})
             )
+
+
+
+def test_sparse_encoding_keeps_the_table_and_the_weights():
+    # from_entries and from_diagonal encode only the listed entries and
+    # give every other cell the BOT ranks.
+    rng = random.Random(4401)
+    for i in range(80):
+        n = 1 + i % 5
+        states = tuple(f"s{k}" for k in range(n))
+        lattice, pool = (L3, LUKA_WEIGHTS) if i % 2 else (
+            GD, tuple(gw(random_godel_elem(rng), random_godel_elem(rng)) for _ in range(4)))
+        extra = [random_godel_elem(rng).value for _ in range(i % 3)] if lattice is GD else []
+        entries = {uv: rng.choice(pool) for uv in product(states, states) if rng.random() < 0.5}
+        diagonal = {u: rng.choice(pool) for u in states if rng.random() < 0.7}
+        for rel, cells in (
+            (from_entries(lattice, states, entries, extra), entries),
+            (from_diagonal(lattice, states, diagonal, extra), {(u, u): w for u, w in diagonal.items()}),
+            (PRel(lattice, states, [entries.get(uv, wbot(lattice)) for uv in product(states, states)],
+                  extra), entries),
+        ):
+            used = {x.value for w in cells.values() for x in (w.tt, w.ff)}
+            assert rel.values == tuple(sorted({Fraction(0), Fraction(1), *extra, *used}))
+            assert rel.weights == tuple(cells.get(uv, wbot(lattice)) for uv in product(states, states))
+            assert rel.states == states and rel.lattice is lattice
+    for states, entries, message in (
+        (W, {("w1", "w9"): lw("u", "u")}, "entry ('w1', 'w9') names an unknown state"),
+        ((), {}, "a relation needs a nonempty state set"),
+        (("w", "w"), {}, "duplicate state name"),
+        (W, {("w1", "w1"): gw("0.5", "0")}, "entry weight from a different lattice"),
+    ):
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            from_entries(L3, states, entries)
