@@ -103,6 +103,7 @@ from .engine import (
     Verdict,
     Witness,
     check_axiom,
+    check_suite,
     equiv,
     equiv_random,
     evaluate,

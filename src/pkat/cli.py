@@ -2,9 +2,11 @@
 
 Exit codes: 0 success / property holds, 1 a checked property fails
 (witness printed), 2 usage or term error, 3 model or validation error,
-74 the output could not be written (``output error: ...`` on stderr),
-141 stdout was closed before the output was written (as a process
-killed by SIGPIPE reports it; nothing is printed).
+70 an internal error (``internal error: <type>: <message>`` on stderr;
+a defect in pkat, never a verdict), 74 the output could not be written
+(``output error: ...`` on stderr), 141 stdout was closed before the
+output was written (as a process killed by SIGPIPE reports it; nothing
+is printed).
 """
 
 from __future__ import annotations
@@ -16,16 +18,14 @@ import sys
 from fractions import Fraction
 
 from .engine import (
-    BOOLEAN_AXIOMS,
     CORE_AXIOMS,
     Status,
     Verdict,
     axiom_formula,
-    check_axiom,
+    check_suite,
     equiv,
     equiv_random,
     evaluate,
-    find_boolean_witness,
     hoare_check,
     verdict_to_dict,
 )
@@ -70,6 +70,8 @@ def main(argv=None) -> int:
         return _fail(f"model error: {exc}", 3)
     except RecursionError:
         return _fail("term error: term nests too deeply", 2)
+    except Exception as exc:
+        return _fail(f"internal error: {type(exc).__name__}: {exc}", 70)
 
 
 def _fail(message: str, code: int) -> int:
@@ -155,13 +157,14 @@ def _read_model(path: str):
 def _parse_grid(text: str | None):
     if text is None:
         return None
+    parts = [part.strip() for part in text.split(",")]
     try:
-        grid = tuple(Fraction(part.strip()) for part in text.split(","))
+        grid = tuple(map(Fraction, parts))
     except (ValueError, ZeroDivisionError) as exc:
         raise EngineError(f"bad --godel-grid value: {exc}") from exc
-    for value in grid:
+    for part, value in zip(parts, grid):
         if not 0 <= value <= 1:
-            raise EngineError(f"bad --godel-grid value: {value} lies outside [0, 1]")
+            raise EngineError(f"bad --godel-grid value: {part!r} lies outside [0, 1]")
     return grid
 
 
@@ -293,43 +296,31 @@ def _axiom_row(verdict: Verdict, unicode: bool) -> str:
 def _cmd_axioms(args) -> int:
     lattice = LatticeId.from_name(args.lattice)
     grid = _parse_grid(args.godel_grid)
-    if args.samples is not None:
-        mode, extra = "random", {"samples": args.samples, "seed": args.seed}
-    else:
-        mode, extra = "exhaustive", {}
-    verdicts = [
-        check_axiom(ax, lattice, args.states, mode, godel_grid=grid, **extra)
-        for ax in CORE_AXIOMS
-    ]
-    boolean = find_boolean_witness(lattice, args.states, godel_grid=grid)
+    mode = "exhaustive" if args.samples is None else "random"
+    verdicts = check_suite(lattice, args.states, mode, samples=args.samples, seed=args.seed,
+                           godel_grid=grid)
+    core_ok = all(v.status is Status.HOLDS for v in verdicts[:len(CORE_AXIOMS)])
     if args.json:
         payload = {
             "lattice": lattice.value,
             "states": args.states,
             "mode": mode,
-            "axioms": [verdict_to_dict(v) for v in verdicts]
-            + [verdict_to_dict(boolean[ax]) for ax in BOOLEAN_AXIOMS],
+            "axioms": [verdict_to_dict(v) for v in verdicts],
         }
         print(json.dumps(payload, indent=2))
     else:
         print(f"axiom suite: lattice={lattice.value} states={args.states} mode={mode}")
         for verdict in verdicts:
             print(_axiom_row(verdict, args.unicode))
-        for ax in BOOLEAN_AXIOMS:
-            print(_axiom_row(boolean[ax], args.unicode))
-        core_ok = all(v.status is Status.HOLDS for v in verdicts)
-        refuted = [
-            str(ax.value)
-            for ax in BOOLEAN_AXIOMS
-            if boolean[ax].status is Status.FAILS
-        ]
+        refuted = [str(v.axiom.value) for v in verdicts[len(CORE_AXIOMS):]
+                   if v.status is Status.FAILS]
         print(
             "core axioms: "
             + ("all hold" if core_ok else "FAILURES above")
             + "; boolean axioms refuted: "
             + (",".join(refuted) if refuted else "none")
         )
-    return 0 if all(v.status is Status.HOLDS for v in verdicts) else 1
+    return 0 if core_ok else 1
 
 
 def _cmd_classify(args) -> int:

@@ -10,14 +10,16 @@ assignments drawn exhaustively from a finite weight space or by seeded
 sampling, equivalence over a given model or a stream of random models,
 and ``recheck`` over a verdict's own witness.
 
-Candidate spaces are enumerated deterministically, ordered by distance
-from classical consistency (|tt + ff - 1|, ties broken by component),
-so a reported counterexample is the most conservative one available.
-Over the Boolean lattice, generated weights are restricted to the
+A run builds its candidate space once, and every law it checks (the
+whole catalog, for ``check_suite``) draws from it.  The space is
+enumerated deterministically, ordered by distance from classical
+consistency (|tt + ff - 1|, ties broken by component, all computed on
+integer ranks), so a reported counterexample is the most conservative
+one available.  Over the Boolean lattice, generated weights are the
 classical corners TOP and BOT, which makes that instance ordinary
 relation algebra; the three-valued chain uses all nine pairs and the
 interval lattice all pairs over a finite grid (default 0, 1/4, 1/2,
-3/4, 1).
+3/4, 1), which no other lattice takes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import random
 import re
 from enum import Enum
 from fractions import Fraction
-from math import prod
+from math import lcm, log, prod
 from typing import Iterable, Mapping
 
 from .errors import EngineError, SortError
@@ -257,33 +259,38 @@ def states_for(n_states: int) -> tuple[str, ...]:
     return tuple(f"w{i + 1}" for i in range(n_states))
 
 
-def _grid_elems(lattice: LatticeId, godel_grid) -> tuple:
+def _grid_values(lattice: LatticeId, godel_grid) -> set[Fraction]:
+    if godel_grid is not None and lattice is not LatticeId.GODEL:
+        raise EngineError(f"a godel grid applies only to the godel lattice, not {lattice.value}")
     if lattice is LatticeId.GODEL:
         grid = DEFAULT_GODEL_GRID if godel_grid is None else tuple(godel_grid)
         if not grid:
             raise EngineError("an empty interval grid makes no candidates")
-        return tuple(dict.fromkeys(elem(lattice, g) for g in grid))
-    return carrier(lattice)
+        return {elem(lattice, g).value for g in grid}
+    return {e.value for e in carrier(lattice)}
 
 
 class _Space(Record):
     """The candidates of one (lattice, grid), nearest classical consistency
-    first: ``cells`` are each weight with its (tt, ff) ranks into ``values``."""
+    first: ``cells`` are the (tt, ff) rank pairs into ``values``."""
 
     __slots__ = ("values", "cells")
 
 
 def _space(lattice: LatticeId, godel_grid) -> _Space:
-    """Built once per check; its loops draw from it."""
-    elems = _grid_elems(lattice, godel_grid)
-    pairs = [Weight(t, f) for t in elems for f in elems]
+    """Built once per check; its loops draw from it.  Over the common
+    denominator ``d`` of the table, value ``i`` is the integer ``a[i]``,
+    so |tt + ff - 1| orders as |a[tt] + a[ff] - d| and values as ranks."""
+    members = _grid_values(lattice, godel_grid)
+    values = value_table(members)
+    ranks = [i for i, v in enumerate(values) if v in members]
+    d = lcm(*(v.denominator for v in values))
+    a = [v.numerator * (d // v.denominator) for v in values]
+    cells = [(i, j) for i in ranks for j in ranks]
     if lattice is LatticeId.BOOL2:
-        pairs = [w for w in pairs if w.tt.value + w.ff.value == 1]
-    pairs.sort(key=lambda w: (abs(w.tt.value + w.ff.value - 1), w.tt.value, w.ff.value))
-    values = value_table(e.value for e in elems)
-    return _Space(values, tuple(
-        (w, values.index(w.tt.value), values.index(w.ff.value)) for w in pairs
-    ))
+        cells = [(i, j) for i, j in cells if a[i] + a[j] == d]
+    cells.sort(key=lambda c: (abs(a[c[0]] + a[c[1]] - d), c))
+    return _Space(values, tuple(cells))
 
 
 def weight_space(lattice: LatticeId, godel_grid=None) -> tuple[Weight, ...]:
@@ -292,7 +299,9 @@ def weight_space(lattice: LatticeId, godel_grid=None) -> tuple[Weight, ...]:
     Over the Boolean lattice only the consistent corners TOP and BOT
     are generated, so checks over it coincide with ordinary relations.
     """
-    return tuple(w for w, _, _ in _space(lattice, godel_grid).cells)
+    space = _space(lattice, godel_grid)
+    table = [elem(lattice, v) for v in space.values]
+    return tuple(Weight(table[i], table[j]) for i, j in space.cells)
 
 
 def _relation(lattice, states, space: _Space, test: bool, index=None, rng=None) -> PRel:
@@ -305,9 +314,9 @@ def _relation(lattice, states, space: _Space, test: bool, index=None, rng=None) 
     else:
         cells = [space.cells[index // k ** i % k] for i in reversed(range(n if test else n * n))]
     if test:
-        bot = (None, 0, len(space.values) - 1)
+        bot = (0, len(space.values) - 1)
         cells = [cells[j // (n + 1)] if j % (n + 1) == 0 else bot for j in range(n * n)]
-    _, tt, ff = zip(*cells)
+    tt, ff = zip(*cells)
     return from_ranks(lattice, states, space.values, tt, ff)
 
 
@@ -389,19 +398,57 @@ def _check(law: _Law, instances, one: PRel, zer: PRel, lattice, n_states, mode, 
 
 
 def _assignments(law: _Law, lattice, states, space: _Space):
-    """How many assignments of the law's variables there are, and an
-    iterator over all of them in lexicographic order."""
+    """Every assignment of the law's variables, in lexicographic order."""
     n = len(states)
     tests = [sort is Sort.TEST for _, sort in law.vars]
     sizes = [len(space.cells) ** (n if test else n * n) for test in tests]
     strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
-    total = prod(sizes)
-    envs = (
+    return (
         ({name: _relation(lattice, states, space, test, index // stride % size)
           for (name, _), test, stride, size in zip(law.vars, tests, strides, sizes)}, None)
-        for index in range(total)
+        for index in range(prod(sizes))
     )
-    return total, envs
+
+
+def _guard(law: _Law, k: int, n_states: int, refusal: str) -> None:
+    """Refuse a law with more than ``MAX_EXHAUSTIVE`` assignments over ``k``
+    candidates, comparing exponents first so that no huge count is built."""
+    cells = sum(n_states if sort is Sort.TEST else n_states**2 for _, sort in law.vars)
+    if k > 1 and cells > log(MAX_EXHAUSTIVE, k) + 1 or k**cells > MAX_EXHAUSTIVE:
+        raise EngineError(refusal.format(f"{k}^{cells}") + f" exceeds {MAX_EXHAUSTIVE}")
+
+
+def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> list[Verdict]:
+    """Check each law of ``core`` in ``mode``, then search each law of
+    ``search`` exhaustively for a witness, all on one candidate space and
+    one pair of units.  Every refusal comes before the first check."""
+    if n_states < 1:
+        raise EngineError("need at least one state")
+    space = _space(lattice, godel_grid)
+    k = len(space.cells)
+    if mode == "exhaustive":
+        for ident in core:
+            _guard(_AXIOMS[ident], k, n_states, "exhaustive space of {} instantiations")
+    elif mode != "random":
+        raise EngineError(f"unknown mode {mode!r}")
+    elif not samples or samples < 1:
+        raise EngineError("random mode needs a positive sample count")
+    for ident in search:
+        _guard(_AXIOMS[ident], k, n_states, "witness space of {} candidates")
+    states = states_for(n_states)
+    units = _units(lattice, states, space.values)
+    verdicts = []
+    for ident, how in [(i, mode) for i in core] + [(i, "search") for i in search]:
+        law = _AXIOMS[ident]
+        if how == "random":
+            rng = random.Random(seed)  # each law draws from its own generator
+            instances = (({name: _relation(lattice, states, space, sort is Sort.TEST, rng=rng)
+                           for name, sort in law.vars}, None) for _ in range(samples))
+        else:
+            instances = _assignments(law, lattice, states, space)
+        verdicts.append(_check(law, instances, *units, lattice, n_states, how, axiom=ident,
+                               seed=seed if how == "random" else None))
+    return verdicts
 
 
 def check_axiom(
@@ -420,30 +467,7 @@ def check_axiom(
     above ``MAX_EXHAUSTIVE``); random mode draws seeded samples.  A failing
     verdict carries the first counterexample in enumeration order.
     """
-    ident = AxiomId(axiom)
-    law = _AXIOMS[ident]
-    states = states_for(n_states)
-    space = _space(lattice, godel_grid)
-    if mode == "exhaustive":
-        total, instances = _assignments(law, lattice, states, space)
-        if total > MAX_EXHAUSTIVE:
-            raise EngineError(
-                f"exhaustive space of {total} instantiations exceeds {MAX_EXHAUSTIVE}"
-            )
-        seed = None
-    elif mode == "random":
-        if not samples or samples < 1:
-            raise EngineError("random mode needs a positive sample count")
-        rng = random.Random(seed)
-        instances = (
-            ({name: _relation(lattice, states, space, sort is Sort.TEST, rng=rng)
-              for name, sort in law.vars}, None)
-            for _ in range(samples)
-        )
-    else:
-        raise EngineError(f"unknown mode {mode!r}")
-    units = _units(lattice, states, space.values)
-    return _check(law, instances, *units, lattice, n_states, mode, axiom=ident, seed=seed)
+    return _run(lattice, n_states, godel_grid, mode, samples, seed, (AxiomId(axiom),), ())[0]
 
 
 def find_boolean_witness(
@@ -457,19 +481,23 @@ def find_boolean_witness(
     consistency first); each returned verdict reports the first
     violating test, or holds when the whole space is clean.
     """
-    states = states_for(n_states)
-    space = _space(lattice, godel_grid)
-    units = _units(lattice, states, space.values)
-    out = {}
-    for ident in BOOLEAN_AXIOMS:
-        total, instances = _assignments(_AXIOMS[ident], lattice, states, space)
-        if total > MAX_EXHAUSTIVE:
-            raise EngineError(
-                f"witness space of {total} candidates exceeds {MAX_EXHAUSTIVE}"
-            )
-        out[ident] = _check(_AXIOMS[ident], instances, *units, lattice, n_states,
-                            "search", axiom=ident)
-    return out
+    verdicts = _run(lattice, n_states, godel_grid, "exhaustive", None, None, (), BOOLEAN_AXIOMS)
+    return dict(zip(BOOLEAN_AXIOMS, verdicts))
+
+
+def check_suite(
+    lattice: LatticeId,
+    n_states: int,
+    mode: str = "exhaustive",
+    *,
+    samples: int | None = None,
+    seed: int | None = None,
+    godel_grid=None,
+) -> list[Verdict]:
+    """The whole axiom suite on one candidate space: ``check_axiom`` of
+    each core axiom in catalog order, then ``find_boolean_witness``'s
+    verdicts for 219 and 220."""
+    return _run(lattice, n_states, godel_grid, mode, samples, seed, CORE_AXIOMS, BOOLEAN_AXIOMS)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,14 @@ cannot move a verdict, a sample count or the first witness found."""
 import pytest
 
 from pkat import engine
-from pkat.engine import AxiomId, Status, check_axiom, find_boolean_witness
+from pkat.engine import (
+    AxiomId,
+    Status,
+    check_axiom,
+    check_suite,
+    find_boolean_witness,
+    verdict_to_dict,
+)
 from pkat.syntax import Sort, atoms, parse, sort_of
 from pkat.twist import weight_to_json
 
@@ -106,6 +113,29 @@ def test_catalog_verdicts_are_pinned(config):
     found = find_boolean_witness(lattice, n, godel_grid=grid)
     rows += [_pin(found[ax]) for ax in engine.BOOLEAN_AXIOMS]
     assert rows == PINS[config]
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_suite_gives_the_per_law_verdicts(config, monkeypatch):
+    # Every instance checked is recorded, so draws show even where all hold.
+    checked, real_break = [], engine._break
+
+    def recording(law, env, *units):
+        checked.append((law.formula, dict(env)))
+        return real_break(law, env, *units)
+
+    monkeypatch.setattr(engine, "_break", recording)
+    lattice, n, grid, samples = CONFIGS[config]
+    mode, extra = ("exhaustive", {}) if samples is None else (
+        "random", {"samples": samples, "seed": 11})
+    rows = [check_axiom(ax, lattice, n, mode, godel_grid=grid, **extra)
+            for ax in engine.CORE_AXIOMS]
+    found = find_boolean_witness(lattice, n, godel_grid=grid)
+    rows += [found[ax] for ax in engine.BOOLEAN_AXIOMS]
+    per_law = len(checked)
+    suite = check_suite(lattice, n, mode, godel_grid=grid, **extra)
+    assert [verdict_to_dict(v) for v in suite] == [verdict_to_dict(v) for v in rows]
+    assert checked[per_law:] == checked[:per_law]
 
 
 def _sides(formula: str) -> list[str]:

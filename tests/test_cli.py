@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import pkat
+import pkat.cli
 from pkat.cli import main
 
 
@@ -155,6 +156,19 @@ def test_axioms_space_guard_is_usage_error(capsys):
     assert code == 2 and "exceeds" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--lattice", "lukasiewicz3", "--states", "39"),
+     "exhaustive space of 9^4563 instantiations exceeds 1000000"),
+    (("--lattice", "lukasiewicz3", "--states", "100"),
+     "exhaustive space of 9^30000 instantiations exceeds 1000000"),
+    (("--lattice", "godel", "--states", "7", "--samples", "1"),
+     "witness space of 25^7 candidates exceeds 1000000"),
+], ids=["luka3-39", "luka3-100", "godel-7-witness"])
+def test_a_huge_space_is_refused_in_one_line(capsys, argv, message):
+    code, out, err = run(capsys, "axioms", *argv)
+    assert (code, out, err) == (2, "", f"engine error: {message}\n")
+
+
 def test_classify_command(capsys):
     code, out, _ = run(capsys, "classify", "--model", MODEL, "--name", "r")
     assert code == 0 and "inconsistent" in out
@@ -224,6 +238,34 @@ def test_godel_grid_outside_unit_interval_is_usage_error(capsys):
     code, _, err = run(capsys, "equiv", "--t1", "p;q", "--t2", "q;p", "--lattice",
                        "godel", "--states", "2", "--random", "5", *grid)
     assert code == 2 and "engine error" in err and "outside [0, 1]" in err
+
+
+def test_huge_godel_grid_value_is_quoted(capsys):
+    grid = ("--godel-grid", "0, 1e999999")
+    message = "engine error: bad --godel-grid value: '1e999999' lies outside [0, 1]\n"
+    for argv in (("axioms", "--lattice", "godel", "--states", "1"),
+                 ("equiv", "--t1", "x", "--t2", "x", "--lattice", "godel", "--states", "1",
+                  "--random", "2")):
+        assert run(capsys, *argv, *grid) == (2, "", message)
+
+
+@pytest.mark.parametrize("lattice", ["bool2", "lukasiewicz3"])
+def test_godel_grid_off_the_godel_lattice_is_usage_error(capsys, lattice):
+    message = f"engine error: a godel grid applies only to the godel lattice, not {lattice}\n"
+    for argv in (("axioms", "--lattice", lattice, "--states", "1"),
+                 ("equiv", "--t1", "x", "--t2", "x", "--lattice", lattice, "--states", "1",
+                  "--random", "2")):
+        assert run(capsys, *argv, "--godel-grid", "0.5") == (2, "", message)
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("no such luck")
+
+    monkeypatch.setattr(pkat.cli, "_cmd_eval", broken)
+    code, out, err = run(capsys, "eval", "--model", MODEL, "--term", "r")
+    assert (code, out, err) == (70, "", "internal error: RuntimeError: no such luck\n")
+    assert "Traceback" not in err
 
 
 def test_model_errors_exit_three(capsys, tmp_path):

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import pkat.engine
 from pkat.engine import (
@@ -21,10 +22,11 @@ from pkat.engine import (
     weight_space,
 )
 from pkat.errors import EngineError, SortError
+from pkat.lattice import carrier, elem
 from pkat.plts import load_model
 from pkat.relp import identity, r_dot, r_plus, r_star, t_complement, zero
 from pkat.syntax import Dot, Not, Plus, Star, parse
-from pkat.twist import wbot, wtop
+from pkat.twist import Weight, wbot, wtop
 
 from helpers import B2, GD, L3, lw, random_sorted_term
 
@@ -113,6 +115,35 @@ def test_weight_space_sizes_and_order():
     assert deduped == godel_small
 
 
+def _fraction_keyed_space(lattice, grid=None):
+    """The candidate order computed directly: every pair of elements,
+    sorted by |tt + ff - 1| and then by value in Fraction arithmetic."""
+    elems = carrier(lattice) if grid is None else dict.fromkeys(elem(lattice, g) for g in grid)
+    pairs = [Weight(t, f) for t in elems for f in elems]
+    if lattice is B2:
+        pairs = [w for w in pairs if w.tt.value + w.ff.value == 1]
+    return tuple(sorted(pairs, key=lambda w: (abs(w.tt.value + w.ff.value - 1),
+                                              w.tt.value, w.ff.value)))
+
+
+_GRID_VALUE = st.one_of(
+    st.sampled_from(["0", "1", "1/2", "0.5", "2/4", "1/3", "2/6", "0.25", "1/4", "3/4",
+                     "0.75", "0.1", "1/10", "2/3", "0.125"]),
+    st.fractions(min_value=0, max_value=1, max_denominator=40),
+)
+
+
+@given(st.lists(_GRID_VALUE, min_size=1, max_size=9))
+def test_rank_keyed_space_matches_the_fraction_keyed_order(grid):
+    assert weight_space(GD, godel_grid=grid) == _fraction_keyed_space(GD, grid)
+
+
+def test_rank_keyed_space_on_the_finite_lattices():
+    for lattice in (B2, L3):
+        assert weight_space(lattice) == _fraction_keyed_space(lattice)
+    assert weight_space(GD) == _fraction_keyed_space(GD, pkat.engine.DEFAULT_GODEL_GRID)
+
+
 # --- axiom checking ---------------------------------------------------------------
 
 
@@ -154,6 +185,38 @@ def test_exhaustive_space_guard():
     # but a lower bound is accepted for a single-variable axiom
     verdict = check_axiom(3, L3, 2, "exhaustive")
     assert verdict.status is Status.HOLDS and verdict.samples == 9**4
+
+
+def test_a_huge_space_is_refused_from_its_exponent():
+    # n = 10**10 states: the guard works on exponents, so nothing large is built.
+    guard, laws = pkat.engine._guard, pkat.engine._AXIOMS
+    with pytest.raises(EngineError) as err:
+        guard(laws[AxiomId.PLUS_ASSOC], 9, 10**10, "exhaustive space of {} instantiations")
+    assert str(err.value) == (
+        "exhaustive space of 9^300000000000000000000 instantiations exceeds 1000000"
+    )
+    with pytest.raises(EngineError, match=r"^witness space of 25\^10000000000 candidates"):
+        guard(laws[AxiomId.TEST_NON_CONTRA], 25, 10**10, "witness space of {} candidates")
+    # One candidate makes one assignment however many cells there are.
+    guard(laws[AxiomId.PLUS_ASSOC], 1, 10**10, "{}")
+    # An exponent beyond the float range is compared as an integer.
+    with pytest.raises(EngineError, match=r"^2\^3" + "0" * 400 + " exceeds"):
+        guard(laws[AxiomId.PLUS_ASSOC], 2, 10**200, "{}")
+    # The cap itself is exact: 10**6 assignments pass and one more is refused.
+    for k, n in ((10, 6), (1000, 2), (10**6, 1)):
+        guard(laws[AxiomId.TEST_DOT_IDEM], k, n, "{}")
+        with pytest.raises(EngineError, match=f"^{k + 1}\\^{n} exceeds"):
+            guard(laws[AxiomId.TEST_DOT_IDEM], k + 1, n, "{}")
+    with pytest.raises(EngineError, match=r"^9\^12 exceeds"):
+        guard(laws[AxiomId.PLUS_ASSOC], 9, 2, "{}")
+
+
+def test_suite_refuses_before_checking_any_law(monkeypatch):
+    monkeypatch.setattr(pkat.engine, "_check", None)  # any check would raise TypeError
+    with pytest.raises(EngineError, match=r"^exhaustive space of 9\^27 "):
+        pkat.engine.check_suite(L3, 3)
+    with pytest.raises(EngineError, match=r"^witness space of 25\^7 candidates"):
+        pkat.engine.check_suite(GD, 7, "random", samples=1, seed=0)
 
 
 def test_random_mode_deterministic():
