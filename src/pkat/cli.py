@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .engine import (
     CORE_AXIOMS,
@@ -38,7 +37,7 @@ from .errors import (
     ShapeError,
     SortError,
 )
-from .lattice import LatticeId
+from .lattice import LatticeId, elem
 from .plts import diagonal_relation, load_model, model_to_dict, program_relation
 from .relp import PRel, format_grid, format_prel, prel_to_entries, r_star_steps
 from .syntax import parse, pretty
@@ -155,17 +154,10 @@ def _read_model(path: str):
 
 
 def _parse_grid(text: str | None):
-    if text is None:
-        return None
-    parts = [part.strip() for part in text.split(",")]
     try:
-        grid = tuple(map(Fraction, parts))
-    except (ValueError, ZeroDivisionError) as exc:
+        return None if text is None else tuple(elem(LatticeId.GODEL, p) for p in text.split(","))
+    except CarrierError as exc:
         raise EngineError(f"bad --godel-grid value: {exc}") from exc
-    for part, value in zip(parts, grid):
-        if not 0 <= value <= 1:
-            raise EngineError(f"bad --godel-grid value: {part!r} lies outside [0, 1]")
-    return grid
 
 
 def _named_relation(model, name: str) -> PRel:

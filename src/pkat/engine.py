@@ -2,13 +2,13 @@
 
 Terms evaluate compositionally to weight matrices over an assignment of
 their atoms.  Every law is term text: each catalog axiom is stored once,
-as the formula it prints, and an equivalence t1 = t2 or a triple
-{b} p {c} (read b;p <= b;p;c) becomes a law of the same shape.  One
-instance check evaluates a law's sides with the one evaluator and
-reports the first entry where it breaks; axiom checking runs it over
-assignments drawn exhaustively from a finite weight space or by seeded
-sampling, equivalence over a given model or a stream of random models,
-and ``recheck`` over a verdict's own witness.
+on its ``AxiomId``, as the formula it prints, and an equivalence t1 = t2
+or a triple {b} p {c} (read b;p <= b;p;c) becomes a law of the same
+shape.  One instance check evaluates a law's sides with the one
+evaluator and reports the first entry where it breaks; axiom checking
+runs it over assignments drawn exhaustively from a finite weight space
+or by seeded sampling, equivalence over a given model or a stream of
+random models, and ``recheck`` over a verdict's own witness.
 
 A run builds its candidate space once, and every law it checks (the
 whole catalog, for ``check_suite``) draws from it.  The space is
@@ -19,7 +19,8 @@ one available.  Over the Boolean lattice, generated weights are the
 classical corners TOP and BOT, which makes that instance ordinary
 relation algebra; the three-valued chain uses all nine pairs and the
 interval lattice all pairs over a finite grid (default 0, 1/4, 1/2,
-3/4, 1), which no other lattice takes.
+3/4, 1), which no other lattice takes.  Runs too large for
+``MAX_EXHAUSTIVE`` or ``MAX_STEPS`` are refused from their sizes alone.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ DEFAULT_GODEL_GRID: tuple[Fraction, ...] = (
 )
 
 MAX_EXHAUSTIVE = 10**6
+MAX_STEPS = 10**7
 
 
 class Status(Enum):
@@ -88,29 +90,38 @@ class Status(Enum):
 class AxiomId(Enum):
     """The axiom catalog: a Kleene algebra whose tests form a
     distributive complemented-lattice fragment; 219/220 are the two
-    Boolean principles the paraconsistent reading drops."""
+    Boolean principles the paraconsistent reading drops.  Each member is
+    its number and its law as printed: ``t0 = t1 = ... = tk`` is the
+    equations ti = tk, ``l <= r  ->  l' <= r'`` a Horn law.  Variables a, b,
+    c range over tests, all others over programs; a witness lists them in
+    alphabetical order."""
 
-    PLUS_ASSOC = 1
-    PLUS_COMM = 2
-    PLUS_ZERO = 3
-    PLUS_IDEM = 4
-    DOT_ASSOC = 5
-    DOT_ONE = 6
-    DOT_DIST_L = 7
-    DOT_DIST_R = 8
-    DOT_ZERO = 9
-    STAR_UNFOLD_L = 10
-    STAR_UNFOLD_R = 11
-    STAR_IND_L = 14
-    STAR_IND_R = 15
-    TEST_PLUS_OVER_DOT = 213
-    TEST_DOT_COMM = 214
-    TEST_DOT_OVER_PLUS = 215
-    TEST_DOT_IDEM = 216
-    TEST_DOUBLE_NEG = 217
-    TEST_PLUS_ONE = 218
-    TEST_NON_CONTRA = 219
-    TEST_EXCL_MIDDLE = 220
+    def __new__(cls, number: int, formula: str):
+        member = object.__new__(cls)
+        member._value_, member.formula = number, formula
+        return member
+
+    PLUS_ASSOC = 1, "p + (q + r) = (p + q) + r"
+    PLUS_COMM = 2, "p + q = q + p"
+    PLUS_ZERO = 3, "p + 0 = p"
+    PLUS_IDEM = 4, "p + p = p"
+    DOT_ASSOC = 5, "p;(q;r) = (p;q);r"
+    DOT_ONE = 6, "1;p = p;1 = p"
+    DOT_DIST_L = 7, "p;(q + r) = p;q + p;r"
+    DOT_DIST_R = 8, "(p + q);r = p;r + q;r"
+    DOT_ZERO = 9, "0;p = p;0 = 0"
+    STAR_UNFOLD_L = 10, "1 + p;p* = p*"
+    STAR_UNFOLD_R = 11, "1 + p*;p = p*"
+    STAR_IND_L = 14, "p;r <= r  ->  p*;r <= r"
+    STAR_IND_R = 15, "r;p <= r  ->  r;p* <= r"
+    TEST_PLUS_OVER_DOT = 213, "a + b;c = (a + b);(a + c)"
+    TEST_DOT_COMM = 214, "a;b = b;a"
+    TEST_DOT_OVER_PLUS = 215, "a;b + c = (a + c);(b + c)"
+    TEST_DOT_IDEM = 216, "a;a = a"
+    TEST_DOUBLE_NEG = 217, "!!a = a"
+    TEST_PLUS_ONE = 218, "a + 1 = 1"
+    TEST_NON_CONTRA = 219, "a;!a = 0"
+    TEST_EXCL_MIDDLE = 220, "a + !a = 1"
 
     @property
     def slug(self) -> str:
@@ -144,33 +155,6 @@ class _Law(Record):
     _defaults = {"leq": False, "premise": None, "vars": (), "terms": None}
 
 
-# Each law once, as printed.  A chain ``t0 = t1 = ... = tk`` is the
-# equations ti = tk; ``l <= r  ->  l' <= r'`` is a Horn law.  Variables
-# a, b, c range over tests and all others over programs; a witness lists
-# them in alphabetical order.
-_CATALOG = {
-    AxiomId.PLUS_ASSOC: "p + (q + r) = (p + q) + r",
-    AxiomId.PLUS_COMM: "p + q = q + p",
-    AxiomId.PLUS_ZERO: "p + 0 = p",
-    AxiomId.PLUS_IDEM: "p + p = p",
-    AxiomId.DOT_ASSOC: "p;(q;r) = (p;q);r",
-    AxiomId.DOT_ONE: "1;p = p;1 = p",
-    AxiomId.DOT_DIST_L: "p;(q + r) = p;q + p;r",
-    AxiomId.DOT_DIST_R: "(p + q);r = p;r + q;r",
-    AxiomId.DOT_ZERO: "0;p = p;0 = 0",
-    AxiomId.STAR_UNFOLD_L: "1 + p;p* = p*",
-    AxiomId.STAR_UNFOLD_R: "1 + p*;p = p*",
-    AxiomId.STAR_IND_L: "p;r <= r  ->  p*;r <= r",
-    AxiomId.STAR_IND_R: "r;p <= r  ->  r;p* <= r",
-    AxiomId.TEST_PLUS_OVER_DOT: "a + b;c = (a + b);(a + c)",
-    AxiomId.TEST_DOT_COMM: "a;b = b;a",
-    AxiomId.TEST_DOT_OVER_PLUS: "a;b + c = (a + c);(b + c)",
-    AxiomId.TEST_DOT_IDEM: "a;a = a",
-    AxiomId.TEST_DOUBLE_NEG: "!!a = a",
-    AxiomId.TEST_PLUS_ONE: "a + 1 = 1",
-    AxiomId.TEST_NON_CONTRA: "a;!a = 0",
-    AxiomId.TEST_EXCL_MIDDLE: "a + !a = 1",
-}
 _TEST_VARS = frozenset("abc")
 
 
@@ -190,7 +174,7 @@ class _Laws(dict):
     """The catalog, each law parsed on first lookup (most commands use none)."""
 
     def __missing__(self, ident: AxiomId) -> _Law:
-        law = self[ident] = _law(_CATALOG[ident])
+        law = self[ident] = _law(ident.formula)
         return law
 
 
@@ -211,7 +195,7 @@ def _triple(pre: Term, prog: Term, post: Term) -> _Law:
 
 
 def axiom_formula(axiom: AxiomId) -> str:
-    return _AXIOMS[axiom].formula
+    return axiom.formula
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +402,15 @@ def _guard(law: _Law, k: int, n_states: int, refusal: str) -> None:
         raise EngineError(refusal.format(f"{k}^{cells}") + f" exceeds {MAX_EXHAUSTIVE}")
 
 
+def _guard_steps(samples: int, n_states: int) -> None:
+    """Refuse ``samples`` instances over n states beyond ``MAX_STEPS`` kernel
+    steps.  A star runs up to n + 1 rounds of n^3-cell products; counting
+    (n + 1)^4 per instance also keeps a floor under small n."""
+    if samples * (n_states + 1) ** 4 > MAX_STEPS:
+        raise EngineError(f"work of {samples} x {n_states}-state instances exceeds {MAX_STEPS} "
+                          "kernel steps")
+
+
 def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> list[Verdict]:
     """Check each law of ``core`` in ``mode``, then search each law of
     ``search`` exhaustively for a witness, all on one candidate space and
@@ -435,6 +428,7 @@ def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> li
         raise EngineError("random mode needs a positive sample count")
     for ident in search:
         _guard(_AXIOMS[ident], k, n_states, "witness space of {} candidates")
+    _guard_steps(samples if mode == "random" else 1, n_states)
     states = states_for(n_states)
     units = _units(lattice, states, space.values)
     verdicts = []
@@ -547,6 +541,7 @@ def equiv_random(
     """
     if samples < 1:
         raise EngineError("need a positive sample count")
+    _guard_steps(samples, n_states)
     names = atoms(t1) | atoms(t2)
     tests = frozenset(test_names)
     programs = names - tests

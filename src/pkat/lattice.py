@@ -3,8 +3,9 @@
 Three instances are provided, all linearly ordered: the two-element
 Boolean algebra, the three-valued chain bot < u < top, and the unit
 interval under min/max.  Every value is held as an exact ``Fraction``
-so equality and order are decidable; interval values parsed from
-decimal strings stay exact.
+so equality and order are decidable.  The finite lattices are the table
+``_FINITE``; ``_elem_from_text`` is the one parser of value text, and it
+never builds a power of ten beyond ``_MAX_DIGITS`` digits.
 
 On a chain, meet and join are min and max, and the residuum of meet is
 
@@ -23,7 +24,6 @@ from .errors import CarrierError, LatticeMismatchError
 from .record import Record
 
 _ZERO = Fraction(0)
-_HALF = Fraction(1, 2)
 _ONE = Fraction(1)
 
 
@@ -42,6 +42,21 @@ class LatticeId(Enum):
         raise CarrierError(f"unknown lattice {name!r}")
 
 
+# Each finite lattice's values, bottom first, with their spellings: a value
+# prints as its first, under ``--unicode`` as its last, and reads from any.
+_FINITE = {
+    LatticeId.BOOL2: ((_ZERO, "0"), (_ONE, "1")),
+    LatticeId.LUKASIEWICZ3: ((_ZERO, "bot", "⊥"), (Fraction(1, 2), "u"), (_ONE, "top", "⊤")),
+}
+
+_VALUES = {lid: tuple(row[0] for row in rows) for lid, rows in _FINITE.items()}
+
+# Text spellings accepted for the bounds in every lattice.
+_BOUND_TEXT = {"bot": _ZERO, "top": _ONE, "⊥": _ZERO, "⊤": _ONE}
+
+_MAX_DIGITS = 4300  # Python's default int/str limit: every value read prints again
+
+
 class LatticeElem(Record):
     """A truth value tagged with the lattice it belongs to."""
 
@@ -50,16 +65,11 @@ class LatticeElem(Record):
     def __init__(self, lattice: LatticeId, value: Fraction):
         if not isinstance(value, Fraction):
             raise CarrierError(f"lattice values must be exact rationals, got {value!r}")
-        if lattice is LatticeId.BOOL2:
-            if value != _ZERO and value != _ONE:
-                raise CarrierError(f"{_fraction_text(value)!r} is not a Boolean value")
-        elif lattice is LatticeId.LUKASIEWICZ3:
-            if value not in (_ZERO, _HALF, _ONE):
-                raise CarrierError(
-                    f"{_fraction_text(value)!r} is not one of bot, u, top"
-                )
+        if lattice in _VALUES:
+            if value not in _VALUES[lattice]:
+                raise CarrierError(f"{_fraction_text(value)!r} is not a {lattice.value} value")
         elif not (0 <= value.numerator <= value.denominator):
-            raise CarrierError(f"{_fraction_text(value)} lies outside [0, 1]")
+            raise CarrierError(f"{_fraction_text(value)!r} lies outside [0, 1]")
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "value", value)
 
@@ -68,9 +78,6 @@ class LatticeElem(Record):
 
 
 ElemLike = Union[LatticeElem, Fraction, int, str]
-
-# Text spellings accepted for the bounds in every lattice.
-_BOUND_TEXT = {"bot": _ZERO, "top": _ONE, "⊥": _ZERO, "⊤": _ONE}
 
 
 def elem(lattice: LatticeId, value: ElemLike) -> LatticeElem:
@@ -81,8 +88,6 @@ def elem(lattice: LatticeId, value: ElemLike) -> LatticeElem:
                 f"{value!r} does not belong to {lattice.value}"
             )
         return value
-    if isinstance(value, bool):
-        value = int(value)
     if isinstance(value, float):
         raise CarrierError(
             f"refusing inexact float {value!r}; pass a decimal string instead"
@@ -97,23 +102,33 @@ def elem(lattice: LatticeId, value: ElemLike) -> LatticeElem:
 
 
 def _elem_from_text(lattice: LatticeId, text: str) -> LatticeElem:
+    """The value ``text`` spells.  Past ``_MAX_DIGITS``, an exponent is decided
+    from the mantissa alone: zero gives 0, anything else is refused."""
     text = text.strip()
+    if text in _SPELLED.get(lattice, ()):
+        return _SPELLED[lattice][text]
     if text in _BOUND_TEXT:
         return LatticeElem(lattice, _BOUND_TEXT[text])
-    if lattice is LatticeId.BOOL2:
-        if text in ("0", "1"):
-            return LatticeElem(lattice, Fraction(int(text)))
-        raise CarrierError(f"{text!r} is not a Boolean value (use 0 or 1)")
-    if lattice is LatticeId.LUKASIEWICZ3:
-        if text == "u":
-            return LatticeElem(lattice, _HALF)
-        raise CarrierError(f"{text!r} is not one of bot, u, top")
+    if lattice in _FINITE:
+        raise CarrierError(f"{text!r} is not one of {', '.join(r[1] for r in _FINITE[lattice])}")
+    if len(text) > _MAX_DIGITS:
+        raise CarrierError(f"value text of {len(text)} characters exceeds {_MAX_DIGITS}")
+    mantissa, _, exponent = text.lower().partition("e")
     try:
-        return LatticeElem(lattice, Fraction(text))
+        huge = exponent and abs(int(exponent)) > _MAX_DIGITS
+        value = Fraction(mantissa if huge else text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CarrierError(f"{text!r} is not a decimal or rational in [0, 1]") from exc
+    if huge and value and int(exponent) < 0:
+        raise CarrierError(f"{text!r} has more than {_MAX_DIGITS} digits")
+    if huge and value or not 0 <= value.numerator <= value.denominator:
+        raise CarrierError(f"{text!r} lies outside [0, 1]")
+    return LatticeElem(lattice, value)
 
 
+# The finite lattices' elements by spelling, built once.
+_SPELLED = {lid: {s: LatticeElem(lid, row[0]) for row in rows for s in row[1:]}
+            for lid, rows in _FINITE.items()}
 _BOTTOMS = {lid: LatticeElem(lid, _ZERO) for lid in LatticeId}
 _TOPS = {lid: LatticeElem(lid, _ONE) for lid in LatticeId}
 
@@ -128,11 +143,9 @@ def top(lattice: LatticeId) -> LatticeElem:
 
 def carrier(lattice: LatticeId) -> tuple[LatticeElem, ...]:
     """All elements of a finite lattice, in ascending order."""
-    if lattice is LatticeId.BOOL2:
-        return (bottom(lattice), top(lattice))
-    if lattice is LatticeId.LUKASIEWICZ3:
-        return (bottom(lattice), LatticeElem(lattice, _HALF), top(lattice))
-    raise CarrierError("the interval lattice has no finite carrier; pick a grid")
+    if lattice not in _FINITE:
+        raise CarrierError("the interval lattice has no finite carrier; pick a grid")
+    return tuple(LatticeElem(lattice, value) for value in _VALUES[lattice])
 
 
 def _require_same(a: LatticeElem, b: LatticeElem) -> None:
@@ -209,15 +222,10 @@ def _fraction_text(q: Fraction) -> str:
 
 
 def elem_to_text(e: LatticeElem, unicode: bool = False) -> str:
-    if e.lattice is LatticeId.BOOL2:
-        return "1" if e.value == _ONE else "0"
-    if e.lattice is LatticeId.LUKASIEWICZ3:
-        if e.value == _HALF:
-            return "u"
-        if e.value == _ONE:
-            return "⊤" if unicode else "top"
-        return "⊥" if unicode else "bot"
-    return _fraction_text(e.value)
+    if e.lattice not in _VALUES:
+        return _fraction_text(e.value)
+    row = _FINITE[e.lattice][_VALUES[e.lattice].index(e.value)]
+    return row[-1] if unicode else row[1]
 
 
 def elem_to_json(e: LatticeElem) -> int | str:

@@ -84,7 +84,7 @@ def load_model(document: str | bytes) -> Model:
         raw = json.loads(document, object_pairs_hook=_checked_pairs)
     except UnicodeDecodeError as exc:
         raise ModelError(f"not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer too long to convert
         raise ModelError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ModelError("invalid JSON: document nests too deeply") from exc

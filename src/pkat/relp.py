@@ -126,9 +126,13 @@ def identity(lattice: LatticeId, states: tuple[str, ...], values=()) -> PRel:
     """TOP on the diagonal, BOT elsewhere, on the table holding ``values``."""
     states, table = tuple(states), value_table(values)
     _check_states(states)
-    n, top = len(states), len(table) - 1
+    return from_ranks(lattice, states, table, *_unit_ranks(len(states), len(table) - 1))
+
+
+def _unit_ranks(n: int, top: int) -> tuple[tuple, tuple]:
+    """The identity's tt and ff ranks over n states on a table whose top rank is ``top``."""
     tt = tuple(top if k % (n + 1) == 0 else 0 for k in range(n * n))
-    return from_ranks(lattice, states, table, tt, tuple(top - t for t in tt))
+    return tt, tuple(top - t for t in tt)
 
 
 def zero(lattice: LatticeId, states: tuple[str, ...], values=()) -> PRel:
@@ -187,11 +191,10 @@ def r_star(r: PRel) -> PRel:
 def r_star_steps(r: PRel) -> tuple[PRel, int]:
     """Star together with the number of fixpoint rounds taken."""
     n = len(r.states)
-    one = identity(r.lattice, r.states, r.values)
-    tt, ff = one.tt, one.ff
+    one_tt, one_ff = tt, ff = _unit_ranks(n, len(r.values) - 1)
     for step in range(1, n + 2):
-        nxt_tt = tuple(map(max, one.tt, _product(r.tt, tt, n, max, min)))
-        nxt_ff = tuple(map(min, one.ff, _product(r.ff, ff, n, min, max)))
+        nxt_tt = tuple(map(max, one_tt, _product(r.tt, tt, n, max, min)))
+        nxt_ff = tuple(map(min, one_ff, _product(r.ff, ff, n, min, max)))
         if nxt_tt == tt and nxt_ff == ff:
             return from_ranks(r.lattice, r.states, r.values, tt, ff), step
         tt, ff = nxt_tt, nxt_ff

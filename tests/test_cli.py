@@ -241,12 +241,29 @@ def test_godel_grid_outside_unit_interval_is_usage_error(capsys):
 
 
 def test_huge_godel_grid_value_is_quoted(capsys):
-    grid = ("--godel-grid", "0, 1e999999")
-    message = "engine error: bad --godel-grid value: '1e999999' lies outside [0, 1]\n"
-    for argv in (("axioms", "--lattice", "godel", "--states", "1"),
-                 ("equiv", "--t1", "x", "--t2", "x", "--lattice", "godel", "--states", "1",
-                  "--random", "2")):
-        assert run(capsys, *argv, *grid) == (2, "", message)
+    for value in ("1e999999", "1e99999999"):  # the second was never refused: 10**e was built
+        grid = ("--godel-grid", f"0, {value}")
+        message = f"engine error: bad --godel-grid value: '{value}' lies outside [0, 1]\n"
+        for argv in (("axioms", "--lattice", "godel", "--states", "1"),
+                     ("equiv", "--t1", "x", "--t2", "x", "--lattice", "godel", "--states", "1",
+                      "--random", "2")):
+            assert run(capsys, *argv, *grid) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv, work", [
+    (("axioms", "--lattice", "godel", "--godel-grid", "0.5", "--states", "400", "--samples", "1"),
+     "1 x 400-state"),
+    (("axioms", "--lattice", "godel", "--godel-grid", "0.5", "--states", "400"), "1 x 400-state"),
+    (("equiv", "--t1", "p;q", "--t2", "q;p", "--lattice", "godel", "--states", "400",
+      "--random", "1"), "1 x 400-state"),
+    (("axioms", "--lattice", "bool2", "--states", "1", "--samples", "1000000000"),
+     "1000000000 x 1-state"),
+    (("equiv", "--t1", "p", "--t2", "p", "--lattice", "bool2", "--states", "3",
+      "--random", "1000000000"), "1000000000 x 3-state"),
+], ids=["axioms-random-400", "axioms-exhaustive-400", "equiv-400", "axioms-1e9", "equiv-1e9"])
+def test_unbounded_work_is_refused_in_one_line(capsys, argv, work):
+    message = f"engine error: work of {work} instances exceeds 10000000 kernel steps\n"
+    assert run(capsys, *argv) == (2, "", message)
 
 
 @pytest.mark.parametrize("lattice", ["bool2", "lukasiewicz3"])
@@ -283,6 +300,20 @@ def test_deeply_nested_model_is_model_error(capsys, tmp_path):
     code, out, err = run(capsys, "eval", "--model", str(deep), "--term", "r")
     assert code == 3 and out == ""
     assert err == "model error: invalid JSON: document nests too deeply\n"
+
+
+@pytest.mark.parametrize("weight, message", [
+    ('"1e99999999"', "program 'r': '1e99999999' lies outside [0, 1]"),
+    ('"1e-99999999"', "program 'r': '1e-99999999' has more than 4300 digits"),
+    ("1" * 5000, "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["huge-exponent", "huge-negative-exponent", "5000-digit-integer"])
+def test_unprintable_model_values_are_model_errors(capsys, tmp_path, weight, message):
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"lattice": "godel", "states": ["w1"], "programs": {"r": [["w1", "w1", '
+                   + weight + ', "0"]]}}')
+    code, out, err = run(capsys, "eval", "--model", str(doc), "--term", "r")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"model error: {message}") and err.count("\n") == 1
 
 
 def test_model_that_is_not_utf8_is_model_error(capsys, tmp_path):

@@ -219,6 +219,34 @@ def test_suite_refuses_before_checking_any_law(monkeypatch):
         pkat.engine.check_suite(GD, 7, "random", samples=1, seed=0)
 
 
+def test_work_guard_counts_samples_and_star_rounds():
+    # Decided from the formula alone, so huge n and sample counts build nothing.
+    guard = pkat.engine._guard_steps
+    with pytest.raises(EngineError) as err:
+        guard(1, 10**10)
+    assert str(err.value) == (
+        "work of 1 x 10000000000-state instances exceeds 10000000 kernel steps")
+    with pytest.raises(EngineError, match=r"^work of 1000000000 x 1-state instances exceeds"):
+        guard(10**9, 1)
+    # The cap itself is exact: 10**7 steps pass and one more sample is refused.
+    guard(625_000, 1)
+    with pytest.raises(EngineError):
+        guard(625_001, 1)
+    # Every benchmark shape passes: at most 4 states and 500 samples.
+    for n in range(1, 5):
+        guard(500, n)
+
+
+def test_random_work_is_refused_before_any_state_is_built(monkeypatch):
+    monkeypatch.setattr(pkat.engine, "states_for", None)  # building states would raise TypeError
+    refusal = r"^work of 1 x 400-state instances exceeds 10000000 kernel steps$"
+    for mode, samples in (("random", 1), ("exhaustive", None)):  # one candidate: 1 instance
+        with pytest.raises(EngineError, match=refusal):
+            pkat.engine.check_suite(GD, 400, mode, samples=samples, seed=0, godel_grid=["1/2"])
+    with pytest.raises(EngineError, match=refusal):
+        equiv_random(parse("p;q"), parse("q;p"), GD, 400, 1, 0)
+
+
 def test_random_mode_deterministic():
     one = check_axiom(5, L3, 2, "random", samples=50, seed=7)
     two = check_axiom(5, L3, 2, "random", samples=50, seed=7)

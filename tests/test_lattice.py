@@ -239,3 +239,76 @@ def test_json_forms():
 def test_unknown_lattice_name():
     with pytest.raises(CarrierError):
         LatticeId.from_name("fuzzy")
+
+
+# --- value text -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0e99999999", 0),
+    ("0e-99999999", 0),
+    ("-0", 0),
+    ("+.5", Fraction(1, 2)),
+    ("25E-2", Fraction(1, 4)),
+    (" 1/3 ", Fraction(1, 3)),
+    ("0/7", 0),
+    ("bot", 0),
+    ("⊤", 1),
+])
+def test_interval_value_text(text, value):
+    assert elem(GD, text) == g(Fraction(value))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1e99999999", "'1e99999999' lies outside [0, 1]"),
+    ("-1e99999999", "'-1e99999999' lies outside [0, 1]"),
+    ("-0.5", "'-0.5' lies outside [0, 1]"),
+    ("3/2", "'3/2' lies outside [0, 1]"),
+    ("1e-99999999", "'1e-99999999' has more than 4300 digits"),
+    ("0." + "1" * 4300, "value text of 4302 characters exceeds 4300"),
+    ("1/0", "'1/0' is not a decimal or rational in [0, 1]"),
+    ("xe99999999", "'xe99999999' is not a decimal or rational in [0, 1]"),
+    ("1e", "'1e' is not a decimal or rational in [0, 1]"),
+    ("", "'' is not a decimal or rational in [0, 1]"),
+])
+def test_bad_interval_value_text_is_refused_without_building_it(text, message):
+    # Each of these is decided from the text: none builds 10**e.
+    with pytest.raises(CarrierError) as err:
+        elem(GD, text)
+    assert str(err.value) == message
+
+
+_DECIMAL_TEXT = st.builds(
+    "{}{}.{}e{}".format,
+    st.sampled_from(["", "+", "-"]),
+    st.text("0123456789", max_size=4),
+    st.text("0123456789", min_size=1, max_size=4),
+    st.integers(-12, 3),
+)
+
+
+@given(st.one_of(_DECIMAL_TEXT, st.builds("{}/{}".format, st.integers(0, 99), st.integers(1, 99))))
+def test_value_text_reads_as_fraction_does(text):
+    # Fraction is the reference wherever its 10**e is small enough to build.
+    exact = Fraction(text)
+    if 0 <= exact <= 1:
+        assert elem(GD, text).value == exact
+    else:
+        with pytest.raises(CarrierError, match=r"lies outside \[0, 1\]$"):
+            elem(GD, text)
+
+
+@pytest.mark.parametrize("lattice, spellings", [
+    (B2, [["0", "bot", "⊥"], ["1", "top", "⊤"]]),
+    (L3, [["bot", "⊥"], ["u"], ["top", "⊤"]]),
+])
+def test_finite_values_are_read_from_each_spelling(lattice, spellings):
+    assert [[elem(lattice, s) for s in group] for group in spellings] == [
+        [e] * len(group) for e, group in zip(carrier(lattice), spellings)
+    ]
+    names = ", ".join(elem_to_text(e) for e in carrier(lattice))
+    for bad in ("0.5", "x"):
+        with pytest.raises(CarrierError, match=f"^'{bad}' is not one of {names}$"):
+            elem(lattice, bad)
+    with pytest.raises(CarrierError, match=f"^'1/3' is not a {lattice.value} value$"):
+        LatticeElem(lattice, Fraction(1, 3))

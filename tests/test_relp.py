@@ -5,6 +5,8 @@ from itertools import product
 
 import pytest
 
+import pkat.relp
+
 from pkat.errors import ShapeError, SortError
 from pkat.relp import (
     PRel,
@@ -116,6 +118,15 @@ def test_star_stabilizes_and_matches_power_join():
         assert steps <= n + 1
         expected = oracle_star(states, dict_matrix(rel), L3, 2 * n)
         assert dict_matrix(star) == expected
+
+
+def test_star_builds_its_unit_from_ranks(monkeypatch):
+    rel = PRel(L3, ("s0", "s1", "s2"), [lw("u", "bot"), lw("top", "u"), lw("bot", "top")] * 3)
+    expected = r_star(rel)
+    calls = []
+    monkeypatch.setattr(pkat.relp, "value_table", lambda values: calls.append(values))
+    assert r_star(rel) == expected
+    assert calls == []  # no table is sorted again inside the star
 
 
 def test_star_induction():
