@@ -399,13 +399,20 @@ def _guard(law: _Law, k: int, n_states: int, refusal: str) -> None:
     candidates, comparing exponents first so that no huge count is built."""
     cells = sum(n_states if sort is Sort.TEST else n_states**2 for _, sort in law.vars)
     if k > 1 and cells > log(MAX_EXHAUSTIVE, k) + 1 or k**cells > MAX_EXHAUSTIVE:
-        raise EngineError(refusal.format(f"{k}^{cells}") + f" exceeds {MAX_EXHAUSTIVE}")
+        try:
+            size = f"{k}^{cells}"
+        except ValueError:  # beyond str()'s 4300 digits: 2^3.70e+4398
+            from decimal import Decimal
+
+            size = f"{k}^{Decimal(cells):.2e}"
+        raise EngineError(refusal.format(size) + f" exceeds {MAX_EXHAUSTIVE}")
 
 
 def _guard_steps(samples: int, n_states: int) -> None:
     """Refuse ``samples`` instances over n states beyond ``MAX_STEPS`` kernel
-    steps.  A star runs up to n + 1 rounds of n^3-cell products; counting
-    (n + 1)^4 per instance also keeps a floor under small n."""
+    steps.  An instance counts (n + 1)^4, the work of n + 1 products of n^3
+    steps.  That over-counts a star, which searches rather than multiplies,
+    but it keeps fixed which runs are accepted and which are refused."""
     if samples * (n_states + 1) ** 4 > MAX_STEPS:
         raise EngineError(f"work of {samples} x {n_states}-state instances exceeds {MAX_STEPS} "
                           "kernel steps")

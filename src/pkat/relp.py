@@ -3,9 +3,7 @@
 A relation assigns a weight to every ordered pair of states (stored
 row-major).  Addition is entrywise pair-join; composition aggregates
 pair-meets over intermediate states; star is the least solution of
-``S = 1 + R.S``, reached by iteration from the identity in at most
-|W| + 1 rounds -- a longer path only loses evidence, so matrix powers
-beyond |W| add nothing to the join.
+``S = 1 + R.S``, the join of all powers of R.
 
 On a chain, pair-join is max on the support and min on the opposition
 (pair-meet the reverse), so no operation makes a value its operands did
@@ -16,6 +14,13 @@ works on the ranks alone.  Relations built together share one table,
 and operands on different tables are lifted to their merged table
 first.  Weights are decoded only at the boundary:
 ``weights``, ``entry``, ``pairs`` and the exporters below.
+
+On ranks the star's support is the (max, min) reflexive-transitive
+closure: a cell holds the highest cut t at which a breadth-first search
+over the row bitsets of [tt >= t] reaches its target from its source.
+The opposition is the same closure of ``top - ff``.  The rounds
+``S = 1 + R.S`` takes from the identity to its fixpoint, which
+``r_star_steps`` reports, are one more than the deepest search level.
 
 Tests are the subidentity matrices: everything off the diagonal is the
 least weight.  Complementing a test swaps evidence on the diagonal
@@ -126,13 +131,9 @@ def identity(lattice: LatticeId, states: tuple[str, ...], values=()) -> PRel:
     """TOP on the diagonal, BOT elsewhere, on the table holding ``values``."""
     states, table = tuple(states), value_table(values)
     _check_states(states)
-    return from_ranks(lattice, states, table, *_unit_ranks(len(states), len(table) - 1))
-
-
-def _unit_ranks(n: int, top: int) -> tuple[tuple, tuple]:
-    """The identity's tt and ff ranks over n states on a table whose top rank is ``top``."""
+    n, top = len(states), len(table) - 1
     tt = tuple(top if k % (n + 1) == 0 else 0 for k in range(n * n))
-    return tt, tuple(top - t for t in tt)
+    return from_ranks(lattice, states, table, tt, tuple(top - t for t in tt))
 
 
 def zero(lattice: LatticeId, states: tuple[str, ...], values=()) -> PRel:
@@ -189,16 +190,50 @@ def r_star(r: PRel) -> PRel:
 
 
 def r_star_steps(r: PRel) -> tuple[PRel, int]:
-    """Star together with the number of fixpoint rounds taken."""
-    n = len(r.states)
-    one_tt, one_ff = tt, ff = _unit_ranks(n, len(r.values) - 1)
-    for step in range(1, n + 2):
-        nxt_tt = tuple(map(max, one_tt, _product(r.tt, tt, n, max, min)))
-        nxt_ff = tuple(map(min, one_ff, _product(r.ff, ff, n, min, max)))
-        if nxt_tt == tt and nxt_ff == ff:
-            return from_ranks(r.lattice, r.states, r.values, tt, ff), step
-        tt, ff = nxt_tt, nxt_ff
-    raise RuntimeError("star iteration failed to stabilize within |W| + 1 rounds")
+    """Star together with the rounds ``S = 1 + R.S`` takes from 1 to its fixpoint."""
+    n, top = len(r.states), len(r.values) - 1
+    tt, tt_depth = _closure(r.tt, n, top)
+    ff, ff_depth = _closure([top - f for f in r.ff], n, top)
+    star = from_ranks(r.lattice, r.states, r.values, tuple(tt), tuple(top - f for f in ff))
+    return star, 1 + max(tt_depth, ff_depth)
+
+
+def _closure(ranks, n: int, top: int) -> tuple[list, int]:
+    """The (max, min) reflexive-transitive closure of row-major ``ranks`` and
+    the deepest level any search reaches.  Cuts descend, so a cell takes the
+    first cut that reaches it; a lower cut only shortens paths, so that
+    level is one at which a cell took its final value."""
+    out, depth, full = [0] * (n * n), 0, (1 << n) - 1
+    out[::n + 1] = [top] * n
+    rows = [1 << i for i in range(n)]
+    seen = rows[:]
+    cuts = {}
+    for k, t in enumerate(ranks):
+        if t and k % (n + 1):
+            cuts.setdefault(t, []).append(k)
+    for t in sorted(cuts, reverse=True):
+        for k in cuts[t]:
+            rows[k // n] |= 1 << k % n
+        for i, old in enumerate(seen):
+            if old == full:
+                continue
+            reach = front = 1 << i
+            level = -1
+            while front:
+                level, nxt = level + 1, 0
+                while front:
+                    low = front & -front
+                    nxt |= rows[low.bit_length() - 1]
+                    front ^= low
+                front = nxt & ~reach
+                reach |= front
+            depth = max(depth, level)
+            new, seen[i] = reach & ~old, reach
+            while new:
+                low = new & -new
+                out[i * n + low.bit_length() - 1] = t
+                new ^= low
+    return out, depth
 
 
 def r_leq(r: PRel, s: PRel) -> bool:

@@ -7,8 +7,9 @@ pair-join and pair-meet pointwise, ``t_complement`` swaps each pair and
 ``r_leq`` compares pointwise.  Because pair-meet is idempotent, every
 power of a set beyond the zeroth collapses onto the set itself, so the
 star of any set is the constant-TOP set, the identity relation, which
-``r_star`` reaches in one round.  A ``PSet`` reads as a mapping from
-state to weight, and compares equal to a dict with the same entries.
+``r_star`` returns without a search: a test has no edge off the
+diagonal.  A ``PSet`` reads as a mapping from state to weight, and
+compares equal to a dict with the same entries.
 """
 
 from __future__ import annotations

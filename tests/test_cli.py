@@ -169,6 +169,13 @@ def test_a_huge_space_is_refused_in_one_line(capsys, argv, message):
     assert (code, out, err) == (2, "", f"engine error: {message}\n")
 
 
+def test_a_state_count_past_the_digit_limit_is_refused_in_one_line(capsys):
+    # 3 * N^2 cells has more digits than str() converts, so the exponent is rounded.
+    code, out, err = run(capsys, "axioms", "--lattice", "bool2", "--states", "1" * 2200)
+    message = "exhaustive space of 2^3.70e+4398 instantiations exceeds 1000000"
+    assert (code, out, err) == (2, "", f"engine error: {message}\n")
+
+
 def test_classify_command(capsys):
     code, out, _ = run(capsys, "classify", "--model", MODEL, "--name", "r")
     assert code == 0 and "inconsistent" in out

@@ -36,7 +36,10 @@ def _first_refused_state_count() -> int:
 
 
 _REFUSED_N = _first_refused_state_count()
-STATES = st.one_of(st.integers(-2, 3), st.integers(_REFUSED_N, 300)).map(str)
+# Up to 4300 digits, which argparse still reads; past about 2,150 the cell
+# count of a refused space has more digits than str() converts.
+STATES = st.one_of(st.integers(-2, 3), st.integers(_REFUSED_N, 300),
+                   st.integers(10**2100, 10**4300 - 1)).map(str)
 # Text, since str() refuses an int of more than 4300 digits; the last one
 # has 4301, which argparse refuses.
 HUGE = ["1000000000", str(2**63), "9" * 4300, "1" + "0" * 4300]

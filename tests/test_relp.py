@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pkat.relp
 
@@ -12,6 +13,7 @@ from pkat.relp import (
     PRel,
     format_prel,
     from_entries,
+    from_ranks,
     identity,
     is_test,
     prel_to_entries,
@@ -22,6 +24,7 @@ from pkat.relp import (
     r_star_steps,
     t_complement,
     from_diagonal,
+    value_table,
     zero,
 )
 from pkat.twist import negate, wbot, weight, wjoin, wleq, wtop
@@ -280,6 +283,86 @@ def _check_star(r):
             break
         joined = grown
     assert (dict_matrix(star), steps) == (joined, rounds)
+
+
+@st.composite
+def star_operands(draw):
+    """A relation on Ł3 or on a godel table of up to 16 values, n <= 10:
+    empty, sparse, dense or self-loops only."""
+    states = tuple(f"s{i}" for i in range(draw(st.integers(1, 10))))
+    if draw(st.booleans()):
+        lattice, pool = L3, LUKA_WEIGHTS
+    else:
+        table = draw(st.lists(st.fractions(0, 1, max_denominator=15), max_size=14))
+        lattice = GD
+        pool = [weight(GD, t, f) for t in {0, 1, *table} for f in {0, 1, *table}]
+    cells, w = list(product(states, repeat=2)), st.sampled_from(pool)
+    shape = draw(st.sampled_from(["empty", "sparse", "dense", "self-loops"]))
+    if shape == "sparse":
+        picked = st.lists(st.sampled_from(cells), max_size=2 * len(states))
+        entries = {uv: draw(w) for uv in draw(picked)}
+    elif shape == "dense":
+        entries = {uv: draw(w) for uv in cells}
+    else:
+        entries = {(u, u): draw(w) for u in states} if shape == "self-loops" else {}
+    return from_entries(lattice, states, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(star_operands())
+def test_star_matches_the_power_join_in_value_and_rounds(r):
+    _check_star(r)
+
+
+def _round_star(r):
+    """The star by iterating S = 1 + R.S on ranks until it stops changing."""
+    n, top = len(r.states), len(r.values) - 1
+
+    def dot(a, b, add, mul):
+        rows, cols = [a[i * n:i * n + n] for i in range(n)], [b[j::n] for j in range(n)]
+        return [add(map(mul, row, col)) for row in rows for col in cols]
+
+    one_tt = [top if k % (n + 1) == 0 else 0 for k in range(n * n)]
+    one_ff = [top - t for t in one_tt]
+    tt, ff = one_tt, one_ff
+    for step in range(1, n + 2):
+        nxt_tt = list(map(max, one_tt, dot(r.tt, tt, max, min)))
+        nxt_ff = list(map(min, one_ff, dot(r.ff, ff, min, max)))
+        if (nxt_tt, nxt_ff) == (tt, ff):
+            return tuple(tt), tuple(ff), step
+        tt, ff = nxt_tt, nxt_ff
+    raise AssertionError("no fixpoint within n + 1 rounds")
+
+
+def test_star_of_forty_states_matches_the_round_loop():
+    # A ring of random weights on a 16-value godel table, with a few chords:
+    # values travel far, so the rounds count long paths.
+    rng, n = random.Random(4040), 40
+    values = value_table(Fraction(i, 15) for i in range(16))
+    tt, ff = [0] * (n * n), [15] * (n * n)
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(rng.randrange(n), rng.randrange(n))
+                                                    for _ in range(12)]
+    for i, j in edges:
+        tt[i * n + j], ff[i * n + j] = rng.randint(1, 15), rng.randint(0, 14)
+    r = from_ranks(GD, tuple(f"s{i}" for i in range(n)), values, tuple(tt), tuple(ff))
+    star, steps = r_star_steps(r)
+    assert (star.tt, star.ff, steps) == _round_star(r)
+    assert steps > 10
+
+
+def test_star_makes_no_matrix_products(monkeypatch):
+    rng = random.Random(6)
+    states = tuple(f"s{i}" for i in range(6))
+    rels = [_random_rel(rng, L3, states, LUKA_WEIGHTS) for _ in range(5)]
+    calls = []
+    product_ = pkat.relp._product
+    monkeypatch.setattr(pkat.relp, "_product", lambda *args: calls.append(1) or product_(*args))
+    for rel in rels:
+        r_star(rel)
+        r_star_steps(rel)
+    assert calls == []
+    r_dot(rels[0], rels[1])
+    assert calls == [1, 1]  # the counter sees the products r_dot makes
 
 
 def _check_complement(t):
