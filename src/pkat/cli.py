@@ -20,7 +20,6 @@ from .engine import (
     CORE_AXIOMS,
     Status,
     Verdict,
-    axiom_formula,
     check_suite,
     equiv,
     equiv_random,
@@ -258,7 +257,7 @@ def _cmd_equiv(args) -> int:
         model = _read_model(args.model)
         verdict = equiv(t1, t2, model)
         return _print_verdict(verdict, args, lead)
-    if not args.lattice or not args.states or not args.random:
+    if args.lattice is None or args.states is None or args.random is None:
         raise EngineError("random mode needs --lattice, --states and --random")
     tests = {name.strip() for name in args.tests.split(",") if name.strip()}
     verdict = equiv_random(
@@ -277,7 +276,7 @@ def _cmd_equiv(args) -> int:
 def _axiom_row(verdict: Verdict, unicode: bool) -> str:
     ax = verdict.axiom
     row = (
-        f"({ax.value:>3}) {ax.slug:<20} {axiom_formula(ax):<28} "
+        f"({ax.value:>3}) {ax.slug:<20} {ax.formula:<28} "
         f"{verdict.status.value:<5} checked={verdict.samples}"
     )
     if verdict.status is Status.FAILS:

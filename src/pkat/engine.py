@@ -11,16 +11,20 @@ or by seeded sampling, equivalence over a given model or a stream of
 random models, and ``recheck`` over a verdict's own witness.
 
 A run builds its candidate space once, and every law it checks (the
-whole catalog, for ``check_suite``) draws from it.  The space is
-enumerated deterministically, ordered by distance from classical
-consistency (|tt + ff - 1|, ties broken by component, all computed on
-integer ranks), so a reported counterexample is the most conservative
-one available.  Over the Boolean lattice, generated weights are the
-classical corners TOP and BOT, which makes that instance ordinary
-relation algebra; the three-valued chain uses all nine pairs and the
-interval lattice all pairs over a finite grid (default 0, 1/4, 1/2,
-3/4, 1), which no other lattice takes.  Runs too large for
-``MAX_EXHAUSTIVE`` or ``MAX_STEPS`` are refused from their sizes alone.
+whole catalog, for ``check_suite``) draws from it.  The space is ordered
+by distance from classical consistency (|tt + ff - 1|, ties broken by
+component, all computed on integer ranks).  Exhaustive checking walks
+the law's cells lexicographically over that order: variables in
+alphabetical order, a test contributing its n diagonal cells and a
+program its n*n cells row-major, the last cell varying fastest.  So a
+reported counterexample is the most conservative one available, and a
+failing verdict's instance count is its witness's position in that
+walk.  Over the Boolean lattice, generated weights are the classical
+corners TOP and BOT, which makes that instance ordinary relation
+algebra; the three-valued chain uses all nine pairs and the interval
+lattice all pairs over a finite grid (default 0, 1/4, 1/2, 3/4, 1),
+which no other lattice takes.  Runs too large for ``MAX_EXHAUSTIVE`` or
+``MAX_STEPS`` are refused from their sizes alone.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ import random
 import re
 from enum import Enum
 from fractions import Fraction
-from math import lcm, log, prod
+from itertools import accumulate, product
+from math import lcm, log
 from typing import Iterable, Mapping
 
 from .errors import EngineError, SortError
@@ -194,10 +199,6 @@ def _triple(pre: Term, prog: Term, post: Term) -> _Law:
     return _Law("{%s} %s {%s}" % terms, ((lhs, Dot(lhs, post)),), leq=True, terms=terms)
 
 
-def axiom_formula(axiom: AxiomId) -> str:
-    return axiom.formula
-
-
 # ---------------------------------------------------------------------------
 # Term evaluation
 
@@ -288,26 +289,27 @@ def weight_space(lattice: LatticeId, godel_grid=None) -> tuple[Weight, ...]:
     return tuple(Weight(table[i], table[j]) for i, j in space.cells)
 
 
-def _relation(lattice, states, space: _Space, test: bool, index=None, rng=None) -> PRel:
-    """A relation built from space cells, row-major, or a test built from
-    cells on its diagonal: the ``index``-th in lexicographic cell order,
-    or else cells drawn from ``rng``."""
-    n, k = len(states), len(space.cells)
-    if index is None:
-        cells = [rng.choice(space.cells) for _ in range(n if test else n * n)]
-    else:
-        cells = [space.cells[index // k ** i % k] for i in reversed(range(n if test else n * n))]
-    if test:
-        bot = (0, len(space.values) - 1)
-        cells = [cells[j // (n + 1)] if j % (n + 1) == 0 else bot for j in range(n * n)]
-    tt, ff = zip(*cells)
-    return from_ranks(lattice, states, space.values, tt, ff)
+def _relation(lattice, states, space: _Space, test: bool, cells) -> PRel:
+    """The relation with the given space cells, row-major, or the test
+    with them on its diagonal; every other cell is BOT."""
+    n = len(states)
+    tt, ff = [0] * (n * n), [len(space.values) - 1] * (n * n)
+    step = n + 1 if test else 1
+    tt[::step], ff[::step] = zip(*cells)
+    return from_ranks(lattice, states, space.values, tuple(tt), tuple(ff))
+
+
+def _draw(rng: random.Random, lattice, states, space: _Space, test: bool) -> PRel:
+    """A relation (a test) of cells drawn from ``rng``."""
+    n = len(states)
+    cells = [rng.choice(space.cells) for _ in range(n if test else n * n)]
+    return _relation(lattice, states, space, test, cells)
 
 
 def random_prel(
     rng: random.Random, lattice: LatticeId, states: tuple[str, ...], godel_grid=None
 ) -> PRel:
-    return _relation(lattice, states, _space(lattice, godel_grid), False, rng=rng)
+    return _draw(rng, lattice, states, _space(lattice, godel_grid), False)
 
 
 def random_model(
@@ -323,10 +325,8 @@ def random_model(
 
 
 def _random_model(rng, lattice, states, space: _Space, program_names, test_names) -> Model:
-    programs = {
-        name: _relation(lattice, states, space, False, rng=rng) for name in sorted(program_names)
-    }
-    tests = {name: _from_test(_relation(lattice, states, space, True, rng=rng))
+    programs = {name: _draw(rng, lattice, states, space, False) for name in sorted(program_names)}
+    tests = {name: _from_test(_draw(rng, lattice, states, space, True))
              for name in sorted(test_names)}
     return Model(lattice, states, programs, tests, values=space.values)
 
@@ -382,15 +382,14 @@ def _check(law: _Law, instances, one: PRel, zer: PRel, lattice, n_states, mode, 
 
 
 def _assignments(law: _Law, lattice, states, space: _Space):
-    """Every assignment of the law's variables, in lexicographic order."""
+    """Every assignment of the law's variables, in lexicographic order over
+    their cells: the first variable's first cell varies slowest."""
     n = len(states)
-    tests = [sort is Sort.TEST for _, sort in law.vars]
-    sizes = [len(space.cells) ** (n if test else n * n) for test in tests]
-    strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+    cuts = [0, *accumulate(n if sort is Sort.TEST else n * n for _, sort in law.vars)]
     return (
-        ({name: _relation(lattice, states, space, test, index // stride % size)
-          for (name, _), test, stride, size in zip(law.vars, tests, strides, sizes)}, None)
-        for index in range(prod(sizes))
+        ({name: _relation(lattice, states, space, sort is Sort.TEST, cells[i:j])
+          for (name, sort), i, j in zip(law.vars, cuts, cuts[1:])}, None)
+        for cells in product(space.cells, repeat=cuts[-1])
     )
 
 
@@ -413,7 +412,7 @@ def _guard_steps(samples: int, n_states: int) -> None:
     steps.  An instance counts (n + 1)^4, the work of n + 1 products of n^3
     steps.  That over-counts a star, which searches rather than multiplies,
     but it keeps fixed which runs are accepted and which are refused."""
-    if samples * (n_states + 1) ** 4 > MAX_STEPS:
+    if n_states > 0 and samples * (n_states + 1) ** 4 > MAX_STEPS:  # states_for refuses n < 1
         raise EngineError(f"work of {samples} x {n_states}-state instances exceeds {MAX_STEPS} "
                           "kernel steps")
 
@@ -443,7 +442,7 @@ def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> li
         law = _AXIOMS[ident]
         if how == "random":
             rng = random.Random(seed)  # each law draws from its own generator
-            instances = (({name: _relation(lattice, states, space, sort is Sort.TEST, rng=rng)
+            instances = (({name: _draw(rng, lattice, states, space, sort is Sort.TEST)
                            for name, sort in law.vars}, None) for _ in range(samples))
         else:
             instances = _assignments(law, lattice, states, space)

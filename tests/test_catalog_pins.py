@@ -148,7 +148,7 @@ def test_catalog_laws_parse_and_sort_check():
         names = VARIABLES[ax.value]
         tests = {x for x in names if x in "abc"}
         programs = set(names) - tests
-        terms = [parse(side) for side in _sides(engine.axiom_formula(ax))]
+        terms = [parse(side) for side in _sides(ax.formula)]
         assert sorted(set().union(*map(atoms, terms))) == list(names)
         wanted = Sort.TEST if tests else None
         for term in terms:

@@ -365,6 +365,21 @@ def test_axioms_sample_count_must_be_positive(capsys):
         assert err == "engine error: random mode needs a positive sample count\n"
 
 
+def test_equiv_zero_counts_are_given_not_missing(capsys):
+    equiv = ("equiv", "--t1", "r", "--t2", "r", "--lattice", "bool2")
+    for states, samples, message in (("0", "1", "need at least one state"),
+                                     ("-1", "1", "need at least one state"),
+                                     ("-100", "1", "need at least one state"),
+                                     ("1", "0", "need a positive sample count"),
+                                     ("1", "-5", "need a positive sample count")):
+        code, out, err = run(capsys, *equiv, "--states", states, "--random", samples)
+        assert code == 2 and out == ""
+        assert err == f"engine error: {message}\n"
+    code, out, err = run(capsys, *equiv, "--states", "1")
+    assert code == 2 and out == ""
+    assert err == "engine error: random mode needs --lattice, --states and --random\n"
+
+
 def test_axioms_exhaustive_and_samples_exclude_each_other(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["axioms", "--lattice", "bool2", "--states", "1", "--exhaustive",

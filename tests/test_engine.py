@@ -1,5 +1,7 @@
 import json
 import random
+from itertools import islice
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,8 +26,8 @@ from pkat.engine import (
 from pkat.errors import EngineError, SortError
 from pkat.lattice import carrier, elem
 from pkat.plts import load_model
-from pkat.relp import identity, r_dot, r_plus, r_star, t_complement, zero
-from pkat.syntax import Dot, Not, Plus, Star, parse
+from pkat.relp import from_ranks, identity, r_dot, r_plus, r_star, t_complement, zero
+from pkat.syntax import Dot, Not, Plus, Sort, Star, parse
 from pkat.twist import Weight, wbot, wtop
 
 from helpers import B2, GD, L3, lw, random_sorted_term
@@ -142,6 +144,55 @@ def test_rank_keyed_space_on_the_finite_lattices():
     for lattice in (B2, L3):
         assert weight_space(lattice) == _fraction_keyed_space(lattice)
     assert weight_space(GD) == _fraction_keyed_space(GD, pkat.engine.DEFAULT_GODEL_GRID)
+
+
+def _indexed_assignments(law, lattice, states, space):
+    """Every assignment decoded from its index: a variable of w cells is
+    the digit ``index // stride % k^w``, its cell i that digit's
+    ``// k^(w-1-i) % k``, and a test's cells lie on the diagonal, BOT
+    elsewhere."""
+    n, k = len(states), len(space.cells)
+    bot = (0, len(space.values) - 1)
+
+    def relation(test, index):
+        width = n if test else n * n
+        cells = [space.cells[index // k ** i % k] for i in reversed(range(width))]
+        if test:
+            cells = [cells[j // (n + 1)] if j % (n + 1) == 0 else bot for j in range(n * n)]
+        tt, ff = zip(*cells)
+        return from_ranks(lattice, states, space.values, tt, ff)
+
+    tests = [sort is Sort.TEST for _, sort in law.vars]
+    sizes = [k ** (n if test else n * n) for test in tests]
+    strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
+    for index in range(prod(sizes)):
+        yield {name: relation(test, index // stride % size)
+               for (name, _), test, stride, size in zip(law.vars, tests, strides, sizes)}
+
+
+@pytest.mark.parametrize("lattice, n, axioms", [
+    (B2, 1, list(AxiomId)),
+    (B2, 2, list(AxiomId)),
+    (L3, 1, list(AxiomId)),
+    (L3, 3, [AxiomId.TEST_NON_CONTRA]),
+    (GD, 1, list(AxiomId)),
+])
+def test_assignments_match_the_index_decoder(lattice, n, axioms):
+    def rows(assignments):
+        return [{name: (r.states, r.values, r.tt, r.ff) for name, r in env.items()}
+                for env in assignments]
+
+    space, states = pkat.engine._space(lattice, None), states_for(n)
+    for ident in axioms:
+        law = pkat.engine._AXIOMS[ident]
+        size = len(space.cells) ** sum(n if s is Sort.TEST else n * n for _, s in law.vars)
+        limit = size if size <= 20_000 else 2_000
+        found = pkat.engine._assignments(law, lattice, states, space)
+        envs, models = zip(*islice(found, limit))
+        assert set(models) == {None}
+        assert rows(envs) == rows(islice(_indexed_assignments(law, lattice, states, space), limit))
+        if limit == size:  # and no assignment beyond the decoder's last
+            assert next(found, None) is None
 
 
 # --- axiom checking ---------------------------------------------------------------
