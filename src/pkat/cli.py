@@ -152,6 +152,15 @@ def _read_model(path: str):
     return load_model(document)
 
 
+def _term(args, option: str):
+    """Parse the term given as ``--option``; a parse error names the option."""
+    try:
+        return parse(getattr(args, option))
+    except ParseError as exc:
+        exc.args = (f"--{option}: {exc}",)
+        raise
+
+
 def _parse_grid(text: str | None):
     try:
         return None if text is None else tuple(elem(LatticeId.GODEL, p) for p in text.split(","))
@@ -177,7 +186,7 @@ def _classification(rel: PRel) -> list[list[str]]:
 
 def _cmd_eval(args) -> int:
     model = _read_model(args.model)
-    term = parse(args.term)
+    term = _term(args, "term")
     rel = evaluate(term, model)
     if args.json:
         payload = {
@@ -251,7 +260,7 @@ def _print_verdict(verdict: Verdict, args, lead: list[str]) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    t1, t2 = parse(args.t1), parse(args.t2)
+    t1, t2 = _term(args, "t1"), _term(args, "t2")
     lead = [f"t1: {pretty(t1)}", f"t2: {pretty(t2)}"]
     if args.model:
         model = _read_model(args.model)
@@ -333,7 +342,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_hoare(args) -> int:
     model = _read_model(args.model)
-    pre, prog, post = parse(args.pre), parse(args.prog), parse(args.post)
+    pre, prog, post = (_term(args, option) for option in ("pre", "prog", "post"))
     verdict = hoare_check(pre, prog, post, model)
     lead = [f"triple: {{{pretty(pre)}}} {pretty(prog)} {{{pretty(post)}}}"]
     return _print_verdict(verdict, args, lead)

@@ -34,7 +34,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, product
-from math import lcm, log
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import EngineError, SortError
@@ -395,9 +395,10 @@ def _assignments(law: _Law, lattice, states, space: _Space):
 
 def _guard(law: _Law, k: int, n_states: int, refusal: str) -> None:
     """Refuse a law with more than ``MAX_EXHAUSTIVE`` assignments over ``k``
-    candidates, comparing exponents first so that no huge count is built."""
+    candidates.  For k >= 2, 2^bit_length already exceeds the bound, so
+    that many cells are refused before any huge count is built."""
     cells = sum(n_states if sort is Sort.TEST else n_states**2 for _, sort in law.vars)
-    if k > 1 and cells > log(MAX_EXHAUSTIVE, k) + 1 or k**cells > MAX_EXHAUSTIVE:
+    if k > 1 and cells >= MAX_EXHAUSTIVE.bit_length() or k**cells > MAX_EXHAUSTIVE:
         try:
             size = f"{k}^{cells}"
         except ValueError:  # beyond str()'s 4300 digits: 2^3.70e+4398

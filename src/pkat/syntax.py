@@ -13,6 +13,10 @@ then ``;``, then ``+``.  Atom names are identifiers; whether a name is
 a test or a program comes from the model's declarations.  ``!`` applies
 only to test-sorted subterms and star always yields a program.  The
 constants 0 and 1 are tests (they belong to both sorts).
+
+Text that does not parse raises a ``ParseError`` giving the 1-based line
+and column of the token where parsing stopped (or of the first character
+that starts no token), each character counting as one column.
 """
 
 from __future__ import annotations
@@ -64,115 +68,75 @@ class Sort(Enum):
     PROGRAM = "program"
 
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_SYMBOLS = {
-    "+": "PLUS",
-    ";": "SEQ",
-    ".": "SEQ",
-    "*": "STAR",
-    "!": "BANG",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "0": "ZERO",
-    "1": "ONE",
-}
+_TOKEN = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*)|([+;.*!()01]))")
 
 
-def _tokenize(src: str) -> list[tuple[str, str, int, int]]:
-    tokens = []
-    i, line, col = 0, 1, 1
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch.isspace():
-            i, col = i + 1, col + 1
-            continue
-        m = _IDENT_RE.match(src, i)
-        if m:
-            text = m.group()
-            tokens.append(("IDENT", text, line, col))
-            i, col = m.end(), col + len(text)
-            continue
-        kind = _SYMBOLS.get(ch)
-        if kind is None:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        tokens.append((kind, ch, line, col))
-        i, col = i + 1, col + 1
-    tokens.append(("EOF", "", line, col))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "EOF":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str):
-        tok = self.take()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}, found {_show(tok)}", tok[2], tok[3])
-        return tok
-
-    def sum_(self) -> Term:
-        node = self.seq()
-        while self.peek()[0] == "PLUS":
-            self.take()
-            node = Plus(node, self.seq())
-        return node
-
-    def seq(self) -> Term:
-        node = self.unary()
-        while self.peek()[0] == "SEQ":
-            self.take()
-            node = Dot(node, self.unary())
-        return node
-
-    def unary(self) -> Term:
-        if self.peek()[0] == "BANG":
-            self.take()
-            return Not(self.unary())
-        node = self.atom()
-        while self.peek()[0] == "STAR":
-            self.take()
-            node = Star(node)
-        return node
-
-    def atom(self) -> Term:
-        tok = self.take()
-        kind = tok[0]
-        if kind == "IDENT":
-            return Atom(tok[1])
-        if kind == "ZERO":
-            return Zero()
-        if kind == "ONE":
-            return One()
-        if kind == "LPAREN":
-            node = self.sum_()
-            self.expect("RPAREN", "')'")
-            return node
-        raise ParseError(f"expected a term, found {_show(tok)}", tok[2], tok[3])
-
-
-def _show(tok) -> str:
-    return "end of input" if tok[0] == "EOF" else repr(tok[1])
+def _error(src: str, at: int, message: str) -> ParseError:
+    """The error at offset ``at``, with its 1-based line and column."""
+    return ParseError(message, src.count("\n", 0, at) + 1, at - src.rfind("\n", 0, at))
 
 
 def parse(src: str) -> Term:
-    parser = _Parser(_tokenize(src))
-    term = parser.sum_()
-    parser.expect("EOF", "end of input")
+    tokens, at = [], 0  # (kind, text, offset); "." has kind ";"
+    while m := _TOKEN.match(src, at):
+        group, at = m.lastindex, m.end()
+        text = m[group]
+        kind = "ident" if group == 1 else ";" if text == "." else text
+        tokens.append((kind, text, at - len(text)))
+    rest = src[at:].lstrip()
+    if rest:
+        raise _error(src, len(src) - len(rest), f"unexpected character {rest[0]!r}")
+    tokens.append(("", "", len(src)))  # end of input
+    tokens.reverse()  # a stack: the next token is last
+    term = _sum(tokens, src)
+    if tokens[-1][0]:
+        raise _expected("end of input", tokens[-1], src)
     return term
+
+
+def _expected(what: str, tok: tuple[str, str, int], src: str) -> ParseError:
+    kind, text, at = tok
+    return _error(src, at, f"expected {what}, found {repr(text) if kind else 'end of input'}")
+
+
+def _sum(tokens: list, src: str) -> Term:
+    node = _seq(tokens, src)
+    while tokens[-1][0] == "+":
+        tokens.pop()
+        node = Plus(node, _seq(tokens, src))
+    return node
+
+
+def _seq(tokens: list, src: str) -> Term:
+    node = _unary(tokens, src)
+    while tokens[-1][0] == ";":
+        tokens.pop()
+        node = Dot(node, _unary(tokens, src))
+    return node
+
+
+def _unary(tokens: list, src: str) -> Term:
+    tok = tokens.pop()
+    kind = tok[0]
+    if kind == "!":
+        return Not(_unary(tokens, src))
+    if kind == "ident":
+        node = Atom(tok[1])
+    elif kind == "0":
+        node = Zero()
+    elif kind == "1":
+        node = One()
+    elif kind == "(":
+        node = _sum(tokens, src)
+        if tokens[-1][0] != ")":
+            raise _expected("')'", tokens[-1], src)
+        tokens.pop()
+    else:
+        raise _expected("a term", tok, src)
+    while tokens[-1][0] == "*":
+        tokens.pop()
+        node = Star(node)
+    return node
 
 
 def atoms(term: Term) -> frozenset[str]:

@@ -220,6 +220,20 @@ def test_term_error_exit_two(capsys):
     assert code == 2 and "term error" in err
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("term", ["eval", "--model", MODEL, "--term", "r;"]),
+    ("t1", ["equiv", "--model", MODEL, "--t1", "r;", "--t2", "r;"]),
+    ("t2", ["equiv", "--model", MODEL, "--t1", "r", "--t2", "r;"]),
+    ("pre", ["hoare", "--model", MODEL, "--pre", "r;", "--prog", "r", "--post", "p"]),
+    ("prog", ["hoare", "--model", MODEL, "--pre", "p", "--prog", "r;", "--post", "p"]),
+    ("post", ["hoare", "--model", MODEL, "--pre", "p", "--prog", "r", "--post", "r;"]),
+])
+def test_term_error_names_its_option(capsys, option, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"term error: --{option}: 1:3: expected a term, found end of input\n"
+
+
 def test_sort_error_exit_two(capsys):
     code, _, err = run(capsys, "eval", "--model", MODEL, "--term", "!r")
     assert code == 2 and "sort error" in err

@@ -1,7 +1,8 @@
 import random
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pkat.errors import ParseError, SortError
 from pkat.syntax import (
@@ -71,6 +72,145 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse("a +\n* b")
     assert err.value.line == 2
+
+
+# --- the character-walking parser, kept as an oracle --------------------------------
+
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_SYMBOLS = {
+    "+": "PLUS",
+    ";": "SEQ",
+    ".": "SEQ",
+    "*": "STAR",
+    "!": "BANG",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "0": "ZERO",
+    "1": "ONE",
+}
+
+
+def _tokenize(src):
+    tokens = []
+    i, line, col = 0, 1, 1
+    while i < len(src):
+        ch = src[i]
+        if ch == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if ch.isspace():
+            i, col = i + 1, col + 1
+            continue
+        m = _IDENT_RE.match(src, i)
+        if m:
+            text = m.group()
+            tokens.append(("IDENT", text, line, col))
+            i, col = m.end(), col + len(text)
+            continue
+        kind = _SYMBOLS.get(ch)
+        if kind is None:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        tokens.append((kind, ch, line, col))
+        i, col = i + 1, col + 1
+    tokens.append(("EOF", "", line, col))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        if tok[0] != "EOF":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind, what):
+        tok = self.take()
+        if tok[0] != kind:
+            raise ParseError(f"expected {what}, found {_show(tok)}", tok[2], tok[3])
+        return tok
+
+    def sum_(self):
+        node = self.seq()
+        while self.peek()[0] == "PLUS":
+            self.take()
+            node = Plus(node, self.seq())
+        return node
+
+    def seq(self):
+        node = self.unary()
+        while self.peek()[0] == "SEQ":
+            self.take()
+            node = Dot(node, self.unary())
+        return node
+
+    def unary(self):
+        if self.peek()[0] == "BANG":
+            self.take()
+            return Not(self.unary())
+        node = self.atom()
+        while self.peek()[0] == "STAR":
+            self.take()
+            node = Star(node)
+        return node
+
+    def atom(self):
+        tok = self.take()
+        kind = tok[0]
+        if kind == "IDENT":
+            return Atom(tok[1])
+        if kind == "ZERO":
+            return Zero()
+        if kind == "ONE":
+            return One()
+        if kind == "LPAREN":
+            node = self.sum_()
+            self.expect("RPAREN", "')'")
+            return node
+        raise ParseError(f"expected a term, found {_show(tok)}", tok[2], tok[3])
+
+
+def _show(tok):
+    return "end of input" if tok[0] == "EOF" else repr(tok[1])
+
+
+def _oracle_parse(src):
+    parser = _Parser(_tokenize(src))
+    term = parser.sum_()
+    parser.expect("EOF", "end of input")
+    return term
+
+
+def _outcome(parser, src):
+    """The term, or the error's message, line and column."""
+    try:
+        return parser(src)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+# Term pieces (twice as likely), whitespace, and characters that start no
+# token ("2" and "_" may only continue an identifier).
+_PIECES = 2 * ["p", "q", "ab_1", "Z9", "0", "1", "+", ";", ".", "*", "!", "(", ")"]
+_PIECES += [" ", "\n", "\t", "\r", "\xa0", "\x0b", "\u2028", "-", "%", "2", "_", "é", "<", "="]
+_TEXT = st.lists(st.sampled_from(_PIECES), max_size=24).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_TEXT)
+def test_parse_matches_the_character_walking_parser(src):
+    assert _outcome(parse, src) == _outcome(_oracle_parse, src)
+
+
+@pytest.mark.parametrize("src", ["", "  \n\t", "a +\n  ", "(a;\r\nb", "x\xa0é", "!(", "a.b)"])
+def test_parse_matches_the_oracle_at_the_edges(src):
+    assert _outcome(parse, src) == _outcome(_oracle_parse, src)
 
 
 def test_sort_rules(two_state_model):
