@@ -19,11 +19,16 @@ alphabetical order, a test contributing its n diagonal cells and a
 program its n*n cells row-major, the last cell varying fastest.  So a
 reported counterexample is the most conservative one available, and a
 failing verdict's instance count is its witness's position in that
-walk.  Over the Boolean lattice, generated weights are the classical
-corners TOP and BOT, which makes that instance ordinary relation
-algebra; the three-valued chain uses all nine pairs and the interval
-lattice all pairs over a finite grid (default 0, 1/4, 1/2, 3/4, 1),
-which no other lattice takes.  Runs too large for ``MAX_EXHAUSTIVE`` or
+walk.
+
+An equation in one test (216-220) needs only k of the walk's k^n
+instances, k the space's size.  Tests are diagonal relations, on which
+``+``, ``;``, ``!``, ``*``, ``0`` and ``1`` act state by state, so an
+instance fails iff one of its cells fails the law at one state.  The
+walk's first failure is then (s0, ..., s0, f), s0 the space's first cell
+and f the first failing one: among the k instances whose last cell alone
+varies, which so give the walk's own count and witness, or hold when it
+holds on all k^n.  Runs too large for ``MAX_EXHAUSTIVE`` or
 ``MAX_STEPS`` are refused from their sizes alone.
 """
 
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import random
 import re
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, product
@@ -279,10 +285,10 @@ def _space(lattice: LatticeId, godel_grid) -> _Space:
 
 
 def weight_space(lattice: LatticeId, godel_grid=None) -> tuple[Weight, ...]:
-    """All candidate weights, nearest classical consistency first.
-
-    Over the Boolean lattice only the consistent corners TOP and BOT
-    are generated, so checks over it coincide with ordinary relations.
+    """All candidate weights, nearest classical consistency first: every
+    (tt, ff) pair over the carrier (over the grid on godel, by default
+    ``DEFAULT_GODEL_GRID``), but over bool2 only the consistent corners TOP
+    and BOT, so that checks over it coincide with ordinary relations.
     """
     space = _space(lattice, godel_grid)
     table = [elem(lattice, v) for v in space.values]
@@ -381,41 +387,42 @@ def _check(law: _Law, instances, one: PRel, zer: PRel, lattice, n_states, mode, 
     return Verdict(Status.HOLDS, lattice, n_states, mode, samples=k, **fields)
 
 
-def _assignments(law: _Law, lattice, states, space: _Space):
-    """Every assignment of the law's variables, in lexicographic order over
-    their cells: the first variable's first cell varies slowest."""
+def _assignments(law: _Law, lattice, states, space: _Space, fixed: int = 0):
+    """Every assignment of the law's variables with its first ``fixed`` cells
+    at the space's first, in lexicographic order: the last cell varies fastest."""
     n = len(states)
     cuts = [0, *accumulate(n if sort is Sort.TEST else n * n for _, sort in law.vars)]
+    pools = [space.cells[:1]] * fixed + [space.cells] * (cuts[-1] - fixed)
     return (
         ({name: _relation(lattice, states, space, sort is Sort.TEST, cells[i:j])
           for (name, sort), i, j in zip(law.vars, cuts, cuts[1:])}, None)
-        for cells in product(space.cells, repeat=cuts[-1])
+        for cells in product(*pools)
     )
 
 
-def _guard(law: _Law, k: int, n_states: int, refusal: str) -> None:
+def _count(count: int) -> str:
+    """A count as a refusal prints it: in full up to 30 digits, else as %.2e."""
+    return str(count) if count < 10**30 else f"{Decimal(count):.2e}"
+
+
+def _guard(law: _Law, k: int, n_states: int) -> None:
     """Refuse a law with more than ``MAX_EXHAUSTIVE`` assignments over ``k``
     candidates.  For k >= 2, 2^bit_length already exceeds the bound, so
     that many cells are refused before any huge count is built."""
     cells = sum(n_states if sort is Sort.TEST else n_states**2 for _, sort in law.vars)
     if k > 1 and cells >= MAX_EXHAUSTIVE.bit_length() or k**cells > MAX_EXHAUSTIVE:
-        try:
-            size = f"{k}^{cells}"
-        except ValueError:  # beyond str()'s 4300 digits: 2^3.70e+4398
-            from decimal import Decimal
-
-            size = f"{k}^{Decimal(cells):.2e}"
-        raise EngineError(refusal.format(size) + f" exceeds {MAX_EXHAUSTIVE}")
+        raise EngineError(f"exhaustive space of {k}^{_count(cells)} instantiations exceeds "
+                          f"{MAX_EXHAUSTIVE}")
 
 
 def _guard_steps(samples: int, n_states: int) -> None:
-    """Refuse ``samples`` instances over n states beyond ``MAX_STEPS`` kernel
-    steps.  An instance counts (n + 1)^4, the work of n + 1 products of n^3
-    steps.  That over-counts a star, which searches rather than multiplies,
-    but it keeps fixed which runs are accepted and which are refused."""
+    """Refuse ``samples`` instances over n states (random draws, or the k
+    tests of a search) beyond ``MAX_STEPS`` kernel steps, each counting
+    (n + 1)^4: n + 1 products of n^3 steps.  That over-counts a star, which
+    searches rather than multiplies, but it fixes which runs are refused."""
     if n_states > 0 and samples * (n_states + 1) ** 4 > MAX_STEPS:  # states_for refuses n < 1
-        raise EngineError(f"work of {samples} x {n_states}-state instances exceeds {MAX_STEPS} "
-                          "kernel steps")
+        raise EngineError(f"work of {_count(samples)} x {_count(n_states)}-state instances "
+                          f"exceeds {MAX_STEPS} kernel steps")
 
 
 def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> list[Verdict]:
@@ -428,27 +435,30 @@ def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> li
     k = len(space.cells)
     if mode == "exhaustive":
         for ident in core:
-            _guard(_AXIOMS[ident], k, n_states, "exhaustive space of {} instantiations")
+            _guard(_AXIOMS[ident], k, n_states)
     elif mode != "random":
         raise EngineError(f"unknown mode {mode!r}")
     elif not samples or samples < 1:
         raise EngineError("random mode needs a positive sample count")
-    for ident in search:
-        _guard(_AXIOMS[ident], k, n_states, "witness space of {} candidates")
-    _guard_steps(samples if mode == "random" else 1, n_states)
+    _guard_steps(max(samples if mode == "random" else 1, k if search else 1), n_states)
     states = states_for(n_states)
     units = _units(lattice, states, space.values)
     verdicts = []
     for ident, how in [(i, mode) for i in core] + [(i, "search") for i in search]:
         law = _AXIOMS[ident]
+        one_test = law.premise is None and [sort for _, sort in law.vars] == [Sort.TEST]
+        fixed = n_states - 1 if one_test and how != "random" else 0  # see the module docstring
         if how == "random":
             rng = random.Random(seed)  # each law draws from its own generator
             instances = (({name: _draw(rng, lattice, states, space, sort is Sort.TEST)
                            for name, sort in law.vars}, None) for _ in range(samples))
         else:
-            instances = _assignments(law, lattice, states, space)
-        verdicts.append(_check(law, instances, *units, lattice, n_states, how, axiom=ident,
-                               seed=seed if how == "random" else None))
+            instances = _assignments(law, lattice, states, space, fixed)
+        verdict = _check(law, instances, *units, lattice, n_states, how, axiom=ident,
+                         seed=seed if how == "random" else None)
+        if fixed and verdict.status is Status.HOLDS:  # the walk's own count
+            verdict = verdict.replace(samples=verdict.samples * k**fixed)
+        verdicts.append(verdict)
     return verdicts
 
 
@@ -478,9 +488,9 @@ def find_boolean_witness(
 ) -> dict[AxiomId, Verdict]:
     """Search tests refuting non-contradiction and excluded middle.
 
-    Candidates are enumerated deterministically (nearest classical
-    consistency first); each returned verdict reports the first
-    violating test, or holds when the whole space is clean.
+    Each verdict is the exhaustive walk's (nearest classical consistency
+    first): the first violating test, or holds over all k^n tests.  Both
+    laws act state by state, so k of the tests decide it (module docstring).
     """
     verdicts = _run(lattice, n_states, godel_grid, "exhaustive", None, None, (), BOOLEAN_AXIOMS)
     return dict(zip(BOOLEAN_AXIOMS, verdicts))

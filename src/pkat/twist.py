@@ -77,22 +77,13 @@ def wbot(lattice: LatticeId) -> Weight:
     return Weight(bottom(lattice), top(lattice))
 
 
-def _require_same(x: Weight, y: Weight) -> None:
-    if x.lattice is not y.lattice:
-        raise LatticeMismatchError(
-            f"cannot combine {x.lattice.value} with {y.lattice.value} weights"
-        )
-
-
 def wjoin(x: Weight, y: Weight) -> Weight:
     """Componentwise: join the support, meet the opposition."""
-    _require_same(x, y)
     return Weight(join(x.tt, y.tt), meet(x.ff, y.ff))
 
 
 def wmeet(x: Weight, y: Weight) -> Weight:
     """Componentwise: meet the support, join the opposition."""
-    _require_same(x, y)
     return Weight(meet(x.tt, y.tt), join(x.ff, y.ff))
 
 
@@ -102,7 +93,6 @@ def negate(x: Weight) -> Weight:
 
 
 def wleq(x: Weight, y: Weight) -> bool:
-    _require_same(x, y)
     return leq(x.tt, y.tt) and leq(y.ff, x.ff)
 
 

@@ -161,12 +161,49 @@ def test_axioms_space_guard_is_usage_error(capsys):
      "exhaustive space of 9^4563 instantiations exceeds 1000000"),
     (("--lattice", "lukasiewicz3", "--states", "100"),
      "exhaustive space of 9^30000 instantiations exceeds 1000000"),
-    (("--lattice", "godel", "--states", "7", "--samples", "1"),
-     "witness space of 25^7 candidates exceeds 1000000"),
-], ids=["luka3-39", "luka3-100", "godel-7-witness"])
+    (("--lattice", "bool2", "--states", "47", "--samples", "1"),
+     "work of 2 x 47-state instances exceeds 10000000 kernel steps"),
+], ids=["luka3-39", "luka3-100", "bool2-47-search"])
 def test_a_huge_space_is_refused_in_one_line(capsys, argv, message):
     code, out, err = run(capsys, "axioms", *argv)
     assert (code, out, err) == (2, "", f"engine error: {message}\n")
+
+
+def test_the_witness_search_has_no_space_of_its_own_to_refuse(capsys):
+    # 25^7 candidate tests, of which the search checks at most 25.  The walk
+    # fails at its second test: (0,1) on the diagonal but (1/4,3/4) at w7.
+    code, out, err = run(capsys, "axioms", "--lattice", "godel", "--states", "7",
+                         "--samples", "1")
+    assert (code, err) == (0, "")
+    for number in (219, 220):
+        assert any(row.startswith(f"({number})") and " fails checked=2  witness " in row
+                   and "(w7,w7): (0.25,0.75)" in row and " at (w7,w7): " in row
+                   for row in out.splitlines())
+
+
+def test_bool2_searches_its_tests_without_the_walk(capsys):
+    code, out, err = run(capsys, "axioms", "--lattice", "bool2", "--states", "14",
+                         "--samples", "1")
+    assert (code, err) == (0, "")
+    for number in (219, 220):
+        assert any(row.startswith(f"({number})") and " holds checked=16384" in row
+                   for row in out.splitlines())
+
+
+@pytest.mark.parametrize("digits", [300, 4300])
+@pytest.mark.parametrize("argv", [
+    ("axioms", "--lattice", "bool2", "--states", "{N}"),
+    ("axioms", "--lattice", "bool2", "--states", "{N}", "--samples", "1"),
+    ("axioms", "--lattice", "bool2", "--states", "1", "--samples", "{N}"),
+    ("equiv", "--t1", "p", "--t2", "p", "--lattice", "bool2", "--states", "{N}", "--random", "1"),
+    ("equiv", "--t1", "p", "--t2", "p", "--lattice", "bool2", "--states", "1", "--random", "{N}"),
+], ids=["axioms-states", "axioms-random-states", "axioms-samples", "equiv-states",
+        "equiv-samples"])
+def test_a_huge_count_is_refused_in_one_short_line(capsys, argv, digits):
+    code, out, err = run(capsys, *(a.replace("{N}", "9" * digits) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("engine error: ") and err.count("\n") == 1 and len(err) < 120
+    assert "e+" in err  # the count is printed as %.2e, not in full
 
 
 def test_a_state_count_past_the_digit_limit_is_refused_in_one_line(capsys):

@@ -12,6 +12,7 @@ whose single instance the work guard refuses.
 """
 
 import contextlib
+import copy
 import io
 import json
 
@@ -130,7 +131,7 @@ def documents(draw):
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        parent[path[-1]] = draw(REPLACEMENTS)
+        parent[path[-1]] = copy.deepcopy(draw(REPLACEMENTS))  # later edits must not reach it
     text = json.dumps(doc).replace(f'"{LONG_INTEGER}"', LONG_INTEGER)
     if draw(st.integers(0, 5)) == 5 and text.startswith('{"lattice"'):
         text = text.replace('{"lattice"', '{"states": [], "lattice"', 1)  # a duplicate key

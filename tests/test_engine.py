@@ -1,10 +1,10 @@
 import json
 import random
-from itertools import islice
+from itertools import islice, product
 from math import prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pkat.engine
 from pkat.engine import (
@@ -242,32 +242,44 @@ def test_a_huge_space_is_refused_from_its_exponent():
     # n = 10**10 states: the guard works on exponents, so nothing large is built.
     guard, laws = pkat.engine._guard, pkat.engine._AXIOMS
     with pytest.raises(EngineError) as err:
-        guard(laws[AxiomId.PLUS_ASSOC], 9, 10**10, "exhaustive space of {} instantiations")
+        guard(laws[AxiomId.PLUS_ASSOC], 9, 10**10)
     assert str(err.value) == (
         "exhaustive space of 9^300000000000000000000 instantiations exceeds 1000000"
     )
-    with pytest.raises(EngineError, match=r"^witness space of 25\^10000000000 candidates"):
-        guard(laws[AxiomId.TEST_NON_CONTRA], 25, 10**10, "witness space of {} candidates")
+    with pytest.raises(EngineError, match=r"^exhaustive space of 25\^10000000000 inst"):
+        guard(laws[AxiomId.TEST_NON_CONTRA], 25, 10**10)
     # One candidate makes one assignment however many cells there are.
-    guard(laws[AxiomId.PLUS_ASSOC], 1, 10**10, "{}")
-    # An exponent beyond the float range is compared as an integer.
-    with pytest.raises(EngineError, match=r"^2\^3" + "0" * 400 + " exceeds"):
-        guard(laws[AxiomId.PLUS_ASSOC], 2, 10**200, "{}")
+    guard(laws[AxiomId.PLUS_ASSOC], 1, 10**10)
+    # An exponent beyond the float range is compared as an integer and printed as %.2e.
+    with pytest.raises(EngineError, match=r"^exhaustive space of 2\^3\.00e\+400 inst"):
+        guard(laws[AxiomId.PLUS_ASSOC], 2, 10**200)
     # The cap itself is exact: 10**6 assignments pass and one more is refused.
     for k, n in ((10, 6), (1000, 2), (10**6, 1)):
-        guard(laws[AxiomId.TEST_DOT_IDEM], k, n, "{}")
-        with pytest.raises(EngineError, match=f"^{k + 1}\\^{n} exceeds"):
-            guard(laws[AxiomId.TEST_DOT_IDEM], k + 1, n, "{}")
-    with pytest.raises(EngineError, match=r"^9\^12 exceeds"):
-        guard(laws[AxiomId.PLUS_ASSOC], 9, 2, "{}")
+        guard(laws[AxiomId.TEST_DOT_IDEM], k, n)
+        with pytest.raises(EngineError, match=f"^exhaustive space of {k + 1}\\^{n} inst"):
+            guard(laws[AxiomId.TEST_DOT_IDEM], k + 1, n)
+    with pytest.raises(EngineError, match=r"^exhaustive space of 9\^12 inst"):
+        guard(laws[AxiomId.PLUS_ASSOC], 9, 2)
+
+
+def test_a_refused_count_is_printed_in_full_up_to_30_digits():
+    guard = pkat.engine._guard_steps
+    with pytest.raises(EngineError, match=f"^work of {'9' * 30} x 1-state instances exceeds"):
+        guard(10**30 - 1, 1)
+    with pytest.raises(EngineError, match=r"^work of 1\.00e\+30 x 1-state instances exceeds"):
+        guard(10**30, 1)
+    # Past float range and past str()'s 4300 digits alike.
+    with pytest.raises(EngineError, match=r"^work of 1 x 1\.00e\+5000-state instances exceeds"):
+        guard(1, 10**5000)
 
 
 def test_suite_refuses_before_checking_any_law(monkeypatch):
     monkeypatch.setattr(pkat.engine, "_check", None)  # any check would raise TypeError
     with pytest.raises(EngineError, match=r"^exhaustive space of 9\^27 "):
         pkat.engine.check_suite(L3, 3)
-    with pytest.raises(EngineError, match=r"^witness space of 25\^7 candidates"):
-        pkat.engine.check_suite(GD, 7, "random", samples=1, seed=0)
+    # The witness search's 2 tests at 48^4 steps each exceed the step cap.
+    with pytest.raises(EngineError, match=r"^work of 2 x 47-state instances exceeds"):
+        pkat.engine.check_suite(B2, 47, "random", samples=1, seed=0)
 
 
 def test_work_guard_counts_samples_and_star_rounds():
@@ -346,6 +358,56 @@ def test_boolean_witness_on_interval_grid():
     for verdict in found.values():
         assert verdict.status is Status.FAILS
         assert verdict.witness.assignment["a"].entry("w1", "w1") == half
+
+
+def _full_walk(ident, lattice, n, grid, mode):
+    """The one-test law's verdict from every one of its k^n tests in walk
+    order: the reference the k-instance check must reproduce."""
+    engine = pkat.engine
+    law, space, states = engine._AXIOMS[ident], engine._space(lattice, grid), states_for(n)
+    instances = (({"a": engine._relation(lattice, states, space, True, cells)}, None)
+                 for cells in product(space.cells, repeat=n))
+    units = engine._units(lattice, states, space.values)
+    return engine._check(law, instances, *units, lattice, n, mode, axiom=ident)
+
+
+@st.composite
+def _one_test_runs(draw):
+    """A lattice, a godel grid of 1-3 values or None, and n <= 4 (<= 8 on
+    bool2), keeping the oracle's walk to at most 729 tests."""
+    lattice = draw(st.sampled_from([B2, L3, GD]))
+    grid = None
+    if lattice is GD:
+        values = ["0", "1/4", "1/3", "1/2", "2/3", "3/4", "1"]
+        grid = draw(st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True))
+    k = len(weight_space(lattice, grid))
+    top = max(n for n in range(1, 9 if lattice is B2 else 5) if k**n <= 729)
+    return lattice, grid, draw(st.integers(1, top))
+
+
+@settings(max_examples=30, deadline=None)
+@example((L3, None, 3))  # the walk fails at its second test, at (w3,w3)
+@example((GD, ["1/2"], 4))  # the space's first cell fails: the walk's first test
+@example((GD, ["0", "1"], 3))  # consistent cells first, so the walk fails at its third
+@given(_one_test_runs())
+def test_one_test_laws_give_the_full_walks_verdicts(run):
+    lattice, grid, n = run
+    for ident in map(AxiomId, range(216, 221)):
+        got = check_axiom(ident, lattice, n, "exhaustive", godel_grid=grid)
+        assert verdict_to_dict(got) == verdict_to_dict(
+            _full_walk(ident, lattice, n, grid, "exhaustive"))
+    for ident, got in find_boolean_witness(lattice, n, grid).items():
+        assert verdict_to_dict(got) == verdict_to_dict(
+            _full_walk(ident, lattice, n, grid, "search"))
+
+
+def test_bool2_witness_search_builds_two_tests_per_law(monkeypatch):
+    # The walk built all 2^14 tests for each law; the search builds k = 2.
+    built, relation = [], pkat.engine._relation
+    monkeypatch.setattr(pkat.engine, "_relation", lambda *a: built.append(a) or relation(*a))
+    found = find_boolean_witness(B2, 14)
+    assert [(v.status, v.samples) for v in found.values()] == [(Status.HOLDS, 2**14)] * 2
+    assert len(built) <= 2 * 2
 
 
 # --- term equivalence ---------------------------------------------------------------

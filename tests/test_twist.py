@@ -179,8 +179,9 @@ def test_classify_boolean_and_interval():
 def test_mismatched_components_rejected():
     with pytest.raises(LatticeMismatchError):
         Weight(elem(L3, "u"), elem(B2, 1))
-    with pytest.raises(LatticeMismatchError):
-        wjoin(T3, wtop(B2))
+    for op in (wjoin, wmeet, wleq):  # the lattice operations refuse the mix
+        with pytest.raises(LatticeMismatchError, match="^cannot combine lukasiewicz3 with bool2$"):
+            op(T3, wtop(B2))
 
 
 def test_weight_json_round_trip():
