@@ -106,9 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", required=True)
     p.add_argument("--t2", required=True)
     p.add_argument("--lattice", choices=[l.value for l in LatticeId])
-    p.add_argument("--states", type=int)
-    p.add_argument("--random", type=int, metavar="SAMPLES")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--states", type=_int)
+    p.add_argument("--random", type=_int, metavar="SAMPLES")
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--tests", default="", metavar="NAMES",
                    help="comma-separated atoms to treat as tests (random mode)")
     p.add_argument("--godel-grid", metavar="VALUES")
@@ -117,11 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="run the axiom suite over a lattice")
     p.add_argument("--lattice", required=True, choices=[l.value for l in LatticeId])
-    p.add_argument("--states", type=int, required=True)
+    p.add_argument("--states", type=_int, required=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true", help="the default")
-    mode.add_argument("--samples", type=int, help="random mode: instances per axiom")
-    p.add_argument("--seed", type=int, default=0)
+    mode.add_argument("--samples", type=_int, help="random mode: instances per axiom")
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--godel-grid", metavar="VALUES")
     common(p)
     p.set_defaults(handler=_cmd_axioms)
@@ -141,6 +141,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_hoare)
 
     return parser
+
+
+def _int(text: str) -> int:
+    """``type=int``, but the error quotes at most 40 characters of the text."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
 
 
 def _read_model(path: str):

@@ -4,11 +4,12 @@ Terms evaluate compositionally to weight matrices over an assignment of
 their atoms.  Every law is term text: each catalog axiom is stored once,
 on its ``AxiomId``, as the formula it prints, and an equivalence t1 = t2
 or a triple {b} p {c} (read b;p <= b;p;c) becomes a law of the same
-shape.  One instance check evaluates a law's sides with the one
-evaluator and reports the first entry where it breaks; axiom checking
-runs it over assignments drawn exhaustively from a finite weight space
-or by seeded sampling, equivalence over a given model or a stream of
-random models, and ``recheck`` over a verdict's own witness.
+shape.  A law is compiled once per run to straight-line kernel calls,
+one per distinct subterm, and ``evaluate`` compiles a term alike.  One
+instance check runs a law and reports the first entry where it breaks;
+axiom checking runs it over assignments drawn exhaustively from a finite
+weight space or by seeded sampling, equivalence over a given model or a
+stream of random models, and ``recheck`` over a verdict's own witness.
 
 A run builds its candidate space once, and every law it checks (the
 whole catalog, for ``check_suite``) draws from it.  The space is ordered
@@ -28,8 +29,8 @@ instance fails iff one of its cells fails the law at one state.  The
 walk's first failure is then (s0, ..., s0, f), s0 the space's first cell
 and f the first failing one: among the k instances whose last cell alone
 varies, which so give the walk's own count and witness, or hold when it
-holds on all k^n.  Runs too large for ``MAX_EXHAUSTIVE`` or
-``MAX_STEPS`` are refused from their sizes alone.
+holds on all k^n; both guards count those k.  Runs too large for
+``MAX_EXHAUSTIVE`` or ``MAX_STEPS`` are refused from their sizes alone.
 """
 
 from __future__ import annotations
@@ -158,35 +159,27 @@ class Verdict(Record):
 
 class _Law(Record):
     """Goals ``lhs = rhs`` (``lhs <= rhs`` when ``leq``), required only where
-    the premise ``lhs <= rhs``, if any, holds.  ``vars`` are a catalog
-    law's variables in witness order; ``formula`` and ``terms`` are what a
+    the premise ``lhs <= rhs``, if ``premise``, holds: ``code`` compiles
+    their sides, the premise's first.  ``vars`` are a catalog law's
+    variables in witness order; ``formula`` and ``terms`` are what a
     witness prints."""
 
-    __slots__ = ("formula", "goals", "leq", "premise", "vars", "terms")
-    _defaults = {"leq": False, "premise": None, "vars": (), "terms": None}
+    __slots__ = ("formula", "code", "leq", "premise", "vars", "terms")
+    _defaults = {"leq": False, "premise": False, "vars": (), "terms": None}
 
 
 _TEST_VARS = frozenset("abc")
 
 
-def _law(formula: str) -> _Law:
-    """A catalog law from the text it prints."""
-    sides = [parse(side) for side in re.split("<=|->|=", formula)]
-    names = sorted(frozenset().union(*map(atoms, sides)))
-    variables = tuple((x, Sort.TEST if x in _TEST_VARS else Sort.PROGRAM) for x in names)
-    if "->" in formula:
-        pl, pr, cl, cr = sides
-        return _Law(formula, ((cl, cr),), leq=True, premise=(pl, pr), vars=variables)
-    *lefts, right = sides
-    return _Law(formula, tuple((left, right) for left in lefts), vars=variables)
+class _Laws:
+    """The catalog; each lookup compiles a law afresh, with the kernels bound then."""
 
-
-class _Laws(dict):
-    """The catalog, each law parsed on first lookup (most commands use none)."""
-
-    def __missing__(self, ident: AxiomId) -> _Law:
-        law = self[ident] = _law(ident.formula)
-        return law
+    def __getitem__(self, ident: AxiomId) -> _Law:
+        sides = [parse(side) for side in re.split("<=|->|=", ident.formula)]
+        horn = "->" in ident.formula  # four sides, else t0 = ... = tk as each ti = tk
+        code = _compile(sides if horn else [t for ti in sides[:-1] for t in (ti, sides[-1])])
+        variables = tuple((x, Sort.TEST if x in _TEST_VARS else Sort.PROGRAM) for x in code[0])
+        return _Law(ident.formula, code, leq=horn, premise=horn, vars=variables)
 
 
 _AXIOMS = _Laws()
@@ -194,15 +187,14 @@ _AXIOMS = _Laws()
 
 def _equation(t1: Term, t2: Term) -> _Law:
     terms = (pretty(t1), pretty(t2))
-    return _Law(" = ".join(terms), ((t1, t2),), terms=terms)
+    return _Law(" = ".join(terms), _compile((t1, t2)), terms=terms)
 
 
 def _triple(pre: Term, prog: Term, post: Term) -> _Law:
-    """{pre} prog {post}: pre;prog <= pre;prog;post.  The right side
-    extends the left one, which ``_break`` evaluates once."""
+    """{pre} prog {post}: pre;prog <= pre;prog;post."""
     terms = (pretty(pre), pretty(prog), pretty(post))
     lhs = Dot(pre, prog)
-    return _Law("{%s} %s {%s}" % terms, ((lhs, Dot(lhs, post)),), leq=True, terms=terms)
+    return _Law("{%s} %s {%s}" % terms, _compile((lhs, Dot(lhs, post))), leq=True, terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +204,9 @@ def _triple(pre: Term, prog: Term, post: Term) -> _Law:
 def evaluate(term: Term, model: Model) -> PRel:
     """Interpret a term as a weight matrix over the model's states."""
     sort_check(term, model)
-    env = _atom_assignment(model, atoms(term))
-    return _eval(term, env, *_units(model.lattice, model.states, model.values))
+    names, steps, (root,) = _compile((term,))
+    units = _units(model.lattice, model.states, model.values)
+    return _fill([*units, *_atom_assignment(model, names).values()], steps, root)
 
 
 def _units(lattice: LatticeId, states, values) -> tuple[PRel, PRel]:
@@ -221,23 +214,38 @@ def _units(lattice: LatticeId, states, values) -> tuple[PRel, PRel]:
     return identity(lattice, states, values), zero(lattice, states, values)
 
 
-def _eval(term: Term, env: Mapping[str, PRel], one: PRel, zer: PRel) -> PRel:
-    """Interpret a term over an assignment of its atoms."""
-    match term:
-        case Atom(name):
-            return env[name]
-        case Dot(left, right):
-            return r_dot(_eval(left, env, one, zer), _eval(right, env, one, zer))
-        case Plus(left, right):
-            return r_plus(_eval(left, env, one, zer), _eval(right, env, one, zer))
-        case Star(inner):
-            return r_star(_eval(inner, env, one, zer))
-        case Not(inner):
-            return t_complement(_eval(inner, env, one, zer))
-        case One():
-            return one
-        case Zero():
-            return zer
+def _compile(terms) -> tuple:
+    """The terms as one straight-line program: their atoms' names, the steps
+    and each term's root slot.  Slots 0 and 1 hold ``1`` and ``0``, then the
+    atoms; step s, a kernel and its operands' slots (the second None for ``*``
+    and ``!``), fills each later slot s.  Equal subterms share one slot."""
+    names = sorted(frozenset().union(*map(atoms, terms)))
+    steps = [None] * (2 + len(names))
+    slot_of = {One(): 0, Zero(): 1, **{Atom(x): s for s, x in enumerate(names, 2)}}
+    kernels = {Dot: r_dot, Plus: r_plus, Star: r_star, Not: t_complement}
+
+    def slot(term) -> int:  # post-order, so slots are numbered in evaluation order
+        match term:
+            case Plus(left, right) | Dot(left, right):
+                key = (kernels[type(term)], slot(left), slot(right))
+            case Star(inner) | Not(inner):
+                key = (kernels[type(term)], slot(inner), None)
+            case _:
+                return slot_of[term]
+        if key not in slot_of:
+            slot_of[key] = len(steps)
+            steps.append(key)
+        return slot_of[key]
+
+    roots = tuple(map(slot, terms))
+    return names, tuple(steps), roots
+
+
+def _fill(slots: list[PRel], steps, root: int) -> PRel:
+    """Slot ``root``'s value, running in order the steps up to it not yet run."""
+    for kernel, i, j in steps[len(slots):root + 1]:
+        slots.append(kernel(slots[i]) if j is None else kernel(slots[i], slots[j]))
+    return slots[root]
 
 
 # ---------------------------------------------------------------------------
@@ -356,21 +364,17 @@ def _first_break(lhs: PRel, rhs: PRel, require_leq: bool):
 
 def _break(law: _Law, env: Mapping[str, PRel], one: PRel, zer: PRel):
     """None when the instance ``env`` satisfies the law, else its first
-    break: the entry and the two sides' weights there."""
-    if law.premise is not None:
-        pl, pr = law.premise
-        if not r_leq(_eval(pl, env, one, zer), _eval(pr, env, one, zer)):
-            return None
-    for lhs, rhs in law.goals:
-        left = _eval(lhs, env, one, zer)
-        if isinstance(rhs, Dot) and rhs.left is lhs:  # a triple: rhs is lhs;post
-            right = r_dot(left, _eval(rhs.right, env, one, zer))
-        else:
-            right = _eval(rhs, env, one, zer)
+    break: the entry and the two sides' weights there.  A pair of sides
+    runs only when the pairs before it held."""
+    names, steps, roots = law.code
+    slots = [one, zer, *map(env.__getitem__, names)]
+    sides = (_fill(slots, steps, root) for root in roots)
+    if law.premise and not r_leq(next(sides), next(sides)):
+        return None
+    for left, right in zip(sides, sides):
         found = _first_break(left, right, law.leq)
         if found is not None:
             return found
-    return None
 
 
 def _check(law: _Law, instances, one: PRel, zer: PRel, lattice, n_states, mode, **fields):
@@ -417,7 +421,7 @@ def _guard(law: _Law, k: int, n_states: int) -> None:
 
 def _guard_steps(samples: int, n_states: int) -> None:
     """Refuse ``samples`` instances over n states (random draws, or the k
-    tests of a search) beyond ``MAX_STEPS`` kernel steps, each counting
+    tests of a one-test walk) beyond ``MAX_STEPS`` kernel steps, each counting
     (n + 1)^4: n + 1 products of n^3 steps.  That over-counts a star, which
     searches rather than multiplies, but it fixes which runs are refused."""
     if n_states > 0 and samples * (n_states + 1) ** 4 > MAX_STEPS:  # states_for refuses n < 1
@@ -433,21 +437,24 @@ def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> li
         raise EngineError("need at least one state")
     space = _space(lattice, godel_grid)
     k = len(space.cells)
+    plan = []  # (ident, how, law, whether its walk takes k instances: see the module docstring)
+    for ident, how in [(i, mode) for i in core] + [(i, "search") for i in search]:
+        law = _AXIOMS[ident]
+        one_test = not law.premise and [sort for _, sort in law.vars] == [Sort.TEST]
+        plan.append((ident, how, law, one_test and how != "random"))
     if mode == "exhaustive":
-        for ident in core:
-            _guard(_AXIOMS[ident], k, n_states)
+        for _, _, law, reduced in plan[:len(core)]:
+            _guard(law, k, 1 if reduced else n_states)  # k instances, as at one state
     elif mode != "random":
         raise EngineError(f"unknown mode {mode!r}")
     elif not samples or samples < 1:
         raise EngineError("random mode needs a positive sample count")
-    _guard_steps(max(samples if mode == "random" else 1, k if search else 1), n_states)
+    _guard_steps(max([samples if mode == "random" else 1] + [k for *_, r in plan if r]), n_states)
     states = states_for(n_states)
     units = _units(lattice, states, space.values)
     verdicts = []
-    for ident, how in [(i, mode) for i in core] + [(i, "search") for i in search]:
-        law = _AXIOMS[ident]
-        one_test = law.premise is None and [sort for _, sort in law.vars] == [Sort.TEST]
-        fixed = n_states - 1 if one_test and how != "random" else 0  # see the module docstring
+    for ident, how, law, reduced in plan:
+        fixed = n_states - 1 if reduced else 0
         if how == "random":
             rng = random.Random(seed)  # each law draws from its own generator
             instances = (({name: _draw(rng, lattice, states, space, sort is Sort.TEST)
@@ -516,18 +523,13 @@ def check_suite(
 
 
 def _atom_assignment(model: Model, names: Iterable[str]) -> dict[str, PRel]:
-    out = {}
-    for name in sorted(names):
-        if name in model.programs:
-            out[name] = model.programs[name]
-        else:
-            out[name] = diagonal_relation(model, name)
-    return out
+    return {name: model.programs[name] if name in model.programs
+            else diagonal_relation(model, name) for name in sorted(names)}
 
 
-def _on_model(law: _Law, model: Model, names: Iterable[str]) -> Verdict:
+def _on_model(law: _Law, model: Model) -> Verdict:
     """Check the law on the model's relations: one instance, so no count."""
-    env = _atom_assignment(model, names)
+    env = _atom_assignment(model, law.code[0])
     units = _units(model.lattice, model.states, model.values)
     verdict = _check(law, [(env, model)], *units, model.lattice, len(model.states), "model")
     return verdict.replace(samples=None)
@@ -537,7 +539,7 @@ def equiv(t1: Term, t2: Term, model: Model) -> Verdict:
     """Exact equality of the two interpretations on one model."""
     sort_check(t1, model)
     sort_check(t2, model)
-    return _on_model(_equation(t1, t2), model, atoms(t1) | atoms(t2))
+    return _on_model(_equation(t1, t2), model)
 
 
 def equiv_random(
@@ -584,8 +586,7 @@ def hoare_check(pre: Term, prog: Term, post: Term, model: Model) -> Verdict:
     if sort_check(post, model) is not Sort.TEST:
         raise SortError("the postcondition must be a test")
     sort_check(prog, model)
-    names = atoms(pre) | atoms(prog) | atoms(post)
-    return _on_model(_triple(pre, prog, post), model, names)
+    return _on_model(_triple(pre, prog, post), model)
 
 
 # ---------------------------------------------------------------------------

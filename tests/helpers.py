@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from pkat.lattice import LatticeId, elem
+from pkat.relp import r_dot, r_plus, r_star, t_complement
 from pkat.syntax import Atom, Dot, Not, One, Plus, Star, Term, Zero
 from pkat.twist import Weight, weight, wbot, wjoin, wmeet, wtop
 
@@ -70,6 +71,29 @@ def oracle_star(states, a: dict, lattice, max_power: int) -> dict:
         power = oracle_dot(states, a, power, lattice)
         acc = {k: wjoin(acc[k], power[k]) for k in acc}
     return acc
+
+
+# --- term-walk oracle (independent of the compiled form) --------------------
+
+
+def oracle_eval(term: Term, env: dict, one, zer):
+    """Interpret a term over an assignment of its atoms by walking it, one
+    kernel call per node, so a repeated subterm is computed each time."""
+    match term:
+        case Atom(name):
+            return env[name]
+        case Dot(left, right):
+            return r_dot(oracle_eval(left, env, one, zer), oracle_eval(right, env, one, zer))
+        case Plus(left, right):
+            return r_plus(oracle_eval(left, env, one, zer), oracle_eval(right, env, one, zer))
+        case Star(inner):
+            return r_star(oracle_eval(inner, env, one, zer))
+        case Not(inner):
+            return t_complement(oracle_eval(inner, env, one, zer))
+        case One():
+            return one
+        case Zero():
+            return zer
 
 
 # --- ordinary binary-relation oracle (classical embedding) ------------------

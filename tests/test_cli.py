@@ -206,6 +206,30 @@ def test_a_huge_count_is_refused_in_one_short_line(capsys, argv, digits):
     assert "e+" in err  # the count is printed as %.2e, not in full
 
 
+@pytest.mark.parametrize("argv", [
+    ("axioms", "--lattice", "bool2", "--states", "{N}"),
+    ("axioms", "--lattice", "bool2", "--states", "1", "--samples", "{N}"),
+    ("axioms", "--lattice", "bool2", "--states", "1", "--seed", "{N}"),
+    ("equiv", "--t1", "p", "--t2", "p", "--lattice", "bool2", "--states", "{N}", "--random", "1"),
+    ("equiv", "--t1", "p", "--t2", "p", "--lattice", "bool2", "--states", "1", "--random", "{N}"),
+    ("equiv", "--t1", "p", "--t2", "p", "--random", "1", "--seed", "{N}"),
+], ids=["axioms-states", "axioms-samples", "axioms-seed", "equiv-states", "equiv-random",
+        "equiv-seed"])
+@pytest.mark.parametrize("text, quoted", [
+    ("1" * 4301, "'" + "1" * 40 + "'..."),  # more digits than int() reads
+    ("x" * 41, "'" + "x" * 40 + "'..."),
+    ("x" * 40, "'" + "x" * 40 + "'"),  # quoted in full, as type=int quotes it
+    ("1x", "'1x'"),
+], ids=["4301-digits", "41-chars", "40-chars", "short"])
+def test_a_count_that_is_no_integer_is_quoted_at_most_40_characters(capsys, argv, text, quoted):
+    with pytest.raises(SystemExit) as exc:
+        main([a.replace("{N}", text) for a in argv])
+    last = capsys.readouterr().err.splitlines()[-1]
+    option = argv[argv.index("{N}") - 1]
+    assert exc.value.code == 2 and len(last) < 120
+    assert last.endswith(f": error: argument {option}: invalid int value: {quoted}")
+
+
 def test_a_state_count_past_the_digit_limit_is_refused_in_one_line(capsys):
     # 3 * N^2 cells has more digits than str() converts, so the exponent is rounded.
     code, out, err = run(capsys, "axioms", "--lattice", "bool2", "--states", "1" * 2200)

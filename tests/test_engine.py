@@ -26,11 +26,11 @@ from pkat.engine import (
 from pkat.errors import EngineError, SortError
 from pkat.lattice import carrier, elem
 from pkat.plts import load_model
-from pkat.relp import from_ranks, identity, r_dot, r_plus, r_star, t_complement, zero
-from pkat.syntax import Dot, Not, Plus, Sort, Star, parse
+from pkat.relp import from_ranks, identity, r_dot, r_leq, r_plus, r_star, t_complement, zero
+from pkat.syntax import Atom, Dot, Not, One, Plus, Sort, Star, Zero, parse
 from pkat.twist import Weight, wbot, wtop
 
-from helpers import B2, GD, L3, lw, random_sorted_term
+from helpers import B2, GD, L3, lw, oracle_eval, random_sorted_term
 
 RICH_DOC = json.dumps(
     {
@@ -96,6 +96,57 @@ def test_evaluate_compositional(rich_model):
         assert evaluate(Not(guard), rich_model) == t_complement(
             evaluate(guard, rich_model)
         )
+
+
+def _extend(inner, unary):
+    """One more layer; the last option repeats a subterm, as laws do."""
+    return st.one_of(st.builds(Plus, inner, inner), st.builds(Dot, inner, inner),
+                     st.builds(unary, inner), inner.map(lambda t: Plus(Dot(t, t), t)))
+
+
+TEST_TERMS = st.recursive(st.sampled_from([Zero(), One(), Atom("a"), Atom("b")]),
+                          lambda inner: _extend(inner, Not), max_leaves=5)
+PROGRAM_TERMS = st.recursive(st.one_of(TEST_TERMS, st.sampled_from([Atom("p"), Atom("q")])),
+                             lambda inner: _extend(inner, Star), max_leaves=6)
+
+
+@st.composite
+def _models(draw):
+    lattice, n = draw(st.sampled_from([B2, L3, GD])), draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return random_model(rng, lattice, states_for(n), ("p", "q"), ("a", "b"))
+
+
+def _walked_break(sides, leq, premise, env, units):
+    """The first break of the law with these sides, each side walked in full."""
+    values = [oracle_eval(side, env, *units) for side in sides]
+    pairs = list(zip(values[::2], values[1::2]))
+    if premise and not r_leq(*pairs.pop(0)):
+        return None
+    found = (pkat.engine._first_break(lhs, rhs, leq) for lhs, rhs in pairs)
+    return next((f for f in found if f is not None), None)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_models(), PROGRAM_TERMS, PROGRAM_TERMS, TEST_TERMS)
+def test_compiled_laws_match_the_term_walk(model, t1, t2, b):
+    engine = pkat.engine
+    env = engine._atom_assignment(model, "abpq")
+    units = engine._units(model.lattice, model.states, model.values)
+    assert evaluate(t1, model) == oracle_eval(t1, env, *units)
+    sum12, star1 = Plus(t1, t2), Star(t1)
+    goals = [sum12, Plus(t2, t1), Plus(One(), Dot(t1, star1)), star1, Dot(t1, t2), Dot(t2, t1)]
+    laws = [  # (law, its sides, leq, premise)
+        (engine._equation(t1, t2), [t1, t2], False, False),
+        (engine._triple(b, t1, b), [Dot(b, t1), Dot(Dot(b, t1), b)], True, False),
+        (None, goals, False, False),  # goals that hold, then one that may break
+        (None, [t1, sum12, t2, t1], True, True),  # a premise that holds
+        (None, [Dot(t1, t2), t2, Dot(star1, t2), t2], True, True),  # star induction
+    ]
+    for law, sides, leq, premise in laws:
+        law = law or engine._Law("", engine._compile(sides), leq=leq, premise=premise)
+        want = _walked_break(sides, leq, premise, env, units)
+        assert engine._break(law, env, *units) == want
 
 
 # --- weight spaces ---------------------------------------------------------------
@@ -401,6 +452,14 @@ def test_one_test_laws_give_the_full_walks_verdicts(run):
             _full_walk(ident, lattice, n, grid, "search"))
 
 
+def test_one_test_law_is_guarded_by_the_tests_it_checks():
+    # 25^5 tests at godel n = 5, but the walk checks 25: the search's walk.
+    got = verdict_to_dict(check_axiom(AxiomId.TEST_NON_CONTRA, GD, 5))
+    found = verdict_to_dict(find_boolean_witness(GD, 5)[AxiomId.TEST_NON_CONTRA])
+    assert (got.pop("mode"), found.pop("mode")) == ("exhaustive", "search")
+    assert got == found and (got["status"], got["samples"]) == ("fails", 2)
+
+
 def test_bool2_witness_search_builds_two_tests_per_law(monkeypatch):
     # The walk built all 2^14 tests for each law; the search builds k = 2.
     built, relation = [], pkat.engine._relation
@@ -428,6 +487,14 @@ def test_equiv_failure_carries_witness(rich_model):
     assert verdict.status is Status.FAILS
     assert verdict.witness.entry is not None
     assert recheck(verdict)
+
+
+def test_equiv_computes_a_repeated_star_once(two_state_model, monkeypatch):
+    # r* occurs three times on the left and once on the right: one slot, one call.
+    stars, star = [], pkat.engine.r_star
+    monkeypatch.setattr(pkat.engine, "r_star", lambda rel: stars.append(rel) or star(rel))
+    verdict = equiv(parse("r*;r* + r*"), parse("r*"), two_state_model)
+    assert verdict.status is Status.HOLDS and len(stars) == 1
 
 
 def test_equiv_random_program_composition_not_commutative():

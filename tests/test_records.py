@@ -59,10 +59,10 @@ CASES = {
         "samples=4, seed=None)",
     ),
     _Law: (
-        ("p = q", ((P, Q),), False, None, (), None),
-        ("p = q", ((P, Q),), True, None, (), None),
-        "_Law(formula='p = q', goals=((Atom(name='p'), Atom(name='q')),), leq=False, "
-        "premise=None, vars=(), terms=None)",
+        ("p = q", (("p", "q"), (None,) * 4, (2, 3)), False, False, (), None),
+        ("p = q", (("p", "q"), (None,) * 4, (2, 3)), True, False, (), None),
+        "_Law(formula='p = q', code=(('p', 'q'), (None, None, None, None), (2, 3)), "
+        "leq=False, premise=False, vars=(), terms=None)",
     ),
     _Space: (
         ((Fraction(0), Fraction(1)), ()),
