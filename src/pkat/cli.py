@@ -7,6 +7,11 @@ a defect in pkat, never a verdict), 74 the output could not be written
 (``output error: ...`` on stderr), 141 stdout was closed before the
 output was written (as a process killed by SIGPIPE reports it; nothing
 is printed).
+
+Each command imports only the modules it runs.  ``star`` and
+``classify`` need the model and its relations; ``eval`` also loads
+``syntax``, which parses and evaluates terms; ``equiv``, ``axioms`` and
+``hoare`` also load ``engine``, the checking half.
 """
 
 from __future__ import annotations
@@ -15,18 +20,8 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .engine import (
-    CORE_AXIOMS,
-    Status,
-    Verdict,
-    check_suite,
-    equiv,
-    equiv_random,
-    evaluate,
-    hoare_check,
-    verdict_to_dict,
-)
 from .errors import (
     CarrierError,
     EngineError,
@@ -35,12 +30,15 @@ from .errors import (
     ParseError,
     ShapeError,
     SortError,
+    quoted,
 )
 from .lattice import LatticeId, elem
 from .plts import diagonal_relation, load_model, model_to_dict, program_relation
 from .relp import PRel, format_grid, format_prel, prel_to_entries, r_star_steps
-from .syntax import parse, pretty
 from .twist import classify, format_weight
+
+if TYPE_CHECKING:
+    from .engine import Verdict
 
 
 def main(argv=None) -> int:
@@ -105,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--t1", required=True)
     p.add_argument("--t2", required=True)
-    p.add_argument("--lattice", choices=[l.value for l in LatticeId])
+    p.add_argument("--lattice", type=_lattice, choices=_LATTICES)
     p.add_argument("--states", type=_int)
     p.add_argument("--random", type=_int, metavar="SAMPLES")
     p.add_argument("--seed", type=_int, default=0)
@@ -116,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_equiv)
 
     p = sub.add_parser("axioms", help="run the axiom suite over a lattice")
-    p.add_argument("--lattice", required=True, choices=[l.value for l in LatticeId])
+    p.add_argument("--lattice", required=True, type=_lattice, choices=_LATTICES)
     p.add_argument("--states", type=_int, required=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true", help="the default")
@@ -148,8 +146,19 @@ def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
-        raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
+
+
+_LATTICES = [l.value for l in LatticeId]
+
+
+def _lattice(text: str) -> str:
+    """The text, for argparse's own choice check; a text too long to be a
+    choice is refused here, quoted at most 40 characters (the usage line
+    above the message lists the choices)."""
+    if len(text) <= 40:
+        return text
+    raise argparse.ArgumentTypeError(f"invalid choice: {quoted(text)}")
 
 
 def _read_model(path: str):
@@ -157,12 +166,16 @@ def _read_model(path: str):
         with open(path, "rb") as handle:
             document = handle.read()
     except OSError as exc:
-        raise ModelError(str(exc)) from exc
+        if exc.filename is None:
+            raise ModelError(str(exc)) from exc
+        raise ModelError(f"[Errno {exc.errno}] {exc.strerror}: {quoted(path)}") from exc
     return load_model(document)
 
 
 def _term(args, option: str):
     """Parse the term given as ``--option``; a parse error names the option."""
+    from .syntax import parse
+
     try:
         return parse(getattr(args, option))
     except ParseError as exc:
@@ -182,7 +195,7 @@ def _named_relation(model, name: str) -> PRel:
         return program_relation(model, name)
     if name in model.tests:
         return diagonal_relation(model, name)
-    raise ModelError(f"unknown relation {name!r}")
+    raise ModelError(f"unknown relation {quoted(name)}")
 
 
 def _class_grid(rel: PRel) -> str:
@@ -194,6 +207,8 @@ def _classification(rel: PRel) -> list[list[str]]:
 
 
 def _cmd_eval(args) -> int:
+    from .syntax import evaluate, pretty
+
     model = _read_model(args.model)
     term = _term(args, "term")
     rel = evaluate(term, model)
@@ -249,6 +264,8 @@ def _witness_parts(verdict: Verdict, unicode: bool, eq: str) -> list[str]:
 
 
 def _print_verdict(verdict: Verdict, args, lead: list[str]) -> int:
+    from .engine import Status, verdict_to_dict
+
     if args.json:
         print(json.dumps(verdict_to_dict(verdict), indent=2))
         return 0 if verdict.status is Status.HOLDS else 1
@@ -269,6 +286,9 @@ def _print_verdict(verdict: Verdict, args, lead: list[str]) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from .engine import equiv, equiv_random
+    from .syntax import pretty
+
     t1, t2 = _term(args, "t1"), _term(args, "t2")
     lead = [f"t1: {pretty(t1)}", f"t2: {pretty(t2)}"]
     if args.model:
@@ -292,6 +312,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _axiom_row(verdict: Verdict, unicode: bool) -> str:
+    from .engine import Status
+
     ax = verdict.axiom
     row = (
         f"({ax.value:>3}) {ax.slug:<20} {ax.formula:<28} "
@@ -303,6 +325,8 @@ def _axiom_row(verdict: Verdict, unicode: bool) -> str:
 
 
 def _cmd_axioms(args) -> int:
+    from .engine import CORE_AXIOMS, Status, check_suite, verdict_to_dict
+
     lattice = LatticeId.from_name(args.lattice)
     grid = _parse_grid(args.godel_grid)
     mode = "exhaustive" if args.samples is None else "random"
@@ -350,6 +374,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_hoare(args) -> int:
+    from .engine import hoare_check
+    from .syntax import pretty
+
     model = _read_model(args.model)
     pre, prog, post = (_term(args, option) for option in ("pre", "prog", "post"))
     verdict = hoare_check(pre, prog, post, model)

@@ -1,15 +1,18 @@
-"""Interprets terms over models and verifies the algebra mechanically.
+"""Verifies the algebra mechanically over the meaning of terms.
 
-Terms evaluate compositionally to weight matrices over an assignment of
-their atoms.  Every law is term text: each catalog axiom is stored once,
-on its ``AxiomId``, as the formula it prints, and an equivalence t1 = t2
-or a triple {b} p {c} (read b;p <= b;p;c) becomes a law of the same
-shape.  A law is compiled once per run to straight-line kernel calls,
-one per distinct subterm, and ``evaluate`` compiles a term alike.  One
-instance check runs a law and reports the first entry where it breaks;
-axiom checking runs it over assignments drawn exhaustively from a finite
-weight space or by seeded sampling, equivalence over a given model or a
-stream of random models, and ``recheck`` over a verdict's own witness.
+Evaluation comes from ``syntax``: terms evaluate compositionally to
+weight matrices over an assignment of their atoms, and ``evaluate``
+(imported here, so ``engine.evaluate`` is the same function) needs
+nothing of this module.  Every law is term text: each catalog axiom is
+stored once, on its ``AxiomId``, as the formula it prints, and an
+equivalence t1 = t2 or a triple {b} p {c} (read b;p <= b;p;c) becomes a
+law of the same shape.  A law is compiled once per run by
+``syntax._compile`` to straight-line kernel calls, one per distinct
+subterm, as ``evaluate`` compiles a term.  One instance check runs a law
+and reports the first entry where it breaks; axiom checking runs it over
+assignments drawn exhaustively from a finite weight space or by seeded
+sampling, equivalence over a given model or a stream of random models,
+and ``recheck`` over a verdict's own witness.
 
 A run builds its candidate space once, and every law it checks (the
 whole catalog, for ``check_suite``) draws from it.  The space is ordered
@@ -46,34 +49,20 @@ from typing import Iterable, Mapping
 
 from .errors import EngineError, SortError
 from .lattice import LatticeId, carrier, elem
-from .plts import Model, model_to_dict, diagonal_relation
+from .plts import Model, model_to_dict
 from .record import Record
-from .relp import (
-    PRel,
-    align,
-    from_ranks,
-    identity,
-    prel_to_entries,
-    r_dot,
-    r_leq,
-    r_plus,
-    r_star,
-    t_complement,
-    value_table,
-    zero,
-)
+from .relp import PRel, align, from_ranks, prel_to_entries, r_leq, value_table
 from .setp import _from_test
 from .syntax import (
-    Atom,
     Dot,
-    Not,
-    One,
-    Plus,
     Sort,
-    Star,
     Term,
-    Zero,
+    _atom_assignment,
+    _compile,
+    _fill,
+    _units,
     atoms,
+    evaluate,
     parse,
     pretty,
     sort_check,
@@ -195,57 +184,6 @@ def _triple(pre: Term, prog: Term, post: Term) -> _Law:
     terms = (pretty(pre), pretty(prog), pretty(post))
     lhs = Dot(pre, prog)
     return _Law("{%s} %s {%s}" % terms, _compile((lhs, Dot(lhs, post))), leq=True, terms=terms)
-
-
-# ---------------------------------------------------------------------------
-# Term evaluation
-
-
-def evaluate(term: Term, model: Model) -> PRel:
-    """Interpret a term as a weight matrix over the model's states."""
-    sort_check(term, model)
-    names, steps, (root,) = _compile((term,))
-    units = _units(model.lattice, model.states, model.values)
-    return _fill([*units, *_atom_assignment(model, names).values()], steps, root)
-
-
-def _units(lattice: LatticeId, states, values) -> tuple[PRel, PRel]:
-    """The relations ``1`` and ``0``, built once per check."""
-    return identity(lattice, states, values), zero(lattice, states, values)
-
-
-def _compile(terms) -> tuple:
-    """The terms as one straight-line program: their atoms' names, the steps
-    and each term's root slot.  Slots 0 and 1 hold ``1`` and ``0``, then the
-    atoms; step s, a kernel and its operands' slots (the second None for ``*``
-    and ``!``), fills each later slot s.  Equal subterms share one slot."""
-    names = sorted(frozenset().union(*map(atoms, terms)))
-    steps = [None] * (2 + len(names))
-    slot_of = {One(): 0, Zero(): 1, **{Atom(x): s for s, x in enumerate(names, 2)}}
-    kernels = {Dot: r_dot, Plus: r_plus, Star: r_star, Not: t_complement}
-
-    def slot(term) -> int:  # post-order, so slots are numbered in evaluation order
-        match term:
-            case Plus(left, right) | Dot(left, right):
-                key = (kernels[type(term)], slot(left), slot(right))
-            case Star(inner) | Not(inner):
-                key = (kernels[type(term)], slot(inner), None)
-            case _:
-                return slot_of[term]
-        if key not in slot_of:
-            slot_of[key] = len(steps)
-            steps.append(key)
-        return slot_of[key]
-
-    roots = tuple(map(slot, terms))
-    return names, tuple(steps), roots
-
-
-def _fill(slots: list[PRel], steps, root: int) -> PRel:
-    """Slot ``root``'s value, running in order the steps up to it not yet run."""
-    for kernel, i, j in steps[len(slots):root + 1]:
-        slots.append(kernel(slots[i]) if j is None else kernel(slots[i], slots[j]))
-    return slots[root]
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +458,6 @@ def check_suite(
 
 # ---------------------------------------------------------------------------
 # Term equivalence and triples
-
-
-def _atom_assignment(model: Model, names: Iterable[str]) -> dict[str, PRel]:
-    return {name: model.programs[name] if name in model.programs
-            else diagonal_relation(model, name) for name in sorted(names)}
 
 
 def _on_model(law: _Law, model: Model) -> Verdict:

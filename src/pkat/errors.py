@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how a message quotes
+the user's text."""
+
+
+def quoted(text: str) -> str:
+    """``repr(text)``, or for a text longer than 40 characters ``repr`` of
+    its first 40 and ``...``: a message never echoes an argument in full."""
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
 
 
 class PkatError(Exception):

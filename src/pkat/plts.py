@@ -33,7 +33,7 @@ import json
 import re
 from types import MappingProxyType
 
-from .errors import CarrierError, LatticeMismatchError, ModelError
+from .errors import CarrierError, LatticeMismatchError, ModelError, quoted
 from .lattice import LatticeId, bottom, elem, elem_to_json, top
 from .record import Record
 from .relp import PRel, from_entries, prel_to_entries, value_table
@@ -66,14 +66,14 @@ def valuation(m: Model, prop: str, state: str) -> Weight:
 
 def program_relation(m: Model, name: str) -> PRel:
     if name not in m.programs:
-        raise ModelError(f"unknown program {name!r}")
+        raise ModelError(f"unknown program {quoted(name)}")
     return m.programs[name]
 
 
 def diagonal_relation(m: Model, name: str) -> PRel:
     """The subidentity matrix of a test."""
     if name not in m.tests:
-        raise ModelError(f"unknown test {name!r}")
+        raise ModelError(f"unknown test {quoted(name)}")
     return m.tests[name].relation
 
 

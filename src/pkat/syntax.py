@@ -1,4 +1,5 @@
-"""Term language for guarded programs: grammar, sorts, sugar, printing.
+"""Term language for guarded programs: grammar, sorts, sugar, printing,
+and the compiled meaning of terms over a model.
 
 Concrete grammar (ASCII)::
 
@@ -17,19 +18,24 @@ constants 0 and 1 are tests (they belong to both sorts).
 Text that does not parse raises a ``ParseError`` giving the 1-based line
 and column of the token where parsing stopped (or of the first character
 that starts no token), each character counting as one column.
+
+``evaluate`` interprets a term as a weight matrix.  Terms are compiled
+to straight-line kernel calls over slots, one per distinct subterm
+(``_compile``), and run over the relations of their atoms (``_fill``);
+``engine`` runs every law it checks through the same two functions.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Iterable, TYPE_CHECKING, Union
+from typing import Iterable, Union
 
-from .errors import ParseError, SortError
+from .errors import ParseError, SortError, quoted
+from .lattice import LatticeId
+from .plts import Model, diagonal_relation
 from .record import Record
-
-if TYPE_CHECKING:
-    from .plts import Model
+from .relp import PRel, identity, r_dot, r_plus, r_star, t_complement, zero
 
 
 class Zero(Record):
@@ -167,7 +173,7 @@ def sort_of(
                     return Sort.TEST
                 if name in programs:
                     return Sort.PROGRAM
-                raise SortError(f"undeclared atom {name!r}")
+                raise SortError(f"undeclared atom {quoted(name)}")
             case Plus(left, right) | Dot(left, right):
                 ls, rs = walk(left), walk(right)
                 if ls is Sort.TEST and rs is Sort.TEST:
@@ -183,7 +189,7 @@ def sort_of(
     return walk(term)
 
 
-def sort_check(term: Term, model: "Model") -> Sort:
+def sort_check(term: Term, model: Model) -> Sort:
     return sort_of(term, model.programs, model.tests)
 
 
@@ -224,3 +230,59 @@ def _render(term: Term, context: int) -> str:
             text = f"{_render(left, _PREC_PLUS)} + {_render(right, _PREC_PLUS + 1)}"
             prec = _PREC_PLUS
     return f"({text})" if prec < context else text
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation
+
+
+def evaluate(term: Term, model: Model) -> PRel:
+    """Interpret a term as a weight matrix over the model's states."""
+    sort_check(term, model)
+    names, steps, (root,) = _compile((term,))
+    units = _units(model.lattice, model.states, model.values)
+    return _fill([*units, *_atom_assignment(model, names).values()], steps, root)
+
+
+def _units(lattice: LatticeId, states, values) -> tuple[PRel, PRel]:
+    """The relations ``1`` and ``0``, built once per check."""
+    return identity(lattice, states, values), zero(lattice, states, values)
+
+
+def _compile(terms) -> tuple:
+    """The terms as one straight-line program: their atoms' names, the steps
+    and each term's root slot.  Slots 0 and 1 hold ``1`` and ``0``, then the
+    atoms; step s, a kernel and its operands' slots (the second None for ``*``
+    and ``!``), fills each later slot s.  Equal subterms share one slot."""
+    names = sorted(frozenset().union(*map(atoms, terms)))
+    steps = [None] * (2 + len(names))
+    slot_of = {One(): 0, Zero(): 1, **{Atom(x): s for s, x in enumerate(names, 2)}}
+    kernels = {Dot: r_dot, Plus: r_plus, Star: r_star, Not: t_complement}
+
+    def slot(term) -> int:  # post-order, so slots are numbered in evaluation order
+        match term:
+            case Plus(left, right) | Dot(left, right):
+                key = (kernels[type(term)], slot(left), slot(right))
+            case Star(inner) | Not(inner):
+                key = (kernels[type(term)], slot(inner), None)
+            case _:
+                return slot_of[term]
+        if key not in slot_of:
+            slot_of[key] = len(steps)
+            steps.append(key)
+        return slot_of[key]
+
+    roots = tuple(map(slot, terms))
+    return names, tuple(steps), roots
+
+
+def _fill(slots: list[PRel], steps, root: int) -> PRel:
+    """Slot ``root``'s value, running in order the steps up to it not yet run."""
+    for kernel, i, j in steps[len(slots):root + 1]:
+        slots.append(kernel(slots[i]) if j is None else kernel(slots[i], slots[j]))
+    return slots[root]
+
+
+def _atom_assignment(model: Model, names: Iterable[str]) -> dict[str, PRel]:
+    return {name: model.programs[name] if name in model.programs
+            else diagonal_relation(model, name) for name in sorted(names)}

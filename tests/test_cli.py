@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -228,6 +229,60 @@ def test_a_count_that_is_no_integer_is_quoted_at_most_40_characters(capsys, argv
     option = argv[argv.index("{N}") - 1]
     assert exc.value.code == 2 and len(last) < 120
     assert last.endswith(f": error: argument {option}: invalid int value: {quoted}")
+
+
+def _argparse_choice_error(text: str) -> str:
+    """What argparse itself says of a ``--lattice`` that is no choice."""
+    reference = argparse.ArgumentParser(exit_on_error=False)
+    reference.add_argument("--lattice", choices=[l.value for l in pkat.LatticeId])
+    with pytest.raises(argparse.ArgumentError) as exc:
+        reference.parse_args(["--lattice", text])
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (("axioms", "--lattice", "{T}", "--states", "1"), 2, None),
+    (("equiv", "--t1", "p", "--t2", "p", "--lattice", "{T}", "--states", "1", "--random", "1"),
+     2, None),
+    (("eval", "--model", MODEL, "--term", "r;{T}"), 2, "sort error: undeclared atom {q}"),
+    (("classify", "--model", MODEL, "--name", "{T}"), 3, "model error: unknown relation {q}"),
+    (("star", "--model", MODEL, "--program", "{T}"), 3, "model error: unknown program {q}"),
+    (("eval", "--model", "{T}", "--term", "r"), 3,
+     "model error: [Errno 2] No such file or directory: {q}"),
+], ids=["axioms-lattice", "equiv-lattice", "undeclared-atom", "classify-name", "star-program",
+        "model-path"])
+@pytest.mark.parametrize("text", ["nosuch", "n" * 5000], ids=["short", "5000-chars"])
+def test_an_error_quotes_the_users_text_at_most_40_characters(capsys, argv, code, message, text):
+    try:
+        got = main([a.replace("{T}", text) for a in argv])
+    except SystemExit as exc:
+        got = exc.code
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert got == code
+    if len(text) > 40:
+        assert len(last) < 120 and repr(text[:40]) + "..." in last
+    elif message is None:  # argparse's own message
+        assert last == f"pkat {argv[0]}: error: {_argparse_choice_error(text)}"
+    else:
+        assert last == message.format(q=repr(text))
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ((), []),
+    (("star", "--model", MODEL, "--program", "r"), []),
+    (("classify", "--model", MODEL, "--name", "p"), []),
+    (("eval", "--model", MODEL, "--term", "p;r*"), ["pkat.syntax"]),
+    (("hoare", "--model", MODEL, "--pre", "p", "--prog", "r", "--post", "1"),
+     ["pkat.engine", "pkat.syntax"]),
+], ids=["import", "star", "classify", "eval", "hoare"])
+def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
+    probe = ("import sys, pkat.cli\n"
+             "if sys.argv[1:]: pkat.cli.main(sys.argv[1:])\n"
+             "print(sorted({'pkat.syntax', 'pkat.engine'} & set(sys.modules)), file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stderr == f"{loaded}\n" and (done.stdout != "") == bool(argv)
 
 
 def test_a_state_count_past_the_digit_limit_is_refused_in_one_line(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pkat.engine
+import pkat.syntax
 from pkat.engine import (
     AxiomId,
     CORE_AXIOMS,
@@ -491,8 +492,8 @@ def test_equiv_failure_carries_witness(rich_model):
 
 def test_equiv_computes_a_repeated_star_once(two_state_model, monkeypatch):
     # r* occurs three times on the left and once on the right: one slot, one call.
-    stars, star = [], pkat.engine.r_star
-    monkeypatch.setattr(pkat.engine, "r_star", lambda rel: stars.append(rel) or star(rel))
+    stars, star = [], pkat.syntax.r_star
+    monkeypatch.setattr(pkat.syntax, "r_star", lambda rel: stars.append(rel) or star(rel))
     verdict = equiv(parse("r*;r* + r*"), parse("r*"), two_state_model)
     assert verdict.status is Status.HOLDS and len(stars) == 1
 
@@ -551,7 +552,7 @@ def test_hoare_evaluates_pre_and_prog_once(two_state_model, monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(pkat.engine, name, counted(name, getattr(pkat.engine, name)))
+        monkeypatch.setattr(pkat.syntax, name, counted(name, getattr(pkat.syntax, name)))
     verdict = hoare_check(parse("p"), parse("r;r*"), parse("p"), two_state_model)
     assert calls == {"r_dot": 3, "r_star": 1}
     assert verdict.status is Status.FAILS and recheck(verdict)
