@@ -34,8 +34,8 @@ from .errors import (
 )
 from .lattice import LatticeId, elem
 from .plts import diagonal_relation, load_model, model_to_dict, program_relation
-from .relp import PRel, format_grid, format_prel, prel_to_entries, r_star_steps
-from .twist import classify, format_weight
+from .relp import PRel, cell_forms, format_grid, format_prel, prel_to_entries, r_star_steps
+from .twist import classify
 
 if TYPE_CHECKING:
     from .engine import Verdict
@@ -198,12 +198,16 @@ def _named_relation(model, name: str) -> PRel:
     raise ModelError(f"unknown relation {quoted(name)}")
 
 
+def _class_name(w) -> str:
+    return classify(w).value
+
+
 def _class_grid(rel: PRel) -> str:
-    return format_grid(rel.states, [classify(w).value for w in rel.weights])
+    return format_grid(rel.states, cell_forms(rel, _class_name))
 
 
 def _classification(rel: PRel) -> list[list[str]]:
-    return [[u, v, classify(w).value] for (u, v), w in rel.pairs()]
+    return [[u, v, c] for (u, v), c in rel.pairs(_class_name)]
 
 
 def _cmd_eval(args) -> int:
@@ -249,22 +253,8 @@ def _cmd_star(args) -> int:
     return 0
 
 
-def _witness_parts(verdict: Verdict, unicode: bool, eq: str) -> list[str]:
-    """Each assigned relation as ``name{eq}{(u,v): w, ...}``, then the break."""
-    w = verdict.witness
-    parts = [
-        f"{name}{eq}{{"
-        + ", ".join(f"({u},{v}): {format_weight(x, unicode)}" for (u, v), x in rel.pairs())
-        + "}"
-        for name, rel in w.assignment.items()
-    ]
-    u, v = w.entry
-    lhs, rhs = format_weight(w.lhs, unicode), format_weight(w.rhs, unicode)
-    return parts + [f"at ({u},{v}): lhs={lhs} rhs={rhs}"]
-
-
 def _print_verdict(verdict: Verdict, args, lead: list[str]) -> int:
-    from .engine import Status, verdict_to_dict
+    from .engine import Status, verdict_to_dict, witness_parts
 
     if args.json:
         print(json.dumps(verdict_to_dict(verdict), indent=2))
@@ -278,7 +268,7 @@ def _print_verdict(verdict: Verdict, args, lead: list[str]) -> int:
             print("status: holds")
         return 0
     print("status: fails")
-    for part in _witness_parts(verdict, args.unicode, " = "):
+    for part in witness_parts(verdict, args.unicode, " = "):
         print("  " + part)
     if verdict.witness.model is not None and verdict.mode == "random":
         print("countermodel: " + json.dumps(model_to_dict(verdict.witness.model)))
@@ -311,21 +301,8 @@ def _cmd_equiv(args) -> int:
     return _print_verdict(verdict, args, lead)
 
 
-def _axiom_row(verdict: Verdict, unicode: bool) -> str:
-    from .engine import Status
-
-    ax = verdict.axiom
-    row = (
-        f"({ax.value:>3}) {ax.slug:<20} {ax.formula:<28} "
-        f"{verdict.status.value:<5} checked={verdict.samples}"
-    )
-    if verdict.status is Status.FAILS:
-        row += "  witness " + " ".join(_witness_parts(verdict, unicode, "="))
-    return row
-
-
 def _cmd_axioms(args) -> int:
-    from .engine import CORE_AXIOMS, Status, check_suite, verdict_to_dict
+    from .engine import CORE_AXIOMS, Status, axiom_row, check_suite, verdict_to_dict
 
     lattice = LatticeId.from_name(args.lattice)
     grid = _parse_grid(args.godel_grid)
@@ -344,7 +321,7 @@ def _cmd_axioms(args) -> int:
     else:
         print(f"axiom suite: lattice={lattice.value} states={args.states} mode={mode}")
         for verdict in verdicts:
-            print(_axiom_row(verdict, args.unicode))
+            print(axiom_row(verdict, args.unicode))
         refuted = [str(v.axiom.value) for v in verdicts[len(CORE_AXIOMS):]
                    if v.status is Status.FAILS]
         print(

@@ -68,7 +68,7 @@ from .syntax import (
     sort_check,
     sort_of,
 )
-from .twist import Weight, weight_to_json
+from .twist import Weight, format_weight, weight_to_json
 
 DEFAULT_GODEL_GRID: tuple[Fraction, ...] = (
     Fraction(0),
@@ -543,6 +543,34 @@ def recheck(verdict: Verdict) -> bool:
         raise EngineError("verdict carries no recheckable witness")
     units = _units(basis.lattice, basis.states, basis.values)
     return _break(law, w.assignment, *units) == (w.entry, w.lhs, w.rhs)
+
+
+def witness_parts(verdict: Verdict, unicode: bool, eq: str) -> list[str]:
+    """A witness as text: each assigned relation as ``name{eq}{(u,v): w, ...}``,
+    then the entry where the law breaks."""
+    w = verdict.witness
+    parts = [
+        f"{name}{eq}{{"
+        + ", ".join(f"({u},{v}): {x}" for (u, v), x in
+                    rel.pairs(lambda x: format_weight(x, unicode)))
+        + "}"
+        for name, rel in w.assignment.items()
+    ]
+    u, v = w.entry
+    lhs, rhs = format_weight(w.lhs, unicode), format_weight(w.rhs, unicode)
+    return parts + [f"at ({u},{v}): lhs={lhs} rhs={rhs}"]
+
+
+def axiom_row(verdict: Verdict, unicode: bool) -> str:
+    """A verdict's line in the text table of ``pkat axioms``."""
+    ax = verdict.axiom
+    row = (
+        f"({ax.value:>3}) {ax.slug:<20} {ax.formula:<28} "
+        f"{verdict.status.value:<5} checked={verdict.samples}"
+    )
+    if verdict.status is Status.FAILS:
+        row += "  witness " + " ".join(witness_parts(verdict, unicode, "="))
+    return row
 
 
 def _witness_to_dict(w: Witness) -> dict:

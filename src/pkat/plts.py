@@ -5,7 +5,9 @@ program relations (total weight matrices) and named tests (one weight
 per state).  A test is stored once, as a ``setp.PSet``: the subidentity
 matrix carrying its per-state weights on the diagonal, which is what
 the test's name denotes inside a term.  Programs and tests share one
-value table (see ``relp``), built at load.  The document format::
+value table (see ``relp``), built at load: each distinct value in the
+document is read once, and each cell goes straight to its ranks.  The
+document format::
 
     {"lattice": "lukasiewicz3",
      "states": ["w1", "w2"],
@@ -36,9 +38,9 @@ from types import MappingProxyType
 from .errors import CarrierError, LatticeMismatchError, ModelError, quoted
 from .lattice import LatticeId, bottom, elem, elem_to_json, top
 from .record import Record
-from .relp import PRel, from_entries, prel_to_entries, value_table
-from .setp import PSet, pset_to_json
-from .twist import Weight, wbot, weight_from_json
+from .relp import PRel, from_cells, prel_to_entries, value_table
+from .setp import _from_test, pset_to_json
+from .twist import Weight
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -118,26 +120,29 @@ def model_from_dict(raw) -> Model:
     states = _read_states(raw.get("states"))
     carrier = _read_test_carrier(lattice, raw.get("test_carrier"))
 
-    entries: dict[str, dict[tuple[str, str], Weight]] = {}
+    read = _Reader(lattice, states)
+    programs: dict[str, dict[int, tuple[int, int]]] = {}
     for name, items in _named_section(raw.get("programs"), "programs").items():
-        _check_name(name, entries, {})
-        entries[name] = _read_program(lattice, states, name, items)
+        _check_name(name, programs, {})
+        if not isinstance(items, list):
+            raise ModelError(f"program {name!r}: expected an array of entries")
+        programs[name] = read.cells(f"program {name!r}", _quads(f"program {name!r}", items))
 
-    diagonals: dict[str, dict[str, Weight]] = {}
+    tests: dict[str, dict[int, tuple[int, int]]] = {}
     for name, body in _named_section(raw.get("tests"), "tests").items():
-        _check_name(name, entries, diagonals)
-        diagonals[name] = _read_test(lattice, states, name, body, carrier)
+        _check_name(name, programs, tests)
+        tests[name] = read.test(f"test {name!r}", body, carrier)
 
-    weights = [w for table in (*entries.values(), *diagonals.values()) for w in table.values()]
-    values = value_table({x.value for w in weights for x in (w.tt, w.ff)})
-    programs = {
-        name: from_entries(lattice, states, table, values) for name, table in entries.items()
-    }
-    tests = {
-        name: PSet(lattice, states, tuple(diagonal.values()), values)
-        for name, diagonal in diagonals.items()
-    }
-    return Model(lattice, states, programs, tests, carrier, values)
+    values = value_table(read.values)
+    rank = {v: i for i, v in enumerate(values)}
+    ranks = [rank[v] for v in read.values]  # by slot
+    return Model(
+        lattice, states,
+        {name: from_cells(lattice, states, values, c, ranks) for name, c in programs.items()},
+        {name: _from_test(from_cells(lattice, states, values, c, ranks))
+         for name, c in tests.items()},
+        carrier, values,
+    )
 
 
 def _read_states(value) -> tuple[str, ...]:
@@ -184,64 +189,69 @@ def _check_name(name, programs, tests) -> None:
         raise ModelError(f"name {name!r} declared twice")
 
 
-def _read_quad(lattice, states, owner, item) -> tuple[str, str, Weight]:
-    if not isinstance(item, list) or len(item) != 4:
-        raise ModelError(f"{owner}: entries are [from, to, tt, ff], got {item!r}")
-    u, v = item[0], item[1]
-    for s in (u, v):
-        if s not in states:
-            raise ModelError(f"{owner}: unknown state {s!r}")
-    try:
-        w = weight_from_json(lattice, item[2:])
-    except (CarrierError, LatticeMismatchError) as exc:
-        raise ModelError(f"{owner}: {exc}") from exc
-    return u, v, w
+def _quads(owner, items):
+    """Each entry [from, to, tt, ff] of ``items`` as (from, to, [tt, ff])."""
+    for item in items:
+        if not isinstance(item, list) or len(item) != 4:
+            raise ModelError(f"{owner}: entries are [from, to, tt, ff], got {item!r}")
+        yield item[0], item[1], item[2:]
 
 
-def _read_program(lattice, states, name, entries) -> dict[tuple[str, str], Weight]:
-    if not isinstance(entries, list):
-        raise ModelError(f"program {name!r}: expected an array of entries")
-    table: dict[tuple[str, str], Weight] = {}
-    for item in entries:
-        u, v, w = _read_quad(lattice, states, f"program {name!r}", item)
-        if (u, v) in table:
-            raise ModelError(f"program {name!r}: duplicate entry ({u!r}, {v!r})")
-        table[(u, v)] = w
-    return table
+class _Reader:
+    """Reads the cells of one document: a cell is its row-major index and
+    the slots of its two values in ``values``.  Each distinct ``(type(x), x)``
+    goes through ``lattice.elem`` once, so ``1``, ``"1"``, ``true`` and
+    ``1.0`` are each read, and refused, as they would be alone."""
 
+    def __init__(self, lattice, states):
+        self.lattice, self.states, self.memo, self.values = lattice, states, {}, []
 
-def _read_test(lattice, states, name, body, carrier) -> dict[str, Weight]:
-    owner = f"test {name!r}"
-    table: dict[str, Weight] = {}
-    if isinstance(body, dict):
-        for state, pair in body.items():
-            if state not in states:
-                raise ModelError(f"{owner}: unknown state {state!r}")
+    def value(self, x) -> int:
+        key = type(x), x
+        try:
+            return self.memo[key]
+        except (KeyError, TypeError):  # new, or unhashable (which elem refuses)
+            self.values.append(elem(self.lattice, x).value)
+            self.memo[key] = slot = len(self.values) - 1
+            return slot
+
+    def cells(self, owner, entries, test=False) -> dict[int, tuple[int, int]]:
+        """The cells of (from, to, [tt, ff]) ``entries``, by row-major index."""
+        cells, states, n = {}, self.states, len(self.states)
+        for u, v, pair in entries:
+            for s in (u, v):
+                if s not in states:
+                    raise ModelError(f"{owner}: unknown state {s!r}")
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ModelError(f"{owner}: a weight is a two-element [tt, ff] array, got {pair!r}")
             try:
-                table[state] = weight_from_json(lattice, pair)
+                slots = self.value(pair[0]), self.value(pair[1])
             except (CarrierError, LatticeMismatchError) as exc:
                 raise ModelError(f"{owner}: {exc}") from exc
-    elif isinstance(body, list):
-        for item in body:
-            u, v, w = _read_quad(lattice, states, owner, item)
-            if u != v:
-                raise ModelError(
-                    f"{owner}: entry ({u!r}, {v!r}) is off the diagonal"
-                )
-            if u in table:
-                raise ModelError(f"{owner}: duplicate entry for state {u!r}")
-            table[u] = w
-    else:
-        raise ModelError(f"{owner}: expected a state map or an entry array")
-    default = wbot(lattice)
-    full = {s: table.get(s, default) for s in states}
-    if carrier is not None:
-        for state, w in full.items():
-            if w.tt not in carrier or w.ff not in carrier:
-                raise ModelError(
-                    f"{owner}: weight at {state!r} outside the declared test carrier"
-                )
-    return full
+            if test and u != v:
+                raise ModelError(f"{owner}: entry ({u!r}, {v!r}) is off the diagonal")
+            k = states.index(u) * n + states.index(v)
+            if k in cells:
+                what = f"for state {u!r}" if test else f"({u!r}, {v!r})"
+                raise ModelError(f"{owner}: duplicate entry {what}")
+            cells[k] = slots
+        return cells
+
+    def test(self, owner, body, carrier) -> dict[int, tuple[int, int]]:
+        """The diagonal cells of a test, as a state map or an entry array."""
+        if not isinstance(body, (dict, list)):
+            raise ModelError(f"{owner}: expected a state map or an entry array")
+        entries = _quads(owner, body) if isinstance(body, list) else (
+            (s, s, pair) for s, pair in body.items())
+        cells = self.cells(owner, entries, test=True)
+        if carrier is not None:  # checked state by state, once every entry is read
+            allowed = {e.value for e in carrier}
+            for k in sorted(cells):
+                if not {self.values[slot] for slot in cells[k]} <= allowed:
+                    state = self.states[k // (len(self.states) + 1)]
+                    raise ModelError(
+                        f"{owner}: weight at {state!r} outside the declared test carrier")
+        return cells
 
 
 def model_to_dict(m: Model) -> dict:

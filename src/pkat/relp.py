@@ -12,8 +12,9 @@ exact rationals that always holds 0 and 1, and two flat row-major
 tuples ``tt`` and ``ff`` of integer ranks into it; every operation here
 works on the ranks alone.  Relations built together share one table,
 and operands on different tables are lifted to their merged table
-first.  Weights are decoded only at the boundary:
-``weights``, ``entry``, ``pairs`` and the exporters below.
+first.  Weights are decoded only at the boundary: ``cell`` and ``entry``
+decode one cell, and ``cell_forms`` (behind ``weights``, ``pairs`` and
+the exporters below) one weight per distinct rank pair.
 
 On ranks the star's support is the (max, min) reflexive-transitive
 closure: a cell holds the highest cut t at which a breadth-first search
@@ -75,27 +76,31 @@ class PRel:
         return r.tt == s.tt and r.ff == s.ff
 
     def __hash__(self):
-        return hash((self.lattice, self.states, self.weights))
+        decoded = (tuple(map(self.values.__getitem__, ranks)) for ranks in (self.tt, self.ff))
+        return hash((self.lattice, self.states, *decoded))
 
     def __repr__(self):
         return f"PRel({self.lattice}, {self.states!r}, {self.weights!r})"
 
     @property
     def weights(self) -> tuple[Weight, ...]:
-        elems = [LatticeElem(self.lattice, v) for v in self.values]
-        return tuple(Weight(elems[t], elems[f]) for t, f in zip(self.tt, self.ff))
+        return tuple(cell_forms(self, lambda w: w))
+
+    def cell(self, k: int) -> Weight:
+        """The weight of row-major cell ``k``."""
+        support, opposition = (self.values[ranks[k]] for ranks in (self.tt, self.ff))
+        return Weight(LatticeElem(self.lattice, support), LatticeElem(self.lattice, opposition))
 
     def entry(self, u: str, v: str) -> Weight:
         n = len(self.states)
         try:
-            k = self.states.index(u) * n + self.states.index(v)
+            return self.cell(self.states.index(u) * n + self.states.index(v))
         except ValueError as exc:
             raise ShapeError(f"unknown state in ({u!r}, {v!r})") from exc
-        support, opposition = (self.values[ranks[k]] for ranks in (self.tt, self.ff))
-        return Weight(LatticeElem(self.lattice, support), LatticeElem(self.lattice, opposition))
 
-    def pairs(self) -> Iterator[tuple[tuple[str, str], Weight]]:
-        return zip(product(self.states, repeat=2), self.weights)
+    def pairs(self, form=lambda w: w) -> Iterator[tuple[tuple[str, str], Weight]]:
+        """Each cell's (u, v) and weight, or ``form`` of its weight (see ``cell_forms``)."""
+        return zip(product(self.states, repeat=2), cell_forms(self, form))
 
 
 def from_ranks(lattice: LatticeId, states, values, tt, ff) -> PRel:
@@ -118,12 +123,19 @@ def from_entries(
     _check_states(states)
     if any(w.lattice is not lattice for w in entries.values()):
         raise ShapeError("entry weight from a different lattice")
-    table = value_table([*values, *(x.value for w in entries.values() for x in (w.tt, w.ff))])
-    rank, n = {v: i for i, v in enumerate(table)}, len(states)
+    n = len(states)
+    cells = {index[u] * n + index[v]: (w.tt.value, w.ff.value) for (u, v), w in entries.items()}
+    table = value_table([*values, *(x for pair in cells.values() for x in pair)])
+    return from_cells(lattice, states, table, cells, {v: i for i, v in enumerate(table)})
+
+
+def from_cells(lattice: LatticeId, states, table, cells: Mapping[int, tuple], rank) -> PRel:
+    """The relation on ``table`` whose row-major cell k holds ranks ``rank[t]``
+    and ``rank[f]`` for ``cells[k] == (t, f)``; every other cell holds BOT."""
+    n = len(states)
     tt, ff = [0] * (n * n), [len(table) - 1] * (n * n)
-    for (u, v), w in entries.items():
-        k = index[u] * n + index[v]
-        tt[k], ff[k] = rank[w.tt.value], rank[w.ff.value]
+    for k, (t, f) in cells.items():
+        tt[k], ff[k] = rank[t], rank[f]
     return from_ranks(lattice, states, table, tuple(tt), tuple(ff))
 
 
@@ -262,14 +274,23 @@ def from_diagonal(lattice: LatticeId, states, diagonal: Mapping[str, Weight], va
     return from_entries(lattice, states, {(u, u): w for u, w in diagonal.items()}, values)
 
 
+def cell_forms(r: PRel, form) -> list:
+    """``form(w)`` of each cell's weight ``w``, row-major: one call per distinct
+    (tt, ff) rank pair."""
+    elems = [LatticeElem(r.lattice, v) for v in r.values]
+    cells = list(zip(r.tt, r.ff))
+    forms = {pair: form(Weight(elems[pair[0]], elems[pair[1]])) for pair in set(cells)}
+    return list(map(forms.__getitem__, cells))
+
+
 def prel_to_entries(r: PRel) -> list[list]:
     """Every entry as [u, v, tt, ff], row-major (defaults made explicit)."""
-    return [[u, v, *weight_to_json(w)] for (u, v), w in r.pairs()]
+    return [[u, v, *pair] for (u, v), pair in r.pairs(weight_to_json)]
 
 
 def format_prel(r: PRel, unicode: bool = False) -> str:
     """Aligned matrix with one weight pair per entry."""
-    return format_grid(r.states, [format_weight(w, unicode) for w in r.weights])
+    return format_grid(r.states, cell_forms(r, lambda w: format_weight(w, unicode)))
 
 
 def format_grid(states, cells: list[str]) -> str:

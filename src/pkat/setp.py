@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from .errors import ShapeError
 from .lattice import LatticeId
 from .relp import PRel, from_diagonal, identity, r_dot, r_leq, r_plus, r_star, t_complement, zero
-from .twist import Weight, weight_from_json, weight_to_json
+from .twist import Weight, weight_to_json
 
 
 class PSet(Mapping):
@@ -45,15 +45,20 @@ class PSet(Mapping):
 
     @property
     def weights(self) -> tuple[Weight, ...]:
-        return tuple(map(self.relation.entry, self.states, self.states))
+        n = len(self.states)
+        return tuple(map(self.relation.cell, range(0, n * n, n + 1)))
 
     def value(self, state: str) -> Weight:
-        return self.relation.entry(state, state)
+        try:
+            return self[state]
+        except KeyError:
+            raise ShapeError(f"unknown state in ({state!r}, {state!r})") from None
 
     def __getitem__(self, state) -> Weight:
-        if state not in self.states:
-            raise KeyError(state)
-        return self.relation.entry(state, state)
+        try:
+            return self.relation.cell(self.states.index(state) * (len(self.states) + 1))
+        except ValueError:
+            raise KeyError(state) from None
 
     def __iter__(self):
         return iter(self.states)
@@ -119,12 +124,4 @@ def s_subset(a: PSet, b: PSet) -> bool:
 
 def pset_to_json(a: PSet) -> dict:
     """Same shape as a test valuation in the model file format."""
-    return {s: weight_to_json(w) for s, w in zip(a.states, a.weights)}
-
-
-def pset_from_json(lattice: LatticeId, states: tuple[str, ...], obj) -> PSet:
-    if not isinstance(obj, dict):
-        raise ShapeError(f"expected a state-to-weight map, got {obj!r}")
-    return from_values(
-        lattice, states, {s: weight_from_json(lattice, pair) for s, pair in obj.items()}
-    )
+    return {u: pair for (u, v), pair in a.relation.pairs(weight_to_json) if u == v}

@@ -116,11 +116,3 @@ def format_weight(x: Weight, unicode: bool = False) -> str:
 
 def weight_to_json(x: Weight) -> list:
     return [elem_to_json(x.tt), elem_to_json(x.ff)]
-
-
-def weight_from_json(lattice: LatticeId, value) -> Weight:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise LatticeMismatchError(
-            f"a weight is a two-element [tt, ff] array, got {value!r}"
-        )
-    return weight(lattice, value[0], value[1])

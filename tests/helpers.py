@@ -7,11 +7,14 @@ against a second route.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
-from pkat.lattice import LatticeId, elem
-from pkat.relp import r_dot, r_plus, r_star, t_complement
+from pkat.errors import CarrierError, LatticeMismatchError, ModelError
+from pkat.lattice import LatticeElem, LatticeId, elem
+from pkat.relp import from_entries, r_dot, r_plus, r_star, t_complement, value_table
+from pkat.setp import PSet
 from pkat.syntax import Atom, Dot, Not, One, Plus, Star, Term, Zero
 from pkat.twist import Weight, weight, wbot, wjoin, wmeet, wtop
 
@@ -94,6 +97,103 @@ def oracle_eval(term: Term, env: dict, one, zer):
             return one
         case Zero():
             return zer
+
+
+# --- Weight-path loader and renderers (independent of the rank boundary) ----
+
+
+def oracle_load_model(document: str):
+    """The model loader as it was before it read each value text once: every
+    cell becomes a ``Weight`` through ``elem``, every relation is built by
+    ``from_entries``.  Reads only well-formed JSON."""
+    from pkat.plts import (Model, _check_name, _checked_pairs, _named_section,
+                           _read_states, _read_test_carrier)
+
+    raw = json.loads(document, object_pairs_hook=_checked_pairs)
+    if not isinstance(raw, dict):
+        raise ModelError("a model document must be a JSON object")
+    unknown = set(raw) - {"lattice", "states", "programs", "tests", "test_carrier"}
+    if unknown:
+        raise ModelError(f"unknown field {sorted(unknown)[0]!r}")
+    if "lattice" not in raw:
+        raise ModelError("missing field 'lattice'")
+    if not isinstance(raw["lattice"], str):
+        raise ModelError("'lattice' must be a string")
+    try:
+        lattice = LatticeId.from_name(raw["lattice"])
+    except CarrierError as exc:
+        raise ModelError(str(exc)) from exc
+    states = _read_states(raw.get("states"))
+    carrier = _read_test_carrier(lattice, raw.get("test_carrier"))
+
+    def pair(owner, value):
+        try:
+            if not isinstance(value, (list, tuple)) or len(value) != 2:
+                raise LatticeMismatchError(
+                    f"a weight is a two-element [tt, ff] array, got {value!r}")
+            return weight(lattice, value[0], value[1])
+        except (CarrierError, LatticeMismatchError) as exc:
+            raise ModelError(f"{owner}: {exc}") from exc
+
+    def quad(owner, item):
+        if not isinstance(item, list) or len(item) != 4:
+            raise ModelError(f"{owner}: entries are [from, to, tt, ff], got {item!r}")
+        u, v = item[0], item[1]
+        for s in (u, v):
+            if s not in states:
+                raise ModelError(f"{owner}: unknown state {s!r}")
+        return u, v, pair(owner, item[2:])
+
+    entries = {}
+    for name, items in _named_section(raw.get("programs"), "programs").items():
+        _check_name(name, entries, {})
+        owner = f"program {name!r}"
+        if not isinstance(items, list):
+            raise ModelError(f"{owner}: expected an array of entries")
+        table = entries[name] = {}
+        for item in items:
+            u, v, w = quad(owner, item)
+            if (u, v) in table:
+                raise ModelError(f"{owner}: duplicate entry ({u!r}, {v!r})")
+            table[(u, v)] = w
+
+    diagonals = {}
+    for name, body in _named_section(raw.get("tests"), "tests").items():
+        _check_name(name, entries, diagonals)
+        owner, table = f"test {name!r}", {}
+        if isinstance(body, dict):
+            for state, value in body.items():
+                if state not in states:
+                    raise ModelError(f"{owner}: unknown state {state!r}")
+                table[state] = pair(owner, value)
+        elif isinstance(body, list):
+            for item in body:
+                u, v, w = quad(owner, item)
+                if u != v:
+                    raise ModelError(f"{owner}: entry ({u!r}, {v!r}) is off the diagonal")
+                if u in table:
+                    raise ModelError(f"{owner}: duplicate entry for state {u!r}")
+                table[u] = w
+        else:
+            raise ModelError(f"{owner}: expected a state map or an entry array")
+        full = diagonals[name] = {s: table.get(s, wbot(lattice)) for s in states}
+        for state, w in full.items():
+            if carrier is not None and (w.tt not in carrier or w.ff not in carrier):
+                raise ModelError(
+                    f"{owner}: weight at {state!r} outside the declared test carrier")
+
+    weights = [w for table in (*entries.values(), *diagonals.values()) for w in table.values()]
+    values = value_table({x.value for w in weights for x in (w.tt, w.ff)})
+    programs = {name: from_entries(lattice, states, t, values) for name, t in entries.items()}
+    tests = {name: PSet(lattice, states, tuple(d.values()), values)
+             for name, d in diagonals.items()}
+    return Model(lattice, states, programs, tests, carrier, values)
+
+
+def oracle_weights(rel) -> list:
+    """Each cell's weight, row-major, decoded cell by cell from its ranks."""
+    elem_at = lambda rank: LatticeElem(rel.lattice, rel.values[rank])  # noqa: E731
+    return [Weight(elem_at(t), elem_at(f)) for t, f in zip(rel.tt, rel.ff)]
 
 
 # --- ordinary binary-relation oracle (classical embedding) ------------------

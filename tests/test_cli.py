@@ -4,12 +4,22 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pkat
 import pkat.cli
 from pkat.cli import main
+from pkat.lattice import bottom, elem, elem_to_json, top
+from pkat.plts import Model, load_model, model_to_dict
+from pkat.relp import PRel, format_grid, format_prel, prel_to_entries
+from pkat.setp import PSet, pset_to_json
+from pkat.twist import Weight, classify, format_weight, weight_to_json
+
+from helpers import B2, GD, L3, oracle_weights
 
 
 def run(capsys, *argv):
@@ -19,6 +29,7 @@ def run(capsys, *argv):
 
 
 MODEL = str(pathlib.Path(__file__).parent / "data" / "two_state.json")
+GODEL_MODEL = str(pathlib.Path(__file__).parent / "data" / "godel_three_state.json")
 
 
 def test_eval_ok(capsys):
@@ -549,3 +560,86 @@ def test_failed_output_write_is_an_output_error(buffered):
     # No traceback: one line naming the failure (ENOSPC on /dev/full).
     assert child.stderr.startswith(b"output error: [Errno 28]")
     assert child.stderr.count(b"\n") == 1
+
+
+def test_eval_json_on_a_godel_model_matches_its_golden(capsys, golden_dir):
+    # decimal and n/d values, defaulted entries, a list-form test, a test carrier
+    argv = ["eval", "--model", GODEL_MODEL, "--term", "r + p;r* + s;!q", "--json"]
+    for _ in range(2):
+        assert run(capsys, *argv) == (0, (golden_dir / "eval_godel_json.txt").read_text(), "")
+
+
+# --- renderers against their per-cell Weight forms ---------------------------
+
+_RENDER_POOLS = {
+    B2: [Fraction(0), Fraction(1)],
+    L3: [Fraction(0), Fraction(1, 2), Fraction(1)],
+    GD: [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4),
+         Fraction(1, 10), Fraction(1)],
+}
+
+
+@st.composite
+def _rendered(draw):
+    """A relation, a set on its diagonal and a model holding both, all on a
+    table with values the relation may not use."""
+    lattice = draw(st.sampled_from(sorted(_RENDER_POOLS, key=lambda l: l.value)))
+    value = st.sampled_from(_RENDER_POOLS[lattice])
+    n = draw(st.integers(1, 3))
+    states = ("a", "bb", "c")[:n]
+    cells = draw(st.lists(st.tuples(value, value), min_size=n * n, max_size=n * n))
+    weights = [Weight(elem(lattice, t), elem(lattice, f)) for t, f in cells]
+    unused = draw(st.lists(value, max_size=3))
+    rel = PRel(lattice, states, weights, values=unused)
+    test = PSet(lattice, states, weights[::n + 1], rel.values)
+    carrier = draw(st.none() | st.just((bottom(lattice), top(lattice))))
+    model = Model(lattice, states, {"r": rel}, {"p": test}, carrier, rel.values)
+    return rel, test, model
+
+
+def _oracle_entries(rel):
+    return [[u, v, *weight_to_json(w)]
+            for (u, v), w in zip(product(rel.states, repeat=2), oracle_weights(rel))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rendered(), st.booleans())
+def test_renderers_match_their_per_cell_weight_forms(case, unicode):
+    rel, test, model = case
+    weights, labels = oracle_weights(rel), list(product(rel.states, repeat=2))
+    assert prel_to_entries(rel) == _oracle_entries(rel)
+    assert format_prel(rel, unicode) == format_grid(
+        rel.states, [format_weight(w, unicode) for w in weights])
+    assert pkat.cli._classification(rel) == [
+        [u, v, classify(w).value] for (u, v), w in zip(labels, weights)]
+    assert pkat.cli._class_grid(rel) == format_grid(
+        rel.states, [classify(w).value for w in weights])
+    diagonal = oracle_weights(test.relation)[::len(rel.states) + 1]
+    assert pset_to_json(test) == {s: weight_to_json(w) for s, w in zip(rel.states, diagonal)}
+    assert test.weights == tuple(diagonal) == tuple(map(test.value, rel.states))
+    assert [test[s] for s in rel.states] == list(diagonal)
+    expected = {
+        "lattice": rel.lattice.value,
+        "states": list(rel.states),
+        "programs": {"r": _oracle_entries(rel)},
+        "tests": {"p": {s: weight_to_json(w) for s, w in zip(rel.states, diagonal)}},
+    }
+    if model.test_carrier is not None:
+        expected["test_carrier"] = [elem_to_json(e) for e in model.test_carrier]
+    assert model_to_dict(model) == expected
+
+
+def test_renderers_print_godel_values_as_fractions_and_bool2_as_ints():
+    godel = load_model(json.dumps({
+        "lattice": "godel", "states": ["a", "b"],
+        "programs": {"r": [["a", "b", "1/3", "0.5"]], "q": [["b", "a", "0.25", "2/3"]]},
+    }))
+    r = godel.programs["r"]  # its table also holds q's 1/4 and 2/3
+    assert r.values == tuple(map(Fraction, ("0", "1/4", "1/3", "1/2", "2/3", "1")))
+    assert prel_to_entries(r)[1] == ["a", "b", "1/3", "0.5"]
+    assert format_prel(r).splitlines()[1] == "a  (0,1)  (1/3,0.5)"
+    assert pkat.cli._classification(r)[1] == ["a", "b", "vague"]
+    bool2 = load_model(json.dumps({"lattice": "bool2", "states": ["a"],
+                                   "programs": {"r": [["a", "a", 1, 1]]}}))
+    assert prel_to_entries(bool2.programs["r"]) == [["a", "a", 1, 1]]
+    assert pkat.cli._class_grid(bool2.programs["r"]).splitlines()[1] == "a  inconsistent"

@@ -1,10 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pkat.engine import evaluate, weight_space
 from pkat.errors import ModelError
 from pkat.plts import (
+    Model,
     load_model,
     model_to_dict,
     model_to_text,
@@ -15,7 +18,7 @@ from pkat.plts import (
 from pkat.syntax import parse
 from pkat.twist import wbot, weight
 
-from helpers import B2, GD, L3, lw
+from helpers import B2, GD, L3, lw, oracle_load_model
 
 
 def doc(**overrides):
@@ -260,3 +263,133 @@ def test_canonical_form_of_the_two_state_fixture(data_dir):
                            ["w2", "w1", "top", "u"], ["w2", "w2", "bot", "top"]]},
         "tests": {"p": {"w1": ["top", "bot"], "w2": ["u", "bot"]}},
     }
+
+
+# --- the loader reads each value once: pinned against the Weight-path oracle --
+
+
+def _load_both(document: str):
+    """Load ``document`` with ``load_model`` and with the Weight-path oracle:
+    both give the same ``ModelError`` text, or equal models whose relations
+    hold the same tables and ranks.  Returns the model or the error text."""
+    outcomes = []
+    for load in (load_model, oracle_load_model):
+        try:
+            outcomes.append(load(document))
+        except ModelError as exc:
+            outcomes.append(f"ModelError: {exc}")
+    new, old = outcomes
+    assert new == old
+    if isinstance(new, Model):
+        assert new.values == old.values
+        assert list(new.programs) == list(old.programs) and list(new.tests) == list(old.tests)
+        tests = zip(new.tests.values(), old.tests.values())
+        pairs = [*zip(new.programs.values(), old.programs.values()),
+                 *((a.relation, b.relation) for a, b in tests)]
+        for a, b in pairs:
+            assert (a.values, a.tt, a.ff) == (b.values, b.tt, b.ff)
+    return new
+
+
+def test_the_value_memo_keeps_equal_values_of_other_types_and_texts():
+    bool2 = {
+        "lattice": "bool2",
+        "states": ["s", "t"],
+        "programs": {"r": [["s", "t", 1, "0"], ["t", "s", "1", 0], ["s", "s", True, False],
+                           ["t", "t", " 1", "1"]]},
+        "tests": {"p": {"s": [True, "0"], "t": ["1", 1]}},
+    }
+    m = _load_both(json.dumps(bool2))
+    r, one_zero = m.programs["r"], weight(B2, 1, 0)
+    assert r.entry("s", "t") == r.entry("t", "s") == r.entry("s", "s") == one_zero
+    assert r.entry("t", "t") == weight(B2, 1, 1) and valuation(m, "p", "s") == one_zero
+    assert m.values == (Fraction(0), Fraction(1))
+    godel = {
+        "lattice": "godel",
+        "states": ["s", "t"],
+        "programs": {"r": [["s", "t", "0.5", 1], ["t", "s", "0.50", "1"],
+                           ["s", "s", "1/2", True]]},
+        "tests": {"p": [["s", "s", "0.50", "0.5"]]},
+        "test_carrier": ["0", "0.5", 1],
+    }
+    m = _load_both(json.dumps(godel))
+    half_one = weight(GD, "0.5", "1")
+    r = m.programs["r"]
+    assert r.entry("s", "t") == r.entry("t", "s") == r.entry("s", "s") == half_one
+    assert valuation(m, "p", "s") == weight(GD, "0.5", "0.5")
+    assert m.values == (Fraction(0), Fraction(1, 2), Fraction(1))
+
+
+@pytest.mark.parametrize("document, message", [
+    # a float after a valid int of the same value is still refused
+    ({"lattice": "bool2", "states": ["s", "t"],
+      "programs": {"r": [["s", "t", 1, 0], ["t", "s", 1.0, 0]]}},
+     "program 'r': refusing inexact float 1.0; pass a decimal string instead"),
+    ({"lattice": "bool2", "states": ["s", "t"],
+      "programs": {"r": [["s", "t", "1", "0"], ["t", "s", " 1", "0"], ["s", "s", "1.0", "0"]]}},
+     "program 'r': '1.0' is not one of 0, 1"),
+    # the error names the first bad cell in document order, past good copies
+    ({"lattice": "godel", "states": ["s", "t"],
+      "programs": {"r": [["s", "t", "0.5", "0"]],
+                   "q": [["s", "t", "0.5", "0"], ["t", "s", 0.5, "0"], ["s", "s", 0.25, "0"]]}},
+     "program 'q': refusing inexact float 0.5; pass a decimal string instead"),
+    ({"lattice": "godel", "states": ["s", "t"],
+      "programs": {"r": [["s", "t", True, "0"], ["t", "s", "true", "0"]]}},
+     "program 'r': 'true' is not a decimal or rational in [0, 1]"),
+    # a value read fine in a program is still checked against the test carrier,
+    # state by state in the order the states are declared
+    ({"lattice": "godel", "states": ["s", "t"], "test_carrier": ["0", "1"],
+      "programs": {"r": [["s", "t", "0.5", "0"]]},
+      "tests": {"p": {"t": ["0.5", "0"], "s": ["0.50", "0"]}}},
+     "test 'p': weight at 's' outside the declared test carrier"),
+    ({"lattice": "lukasiewicz3", "states": ["s"],
+      "tests": {"p": [["s", "s", "u", "bot"], ["s", "s", "u", "bot"]]}},
+     "test 'p': duplicate entry for state 's'"),
+])
+def test_each_refusal_keeps_its_message(document, message):
+    assert _load_both(json.dumps(document)) == f"ModelError: {message}"
+
+
+_STATES = ("s", "t", "w")
+_VALUES = {  # mostly valid spellings, then a few each lattice refuses
+    "bool2": [0, 1, "0", "1", " 1", True, False] * 2 + [1.0, "2", "u", None, [1]],
+    "lukasiewicz3": ["bot", "u", "top", "⊤", "⊥", " u", 0, 1, True] * 2 + ["0.5", 0.5, "x"],
+    "godel": ["0", "1", "0.5", "0.50", "1/2", "1/3", "2/6", 1, 0, True, "1e-1"] * 2
+             + [1.0, "1.5", "-0.1", "1/0", "nan"],
+}
+_ENDS = {"bool2": [0, 1], "lukasiewicz3": ["bot", "top"], "godel": ["0", "1"]}
+
+
+@st.composite
+def _documents(draw):
+    lattice = draw(st.sampled_from(sorted(_VALUES)))
+    value = st.sampled_from(_VALUES[lattice])
+    states = draw(st.lists(st.sampled_from(_STATES), min_size=1, max_size=3, unique=True))
+    state = st.sampled_from(states * 4 + ["zz"])
+    pair = st.lists(value, min_size=2, max_size=2) | st.lists(value, max_size=3)
+    def rarely(common, rare, one_in):  # ``rare`` about once in ``one_in`` draws
+        return st.integers(1, one_in).flatmap(lambda i: rare if i == one_in else common)
+
+    good = st.tuples(state, state, value, value).map(list)
+    entry = rarely(good, st.just(["s", "s", "0"]), 20)
+    diagonal = state.flatmap(lambda s: st.tuples(st.just(s), st.just(s), value, value).map(list))
+    body = rarely(st.dictionaries(state, pair, max_size=3)
+                  | st.lists(rarely(diagonal, entry, 4), max_size=3), st.just(5), 10)
+    doc = {
+        "lattice": lattice,
+        "states": states,
+        "programs": draw(st.dictionaries(st.sampled_from("rq"), st.lists(entry, max_size=4),
+                                         max_size=2)),
+        "tests": draw(st.dictionaries(st.sampled_from("pppaaq"), body, max_size=2)),
+    }
+    with_ends = st.lists(value, max_size=3).map(lambda xs: xs + _ENDS[lattice])
+    carrier = draw(rarely(st.none() | with_ends, st.lists(value, min_size=1, max_size=2), 8))
+    if carrier is not None:
+        doc["test_carrier"] = carrier
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_documents())
+def test_the_loader_matches_the_weight_path_oracle(document):
+    _load_both(document)

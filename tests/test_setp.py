@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pkat.errors import ShapeError
+from pkat.errors import ModelError, ShapeError
 from pkat.lattice import elem, elem_to_json
 from pkat.plts import load_model
 from pkat.setp import (
@@ -148,13 +148,16 @@ def test_random_sets_star_is_constant_top():
 
 
 def test_json_round_trip(phi):
-    from pkat.setp import pset_from_json, pset_to_json
+    # A set's JSON form reads back through the model loader, the one reader
+    # of value text.
+    from pkat.setp import pset_to_json
 
     payload = pset_to_json(phi)
     assert payload == {"w1": ["top", "u"], "w2": ["u", "u"]}
-    assert pset_from_json(L3, W, payload) == phi
-    with pytest.raises(ShapeError):
-        pset_from_json(L3, W, ["not", "a", "map"])
+    doc = {"lattice": L3.value, "states": list(W), "tests": {"p": payload}}
+    assert load_model(json.dumps(doc)).tests["p"] == phi
+    with pytest.raises(ModelError):
+        load_model(json.dumps(dict(doc, tests={"p": ["not", "a", "map"]})))
 
 
 # --- the kernel-backed sets against the pointwise algebra --------------------

@@ -1,11 +1,13 @@
+import json
 import random
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pkat.errors import LatticeMismatchError
+from pkat.errors import LatticeMismatchError, ModelError
 from pkat.lattice import elem
+from pkat.plts import load_model
 from pkat.twist import (
     ConsistencyClass,
     Weight,
@@ -14,7 +16,6 @@ from pkat.twist import (
     negate,
     wbot,
     weight,
-    weight_from_json,
     weight_to_json,
     wjoin,
     wleq,
@@ -184,14 +185,20 @@ def test_mismatched_components_rejected():
             op(T3, wtop(B2))
 
 
+def _read_weight(lattice, pair):
+    """``pair`` read back through a one-state model document."""
+    doc = {"lattice": lattice.value, "states": ["s"], "tests": {"p": {"s": pair}}}
+    return load_model(json.dumps(doc)).tests["p"]["s"]
+
+
 def test_weight_json_round_trip():
     for w in LUKA_WEIGHTS:
-        assert weight_from_json(L3, weight_to_json(w)) == w
+        assert _read_weight(L3, weight_to_json(w)) == w
     w = weight(GD, "0.25", "1")
-    assert weight_from_json(GD, weight_to_json(w)) == w
+    assert _read_weight(GD, weight_to_json(w)) == w
     assert weight_to_json(wtop(B2)) == [1, 0]
-    with pytest.raises(LatticeMismatchError):
-        weight_from_json(L3, ["top"])
+    with pytest.raises(ModelError, match="a weight is a two-element"):
+        _read_weight(L3, ["top"])
 
 
 def test_format_weight():
