@@ -34,6 +34,27 @@ and f the first failing one: among the k instances whose last cell alone
 varies, which so give the walk's own count and witness, or hold when it
 holds on all k^n; both guards count those k.  Runs too large for
 ``MAX_EXHAUSTIVE`` or ``MAX_STEPS`` are refused from their sizes alone.
+
+The checking loops (``_run``, ``equiv_random``) check a law on a chunk of
+B instances at once, with one bit per (instance, cut), in ``bitslice``:
+only they import it, so ``hoare`` requests never compile it.
+Over ranks 0..top and with W = top·B, a cell is one int: bit (t-1)·B + b
+is set when instance b has tt >= t, and bit W + s·B + b when it has
+ff <= s (the ff half holds each cut's complement, so that BOT is 0 and
+the identity's diagonal is all ones).  Then ``+`` is OR on both halves,
+``;`` an OR of ANDs, ``*`` Warshall's closure with the diagonal all ones,
+``!`` a swap of a diagonal cell's halves and a negation, and a side breaks
+where the two differ (XOR) or, for ``<=``, where the left has a bit the
+right lacks (AND-NOT).  This is exact: each cut θ sends a rank x to
+[x >= θ], and so sends pkat over the chain onto Belnap's four values,
+keeping ``+``, ``;``, ``*``, ``!`` and ``<=`` (``tests/test_cut.py``), and
+the cuts together tell ranks apart.  The first failing instance is the
+lowest set bit of the break mask, after the instances whose premise fails
+are masked out; that instance alone is then built as relations and run
+by ``_break`` for its witness.  Chunks are taken lazily from the walk or
+from ``rng``, in the order the loop draws them, doubling from 1 up to
+``bitslice.MAX_BITS`` bits a cell: a run that fails early encodes a few
+instances, and a long walk stays in bounded memory.
 """
 
 from __future__ import annotations
@@ -43,7 +64,7 @@ import re
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 from math import lcm
 from typing import Iterable, Mapping
 
@@ -51,7 +72,7 @@ from .errors import EngineError, SortError
 from .lattice import LatticeId, carrier, elem
 from .plts import Model, model_to_dict
 from .record import Record
-from .relp import PRel, align, from_ranks, prel_to_entries, r_leq, value_table
+from .relp import PRel, align, from_cells, prel_to_entries, r_leq, value_table
 from .setp import _from_test
 from .syntax import (
     Dot,
@@ -241,27 +262,44 @@ def weight_space(lattice: LatticeId, godel_grid=None) -> tuple[Weight, ...]:
     return tuple(Weight(table[i], table[j]) for i, j in space.cells)
 
 
-def _relation(lattice, states, space: _Space, test: bool, cells) -> PRel:
-    """The relation with the given space cells, row-major, or the test
-    with them on its diagonal; every other cell is BOT."""
-    n = len(states)
-    tt, ff = [0] * (n * n), [len(space.values) - 1] * (n * n)
-    step = n + 1 if test else 1
-    tt[::step], ff[::step] = zip(*cells)
-    return from_ranks(lattice, states, space.values, tuple(tt), tuple(ff))
+def _model(lattice, states, values, layout, cells) -> Model:
+    """The model of an instance: for each (name, test) of ``layout`` in turn,
+    a program with the next n*n of ``cells`` row-major, or a test with the
+    next n on its diagonal; every other cell is BOT."""
+    n, at, ranks = len(states), 0, range(len(values))
+    programs, tests = {}, {}
+    for name, test in layout:
+        width, step = (n, n + 1) if test else (n * n, 1)
+        rel = from_cells(lattice, states, values,
+                         dict(zip(range(0, n * n, step), cells[at:at + width])), ranks)
+        if test:
+            tests[name] = _from_test(rel)
+        else:
+            programs[name] = rel
+        at += width
+    return Model(lattice, states, programs, tests, values=values)
 
 
-def _draw(rng: random.Random, lattice, states, space: _Space, test: bool) -> PRel:
-    """A relation (a test) of cells drawn from ``rng``."""
-    n = len(states)
-    cells = [rng.choice(space.cells) for _ in range(n if test else n * n)]
-    return _relation(lattice, states, space, test, cells)
+def _draws(rng: random.Random, k: int, layout, n_states: int, count: int):
+    """``count`` instances of ``layout``, each of its cells drawn from ``rng`` in
+    turn as an index into a space of ``k`` cells."""
+    width = sum(n_states if test else n_states**2 for _, test in layout)
+    ids = range(k)  # rng.choice draws from a range as from the cells themselves
+    return ([rng.choice(ids) for _ in range(width)] for _ in range(count))
+
+
+def _walk(layout, k: int, n_states: int, fixed: int = 0):
+    """Every instance of ``layout``, as indices into a space of ``k`` cells,
+    with its first ``fixed`` at the first, in lexicographic order: the last
+    cell varies fastest."""
+    width = sum(n_states if test else n_states**2 for _, test in layout)
+    return product(*[range(1)] * fixed, *[range(k)] * (width - fixed))
 
 
 def random_prel(
     rng: random.Random, lattice: LatticeId, states: tuple[str, ...], godel_grid=None
 ) -> PRel:
-    return _draw(rng, lattice, states, _space(lattice, godel_grid), False)
+    return random_model(rng, lattice, states, ("r",), (), godel_grid).programs["r"]
 
 
 def random_model(
@@ -273,14 +311,10 @@ def random_model(
     godel_grid=None,
 ) -> Model:
     space = _space(lattice, godel_grid)
-    return _random_model(rng, lattice, states, space, program_names, test_names)
-
-
-def _random_model(rng, lattice, states, space: _Space, program_names, test_names) -> Model:
-    programs = {name: _draw(rng, lattice, states, space, False) for name in sorted(program_names)}
-    tests = {name: _from_test(_draw(rng, lattice, states, space, True))
-             for name in sorted(test_names)}
-    return Model(lattice, states, programs, tests, values=space.values)
+    layout = [(name, False) for name in sorted(program_names)]
+    layout += [(name, True) for name in sorted(test_names)]
+    ids = next(_draws(rng, len(space.cells), layout, len(states), 1))
+    return _model(lattice, states, space.values, layout, [space.cells[i] for i in ids])
 
 
 # ---------------------------------------------------------------------------
@@ -315,31 +349,15 @@ def _break(law: _Law, env: Mapping[str, PRel], one: PRel, zer: PRel):
             return found
 
 
-def _check(law: _Law, instances, one: PRel, zer: PRel, lattice, n_states, mode, **fields):
-    """Check the law on each (assignment, model) of ``instances`` in turn:
-    fails at the first break with its witness, else holds; ``samples``
-    counts the instances checked."""
-    k = 0
-    for k, (env, model) in enumerate(instances, 1):
-        found = _break(law, env, one, zer)
-        if found is not None:
-            witness = Witness(dict(env), *found, law.formula, model, law.terms)
-            return Verdict(Status.FAILS, lattice, n_states, mode, witness=witness,
-                           samples=k, **fields)
-    return Verdict(Status.HOLDS, lattice, n_states, mode, samples=k, **fields)
-
-
-def _assignments(law: _Law, lattice, states, space: _Space, fixed: int = 0):
-    """Every assignment of the law's variables with its first ``fixed`` cells
-    at the space's first, in lexicographic order: the last cell varies fastest."""
-    n = len(states)
-    cuts = [0, *accumulate(n if sort is Sort.TEST else n * n for _, sort in law.vars)]
-    pools = [space.cells[:1]] * fixed + [space.cells] * (cuts[-1] - fixed)
-    return (
-        ({name: _relation(lattice, states, space, sort is Sort.TEST, cells[i:j])
-          for (name, sort), i, j in zip(law.vars, cuts, cuts[1:])}, None)
-        for cells in product(*pools)
-    )
+def _fails(law: _Law, model: Model, count: int, mode, shown: bool, **fields) -> Verdict:
+    """The verdict that the law fails at the ``count``-th instance checked,
+    the relations of ``model``: their first break is the witness, which
+    carries the model if ``shown``."""
+    env = _atom_assignment(model, law.code[0])
+    found = _break(law, env, *_units(model.lattice, model.states, model.values))
+    witness = Witness(env, *found, law.formula, model if shown else None, law.terms)
+    return Verdict(Status.FAILS, model.lattice, len(model.states), mode, witness=witness,
+                   samples=count, **fields)
 
 
 def _count(count: int) -> str:
@@ -360,8 +378,9 @@ def _guard(law: _Law, k: int, n_states: int) -> None:
 def _guard_steps(samples: int, n_states: int) -> None:
     """Refuse ``samples`` instances over n states (random draws, or the k
     tests of a one-test walk) beyond ``MAX_STEPS`` kernel steps, each counting
-    (n + 1)^4: n + 1 products of n^3 steps.  That over-counts a star, which
-    searches rather than multiplies, but it fixes which runs are refused."""
+    (n + 1)^4: n + 1 products of n^3 steps.  This is an admission rule that
+    fixes which runs are refused, not a cost model: a star searches rather
+    than multiplies, and the chunked loops run many instances per step."""
     if n_states > 0 and samples * (n_states + 1) ** 4 > MAX_STEPS:  # states_for refuses n < 1
         raise EngineError(f"work of {_count(samples)} x {_count(n_states)}-state instances "
                           f"exceeds {MAX_STEPS} kernel steps")
@@ -388,22 +407,25 @@ def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> li
     elif not samples or samples < 1:
         raise EngineError("random mode needs a positive sample count")
     _guard_steps(max([samples if mode == "random" else 1] + [k for *_, r in plan if r]), n_states)
-    states = states_for(n_states)
-    units = _units(lattice, states, space.values)
+    from .bitslice import first_failure
+
+    states, top = states_for(n_states), len(space.values) - 1
     verdicts = []
     for ident, how, law, reduced in plan:
         fixed = n_states - 1 if reduced else 0
-        if how == "random":
-            rng = random.Random(seed)  # each law draws from its own generator
-            instances = (({name: _draw(rng, lattice, states, space, sort is Sort.TEST)
-                           for name, sort in law.vars}, None) for _ in range(samples))
+        layout = [(name, sort is Sort.TEST) for name, sort in law.vars]
+        if how == "random":  # each law draws from its own generator
+            instances = _draws(random.Random(seed), k, layout, n_states, samples)
         else:
-            instances = _assignments(law, lattice, states, space, fixed)
-        verdict = _check(law, instances, *units, lattice, n_states, how, axiom=ident,
-                         seed=seed if how == "random" else None)
-        if fixed and verdict.status is Status.HOLDS:  # the walk's own count
-            verdict = verdict.replace(samples=verdict.samples * k**fixed)
-        verdicts.append(verdict)
+            instances = _walk(layout, k, n_states, fixed)
+        count, cells = first_failure(law, layout, instances, n_states, space.cells, top)
+        fields = {"axiom": ident, "seed": seed if how == "random" else None}
+        if cells is None:  # the walk's own count
+            verdicts.append(Verdict(Status.HOLDS, lattice, n_states, how,
+                                    samples=count * k**fixed, **fields))
+        else:
+            model = _model(lattice, states, space.values, layout, cells)
+            verdicts.append(_fails(law, model, count, how, False, **fields))
     return verdicts
 
 
@@ -464,8 +486,11 @@ def _on_model(law: _Law, model: Model) -> Verdict:
     """Check the law on the model's relations: one instance, so no count."""
     env = _atom_assignment(model, law.code[0])
     units = _units(model.lattice, model.states, model.values)
-    verdict = _check(law, [(env, model)], *units, model.lattice, len(model.states), "model")
-    return verdict.replace(samples=None)
+    found = _break(law, env, *units)
+    if found is None:
+        return Verdict(Status.HOLDS, model.lattice, len(model.states), "model")
+    witness = Witness(env, *found, law.formula, model, law.terms)
+    return Verdict(Status.FAILS, model.lattice, len(model.states), "model", witness=witness)
 
 
 def equiv(t1: Term, t2: Term, model: Model) -> Verdict:
@@ -499,17 +524,19 @@ def equiv_random(
     programs = names - tests
     for term in (t1, t2):
         sort_of(term, programs, tests)
+    from .bitslice import first_failure
+
     states = states_for(n_states)
-    rng = random.Random(seed)
     space = _space(lattice, godel_grid)
-    models = (
-        _random_model(rng, lattice, states, space, programs, tests & names)
-        for _ in range(samples)
-    )
-    instances = ((_atom_assignment(m, names), m) for m in models)
-    units = _units(lattice, states, space.values)
-    return _check(_equation(t1, t2), instances, *units, lattice, n_states, "random",
-                  seed=seed)
+    layout = [(name, False) for name in sorted(programs)]
+    layout += [(name, True) for name in sorted(tests & names)]
+    draws = _draws(random.Random(seed), len(space.cells), layout, n_states, samples)
+    law = _equation(t1, t2)
+    count, cells = first_failure(law, layout, draws, n_states, space.cells, len(space.values) - 1)
+    if cells is None:
+        return Verdict(Status.HOLDS, lattice, n_states, "random", samples=count, seed=seed)
+    return _fails(law, _model(lattice, states, space.values, layout, cells), count, "random",
+                  True, seed=seed)
 
 
 def hoare_check(pre: Term, prog: Term, post: Term, model: Model) -> Verdict:

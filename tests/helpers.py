@@ -10,12 +10,17 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from itertools import accumulate, product
 
+from hypothesis import strategies as st
+
+from pkat.engine import Status, Verdict, Witness, _break, _equation, _space, _units, states_for
 from pkat.errors import CarrierError, LatticeMismatchError, ModelError
 from pkat.lattice import LatticeElem, LatticeId, elem
-from pkat.relp import from_entries, r_dot, r_plus, r_star, t_complement, value_table
-from pkat.setp import PSet
-from pkat.syntax import Atom, Dot, Not, One, Plus, Star, Term, Zero
+from pkat.plts import Model
+from pkat.relp import from_entries, from_ranks, r_dot, r_plus, r_star, t_complement, value_table
+from pkat.setp import PSet, _from_test
+from pkat.syntax import Atom, Dot, Not, One, Plus, Sort, Star, Term, Zero, _atom_assignment, atoms
 from pkat.twist import Weight, weight, wbot, wjoin, wmeet, wtop
 
 L3 = LatticeId.LUKASIEWICZ3
@@ -99,6 +104,95 @@ def oracle_eval(term: Term, env: dict, one, zer):
             return zer
 
 
+# --- per-instance checking loops (independent of the bit-sliced chunks) -----
+
+
+def oracle_relation(lattice, states, space, test: bool, cells):
+    """The relation with the given space cells, row-major, or the test with
+    them on its diagonal; every other cell is BOT."""
+    n = len(states)
+    tt, ff = [0] * (n * n), [len(space.values) - 1] * (n * n)
+    step = n + 1 if test else 1
+    tt[::step], ff[::step] = zip(*cells)
+    return from_ranks(lattice, states, space.values, tuple(tt), tuple(ff))
+
+
+def oracle_draw(rng: random.Random, lattice, states, space, test: bool):
+    """A relation (a test) of cells drawn from ``rng``."""
+    n = len(states)
+    cells = [rng.choice(space.cells) for _ in range(n if test else n * n)]
+    return oracle_relation(lattice, states, space, test, cells)
+
+
+def oracle_assignments(law, lattice, states, space, fixed: int = 0):
+    """Every assignment of the law's variables with its first ``fixed`` cells
+    at the space's first, in lexicographic order: the last cell varies fastest."""
+    n = len(states)
+    cuts = [0, *accumulate(n if sort is Sort.TEST else n * n for _, sort in law.vars)]
+    pools = [space.cells[:1]] * fixed + [space.cells] * (cuts[-1] - fixed)
+    return (
+        ({name: oracle_relation(lattice, states, space, sort is Sort.TEST, cells[i:j])
+          for (name, sort), i, j in zip(law.vars, cuts, cuts[1:])}, None)
+        for cells in product(*pools)
+    )
+
+
+def oracle_check(law, instances, one, zer, lattice, n_states, mode, **fields):
+    """Check the law on each (assignment, model) of ``instances`` in turn, one
+    ``_break`` each: fails at the first break with its witness, else holds;
+    ``samples`` counts the instances checked."""
+    k = 0
+    for k, (env, model) in enumerate(instances, 1):
+        found = _break(law, env, one, zer)
+        if found is not None:
+            witness = Witness(dict(env), *found, law.formula, model, law.terms)
+            return Verdict(Status.FAILS, lattice, n_states, mode, witness=witness,
+                           samples=k, **fields)
+    return Verdict(Status.HOLDS, lattice, n_states, mode, samples=k, **fields)
+
+
+def oracle_run(law, ident, lattice, n_states, godel_grid, how, samples=None, seed=None):
+    """The verdict on ``law``, as axiom ``ident``, from the per-instance loop,
+    refusals left out: random draws, the exhaustive walk, or the walk of k
+    last-cell instances that a one-test law takes outside random mode."""
+    space, states = _space(lattice, godel_grid), states_for(n_states)
+    one_test = not law.premise and [sort for _, sort in law.vars] == [Sort.TEST]
+    fixed = n_states - 1 if one_test and how != "random" else 0
+    if how == "random":
+        rng = random.Random(seed)
+        instances = (({name: oracle_draw(rng, lattice, states, space, sort is Sort.TEST)
+                       for name, sort in law.vars}, None) for _ in range(samples))
+    else:
+        instances = oracle_assignments(law, lattice, states, space, fixed)
+    units = _units(lattice, states, space.values)
+    verdict = oracle_check(law, instances, *units, lattice, n_states, how, axiom=ident,
+                           seed=seed if how == "random" else None)
+    if fixed and verdict.status is Status.HOLDS:
+        verdict = verdict.replace(samples=verdict.samples * len(space.cells) ** fixed)
+    return verdict
+
+
+def oracle_equiv_random(t1, t2, lattice, n_states, samples, seed, test_names=(), godel_grid=None):
+    """``equiv_random`` on well-sorted terms through the per-instance loop."""
+    names = atoms(t1) | atoms(t2)
+    tests = frozenset(test_names) & names
+    states, rng = states_for(n_states), random.Random(seed)
+    space = _space(lattice, godel_grid)
+
+    def model():
+        programs = {name: oracle_draw(rng, lattice, states, space, False)
+                    for name in sorted(names - tests)}
+        tested = {name: _from_test(oracle_draw(rng, lattice, states, space, True))
+                  for name in sorted(tests)}
+        return Model(lattice, states, programs, tested, values=space.values)
+
+    models = (model() for _ in range(samples))
+    instances = ((_atom_assignment(m, names), m) for m in models)
+    units = _units(lattice, states, space.values)
+    return oracle_check(_equation(t1, t2), instances, *units, lattice, n_states, "random",
+                        seed=seed)
+
+
 # --- Weight-path loader and renderers (independent of the rank boundary) ----
 
 
@@ -106,8 +200,8 @@ def oracle_load_model(document: str):
     """The model loader as it was before it read each value text once: every
     cell becomes a ``Weight`` through ``elem``, every relation is built by
     ``from_entries``.  Reads only well-formed JSON."""
-    from pkat.plts import (Model, _check_name, _checked_pairs, _named_section,
-                           _read_states, _read_test_carrier)
+    from pkat.plts import (_check_name, _checked_pairs, _named_section, _read_states,
+                           _read_test_carrier)
 
     raw = json.loads(document, object_pairs_hook=_checked_pairs)
     if not isinstance(raw, dict):
@@ -256,6 +350,18 @@ def prel_to_set(rel) -> frozenset:
 
 
 # --- random term generators --------------------------------------------------
+
+
+def _extend(inner, unary):
+    """One more layer; the last option repeats a subterm, as laws do."""
+    return st.one_of(st.builds(Plus, inner, inner), st.builds(Dot, inner, inner),
+                     st.builds(unary, inner), inner.map(lambda t: Plus(Dot(t, t), t)))
+
+
+TEST_TERMS = st.recursive(st.sampled_from([Zero(), One(), Atom("a"), Atom("b")]),
+                          lambda inner: _extend(inner, Not), max_leaves=5)
+PROGRAM_TERMS = st.recursive(st.one_of(TEST_TERMS, st.sampled_from([Atom("p"), Atom("q")])),
+                             lambda inner: _extend(inner, Star), max_leaves=6)
 
 
 def random_any_term(rng: random.Random, depth: int, names=("p", "q", "a", "b")) -> Term:

@@ -1,0 +1,152 @@
+"""Laws checked a chunk at a time give the per-instance loop's verdicts.
+
+``pkat.bitslice`` evaluates a law on many instances at once, one bit per
+(instance, cut).  Each verdict here, with its count and witness, is
+compared with ``oracle_check``'s, which builds and checks one instance
+at a time, over bool2, Ł3 and godel grids, in every mode.
+"""
+
+from types import SimpleNamespace
+from unittest.mock import patch
+
+from hypothesis import example, given, settings, strategies as st
+
+import pkat.engine
+from pkat.bitslice import first_failure
+from pkat.engine import (AxiomId, Status, check_axiom, equiv_random, find_boolean_witness,
+                         recheck, verdict_to_dict, weight_space)
+from pkat.syntax import Dot, One, Plus, Sort, Star, parse
+
+from helpers import B2, GD, L3, PROGRAM_TERMS, oracle_equiv_random, oracle_run
+
+GODEL9 = ["0", "1/8", "1/4", "3/8", "1/2", "5/8", "3/4", "7/8", "1"]
+GRIDS = [(B2, None), (L3, None), (GD, ["1/2"]), (GD, ["0", "1/3", "1"]), (GD, GODEL9)]
+WALK_LIMIT = 729  # instances the oracle walks in one example
+
+# Horn laws that fail; the first only after instances whose goal fails where
+# its premise fails too.
+FAILING_HORN = ["q <= p + m  ->  q <= p", "p <= q  ->  q <= p", "p;q <= q;p  ->  q;p <= p;q"]
+
+
+def _walk_size(law, k, n):
+    one_test = not law.premise and [sort for _, sort in law.vars] == [Sort.TEST]
+    return k if one_test else k ** sum(n if s is Sort.TEST else n * n for _, s in law.vars)
+
+
+@st.composite
+def _runs(draw):
+    """(lattice, grid, n, how, axiom, samples, seed); an exhaustive law only
+    where its walk fits the oracle."""
+    lattice, grid = draw(st.sampled_from(GRIDS))
+    n, how = draw(st.integers(1, 3)), draw(st.sampled_from(["random", "exhaustive", "search"]))
+    if how == "search":
+        return lattice, grid, n, how, draw(st.sampled_from([219, 220])), None, None
+    if how == "random":
+        samples, seed = draw(st.sampled_from([1, 5, 25])), draw(st.integers(0, 999))
+        return lattice, grid, n, how, draw(st.sampled_from(list(AxiomId))).value, samples, seed
+    k = len(weight_space(lattice, grid))
+    fits = [a.value for a in AxiomId if _walk_size(pkat.engine._AXIOMS[a], k, n) <= WALK_LIMIT]
+    return lattice, grid, n, how, draw(st.sampled_from(fits)), None, None
+
+
+def _checked(lattice, grid, n, how, axiom, samples, seed):
+    if how == "search":
+        return find_boolean_witness(lattice, n, grid)[AxiomId(axiom)]
+    return check_axiom(axiom, lattice, n, how, samples=samples, seed=seed, godel_grid=grid)
+
+
+@settings(max_examples=40, deadline=None)
+@example((L3, None, 1, "exhaustive", 14, None, None))  # premises that fail are excused
+@example((L3, None, 1, "exhaustive", 15, None, None))
+@example((GD, ["0", "1/3", "1"], 2, "random", 15, 25, 4))
+@example((L3, None, 3, "exhaustive", 219, None, None))  # fails at the walk's second test
+@example((GD, GODEL9, 2, "random", 220, 25, 1))  # many failures in one chunk: the first
+@given(_runs())
+def test_axiom_verdicts_match_the_per_instance_loop(run):
+    lattice, grid, n, how, axiom, samples, seed = run
+    got = _checked(*run)
+    law = pkat.engine._AXIOMS[AxiomId(axiom)]
+    want = oracle_run(law, AxiomId(axiom), lattice, n, grid, how, samples, seed)
+    assert verdict_to_dict(got) == verdict_to_dict(want)
+    assert got.status is Status.HOLDS or recheck(got)
+
+
+def _horn(formula):
+    """The formula compiled as the catalog compiles its laws."""
+    return pkat.engine._Laws()[SimpleNamespace(formula=formula)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(FAILING_HORN), st.sampled_from(GRIDS[:4]), st.integers(1, 2),
+       st.integers(0, 99))
+def test_failing_horn_laws_match_the_per_instance_loop(formula, space, n, seed):
+    lattice, grid = space
+    law, ident, k = _horn(formula), AxiomId.STAR_IND_L, len(weight_space(lattice, grid))
+    for how, samples in (("random", 40), ("exhaustive", None)):
+        if how == "exhaustive" and _walk_size(law, k, n) > WALK_LIMIT:
+            continue
+        with patch.object(pkat.engine, "_AXIOMS", {ident: law}):
+            got = check_axiom(ident, lattice, n, how, samples=samples, seed=seed, godel_grid=grid)
+        want = oracle_run(law, ident, lattice, n, grid, how, samples, seed)
+        assert verdict_to_dict(got) == verdict_to_dict(want)
+
+
+def test_a_failing_horn_law_skips_instances_whose_premise_fails():
+    # While m = BOT the premise is the goal, so each of the first 81 instances
+    # holds; 45 of them break the goal.  The law fails at m = (u,u), p = BOT
+    # and q = (u,u), the walk's 83rd instance.
+    law = _horn(FAILING_HORN[0])
+    with patch.object(pkat.engine, "_AXIOMS", {AxiomId.STAR_IND_L: law}):
+        verdict = check_axiom(AxiomId.STAR_IND_L, L3, 1)
+        assert recheck(verdict)
+    want = oracle_run(law, AxiomId.STAR_IND_L, L3, 1, None, "exhaustive")
+    assert verdict_to_dict(verdict) == verdict_to_dict(want)
+    assert (verdict.status, verdict.samples) == (Status.FAILS, 83)
+
+
+def _near(t1, t2):
+    """Right sides that hold against t1, or fail on some models only."""
+    return st.sampled_from([t2, Plus(t1, t1), Plus(One(), Dot(t1, Star(t1))), Plus(t1, t2),
+                            Dot(t1, t2), Plus(t1, Dot(t2, t1))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(PROGRAM_TERMS, PROGRAM_TERMS).flatmap(lambda ts: st.tuples(st.just(ts[0]),
+                                                                             _near(*ts))),
+       st.sampled_from(GRIDS), st.integers(1, 3), st.sampled_from([1, 6, 40]),
+       st.integers(0, 999))
+def test_equiv_random_matches_the_per_instance_loop(terms, space, n, samples, seed):
+    (t1, t2), (lattice, grid) = terms, space
+    got = equiv_random(t1, t2, lattice, n, samples, seed, test_names="ab", godel_grid=grid)
+    want = oracle_equiv_random(t1, t2, lattice, n, samples, seed, "ab", grid)
+    assert verdict_to_dict(got) == verdict_to_dict(want)
+    assert got.status is Status.HOLDS or recheck(got)
+
+
+# --- early exits --------------------------------------------------------------------
+
+
+def _counted(monkeypatch, name):
+    """Record every instance the engine's stream ``name`` yields."""
+    taken, stream = [], getattr(pkat.engine, name)
+    monkeypatch.setattr(pkat.engine, name,
+                        lambda *a: (taken.append(c) or c for c in stream(*a)))
+    return taken
+
+
+def test_a_mutant_failing_at_its_first_sample_draws_one_model(monkeypatch):
+    drawn = _counted(monkeypatch, "_draws")
+    verdict = equiv_random(parse("p;q"), parse("q;p"), L3, 2, 100_000, 0)
+    assert (verdict.status, verdict.samples, len(drawn)) == (Status.FAILS, 1, 1)
+
+
+def test_an_exhaustive_law_failing_at_its_second_instance_encodes_a_few(monkeypatch):
+    taken = _counted(monkeypatch, "_walk")
+    verdict = check_axiom(AxiomId.TEST_NON_CONTRA, L3, 3)  # a walk of 9 tests
+    assert (verdict.status, verdict.samples) == (Status.FAILS, 2) and len(taken) <= 3
+    # The same law's full walk at six states: 9^6 tests, of which it takes three.
+    engine, layout = pkat.engine, [("a", True)]
+    law, cells = engine._AXIOMS[AxiomId.TEST_NON_CONTRA], engine._space(L3, None).cells
+    taken.clear()
+    found = first_failure(law, layout, engine._walk(layout, len(cells), 6), 6, cells, 2)
+    assert found == (2, [cells[0]] * 5 + [cells[1]]) and len(taken) == 3

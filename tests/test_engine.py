@@ -28,10 +28,11 @@ from pkat.errors import EngineError, SortError
 from pkat.lattice import carrier, elem
 from pkat.plts import load_model
 from pkat.relp import from_ranks, identity, r_dot, r_leq, r_plus, r_star, t_complement, zero
-from pkat.syntax import Atom, Dot, Not, One, Plus, Sort, Star, Zero, parse
+from pkat.syntax import Dot, Not, One, Plus, Sort, Star, parse
 from pkat.twist import Weight, wbot, wtop
 
-from helpers import B2, GD, L3, lw, oracle_eval, random_sorted_term
+from helpers import (B2, GD, L3, PROGRAM_TERMS, TEST_TERMS, lw, oracle_check, oracle_eval,
+                     oracle_relation, random_sorted_term)
 
 RICH_DOC = json.dumps(
     {
@@ -97,18 +98,6 @@ def test_evaluate_compositional(rich_model):
         assert evaluate(Not(guard), rich_model) == t_complement(
             evaluate(guard, rich_model)
         )
-
-
-def _extend(inner, unary):
-    """One more layer; the last option repeats a subterm, as laws do."""
-    return st.one_of(st.builds(Plus, inner, inner), st.builds(Dot, inner, inner),
-                     st.builds(unary, inner), inner.map(lambda t: Plus(Dot(t, t), t)))
-
-
-TEST_TERMS = st.recursive(st.sampled_from([Zero(), One(), Atom("a"), Atom("b")]),
-                          lambda inner: _extend(inner, Not), max_leaves=5)
-PROGRAM_TERMS = st.recursive(st.one_of(TEST_TERMS, st.sampled_from([Atom("p"), Atom("q")])),
-                             lambda inner: _extend(inner, Star), max_leaves=6)
 
 
 @st.composite
@@ -230,19 +219,20 @@ def _indexed_assignments(law, lattice, states, space):
     (GD, 1, list(AxiomId)),
 ])
 def test_assignments_match_the_index_decoder(lattice, n, axioms):
-    def rows(assignments):
-        return [{name: (r.states, r.values, r.tt, r.ff) for name, r in env.items()}
-                for env in assignments]
+    def cells(law, env):  # each variable's cells as the walk lists them: a test's diagonal
+        return tuple(cell for (_, sort), r in zip(law.vars, env.values())
+                     for cell in list(zip(r.tt, r.ff))[::n + 1 if sort is Sort.TEST else 1])
 
     space, states = pkat.engine._space(lattice, None), states_for(n)
     for ident in axioms:
         law = pkat.engine._AXIOMS[ident]
         size = len(space.cells) ** sum(n if s is Sort.TEST else n * n for _, s in law.vars)
         limit = size if size <= 20_000 else 2_000
-        found = pkat.engine._assignments(law, lattice, states, space)
-        envs, models = zip(*islice(found, limit))
-        assert set(models) == {None}
-        assert rows(envs) == rows(islice(_indexed_assignments(law, lattice, states, space), limit))
+        layout = [(name, sort is Sort.TEST) for name, sort in law.vars]
+        found = pkat.engine._walk(layout, len(space.cells), n)
+        decoded = _indexed_assignments(law, lattice, states, space)
+        assert [tuple(space.cells[i] for i in ids) for ids in islice(found, limit)] == [
+            cells(law, env) for env in islice(decoded, limit)]
         if limit == size:  # and no assignment beyond the decoder's last
             assert next(found, None) is None
 
@@ -326,7 +316,8 @@ def test_a_refused_count_is_printed_in_full_up_to_30_digits():
 
 
 def test_suite_refuses_before_checking_any_law(monkeypatch):
-    monkeypatch.setattr(pkat.engine, "_check", None)  # any check would raise TypeError
+    for stream in ("_walk", "_draws"):  # any check would raise TypeError
+        monkeypatch.setattr(pkat.engine, stream, None)
     with pytest.raises(EngineError, match=r"^exhaustive space of 9\^27 "):
         pkat.engine.check_suite(L3, 3)
     # The witness search's 2 tests at 48^4 steps each exceed the step cap.
@@ -417,10 +408,10 @@ def _full_walk(ident, lattice, n, grid, mode):
     order: the reference the k-instance check must reproduce."""
     engine = pkat.engine
     law, space, states = engine._AXIOMS[ident], engine._space(lattice, grid), states_for(n)
-    instances = (({"a": engine._relation(lattice, states, space, True, cells)}, None)
+    instances = (({"a": oracle_relation(lattice, states, space, True, cells)}, None)
                  for cells in product(space.cells, repeat=n))
     units = engine._units(lattice, states, space.values)
-    return engine._check(law, instances, *units, lattice, n, mode, axiom=ident)
+    return oracle_check(law, instances, *units, lattice, n, mode, axiom=ident)
 
 
 @st.composite
@@ -462,12 +453,12 @@ def test_one_test_law_is_guarded_by_the_tests_it_checks():
 
 
 def test_bool2_witness_search_builds_two_tests_per_law(monkeypatch):
-    # The walk built all 2^14 tests for each law; the search builds k = 2.
-    built, relation = [], pkat.engine._relation
-    monkeypatch.setattr(pkat.engine, "_relation", lambda *a: built.append(a) or relation(*a))
+    # The walk took all 2^14 tests for each law; the search takes k = 2.
+    taken, walk = [], pkat.engine._walk
+    monkeypatch.setattr(pkat.engine, "_walk", lambda *a: (taken.append(c) or c for c in walk(*a)))
     found = find_boolean_witness(B2, 14)
     assert [(v.status, v.samples) for v in found.values()] == [(Status.HOLDS, 2**14)] * 2
-    assert len(built) <= 2 * 2
+    assert len(taken) <= 2 * 2
 
 
 # --- term equivalence ---------------------------------------------------------------
