@@ -1,30 +1,21 @@
 """Laws checked on a chunk of instances at once, one bit per (instance, cut):
-the ``engine`` docstring gives the encoding, why it is exact and the chunks."""
+the ``engine`` docstring gives the chunks and their layout, ``relp`` the ops."""
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import islice
-from operator import and_, or_
+from operator import or_
 
-from .errors import SortError
+from .relp import _code, _dot, _exceeds, _not, _plus
 
 MAX_BITS = 1 << 13  # per cell: a chunk holds at most MAX_BITS // (2 * top) instances
 
 
-def _plus(x, y, n, full, w):
-    return list(map(or_, x, y))
-
-
-def _dot(x, y, n, full, w):
-    cols = [y[j::n] for j in range(n)]
-    return [reduce(or_, map(and_, x[i:i + n], col)) for i in range(0, n * n, n) for col in cols]
-
-
-def _star(x, _, n, full, w):
+def _star(x, _, n, w):
     """Warshall's reflexive-transitive closure, on every bit at once."""
     c = list(x)
-    c[::n + 1] = [full] * n
+    c[::n + 1] = [(1 << 2 * w) - 1] * n
     for k in range(n):
         row = c[k * n:k * n + n]
         for i in range(0, n * n, n):
@@ -32,16 +23,6 @@ def _star(x, _, n, full, w):
             if through:
                 c[i:i + n] = [a | through & b for a, b in zip(c[i:i + n], row)]
     return c
-
-
-def _not(x, _, n, full, w):
-    """tt >= t becomes not ff <= t - 1, and ff <= s not tt >= s + 1."""
-    if any(v for k, v in enumerate(x) if k % (n + 1)):
-        raise SortError("complement is defined on tests (subidentity relations)")
-    low = (1 << w) - 1
-    out = [0] * (n * n)
-    out[::n + 1] = [(v >> w | (v & low) << w) ^ full for v in x[::n + 1]]
-    return out
 
 
 # By name, so that a kernel wrapped with ``functools.wraps`` maps alike.
@@ -61,9 +42,8 @@ def first_failure(law, layout, instances, n: int, cells, top: int):
         at += width
     slots = [where[name] for name in names]
     ops = [(_OPS[kernel.__name__], i, j) for kernel, i, j in steps[2 + len(names):]]
-    # A cell's bit in each block: tt >= 1..top, then ff <= 0..top-1.
-    digits = [["01"[t > j] for t, _ in cells] for j in range(top)]
-    digits += [["01"[f <= s] for _, f in cells] for s in range(top)]
+    codes = [_code(t, f, top) for t, f in cells]  # block j holds bit j of each cell
+    digits = [["01"[c >> j & 1] for c in codes] for j in range(2 * top)]
     instances, cap = iter(instances), max(1, MAX_BITS // (2 * top))
     count, size = 0, 1
     while chunk := list(islice(instances, size)):
@@ -85,16 +65,14 @@ def _encode(chunk, digits) -> list[int]:
 def _breaks(law, slots, ops, roots, cells, size: int, n: int, top: int) -> int:
     """The mask of the chunk's instances that break the law."""
     w = top * size
-    full = (1 << 2 * w) - 1
-    one = [0] * (n * n)
-    one[::n + 1] = [full] * n
-    values = [one, [0] * (n * n)]
+    zero = [0] * (n * n)
+    values = [_not(zero, None, n, w), zero]  # 1 = !0
     for i, j, step in slots:
         rel = [0] * (n * n)
         rel[::step] = cells[i:j]
         values.append(rel)
     for op, i, j in ops:
-        values.append(op(values[i], None if j is None else values[j], n, full, w))
+        values.append(op(values[i], None if j is None else values[j], n, w))
     sides = [values[root] for root in roots]
     pairs = list(zip(sides[::2], sides[1::2]))
     excused = _fold(_exceeds(*pairs.pop(0)), size) if law.premise else 0
@@ -102,11 +80,6 @@ def _breaks(law, slots, ops, roots, cells, size: int, n: int, top: int) -> int:
     for lhs, rhs in pairs:
         bad |= _exceeds(lhs, rhs) if law.leq else reduce(or_, map(int.__xor__, lhs, rhs))
     return _fold(bad, size) & ~excused
-
-
-def _exceeds(lhs, rhs) -> int:
-    """The bits where lhs <= rhs fails."""
-    return reduce(or_, (a & ~b for a, b in zip(lhs, rhs)))
 
 
 def _fold(bits: int, size: int) -> int:

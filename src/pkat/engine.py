@@ -36,25 +36,19 @@ holds on all k^n; both guards count those k.  Runs too large for
 ``MAX_EXHAUSTIVE`` or ``MAX_STEPS`` are refused from their sizes alone.
 
 The checking loops (``_run``, ``equiv_random``) check a law on a chunk of
-B instances at once, with one bit per (instance, cut), in ``bitslice``:
-only they import it, so ``hoare`` requests never compile it.
-Over ranks 0..top and with W = top·B, a cell is one int: bit (t-1)·B + b
-is set when instance b has tt >= t, and bit W + s·B + b when it has
-ff <= s (the ff half holds each cut's complement, so that BOT is 0 and
-the identity's diagonal is all ones).  Then ``+`` is OR on both halves,
-``;`` an OR of ANDs, ``*`` Warshall's closure with the diagonal all ones,
-``!`` a swap of a diagonal cell's halves and a negation, and a side breaks
-where the two differ (XOR) or, for ``<=``, where the left has a bit the
-right lacks (AND-NOT).  This is exact: each cut θ sends a rank x to
-[x >= θ], and so sends pkat over the chain onto Belnap's four values,
-keeping ``+``, ``;``, ``*``, ``!`` and ``<=`` (``tests/test_cut.py``), and
-the cuts together tell ranks apart.  The first failing instance is the
-lowest set bit of the break mask, after the instances whose premise fails
-are masked out; that instance alone is then built as relations and run
-by ``_break`` for its witness.  Chunks are taken lazily from the walk or
-from ``rng``, in the order the loop draws them, doubling from 1 up to
-``bitslice.MAX_BITS`` bits a cell: a run that fails early encodes a few
-instances, and a long walk stays in bounded memory.
+B instances at once in ``bitslice``: only they import it, so ``hoare``
+and ``equiv --model`` requests never compile it.  A chunk's cell is the
+``relp`` cell of each instance, cut by cut: over ranks 0..top and with
+W = top·B, bit (t-1)·B + b is set when instance b has tt >= t, and bit
+W + s·B + b when it has ff <= s, so ``relp``'s ops run on it as they are,
+and ``bitslice`` runs ``*`` as Warshall's closure.
+The first failing instance is the lowest set bit of the break mask,
+after the instances whose premise fails are masked out; that instance
+alone is then built as relations and run by ``_break`` for its witness.
+Chunks are taken lazily from the walk or from ``rng``, in the order the
+loop draws them, doubling from 1 up to ``bitslice.MAX_BITS`` bits a
+cell: a run that fails early encodes a few instances, and a long walk
+stays in bounded memory.
 """
 
 from __future__ import annotations
@@ -323,15 +317,11 @@ def random_model(
 
 def _first_break(lhs: PRel, rhs: PRel, require_leq: bool):
     """The first entry where lhs = rhs (lhs <= rhs) fails, decoded; else None."""
-    if r_leq(lhs, rhs) if require_leq else lhs == rhs:
-        return None
     lhs, rhs = align(lhs, rhs)
-    cells = zip(lhs.tt, rhs.tt, lhs.ff, rhs.ff)
-    for k, (lt, rt, lf, rf) in enumerate(cells):
-        if (lt > rt or lf < rf) if require_leq else (lt != rt or lf != rf):
+    for k, (a, b) in enumerate(zip(lhs.bits, rhs.bits)):
+        if a & ~b if require_leq else a != b:
             n = len(lhs.states)
-            u, v = lhs.states[k // n], lhs.states[k % n]
-            return (u, v), lhs.entry(u, v), rhs.entry(u, v)
+            return (lhs.states[k // n], lhs.states[k % n]), lhs.cell(k), rhs.cell(k)
 
 
 def _break(law: _Law, env: Mapping[str, PRel], one: PRel, zer: PRel):

@@ -8,13 +8,22 @@ pair-meets over intermediate states; star is the least solution of
 On a chain, pair-join is max on the support and min on the opposition
 (pair-meet the reverse), so no operation makes a value its operands did
 not hold.  A relation therefore keeps ``values``, a sorted table of
-exact rationals that always holds 0 and 1, and two flat row-major
-tuples ``tt`` and ``ff`` of integer ranks into it; every operation here
-works on the ranks alone.  Relations built together share one table,
-and operands on different tables are lifted to their merged table
-first.  Weights are decoded only at the boundary: ``cell`` and ``entry``
-decode one cell, and ``cell_forms`` (behind ``weights``, ``pairs`` and
-the exporters below) one weight per distinct rank pair.
+exact rationals that always holds 0 and 1, and one int per cell with a
+bit per cut of its ranks 0..top into the table: bit t-1 is set when
+tt >= t, and bit top + s when ff <= s (the ff half holds each cut's
+complement, so that BOT is 0 and the identity's diagonal is all ones).
+Relations built together share one table, and operands on different
+tables are lifted to their merged table first.  ``+`` is OR on both
+halves, ``;`` an OR of ANDs, ``!`` a swap of a diagonal cell's halves
+and a negation, and lhs <= rhs fails where the left has a bit the right
+lacks (AND-NOT); ``bitslice`` runs these ops on chunks of instances.
+This is exact: each cut θ sends a rank x to [x >= θ], and so sends pkat
+over the chain onto Belnap's four values, keeping ``+``, ``;``, ``*``,
+``!`` and ``<=`` (``tests/test_cut.py``), and the cuts together tell
+ranks apart.  Ranks are decoded (``int.bit_count``) only at the
+boundary: ``cell`` and ``entry`` decode one cell, and ``cell_forms``
+(behind ``weights``, ``pairs`` and the exporters below) one weight per
+distinct cell.
 
 On ranks the star's support is the (max, min) reflexive-transitive
 closure: a cell holds the highest cut t at which a breadth-first search
@@ -31,8 +40,9 @@ only, which keeps the result subidentity.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from operator import ge, le
+from functools import reduce
+from itertools import product, repeat
+from operator import and_, or_
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ShapeError, SortError
@@ -54,10 +64,10 @@ def _check_states(states: tuple[str, ...]) -> None:
 
 class PRel:
     """A total map (state, state) -> Weight, row-major over ``states``,
-    held as ``tt``/``ff`` ranks into the table ``values``.  Never mutated:
-    relations are shared, and equal relations hash alike."""
+    held as one int per cell (``bits``) over the table ``values``.  Never
+    mutated: relations are shared, and equal relations hash alike."""
 
-    __slots__ = ("lattice", "states", "values", "tt", "ff")
+    __slots__ = ("lattice", "states", "values", "bits")
 
     def __new__(cls, lattice: LatticeId, states, weights, values=()):
         """Encode ``weights`` on a table that also holds ``values``."""
@@ -73,14 +83,17 @@ class PRel:
         if self.lattice is not other.lattice or self.states != other.states:
             return False
         r, s = align(self, other)
-        return r.tt == s.tt and r.ff == s.ff
+        return r.bits == s.bits
 
     def __hash__(self):
-        decoded = (tuple(map(self.values.__getitem__, ranks)) for ranks in (self.tt, self.ff))
-        return hash((self.lattice, self.states, *decoded))
+        return hash((self.lattice, self.states, self.weights))
 
     def __repr__(self):
         return f"PRel({self.lattice}, {self.states!r}, {self.weights!r})"
+
+    # Each cell's support (tt) and opposition (ff) rank, row-major, decoded.
+    tt = property(lambda r: tuple(_ranks(c, len(r.values) - 1)[0] for c in r.bits))
+    ff = property(lambda r: tuple(_ranks(c, len(r.values) - 1)[1] for c in r.bits))
 
     @property
     def weights(self) -> tuple[Weight, ...]:
@@ -88,8 +101,8 @@ class PRel:
 
     def cell(self, k: int) -> Weight:
         """The weight of row-major cell ``k``."""
-        support, opposition = (self.values[ranks[k]] for ranks in (self.tt, self.ff))
-        return Weight(LatticeElem(self.lattice, support), LatticeElem(self.lattice, opposition))
+        return Weight(*(LatticeElem(self.lattice, self.values[x])
+                        for x in _ranks(self.bits[k], len(self.values) - 1)))
 
     def entry(self, u: str, v: str) -> Weight:
         n = len(self.states)
@@ -103,18 +116,31 @@ class PRel:
         return zip(product(self.states, repeat=2), cell_forms(self, form))
 
 
-def from_ranks(lattice: LatticeId, states, values, tt, ff) -> PRel:
-    """A relation straight from ranks into a table made by ``value_table``."""
+# A cell from its (tt, ff) ranks over ranks 0..top, and back.
+def _code(t: int, f: int, top: int) -> int:
+    return (1 << t) - 1 | ((1 << top - f) - 1) << top + f
+
+
+def _ranks(c: int, top: int) -> tuple[int, int]:
+    return (c & (1 << top) - 1).bit_count(), top - (c >> top).bit_count()
+
+
+def _from_bits(lattice: LatticeId, states, values, bits) -> PRel:
     r = object.__new__(PRel)
-    r.lattice, r.states, r.values, r.tt, r.ff = lattice, states, values, tt, ff
+    r.lattice, r.states, r.values, r.bits = lattice, states, values, tuple(bits)
     return r
+
+
+def from_ranks(lattice: LatticeId, states, values, tt, ff) -> PRel:
+    """A relation from row-major ranks into a table made by ``value_table``."""
+    return _from_bits(lattice, states, values, map(_code, tt, ff, repeat(len(values) - 1)))
 
 
 def from_entries(
     lattice: LatticeId, states, entries: Mapping[tuple[str, str], Weight], values=()
 ) -> PRel:
     """Total relation from a sparse entry map; missing pairs get BOT.  Only
-    the listed entries are encoded; every other cell takes the BOT ranks."""
+    the listed entries are encoded; every other cell is BOT."""
     states = tuple(states)
     index = {s: i for i, s in enumerate(states)}
     for u, v in entries:
@@ -132,36 +158,30 @@ def from_entries(
 def from_cells(lattice: LatticeId, states, table, cells: Mapping[int, tuple], rank) -> PRel:
     """The relation on ``table`` whose row-major cell k holds ranks ``rank[t]``
     and ``rank[f]`` for ``cells[k] == (t, f)``; every other cell holds BOT."""
-    n = len(states)
-    tt, ff = [0] * (n * n), [len(table) - 1] * (n * n)
+    n, top = len(states), len(table) - 1
+    bits = [0] * (n * n)
     for k, (t, f) in cells.items():
-        tt[k], ff[k] = rank[t], rank[f]
-    return from_ranks(lattice, states, table, tuple(tt), tuple(ff))
+        bits[k] = _code(rank[t], rank[f], top)
+    return _from_bits(lattice, states, table, bits)
 
 
 def identity(lattice: LatticeId, states: tuple[str, ...], values=()) -> PRel:
-    """TOP on the diagonal, BOT elsewhere, on the table holding ``values``."""
-    states, table = tuple(states), value_table(values)
-    _check_states(states)
-    n, top = len(states), len(table) - 1
-    tt = tuple(top if k % (n + 1) == 0 else 0 for k in range(n * n))
-    return from_ranks(lattice, states, table, tt, tuple(top - t for t in tt))
+    """TOP on the diagonal, BOT elsewhere, on the table holding ``values``: !0."""
+    return _apply(_not, zero(lattice, states, values))
 
 
 def zero(lattice: LatticeId, states: tuple[str, ...], values=()) -> PRel:
     states, table = tuple(states), value_table(values)
     _check_states(states)
-    n, top = len(states), len(table) - 1
-    return from_ranks(lattice, states, table, (0,) * n * n, (top,) * n * n)
+    return _from_bits(lattice, states, table, (0,) * len(states) ** 2)
 
 
 def _lift(r: PRel, table: tuple) -> PRel:
     if r.values == table:
         return r
-    rank = {v: i for i, v in enumerate(table)}
-    m = [rank[v] for v in r.values]
-    return from_ranks(r.lattice, r.states, table, tuple(map(m.__getitem__, r.tt)),
-                      tuple(map(m.__getitem__, r.ff)))
+    rank, top = {v: i for i, v in enumerate(table)}, len(r.values) - 1
+    cells = {k: _ranks(c, top) for k, c in enumerate(r.bits) if c}
+    return from_cells(r.lattice, r.states, table, cells, [rank[v] for v in r.values])
 
 
 def align(r: PRel, s: PRel) -> tuple[PRel, PRel]:
@@ -176,53 +196,74 @@ def align(r: PRel, s: PRel) -> tuple[PRel, PRel]:
     return _lift(r, table), _lift(s, table)
 
 
-def _product(a: tuple, b: tuple, n: int, add, mul) -> tuple:
-    """Row-major n x n product: ``add`` over k of ``mul(a[i,k], b[k,j])``."""
-    rows = [a[i:i + n] for i in range(0, n * n, n)]
-    cols = [b[j::n] for j in range(n)]
-    return tuple(add(map(mul, row, col)) for row in rows for col in cols)
+def _plus(x, y, n: int, w: int) -> list:
+    return list(map(or_, x, y))
+
+
+def _dot(x, y, n: int, w: int) -> list:
+    cols = [y[j::n] for j in range(n)]
+    return [reduce(or_, map(and_, x[i:i + n], col)) for i in range(0, n * n, n) for col in cols]
+
+
+def _not(x, _, n: int, w: int) -> list:
+    """tt >= t becomes not ff <= t - 1, and ff <= s not tt >= s + 1."""
+    if any(v for k, v in enumerate(x) if k % (n + 1)):
+        raise SortError("complement is defined on tests (subidentity relations)")
+    low, full = (1 << w) - 1, (1 << 2 * w) - 1
+    out = [0] * (n * n)
+    out[::n + 1] = [(v >> w | (v & low) << w) ^ full for v in x[::n + 1]]
+    return out
+
+
+def _exceeds(lhs, rhs) -> int:
+    """The bits where lhs <= rhs fails."""
+    return reduce(or_, (a & ~b for a, b in zip(lhs, rhs)))
+
+
+def _apply(op, r: PRel, s: PRel | None = None) -> PRel:
+    bits = op(r.bits, s and s.bits, len(r.states), len(r.values) - 1)
+    return _from_bits(r.lattice, r.states, r.values, bits)
 
 
 def r_plus(r: PRel, s: PRel) -> PRel:
-    r, s = align(r, s)
-    return from_ranks(r.lattice, r.states, r.values, tuple(map(max, r.tt, s.tt)),
-                      tuple(map(min, r.ff, s.ff)))
+    return _apply(_plus, *align(r, s))
 
 
 def r_dot(r: PRel, s: PRel) -> PRel:
-    r, s = align(r, s)
-    n = len(r.states)
-    return from_ranks(r.lattice, r.states, r.values,
-                      _product(r.tt, s.tt, n, max, min), _product(r.ff, s.ff, n, min, max))
+    return _apply(_dot, *align(r, s))
 
 
 def r_star(r: PRel) -> PRel:
-    result, _ = r_star_steps(r)
-    return result
+    return r_star_steps(r)[0]
 
 
 def r_star_steps(r: PRel) -> tuple[PRel, int]:
-    """Star together with the rounds ``S = 1 + R.S`` takes from 1 to its fixpoint."""
+    """Star together with the rounds ``S = 1 + R.S`` takes from 1 to its fixpoint.
+    Each half is closed on its own cut counts, read once off each edge."""
     n, top = len(r.states), len(r.values) - 1
-    tt, tt_depth = _closure(r.tt, n, top)
-    ff, ff_depth = _closure([top - f for f in r.ff], n, top)
-    star = from_ranks(r.lattice, r.states, r.values, tuple(tt), tuple(top - f for f in ff))
-    return star, 1 + max(tt_depth, ff_depth)
+    low, tt_cuts, ff_cuts = (1 << top) - 1, {}, {}  # row-major edges by cut count
+    for k, c in enumerate(r.bits):
+        if c and k % (n + 1):
+            if t := (c & low).bit_count():
+                tt_cuts.setdefault(t, []).append(k)
+            if g := (c >> top).bit_count():  # top - ff
+                ff_cuts.setdefault(g, []).append(k)
+    tt, tt_depth = _closure(tt_cuts, {t: (1 << t) - 1 for t in (top, *tt_cuts)}, n, top)
+    ff, ff_depth = _closure(ff_cuts, {g: ((1 << g) - 1) << 2 * top - g for g in (top, *ff_cuts)},
+                            n, top)
+    return _from_bits(r.lattice, r.states, r.values, map(or_, tt, ff)), 1 + max(tt_depth, ff_depth)
 
 
-def _closure(ranks, n: int, top: int) -> tuple[list, int]:
-    """The (max, min) reflexive-transitive closure of row-major ``ranks`` and
-    the deepest level any search reaches.  Cuts descend, so a cell takes the
-    first cut that reaches it; a lower cut only shortens paths, so that
-    level is one at which a cell took its final value."""
+def _closure(cuts, code, n: int, top: int) -> tuple[list, int]:
+    """The (max, min) reflexive-transitive closure of the edges ``cuts[t]`` at
+    each cut count t, every cell as ``code`` of its count, and the deepest
+    level any search reaches.  Cuts descend, so a cell takes the first cut
+    that reaches it; a lower cut only shortens paths, so that level is one
+    at which a cell took its final value."""
     out, depth, full = [0] * (n * n), 0, (1 << n) - 1
-    out[::n + 1] = [top] * n
+    out[::n + 1] = [code[top]] * n
     rows = [1 << i for i in range(n)]
     seen = rows[:]
-    cuts = {}
-    for k, t in enumerate(ranks):
-        if t and k % (n + 1):
-            cuts.setdefault(t, []).append(k)
     for t in sorted(cuts, reverse=True):
         for k in cuts[t]:
             rows[k // n] |= 1 << k % n
@@ -243,30 +284,24 @@ def _closure(ranks, n: int, top: int) -> tuple[list, int]:
             new, seen[i] = reach & ~old, reach
             while new:
                 low = new & -new
-                out[i * n + low.bit_length() - 1] = t
+                out[i * n + low.bit_length() - 1] = code[t]
                 new ^= low
     return out, depth
 
 
 def r_leq(r: PRel, s: PRel) -> bool:
     r, s = align(r, s)
-    return all(map(le, r.tt, s.tt)) and all(map(ge, r.ff, s.ff))
+    return not _exceeds(r.bits, s.bits)
 
 
 def is_test(r: PRel) -> bool:
     """True when every off-diagonal entry is the least weight."""
-    n, top = len(r.states), len(r.values) - 1
-    return all(r.tt[k] == 0 and r.ff[k] == top for k in range(n * n) if k % (n + 1))
+    return not any(c for k, c in enumerate(r.bits) if k % (len(r.states) + 1))
 
 
 def t_complement(t: PRel) -> PRel:
     """Swap evidence on the diagonal; off-diagonal entries stay BOT."""
-    if not is_test(t):
-        raise SortError("complement is defined on tests (subidentity relations)")
-    step = len(t.states) + 1
-    tt, ff = list(t.tt), list(t.ff)
-    tt[::step], ff[::step] = t.ff[::step], t.tt[::step]
-    return from_ranks(t.lattice, t.states, t.values, tuple(tt), tuple(ff))
+    return _apply(_not, t)
 
 
 def from_diagonal(lattice: LatticeId, states, diagonal: Mapping[str, Weight], values=()) -> PRel:
@@ -276,11 +311,10 @@ def from_diagonal(lattice: LatticeId, states, diagonal: Mapping[str, Weight], va
 
 def cell_forms(r: PRel, form) -> list:
     """``form(w)`` of each cell's weight ``w``, row-major: one call per distinct
-    (tt, ff) rank pair."""
-    elems = [LatticeElem(r.lattice, v) for v in r.values]
-    cells = list(zip(r.tt, r.ff))
-    forms = {pair: form(Weight(elems[pair[0]], elems[pair[1]])) for pair in set(cells)}
-    return list(map(forms.__getitem__, cells))
+    cell, decoded once."""
+    elems, top = [LatticeElem(r.lattice, v) for v in r.values], len(r.values) - 1
+    forms = {c: form(Weight(*map(elems.__getitem__, _ranks(c, top)))) for c in set(r.bits)}
+    return list(map(forms.__getitem__, r.bits))
 
 
 def prel_to_entries(r: PRel) -> list[list]:

@@ -11,6 +11,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import accumulate, product
+from operator import ge, le
 
 from hypothesis import strategies as st
 
@@ -79,6 +80,38 @@ def oracle_star(states, a: dict, lattice, max_power: int) -> dict:
         power = oracle_dot(states, a, power, lattice)
         acc = {k: wjoin(acc[k], power[k]) for k in acc}
     return acc
+
+
+# --- rank-form kernel (independent of the cut bits) ---------------------------
+# A relation as two row-major tuples of ranks into one table: ``tt`` and ``ff``.
+
+
+def oracle_product(a, b, n: int, add, mul) -> tuple:
+    """Row-major n x n product: ``add`` over k of ``mul(a[i,k], b[k,j])``."""
+    rows = [a[i:i + n] for i in range(0, n * n, n)]
+    cols = [b[j::n] for j in range(n)]
+    return tuple(add(map(mul, row, col)) for row in rows for col in cols)
+
+
+def rank_plus(r, s) -> tuple:
+    """(tt, ff) of r + s: max on the support, min on the opposition."""
+    return tuple(map(max, r[0], s[0])), tuple(map(min, r[1], s[1]))
+
+
+def rank_dot(r, s, n: int) -> tuple:
+    """(tt, ff) of r;s: max of mins on the support, min of maxes on the opposition."""
+    return oracle_product(r[0], s[0], n, max, min), oracle_product(r[1], s[1], n, min, max)
+
+
+def rank_leq(r, s) -> bool:
+    return all(map(le, r[0], s[0])) and all(map(ge, r[1], s[1]))
+
+
+def rank_complement(r, n: int) -> tuple:
+    """(tt, ff) of a test's complement: the diagonal's ranks swapped."""
+    tt, ff = list(r[0]), list(r[1])
+    tt[::n + 1], ff[::n + 1] = r[1][::n + 1], r[0][::n + 1]
+    return tuple(tt), tuple(ff)
 
 
 # --- term-walk oracle (independent of the compiled form) --------------------

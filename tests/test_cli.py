@@ -285,12 +285,16 @@ def test_an_error_quotes_the_users_text_at_most_40_characters(capsys, argv, code
     (("eval", "--model", MODEL, "--term", "p;r*"), ["pkat.syntax"]),
     (("hoare", "--model", MODEL, "--pre", "p", "--prog", "r", "--post", "1"),
      ["pkat.engine", "pkat.syntax"]),
-], ids=["import", "star", "classify", "eval", "hoare"])
+    (("equiv", "--model", MODEL, "--t1", "r + r", "--t2", "r"), ["pkat.engine", "pkat.syntax"]),
+    (("equiv", "--t1", "r*;r* + r*", "--t2", "r*", "--lattice", "lukasiewicz3", "--states", "2",
+      "--random", "20", "--seed", "1"), ["pkat.bitslice", "pkat.engine", "pkat.syntax"]),
+], ids=["import", "star", "classify", "eval", "hoare", "equiv-model", "equiv-random"])
 def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
     probe = ("import sys, pkat.cli\n"
              "if sys.argv[1:]: pkat.cli.main(sys.argv[1:])\n"
-             "print(sorted({'pkat.syntax', 'pkat.engine'} & set(sys.modules)), file=sys.stderr)")
+             "print(sorted({'pkat.syntax', 'pkat.engine', 'pkat.bitslice'} & set(sys.modules)),"
+             " file=sys.stderr)")
     done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert done.stderr == f"{loaded}\n" and (done.stdout != "") == bool(argv)

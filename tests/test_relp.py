@@ -27,7 +27,8 @@ from pkat.relp import (
     value_table,
     zero,
 )
-from pkat.twist import negate, wbot, weight, wjoin, wleq, wtop
+from pkat.lattice import LatticeElem
+from pkat.twist import Weight, negate, wbot, weight, wjoin, wleq, wtop
 
 from helpers import (
     B2,
@@ -41,6 +42,10 @@ from helpers import (
     oracle_identity,
     oracle_star,
     random_godel_elem,
+    rank_complement,
+    rank_dot,
+    rank_leq,
+    rank_plus,
 )
 
 W = ("w1", "w2")
@@ -355,14 +360,14 @@ def test_star_makes_no_matrix_products(monkeypatch):
     states = tuple(f"s{i}" for i in range(6))
     rels = [_random_rel(rng, L3, states, LUKA_WEIGHTS) for _ in range(5)]
     calls = []
-    product_ = pkat.relp._product
-    monkeypatch.setattr(pkat.relp, "_product", lambda *args: calls.append(1) or product_(*args))
+    dot = pkat.relp._dot
+    monkeypatch.setattr(pkat.relp, "_dot", lambda *args: calls.append(1) or dot(*args))
     for rel in rels:
         r_star(rel)
         r_star_steps(rel)
     assert calls == []
     r_dot(rels[0], rels[1])
-    assert calls == [1, 1]  # the counter sees the products r_dot makes
+    assert calls == [1]  # the counter sees the one product r_dot makes
 
 
 def _check_complement(t):
@@ -398,6 +403,77 @@ def test_rank_kernel_matches_weight_oracles():
                 from_diagonal(lattice, states, {u: rng.choice(pool) for u in states})
             )
 
+
+
+# --- cut bits against the rank form -------------------------------------------
+
+RANK_TABLES = [
+    (B2, value_table(())),  # top = 1
+    (L3, value_table([Fraction(1, 2)])),
+    (GD, value_table(Fraction(i, 8) for i in range(9))),
+    (GD, value_table(Fraction(i, 39) for i in range(40))),
+]
+
+
+@st.composite
+def rank_operands(draw):
+    """Two relations of n <= 6 states over one lattice, each as (relation,
+    table, tt, ff) and built by ``from_ranks``.  A table is the lattice's
+    whole table or a few of its values, so operands may sit on different
+    tables; a relation is a test half the time."""
+    lattice, whole = draw(st.sampled_from(RANK_TABLES))
+    n = draw(st.integers(1, 6))
+    states = tuple(f"s{i}" for i in range(n))
+    out = []
+    for _ in range(2):
+        table = value_table(draw(st.one_of(st.just(whole),
+                                           st.lists(st.sampled_from(whole), max_size=6))))
+        top = len(table) - 1
+        tt, ff = (draw(st.lists(st.integers(0, top), min_size=n * n, max_size=n * n))
+                  for _ in range(2))
+        if draw(st.booleans()):
+            for k in range(n * n):
+                if k % (n + 1):
+                    tt[k], ff[k] = 0, top
+        tt, ff = tuple(tt), tuple(ff)
+        out.append((from_ranks(lattice, states, table, tt, ff), table, tt, ff))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_operands())
+def test_cut_bits_match_the_rank_form(operands):
+    (r, r_table, *r_ranks), (s, s_table, *s_ranks) = operands
+    lattice, n = r.lattice, len(r.states)
+    for rel, table, (tt, ff) in ((r, r_table, r_ranks), (s, s_table, s_ranks)):
+        assert (rel.values, rel.tt, rel.ff) == (table, tt, ff)
+        top = len(table) - 1  # bit t-1 for tt >= t, bit top+s for ff <= s
+        assert list(rel.bits) == [sum(1 << c - 1 for c in range(1, top + 1) if t >= c)
+                                  + sum(1 << top + c for c in range(top) if f <= c)
+                                  for t, f in zip(tt, ff)]
+        elems = [LatticeElem(lattice, v) for v in table]
+        assert rel.weights == tuple(Weight(elems[t], elems[f]) for t, f in zip(tt, ff))
+    merged = value_table((*r_table, *s_table))
+    a, b = ([tuple(merged.index(table[x]) for x in ranks) for ranks in pair]
+            for table, pair in ((r_table, r_ranks), (s_table, s_ranks)))
+
+    def ranks(rel):
+        return rel.values, [rel.tt, rel.ff]
+
+    assert ranks(r_plus(r, s)) == (merged, list(rank_plus(a, b)))
+    assert ranks(r_dot(r, s)) == (merged, list(rank_dot(a, b, n)))
+    assert r_leq(r, s) == rank_leq(a, b)
+    assert (r == s) == (a == b)
+    again = from_ranks(lattice, r.states, merged, *a)
+    assert again == r and hash(again) == hash(r)
+    top = len(r_table) - 1
+    test = all(r_ranks[0][k] == 0 and r_ranks[1][k] == top for k in range(n * n) if k % (n + 1))
+    assert is_test(r) == test
+    if test:
+        assert ranks(t_complement(r)) == (r_table, list(rank_complement(r_ranks, n)))
+    else:
+        with pytest.raises(SortError):
+            t_complement(r)
 
 
 def test_sparse_encoding_keeps_the_table_and_the_weights():
