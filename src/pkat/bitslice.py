@@ -1,5 +1,6 @@
 """Laws checked on a chunk of instances at once, one bit per (instance, cut):
-the ``engine`` docstring gives the chunks and their layout, ``relp`` the ops."""
+the ``engine`` docstring gives the chunks and their layout, ``relp`` the ops.
+``first_failure`` reads each variable's cell offsets from ``engine._spans``."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from functools import reduce
 from itertools import islice
 from operator import or_
 
+from .engine import _spans
 from .relp import _code, _dot, _exceeds, _not, _plus
 
 MAX_BITS = 1 << 13  # per cell: a chunk holds at most MAX_BITS // (2 * top) instances
@@ -29,17 +31,12 @@ def _star(x, _, n, w):
 _OPS = {"r_plus": _plus, "r_dot": _dot, "r_star": _star, "t_complement": _not}
 
 
-def first_failure(law, layout, instances, n: int, cells, top: int):
+def first_failure(law, instances, n: int, cells, top: int):
     """The count of ``instances`` checked up to the first that fails ``law``
     and its cells, else the count of all and None.  An instance indexes
-    ``cells``, (tt, ff) rank pairs, for each (name, test) of ``layout``: n·n
-    of a program's cells row-major, or n of a test's diagonal."""
+    ``cells``, (tt, ff) rank pairs, as ``engine._spans`` lays out ``law.vars``."""
     names, steps, roots = law.code
-    where, at = {}, 0
-    for name, test in layout:
-        width, step = (n, n + 1) if test else (n * n, 1)
-        where[name] = (at, at + width, step)
-        at += width
+    where = {name: (i, j, n + 1 if test else 1) for name, test, i, j in _spans(law.vars, n)[0]}
     slots = [where[name] for name in names]
     ops = [(_OPS[kernel.__name__], i, j) for kernel, i, j in steps[2 + len(names):]]
     codes = [_code(t, f, top) for t, f in cells]  # block j holds bit j of each cell

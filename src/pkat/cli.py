@@ -33,7 +33,7 @@ from .errors import (
     quoted,
 )
 from .lattice import LatticeId, elem
-from .plts import diagonal_relation, load_model, model_to_dict, program_relation
+from .plts import _named_relation, load_model, model_to_dict, program_relation
 from .relp import PRel, cell_forms, format_grid, format_prel, prel_to_entries, r_star_steps
 from .twist import classify
 
@@ -188,14 +188,6 @@ def _parse_grid(text: str | None):
         return None if text is None else tuple(elem(LatticeId.GODEL, p) for p in text.split(","))
     except CarrierError as exc:
         raise EngineError(f"bad --godel-grid value: {exc}") from exc
-
-
-def _named_relation(model, name: str) -> PRel:
-    if name in model.programs:
-        return program_relation(model, name)
-    if name in model.tests:
-        return diagonal_relation(model, name)
-    raise ModelError(f"unknown relation {quoted(name)}")
 
 
 def _class_name(w) -> str:

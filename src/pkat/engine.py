@@ -17,13 +17,14 @@ and ``recheck`` over a verdict's own witness.
 A run builds its candidate space once, and every law it checks (the
 whole catalog, for ``check_suite``) draws from it.  The space is ordered
 by distance from classical consistency (|tt + ff - 1|, ties broken by
-component, all computed on integer ranks).  Exhaustive checking walks
-the law's cells lexicographically over that order: variables in
-alphabetical order, a test contributing its n diagonal cells and a
-program its n*n cells row-major, the last cell varying fastest.  So a
-reported counterexample is the most conservative one available, and a
-failing verdict's instance count is its witness's position in that
-walk.
+component, all computed on integer ranks).  An instance lists, in the
+order of the law's ``vars`` (alphabetical for a catalog law; programs,
+then tests, each alphabetical, for an equation, as random models are
+drawn), a test's n diagonal cells and a program's n*n row-major, as
+``_spans`` lays them out.  Exhaustive checking walks them
+lexicographically over the space's order, the last cell varying fastest.
+So a reported counterexample is the most conservative one available, and
+a failing verdict's instance count is its witness's position in that walk.
 
 An equation in one test (216-220) needs only k of the walk's k^n
 instances, k the space's size.  Tests are diagonal relations, on which
@@ -35,20 +36,20 @@ varies, which so give the walk's own count and witness, or hold when it
 holds on all k^n; both guards count those k.  Runs too large for
 ``MAX_EXHAUSTIVE`` or ``MAX_STEPS`` are refused from their sizes alone.
 
-The checking loops (``_run``, ``equiv_random``) check a law on a chunk of
-B instances at once in ``bitslice``: only they import it, so ``hoare``
-and ``equiv --model`` requests never compile it.  A chunk's cell is the
-``relp`` cell of each instance, cut by cut: over ranks 0..top and with
-W = top·B, bit (t-1)·B + b is set when instance b has tt >= t, and bit
-W + s·B + b when it has ff <= s, so ``relp``'s ops run on it as they are,
-and ``bitslice`` runs ``*`` as Warshall's closure.
-The first failing instance is the lowest set bit of the break mask,
-after the instances whose premise fails are masked out; that instance
-alone is then built as relations and run by ``_break`` for its witness.
-Chunks are taken lazily from the walk or from ``rng``, in the order the
-loop draws them, doubling from 1 up to ``bitslice.MAX_BITS`` bits a
-cell: a run that fails early encodes a few instances, and a long walk
-stays in bounded memory.
+One driver, ``_drive``, checks ``_run``'s laws and ``equiv_random``'s
+equation a chunk of B instances at a time in ``bitslice``: only it
+imports that module, so ``hoare`` and ``equiv --model`` requests never
+compile it.  A chunk's cell is the ``relp`` cell of each instance, cut
+by cut: over ranks 0..top and with W = top·B, bit (t-1)·B + b is set
+when instance b has tt >= t, and bit W + s·B + b when it has ff <= s, so
+``relp``'s ops run on it as they are, and ``bitslice`` runs ``*`` as
+Warshall's closure.  The first failing instance is the lowest set bit of
+the break mask, after the instances whose premise fails are masked out;
+that instance alone is then built as relations and run by ``_break`` for
+its witness.  Chunks are taken lazily from the walk or from ``rng``, in
+the order the driver draws them, doubling from 1 up to
+``bitslice.MAX_BITS`` bits a cell: a run that fails early encodes a few
+instances, and a long walk stays in bounded memory.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import re
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product, repeat
 from math import lcm
 from typing import Iterable, Mapping
 
@@ -164,9 +165,9 @@ class Verdict(Record):
 class _Law(Record):
     """Goals ``lhs = rhs`` (``lhs <= rhs`` when ``leq``), required only where
     the premise ``lhs <= rhs``, if ``premise``, holds: ``code`` compiles
-    their sides, the premise's first.  ``vars`` are a catalog law's
-    variables in witness order; ``formula`` and ``terms`` are what a
-    witness prints."""
+    their sides, the premise's first.  ``vars`` are its (name, sort)
+    variables in instance order; ``formula`` and ``terms`` are what a
+    witness prints, with its model when the law has ``terms``."""
 
     __slots__ = ("formula", "code", "leq", "premise", "vars", "terms")
     _defaults = {"leq": False, "premise": False, "vars": (), "terms": None}
@@ -189,9 +190,17 @@ class _Laws:
 _AXIOMS = _Laws()
 
 
-def _equation(t1: Term, t2: Term) -> _Law:
-    terms = (pretty(t1), pretty(t2))
-    return _Law(" = ".join(terms), _compile((t1, t2)), terms=terms)
+def _draw_order(programs: Iterable[str], tests: Iterable[str]) -> tuple:
+    """Variables as random models draw them: programs, then tests, each alphabetical."""
+    return (*zip(sorted(programs), repeat(Sort.PROGRAM)), *zip(sorted(tests), repeat(Sort.TEST)))
+
+
+def _equation(t1: Term, t2: Term, tests: Iterable[str] = ()) -> _Law:
+    """t1 = t2, its atoms named in ``tests`` ranging over tests."""
+    terms, code = (pretty(t1), pretty(t2)), _compile((t1, t2))
+    names, tests = frozenset(code[0]), frozenset(tests)
+    variables = _draw_order(names - tests, names & tests)
+    return _Law(" = ".join(terms), code, terms=terms, vars=variables)
 
 
 def _triple(pre: Term, prog: Term, post: Term) -> _Law:
@@ -256,37 +265,42 @@ def weight_space(lattice: LatticeId, godel_grid=None) -> tuple[Weight, ...]:
     return tuple(Weight(table[i], table[j]) for i, j in space.cells)
 
 
-def _model(lattice, states, values, layout, cells) -> Model:
-    """The model of an instance: for each (name, test) of ``layout`` in turn,
-    a program with the next n*n of ``cells`` row-major, or a test with the
-    next n on its diagonal; every other cell is BOT."""
-    n, at, ranks = len(states), 0, range(len(values))
+def _spans(variables, n_states: int) -> tuple[list, int]:
+    """Where each of ``variables``, (name, sort) pairs, sits in an instance
+    over n states, as (name, test, start, stop): in turn, a test's n
+    diagonal cells or a program's n*n row-major; and the instance's width."""
+    tests = [sort is Sort.TEST for _, sort in variables]
+    cuts = [0, *accumulate(n_states if test else n_states**2 for test in tests)]
+    spans = [(x, test, i, j) for (x, _), test, i, j in zip(variables, tests, cuts, cuts[1:])]
+    return spans, cuts[-1]
+
+
+def _model(lattice, states, values, variables, cells) -> Model:
+    """The model of an instance of ``variables``, its ``cells`` placed by
+    ``_spans``; every other cell is BOT."""
+    n, ranks = len(states), range(len(values))
     programs, tests = {}, {}
-    for name, test in layout:
-        width, step = (n, n + 1) if test else (n * n, 1)
-        rel = from_cells(lattice, states, values,
-                         dict(zip(range(0, n * n, step), cells[at:at + width])), ranks)
+    for name, test, start, stop in _spans(variables, n)[0]:
+        on = range(0, n * n, n + 1 if test else 1)
+        rel = from_cells(lattice, states, values, dict(zip(on, cells[start:stop])), ranks)
         if test:
             tests[name] = _from_test(rel)
         else:
             programs[name] = rel
-        at += width
     return Model(lattice, states, programs, tests, values=values)
 
 
-def _draws(rng: random.Random, k: int, layout, n_states: int, count: int):
-    """``count`` instances of ``layout``, each of its cells drawn from ``rng`` in
-    turn as an index into a space of ``k`` cells."""
-    width = sum(n_states if test else n_states**2 for _, test in layout)
+def _draws(rng: random.Random, k: int, width: int, count: int):
+    """``count`` instances of ``width`` cells, each drawn from ``rng`` in turn
+    as an index into a space of ``k`` cells."""
     ids = range(k)  # rng.choice draws from a range as from the cells themselves
     return ([rng.choice(ids) for _ in range(width)] for _ in range(count))
 
 
-def _walk(layout, k: int, n_states: int, fixed: int = 0):
-    """Every instance of ``layout``, as indices into a space of ``k`` cells,
-    with its first ``fixed`` at the first, in lexicographic order: the last
-    cell varies fastest."""
-    width = sum(n_states if test else n_states**2 for _, test in layout)
+def _walk(k: int, width: int, fixed: int = 0):
+    """Every instance of ``width`` cells, as indices into a space of ``k``
+    cells, with its first ``fixed`` at the first, in lexicographic order:
+    the last cell varies fastest."""
     return product(*[range(1)] * fixed, *[range(k)] * (width - fixed))
 
 
@@ -304,11 +318,9 @@ def random_model(
     test_names: Iterable[str],
     godel_grid=None,
 ) -> Model:
-    space = _space(lattice, godel_grid)
-    layout = [(name, False) for name in sorted(program_names)]
-    layout += [(name, True) for name in sorted(test_names)]
-    ids = next(_draws(rng, len(space.cells), layout, len(states), 1))
-    return _model(lattice, states, space.values, layout, [space.cells[i] for i in ids])
+    space, variables = _space(lattice, godel_grid), _draw_order(program_names, test_names)
+    ids = next(_draws(rng, len(space.cells), _spans(variables, len(states))[1], 1))
+    return _model(lattice, states, space.values, variables, [space.cells[i] for i in ids])
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +351,17 @@ def _break(law: _Law, env: Mapping[str, PRel], one: PRel, zer: PRel):
             return found
 
 
-def _fails(law: _Law, model: Model, count: int, mode, shown: bool, **fields) -> Verdict:
-    """The verdict that the law fails at the ``count``-th instance checked,
-    the relations of ``model``: their first break is the witness, which
-    carries the model if ``shown``."""
+def _verdict(law: _Law, model: Model, mode: str, **fields) -> Verdict:
+    """The law checked on the relations of ``model``: holds, or fails with
+    their first break as the witness, which carries the model if the law
+    has user ``terms``."""
     env = _atom_assignment(model, law.code[0])
     found = _break(law, env, *_units(model.lattice, model.states, model.values))
-    witness = Witness(env, *found, law.formula, model if shown else None, law.terms)
-    return Verdict(Status.FAILS, model.lattice, len(model.states), mode, witness=witness,
-                   samples=count, **fields)
+    if found is not None:
+        shown = model if law.terms is not None else None
+        fields["witness"] = Witness(env, *found, law.formula, shown, law.terms)
+    status = Status.HOLDS if found is None else Status.FAILS
+    return Verdict(status, model.lattice, len(model.states), mode, **fields)
 
 
 def _count(count: int) -> str:
@@ -359,7 +373,7 @@ def _guard(law: _Law, k: int, n_states: int) -> None:
     """Refuse a law with more than ``MAX_EXHAUSTIVE`` assignments over ``k``
     candidates.  For k >= 2, 2^bit_length already exceeds the bound, so
     that many cells are refused before any huge count is built."""
-    cells = sum(n_states if sort is Sort.TEST else n_states**2 for _, sort in law.vars)
+    cells = _spans(law.vars, n_states)[1]
     if k > 1 and cells >= MAX_EXHAUSTIVE.bit_length() or k**cells > MAX_EXHAUSTIVE:
         raise EngineError(f"exhaustive space of {k}^{_count(cells)} instantiations exceeds "
                           f"{MAX_EXHAUSTIVE}")
@@ -378,8 +392,8 @@ def _guard_steps(samples: int, n_states: int) -> None:
 
 def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> list[Verdict]:
     """Check each law of ``core`` in ``mode``, then search each law of
-    ``search`` exhaustively for a witness, all on one candidate space and
-    one pair of units.  Every refusal comes before the first check."""
+    ``search`` exhaustively for a witness, all on one candidate space.
+    Every refusal comes before ``states_for``, which a refused count hangs."""
     if n_states < 1:
         raise EngineError("need at least one state")
     space = _space(lattice, godel_grid)
@@ -397,26 +411,30 @@ def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> li
     elif not samples or samples < 1:
         raise EngineError("random mode needs a positive sample count")
     _guard_steps(max([samples if mode == "random" else 1] + [k for *_, r in plan if r]), n_states)
+    states = states_for(n_states)
+    return [_drive(law, lattice, states, space, how, samples, seed,
+                   n_states - 1 if reduced else 0, ident) for ident, how, law, reduced in plan]
+
+
+def _drive(law: _Law, lattice, states, space: _Space, how: str, samples, seed, fixed: int = 0,
+           axiom: AxiomId | None = None) -> Verdict:
+    """``law`` checked a chunk at a time: on ``samples`` instances drawn at
+    ``seed`` if ``how`` is "random", else on the walk with its first
+    ``fixed`` cells at the first, a holds counting k^fixed per instance."""
     from .bitslice import first_failure
 
-    states, top = states_for(n_states), len(space.values) - 1
-    verdicts = []
-    for ident, how, law, reduced in plan:
-        fixed = n_states - 1 if reduced else 0
-        layout = [(name, sort is Sort.TEST) for name, sort in law.vars]
-        if how == "random":  # each law draws from its own generator
-            instances = _draws(random.Random(seed), k, layout, n_states, samples)
-        else:
-            instances = _walk(layout, k, n_states, fixed)
-        count, cells = first_failure(law, layout, instances, n_states, space.cells, top)
-        fields = {"axiom": ident, "seed": seed if how == "random" else None}
-        if cells is None:  # the walk's own count
-            verdicts.append(Verdict(Status.HOLDS, lattice, n_states, how,
-                                    samples=count * k**fixed, **fields))
-        else:
-            model = _model(lattice, states, space.values, layout, cells)
-            verdicts.append(_fails(law, model, count, how, False, **fields))
-    return verdicts
+    n_states, k = len(states), len(space.cells)
+    width = _spans(law.vars, n_states)[1]
+    if how == "random":
+        instances = _draws(random.Random(seed), k, width, samples)
+    else:
+        seed, instances = None, _walk(k, width, fixed)  # a walk's verdict has no seed
+    count, cells = first_failure(law, instances, n_states, space.cells, len(space.values) - 1)
+    if cells is None:
+        return Verdict(Status.HOLDS, lattice, n_states, how, axiom=axiom,
+                       samples=count * k**fixed, seed=seed)
+    model = _model(lattice, states, space.values, law.vars, cells)
+    return _verdict(law, model, how, axiom=axiom, samples=count, seed=seed)
 
 
 def check_axiom(
@@ -472,22 +490,11 @@ def check_suite(
 # Term equivalence and triples
 
 
-def _on_model(law: _Law, model: Model) -> Verdict:
-    """Check the law on the model's relations: one instance, so no count."""
-    env = _atom_assignment(model, law.code[0])
-    units = _units(model.lattice, model.states, model.values)
-    found = _break(law, env, *units)
-    if found is None:
-        return Verdict(Status.HOLDS, model.lattice, len(model.states), "model")
-    witness = Witness(env, *found, law.formula, model, law.terms)
-    return Verdict(Status.FAILS, model.lattice, len(model.states), "model", witness=witness)
-
-
 def equiv(t1: Term, t2: Term, model: Model) -> Verdict:
     """Exact equality of the two interpretations on one model."""
     sort_check(t1, model)
     sort_check(t2, model)
-    return _on_model(_equation(t1, t2), model)
+    return _verdict(_equation(t1, t2, model.tests), model, "model")
 
 
 def equiv_random(
@@ -509,24 +516,12 @@ def equiv_random(
     if samples < 1:
         raise EngineError("need a positive sample count")
     _guard_steps(samples, n_states)
-    names = atoms(t1) | atoms(t2)
     tests = frozenset(test_names)
-    programs = names - tests
+    programs = (atoms(t1) | atoms(t2)) - tests
     for term in (t1, t2):
         sort_of(term, programs, tests)
-    from .bitslice import first_failure
-
-    states = states_for(n_states)
-    space = _space(lattice, godel_grid)
-    layout = [(name, False) for name in sorted(programs)]
-    layout += [(name, True) for name in sorted(tests & names)]
-    draws = _draws(random.Random(seed), len(space.cells), layout, n_states, samples)
-    law = _equation(t1, t2)
-    count, cells = first_failure(law, layout, draws, n_states, space.cells, len(space.values) - 1)
-    if cells is None:
-        return Verdict(Status.HOLDS, lattice, n_states, "random", samples=count, seed=seed)
-    return _fails(law, _model(lattice, states, space.values, layout, cells), count, "random",
-                  True, seed=seed)
+    return _drive(_equation(t1, t2, tests), lattice, states_for(n_states),
+                  _space(lattice, godel_grid), "random", samples, seed)
 
 
 def hoare_check(pre: Term, prog: Term, post: Term, model: Model) -> Verdict:
@@ -536,7 +531,7 @@ def hoare_check(pre: Term, prog: Term, post: Term, model: Model) -> Verdict:
     if sort_check(post, model) is not Sort.TEST:
         raise SortError("the postcondition must be a test")
     sort_check(prog, model)
-    return _on_model(_triple(pre, prog, post), model)
+    return _verdict(_triple(pre, prog, post), model, "model")
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,15 @@ def diagonal_relation(m: Model, name: str) -> PRel:
     return m.tests[name].relation
 
 
+def _named_relation(m: Model, name: str) -> PRel:
+    """A program's relation, else a test's subidentity matrix."""
+    if name in m.programs:
+        return m.programs[name]
+    if name in m.tests:
+        return m.tests[name].relation
+    raise ModelError(f"unknown relation {quoted(name)}")
+
+
 def load_model(document: str | bytes) -> Model:
     try:
         if isinstance(document, bytes):

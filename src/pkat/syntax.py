@@ -33,7 +33,7 @@ from typing import Iterable, Union
 
 from .errors import ParseError, SortError, quoted
 from .lattice import LatticeId
-from .plts import Model, diagonal_relation
+from .plts import Model, _named_relation
 from .record import Record
 from .relp import PRel, identity, r_dot, r_plus, r_star, t_complement, zero
 
@@ -284,5 +284,4 @@ def _fill(slots: list[PRel], steps, root: int) -> PRel:
 
 
 def _atom_assignment(model: Model, names: Iterable[str]) -> dict[str, PRel]:
-    return {name: model.programs[name] if name in model.programs
-            else diagonal_relation(model, name) for name in sorted(names)}
+    return {name: _named_relation(model, name) for name in sorted(names)}

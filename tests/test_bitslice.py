@@ -145,8 +145,8 @@ def test_an_exhaustive_law_failing_at_its_second_instance_encodes_a_few(monkeypa
     verdict = check_axiom(AxiomId.TEST_NON_CONTRA, L3, 3)  # a walk of 9 tests
     assert (verdict.status, verdict.samples) == (Status.FAILS, 2) and len(taken) <= 3
     # The same law's full walk at six states: 9^6 tests, of which it takes three.
-    engine, layout = pkat.engine, [("a", True)]
+    engine = pkat.engine
     law, cells = engine._AXIOMS[AxiomId.TEST_NON_CONTRA], engine._space(L3, None).cells
     taken.clear()
-    found = first_failure(law, layout, engine._walk(layout, len(cells), 6), 6, cells, 2)
+    found = first_failure(law, engine._walk(len(cells), 6), 6, cells, 2)
     assert found == (2, [cells[0]] * 5 + [cells[1]]) and len(taken) == 3

@@ -228,8 +228,7 @@ def test_assignments_match_the_index_decoder(lattice, n, axioms):
         law = pkat.engine._AXIOMS[ident]
         size = len(space.cells) ** sum(n if s is Sort.TEST else n * n for _, s in law.vars)
         limit = size if size <= 20_000 else 2_000
-        layout = [(name, sort is Sort.TEST) for name, sort in law.vars]
-        found = pkat.engine._walk(layout, len(space.cells), n)
+        found = pkat.engine._walk(len(space.cells), pkat.engine._spans(law.vars, n)[1])
         decoded = _indexed_assignments(law, lattice, states, space)
         assert [tuple(space.cells[i] for i in ids) for ids in islice(found, limit)] == [
             cells(law, env) for env in islice(decoded, limit)]
@@ -351,6 +350,25 @@ def test_random_work_is_refused_before_any_state_is_built(monkeypatch):
             pkat.engine.check_suite(GD, 400, mode, samples=samples, seed=0, godel_grid=["1/2"])
     with pytest.raises(EngineError, match=refusal):
         equiv_random(parse("p;q"), parse("q;p"), GD, 400, 1, 0)
+
+
+def test_every_check_refuses_a_huge_state_count_before_building_states(monkeypatch):
+    # states_for(10**300) would never return, so reaching it fails at once instead.
+    def states_for(n):
+        raise AssertionError("states_for ran before the guards")
+
+    monkeypatch.setattr(pkat.engine, "states_for", states_for)
+    n, work = 10**300, r"^work of \d+ x 1\.00e\+300-state instances exceeds"
+    with pytest.raises(EngineError, match=r"^exhaustive space of 9\^3\.00e\+600 inst"):
+        pkat.engine.check_suite(L3, n)
+    with pytest.raises(EngineError, match=work):
+        pkat.engine.check_suite(L3, n, "random", samples=1, seed=0)
+    with pytest.raises(EngineError, match=work):
+        check_axiom(219, GD, n)
+    with pytest.raises(EngineError, match=work):
+        find_boolean_witness(GD, n)
+    with pytest.raises(EngineError, match=work):
+        equiv_random(parse("a;p"), parse("p;a"), GD, n, 1, 0, test_names="a")
 
 
 def test_random_mode_deterministic():
