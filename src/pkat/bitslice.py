@@ -1,6 +1,6 @@
 """Laws checked on a chunk of instances at once, one bit per (instance, cut):
 the ``engine`` docstring gives the chunks and their layout, ``relp`` the ops.
-``first_failure`` reads each variable's cell offsets from ``engine._spans``."""
+The caller gives the cell offsets; each cell is encoded as a transposed bit string."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ from functools import reduce
 from itertools import islice
 from operator import or_
 
-from .engine import _spans
 from .relp import _code, _dot, _exceeds, _not, _plus
+from .syntax import Dot, Not, Plus, Star
 
 MAX_BITS = 1 << 13  # per cell: a chunk holds at most MAX_BITS // (2 * top) instances
 
@@ -27,24 +27,22 @@ def _star(x, _, n, w):
     return c
 
 
-# By name, so that a kernel wrapped with ``functools.wraps`` maps alike.
-_OPS = {"r_plus": _plus, "r_dot": _dot, "r_star": _star, "t_complement": _not}
+_OPS = {Plus: _plus, Dot: _dot, Star: _star, Not: _not}
 
 
-def first_failure(law, instances, n: int, cells, top: int):
+def first_failure(law, spans, instances, n: int, cells, top: int):
     """The count of ``instances`` checked up to the first that fails ``law``
     and its cells, else the count of all and None.  An instance indexes
-    ``cells``, (tt, ff) rank pairs, as ``engine._spans`` lays out ``law.vars``."""
+    ``cells``, (tt, ff) rank pairs, where ``spans`` (``engine._spans``) lays out ``law.vars``."""
     names, steps, roots = law.code
-    where = {name: (i, j, n + 1 if test else 1) for name, test, i, j in _spans(law.vars, n)[0]}
+    where = {name: (i, j, n + 1 if test else 1) for name, test, i, j in spans}
     slots = [where[name] for name in names]
-    ops = [(_OPS[kernel.__name__], i, j) for kernel, i, j in steps[2 + len(names):]]
-    codes = [_code(t, f, top) for t, f in cells]  # block j holds bit j of each cell
-    digits = [["01"[c >> j & 1] for c in codes] for j in range(2 * top)]
+    ops = [(_OPS[op], i, j) for op, i, j in steps[2 + len(names):]]
+    bits = [format(_code(t, f, top), f"0{2 * top}b") for t, f in cells]
     instances, cap = iter(instances), max(1, MAX_BITS // (2 * top))
     count, size = 0, 1
     while chunk := list(islice(instances, size)):
-        bad = _breaks(law, slots, ops, roots, _encode(chunk, digits), len(chunk), n, top)
+        bad = _breaks(law, slots, ops, roots, _encode(chunk, bits, 2 * top), len(chunk), n, top)
         if bad:
             b = (bad & -bad).bit_length() - 1
             return count + b + 1, [cells[i] for i in chunk[b]]
@@ -53,10 +51,11 @@ def first_failure(law, instances, n: int, cells, top: int):
     return count, None
 
 
-def _encode(chunk, digits) -> list[int]:
-    """Each position's cells across the chunk as one int, block j from ``digits[j]``."""
-    return [int("".join(["".join(map(d.__getitem__, column)) for d in digits])[::-1], 2)
-            for column in zip(*chunk)]
+def _encode(chunk, bits, w: int) -> list[int]:
+    """Each position's cells as one int, bit j·B + b from bit j of instance b's cell:
+    the column's w-digit ``bits`` strings, last instance first, transposed by slicing."""
+    columns = ("".join(map(bits.__getitem__, column)) for column in zip(*reversed(chunk)))
+    return [int("".join([s[i::w] for i in range(w)]), 2) for s in columns]
 
 
 def _breaks(law, slots, ops, roots, cells, size: int, n: int, top: int) -> int:
@@ -70,8 +69,7 @@ def _breaks(law, slots, ops, roots, cells, size: int, n: int, top: int) -> int:
         values.append(rel)
     for op, i, j in ops:
         values.append(op(values[i], None if j is None else values[j], n, w))
-    sides = [values[root] for root in roots]
-    pairs = list(zip(sides[::2], sides[1::2]))
+    pairs = [(values[i], values[j]) for i, j in zip(roots[::2], roots[1::2])]
     excused = _fold(_exceeds(*pairs.pop(0)), size) if law.premise else 0
     bad = 0
     for lhs, rhs in pairs:

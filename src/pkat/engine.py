@@ -177,7 +177,7 @@ _TEST_VARS = frozenset("abc")
 
 
 class _Laws:
-    """The catalog; each lookup compiles a law afresh, with the kernels bound then."""
+    """The catalog; each lookup compiles a law afresh."""
 
     def __getitem__(self, ident: AxiomId) -> _Law:
         sides = [parse(side) for side in re.split("<=|->|=", ident.formula)]
@@ -424,12 +424,13 @@ def _drive(law: _Law, lattice, states, space: _Space, how: str, samples, seed, f
     from .bitslice import first_failure
 
     n_states, k = len(states), len(space.cells)
-    width = _spans(law.vars, n_states)[1]
+    spans, width = _spans(law.vars, n_states)
     if how == "random":
         instances = _draws(random.Random(seed), k, width, samples)
     else:
         seed, instances = None, _walk(k, width, fixed)  # a walk's verdict has no seed
-    count, cells = first_failure(law, instances, n_states, space.cells, len(space.values) - 1)
+    top = len(space.values) - 1
+    count, cells = first_failure(law, spans, instances, n_states, space.cells, top)
     if cells is None:
         return Verdict(Status.HOLDS, lattice, n_states, how, axiom=axiom,
                        samples=count * k**fixed, seed=seed)

@@ -252,19 +252,18 @@ def _units(lattice: LatticeId, states, values) -> tuple[PRel, PRel]:
 def _compile(terms) -> tuple:
     """The terms as one straight-line program: their atoms' names, the steps
     and each term's root slot.  Slots 0 and 1 hold ``1`` and ``0``, then the
-    atoms; step s, a kernel and its operands' slots (the second None for ``*``
-    and ``!``), fills each later slot s.  Equal subterms share one slot."""
+    atoms; step s, a term type and its operands' slots (the second None for
+    ``*`` and ``!``), fills each later slot s.  Equal subterms share one slot."""
     names = sorted(frozenset().union(*map(atoms, terms)))
     steps = [None] * (2 + len(names))
     slot_of = {One(): 0, Zero(): 1, **{Atom(x): s for s, x in enumerate(names, 2)}}
-    kernels = {Dot: r_dot, Plus: r_plus, Star: r_star, Not: t_complement}
 
     def slot(term) -> int:  # post-order, so slots are numbered in evaluation order
         match term:
             case Plus(left, right) | Dot(left, right):
-                key = (kernels[type(term)], slot(left), slot(right))
+                key = (type(term), slot(left), slot(right))
             case Star(inner) | Not(inner):
-                key = (kernels[type(term)], slot(inner), None)
+                key = (type(term), slot(inner), None)
             case _:
                 return slot_of[term]
         if key not in slot_of:
@@ -277,8 +276,10 @@ def _compile(terms) -> tuple:
 
 
 def _fill(slots: list[PRel], steps, root: int) -> PRel:
-    """Slot ``root``'s value, running in order the steps up to it not yet run."""
-    for kernel, i, j in steps[len(slots):root + 1]:
+    """Slot ``root``'s value, running the steps up to it not yet run with kernels bound now."""
+    kernels = {Dot: r_dot, Plus: r_plus, Star: r_star, Not: t_complement}
+    for op, i, j in steps[len(slots):root + 1]:
+        kernel = kernels[op]
         slots.append(kernel(slots[i]) if j is None else kernel(slots[i], slots[j]))
     return slots[root]
 

@@ -6,15 +6,19 @@ compared with ``oracle_check``'s, which builds and checks one instance
 at a time, over bool2, Ł3 and godel grids, in every mode.
 """
 
+import random
+import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest.mock import patch
 
 from hypothesis import example, given, settings, strategies as st
 
 import pkat.engine
-from pkat.bitslice import first_failure
-from pkat.engine import (AxiomId, Status, check_axiom, equiv_random, find_boolean_witness,
-                         recheck, verdict_to_dict, weight_space)
+from pkat.bitslice import MAX_BITS, _encode, first_failure
+from pkat.engine import (AxiomId, Status, check_axiom, check_suite, equiv_random,
+                         find_boolean_witness, recheck, verdict_to_dict, weight_space)
+from pkat.relp import _code
 from pkat.syntax import Dot, One, Plus, Sort, Star, parse
 
 from helpers import B2, GD, L3, PROGRAM_TERMS, oracle_equiv_random, oracle_run
@@ -148,5 +152,42 @@ def test_an_exhaustive_law_failing_at_its_second_instance_encodes_a_few(monkeypa
     engine = pkat.engine
     law, cells = engine._AXIOMS[AxiomId.TEST_NON_CONTRA], engine._space(L3, None).cells
     taken.clear()
-    found = first_failure(law, engine._walk(len(cells), 6), 6, cells, 2)
+    found = first_failure(law, engine._spans(law.vars, 6)[0], engine._walk(len(cells), 6), 6,
+                          cells, 2)
     assert found == (2, [cells[0]] * 5 + [cells[1]]) and len(taken) == 3
+
+
+# --- the encoding -------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([1, 2, 3, 7, 64, None]), st.integers(1, 3),
+       st.integers(0, 2**32))
+def test_a_chunk_encodes_bit_j_of_instance_b_at_bit_j_times_b_plus_b(top, size, width, seed):
+    rng, cells = random.Random(seed), [(t, f) for t in range(top + 1) for f in range(top + 1)]
+    size = size or MAX_BITS // (2 * top)  # None: the chunk cap at this top
+    chunk = [[rng.randrange(len(cells)) for _ in range(width)] for _ in range(size)]
+    bits = [format(_code(t, f, top), f"0{2 * top}b") for t, f in cells]
+    got = _encode(chunk, bits, 2 * top)
+    for value, column in zip(got, zip(*chunk), strict=True):
+        codes = [_code(*cells[i], top) for i in column]
+        want = "".join(str(code >> j & 1) for j in range(2 * top) for code in codes)
+        assert value < 1 << 2 * top * size
+        assert f"{value:0{2 * top * size}b}"[::-1] == want  # bit p is digit p from the right
+
+
+def test_a_sixty_point_grid_suite_matches_the_per_instance_loop_in_bounded_memory():
+    # 3,600 cells of 59 cuts each, encoded once per law as one string a cell:
+    # a table of one-digit strings per cut instead took about 4 MiB.
+    grid = [Fraction(i, 59) for i in range(60)]
+    tracemalloc.start()
+    try:
+        got = check_suite(GD, 1, "random", samples=1, seed=0, godel_grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    for verdict in got:  # the oracle reads samples and seed in random mode only
+        law = pkat.engine._AXIOMS[verdict.axiom]
+        want = oracle_run(law, verdict.axiom, GD, 1, grid, verdict.mode, 1, 0)
+        assert verdict_to_dict(verdict) == verdict_to_dict(want)

@@ -300,6 +300,14 @@ def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
     assert done.stderr == f"{loaded}\n" and (done.stdout != "") == bool(argv)
 
 
+def test_bitslice_loads_without_engine():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
+    probe = "import sys, pkat.bitslice; print('pkat.engine' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout == "False\n"
+
+
 def test_a_state_count_past_the_digit_limit_is_refused_in_one_line(capsys):
     # 3 * N^2 cells has more digits than str() converts, so the exponent is rounded.
     code, out, err = run(capsys, "axioms", "--lattice", "bool2", "--states", "1" * 2200)
