@@ -23,13 +23,14 @@ _EXPORTS = {
              "wmeet wtop",
     "plts": "Model load_model model_to_dict model_to_text program_relation "
             "diagonal_relation valuation",
+    "modelfile": "",
     "relp": "PRel format_prel identity is_test r_dot r_leq r_plus r_star r_star_steps "
             "t_complement zero",
     "setp": "PSet oslash s_complement s_dot s_plus s_star s_subset upsilon",
     "syntax": "Atom Dot Not One Plus Sort Star Term Zero atoms desugar_if desugar_while "
               "evaluate parse pretty sort_check sort_of",
-    "engine": "AxiomId Status Verdict Witness check_axiom check_suite equiv equiv_random "
-              "find_boolean_witness hoare_check recheck verdict_to_dict",
+    "engine": "Status Verdict Witness equiv equiv_random hoare_check verdict_to_dict",
+    "catalog": "AxiomId check_axiom check_suite find_boolean_witness recheck",
     "record": "",
 }
 _HOME = {name: home for home, names in _EXPORTS.items() for name in (home, *names.split())}

@@ -1,0 +1,220 @@
+"""The axiom catalog and its suite, checked by ``engine._drive``.
+
+Each axiom is stored once, on its ``AxiomId``, as the formula it prints.
+Of the commands only ``axioms`` imports this module; ``engine`` never does.
+
+An equation in one test (216-220) needs only k of the walk's k^n
+instances, k the space's size.  Tests are diagonal relations, on which
+``+``, ``;``, ``!``, ``*``, ``0`` and ``1`` act state by state, so an
+instance fails iff one of its cells fails the law at one state.  The
+walk's first failure is then (s0, ..., s0, f), s0 the space's first cell
+and f the first failing one: among the k instances whose last cell alone
+varies, which so give the walk's own count and witness, or hold when it
+holds on all k^n; both guards count those k.  Runs too large for
+``MAX_EXHAUSTIVE`` or ``MAX_STEPS`` are refused from their sizes alone,
+before the space is built.
+"""
+
+from __future__ import annotations
+
+import re
+from enum import Enum
+
+from .engine import (Status, Verdict, _break, _count, _drive, _equation, _grid_values,
+                     _guard_steps, _Law, _space, _spans, _triple, states_for, witness_parts)
+from .errors import EngineError
+from .lattice import LatticeId, elem
+from .syntax import Sort, _compile, _units, parse
+from .twist import Weight
+
+MAX_EXHAUSTIVE = 10**6
+
+
+class AxiomId(Enum):
+    """The axiom catalog: a Kleene algebra whose tests form a
+    distributive complemented-lattice fragment; 219/220 are the two
+    Boolean principles the paraconsistent reading drops.  Each member is
+    its number and its law as printed: ``t0 = t1 = ... = tk`` is the
+    equations ti = tk, ``l <= r  ->  l' <= r'`` a Horn law.  Variables a, b,
+    c range over tests, all others over programs; a witness lists them in
+    alphabetical order."""
+
+    def __new__(cls, number: int, formula: str):
+        member = object.__new__(cls)
+        member._value_, member.formula = number, formula
+        return member
+
+    PLUS_ASSOC = 1, "p + (q + r) = (p + q) + r"
+    PLUS_COMM = 2, "p + q = q + p"
+    PLUS_ZERO = 3, "p + 0 = p"
+    PLUS_IDEM = 4, "p + p = p"
+    DOT_ASSOC = 5, "p;(q;r) = (p;q);r"
+    DOT_ONE = 6, "1;p = p;1 = p"
+    DOT_DIST_L = 7, "p;(q + r) = p;q + p;r"
+    DOT_DIST_R = 8, "(p + q);r = p;r + q;r"
+    DOT_ZERO = 9, "0;p = p;0 = 0"
+    STAR_UNFOLD_L = 10, "1 + p;p* = p*"
+    STAR_UNFOLD_R = 11, "1 + p*;p = p*"
+    STAR_IND_L = 14, "p;r <= r  ->  p*;r <= r"
+    STAR_IND_R = 15, "r;p <= r  ->  r;p* <= r"
+    TEST_PLUS_OVER_DOT = 213, "a + b;c = (a + b);(a + c)"
+    TEST_DOT_COMM = 214, "a;b = b;a"
+    TEST_DOT_OVER_PLUS = 215, "a;b + c = (a + c);(b + c)"
+    TEST_DOT_IDEM = 216, "a;a = a"
+    TEST_DOUBLE_NEG = 217, "!!a = a"
+    TEST_PLUS_ONE = 218, "a + 1 = 1"
+    TEST_NON_CONTRA = 219, "a;!a = 0"
+    TEST_EXCL_MIDDLE = 220, "a + !a = 1"
+
+    @property
+    def slug(self) -> str:
+        return self.name.lower().replace("_", "-")
+
+
+CORE_AXIOMS = tuple(a for a in AxiomId if a.value < 219)
+BOOLEAN_AXIOMS = (AxiomId.TEST_NON_CONTRA, AxiomId.TEST_EXCL_MIDDLE)
+
+
+_TEST_VARS = frozenset("abc")
+
+
+class _Laws:
+    """The catalog; each lookup compiles a law afresh."""
+
+    def __getitem__(self, ident: AxiomId) -> _Law:
+        sides = [parse(side) for side in re.split("<=|->|=", ident.formula)]
+        horn = "->" in ident.formula  # four sides, else t0 = ... = tk as each ti = tk
+        code = _compile(sides if horn else [t for ti in sides[:-1] for t in (ti, sides[-1])])
+        variables = tuple((x, Sort.TEST if x in _TEST_VARS else Sort.PROGRAM) for x in code[0])
+        return _Law(ident.formula, code, leq=horn, premise=horn, vars=variables)
+
+
+_AXIOMS = _Laws()
+
+
+def weight_space(lattice: LatticeId, godel_grid=None) -> tuple[Weight, ...]:
+    """All candidate weights, nearest classical consistency first: every
+    (tt, ff) pair over the carrier (over the grid on godel, by default
+    ``DEFAULT_GODEL_GRID``), but over bool2 only the consistent corners TOP
+    and BOT, so that checks over it coincide with ordinary relations.
+    """
+    space = _space(lattice, godel_grid)
+    table = [elem(lattice, v) for v in space.values]
+    return tuple(Weight(table[i], table[j]) for i, j in space.cells)
+
+
+def _guard(law: _Law, k: int, n_states: int) -> None:
+    """Refuse a law with more than ``MAX_EXHAUSTIVE`` assignments over ``k``
+    candidates.  For k >= 2, 2^bit_length already exceeds the bound, so
+    that many cells are refused before any huge count is built."""
+    cells = _spans(law.vars, n_states)[1]
+    if k > 1 and cells >= MAX_EXHAUSTIVE.bit_length() or k**cells > MAX_EXHAUSTIVE:
+        raise EngineError(f"exhaustive space of {k}^{_count(cells)} instantiations exceeds "
+                          f"{MAX_EXHAUSTIVE}")
+
+
+def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> list[Verdict]:
+    """Check each law of ``core`` in ``mode``, then search each law of
+    ``search`` exhaustively for a witness, all on one candidate space.
+    Every refusal comes before the space is built, from its size k alone,
+    and before ``states_for``, which a refused count hangs."""
+    if n_states < 1:
+        raise EngineError("need at least one state")
+    members = _grid_values(lattice, godel_grid)  # k as _space counts it: bool2 keeps 2 corners
+    k = 2 if lattice is LatticeId.BOOL2 else len(members) ** 2
+    plan = []  # (ident, how, law, whether its walk takes k instances: see the module docstring)
+    for ident, how in [(i, mode) for i in core] + [(i, "search") for i in search]:
+        law = _AXIOMS[ident]
+        one_test = not law.premise and [sort for _, sort in law.vars] == [Sort.TEST]
+        plan.append((ident, how, law, one_test and how != "random"))
+    if mode == "exhaustive":
+        for _, _, law, reduced in plan[:len(core)]:
+            _guard(law, k, 1 if reduced else n_states)  # k instances, as at one state
+    elif mode != "random":
+        raise EngineError(f"unknown mode {mode!r}")
+    elif not samples or samples < 1:
+        raise EngineError("random mode needs a positive sample count")
+    _guard_steps(max([samples if mode == "random" else 1] + [k for *_, r in plan if r]), n_states)
+    space, states = _space(lattice, godel_grid), states_for(n_states)
+    return [_drive(law, lattice, states, space, how, samples, seed,
+                   n_states - 1 if reduced else 0, ident) for ident, how, law, reduced in plan]
+
+
+def check_axiom(
+    axiom: AxiomId | int,
+    lattice: LatticeId,
+    n_states: int,
+    mode: str = "exhaustive",
+    *,
+    samples: int | None = None,
+    seed: int | None = None,
+    godel_grid=None,
+) -> Verdict:
+    """Check one axiom by instantiating its variables over relations.
+
+    Exhaustive mode walks the whole finite instantiation space (refused
+    above ``MAX_EXHAUSTIVE``); random mode draws seeded samples.  A failing
+    verdict carries the first counterexample in enumeration order.
+    """
+    return _run(lattice, n_states, godel_grid, mode, samples, seed, (AxiomId(axiom),), ())[0]
+
+
+def find_boolean_witness(
+    lattice: LatticeId,
+    n_states: int,
+    godel_grid=None,
+) -> dict[AxiomId, Verdict]:
+    """Search tests refuting non-contradiction and excluded middle.
+
+    Each verdict is the exhaustive walk's (nearest classical consistency
+    first): the first violating test, or holds over all k^n tests.  Both
+    laws act state by state, so k of the tests decide it (module docstring).
+    """
+    verdicts = _run(lattice, n_states, godel_grid, "exhaustive", None, None, (), BOOLEAN_AXIOMS)
+    return dict(zip(BOOLEAN_AXIOMS, verdicts))
+
+
+def check_suite(
+    lattice: LatticeId,
+    n_states: int,
+    mode: str = "exhaustive",
+    *,
+    samples: int | None = None,
+    seed: int | None = None,
+    godel_grid=None,
+) -> list[Verdict]:
+    """The whole axiom suite on one candidate space: ``check_axiom`` of
+    each core axiom in catalog order, then ``find_boolean_witness``'s
+    verdicts for 219 and 220."""
+    return _run(lattice, n_states, godel_grid, mode, samples, seed, CORE_AXIOMS, BOOLEAN_AXIOMS)
+
+
+def recheck(verdict: Verdict) -> bool:
+    """Re-run a failing verdict's law on its witness assignment; True iff
+    it breaks at the same entry with the same weights."""
+    if verdict.status is not Status.FAILS or verdict.witness is None:
+        raise EngineError("only failing verdicts carry a witness to recheck")
+    w = verdict.witness
+    if verdict.axiom is not None:
+        law = _AXIOMS[verdict.axiom]
+    elif w.terms is not None and len(w.terms) in (2, 3):
+        law = (_equation if len(w.terms) == 2 else _triple)(*map(parse, w.terms))
+    else:
+        raise EngineError("verdict carries no recheckable witness")
+    basis = next(iter(w.assignment.values()), w.model)
+    if basis is None:
+        raise EngineError("verdict carries no recheckable witness")
+    units = _units(basis.lattice, basis.states, basis.values)
+    return _break(law, w.assignment, *units) == (w.entry, w.lhs, w.rhs)
+
+
+def axiom_row(verdict: Verdict, unicode: bool) -> str:
+    """A verdict's line in the text table of ``pkat axioms``."""
+    ax = verdict.axiom
+    row = (
+        f"({ax.value:>3}) {ax.slug:<20} {ax.formula:<28} "
+        f"{verdict.status.value:<5} checked={verdict.samples}"
+    )
+    if verdict.status is Status.FAILS:
+        row += "  witness " + " ".join(witness_parts(verdict, unicode, "="))
+    return row

@@ -11,7 +11,10 @@ is printed).
 Each command imports only the modules it runs.  ``star`` and
 ``classify`` need the model and its relations; ``eval`` also loads
 ``syntax``, which parses and evaluates terms; ``equiv``, ``axioms`` and
-``hoare`` also load ``engine``, the checking half.
+``hoare`` also load ``engine``, the checking half, and ``axioms`` the
+axiom ``catalog``.  Only commands that read a ``--model`` file load its
+reader, ``modelfile``.  A request that names a command builds that
+command's parser alone; help and usage errors come from the full tree.
 """
 
 from __future__ import annotations
@@ -42,8 +45,7 @@ if TYPE_CHECKING:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()
@@ -75,31 +77,60 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Retry(Exception):
+    """A parse that must print help or a usage error: the full tree prints it."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A tree of one command, which raises ``_Retry`` instead of printing."""
+
+    def error(self, message):
+        raise _Retry
+
+    def print_help(self, file=None):
+        raise _Retry
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The parsed ``argv``: with that command's subparser alone when it
+    names a command, and with the full tree for help, usage errors and
+    anything else, so every text printed is the full tree's."""
+    if argv and argv[0] in _COMMANDS:
+        try:
+            return _build_parser(argv[0]).parse_args(argv)
+        except _Retry:
+            pass
+    return _build_parser().parse_args(argv)
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The six commands' parser, or with ``only`` that command's alone,
+    which raises ``_Retry`` instead of printing."""
+    parser = (argparse.ArgumentParser if only is None else _OneCommandParser)(
         prog="pkat",
         description="Evaluate and verify guarded programs weighted by "
         "evidence pairs over a truth-value lattice.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, options) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=text)
+            options(p)
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+            p.add_argument("--unicode", action="store_true", help="print top/bot as symbols")
+            p.set_defaults(handler=globals()[f"_cmd_{name}"])
+    return parser
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--unicode", action="store_true", help="print top/bot as symbols")
 
-    p = sub.add_parser("eval", help="interpret a term over a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--term", required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_eval)
+def _required(*options):
+    """Adds each of ``options``, all required."""
+    def add(p):
+        for option in options:
+            p.add_argument(option, required=True)
+    return add
 
-    p = sub.add_parser("star", help="star of a named program relation")
-    p.add_argument("--model", required=True)
-    p.add_argument("--program", required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_star)
 
-    p = sub.add_parser("equiv", help="compare two terms")
+def _equiv_options(p) -> None:
     p.add_argument("--model")
     p.add_argument("--t1", required=True)
     p.add_argument("--t2", required=True)
@@ -110,10 +141,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tests", default="", metavar="NAMES",
                    help="comma-separated atoms to treat as tests (random mode)")
     p.add_argument("--godel-grid", metavar="VALUES")
-    common(p)
-    p.set_defaults(handler=_cmd_equiv)
 
-    p = sub.add_parser("axioms", help="run the axiom suite over a lattice")
+
+def _axioms_options(p) -> None:
     p.add_argument("--lattice", required=True, type=_lattice, choices=_LATTICES)
     p.add_argument("--states", type=_int, required=True)
     mode = p.add_mutually_exclusive_group()
@@ -121,24 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--samples", type=_int, help="random mode: instances per axiom")
     p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--godel-grid", metavar="VALUES")
-    common(p)
-    p.set_defaults(handler=_cmd_axioms)
-
-    p = sub.add_parser("classify", help="consistency class of each entry")
-    p.add_argument("--model", required=True)
-    p.add_argument("--name", required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("hoare", help="check a triple {pre} prog {post}")
-    p.add_argument("--model", required=True)
-    p.add_argument("--pre", required=True)
-    p.add_argument("--prog", required=True)
-    p.add_argument("--post", required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_hoare)
-
-    return parser
 
 
 def _int(text: str) -> int:
@@ -294,7 +306,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    from .engine import CORE_AXIOMS, Status, axiom_row, check_suite, verdict_to_dict
+    from .catalog import CORE_AXIOMS, axiom_row, check_suite
+    from .engine import Status, verdict_to_dict
 
     lattice = LatticeId.from_name(args.lattice)
     grid = _parse_grid(args.godel_grid)
@@ -351,6 +364,19 @@ def _cmd_hoare(args) -> int:
     verdict = hoare_check(pre, prog, post, model)
     lead = [f"triple: {{{pretty(pre)}}} {pretty(prog)} {{{pretty(post)}}}"]
     return _print_verdict(verdict, args, lead)
+
+
+# Each command's help line and its options before --json and --unicode; its
+# handler is ``_cmd_<name>``.
+_COMMANDS = {
+    "eval": ("interpret a term over a model", _required("--model", "--term")),
+    "star": ("star of a named program relation", _required("--model", "--program")),
+    "equiv": ("compare two terms", _equiv_options),
+    "axioms": ("run the axiom suite over a lattice", _axioms_options),
+    "classify": ("consistency class of each entry", _required("--model", "--name")),
+    "hoare": ("check a triple {pre} prog {post}",
+              _required("--model", "--pre", "--prog", "--post")),
+}
 
 
 if __name__ == "__main__":

@@ -1,42 +1,34 @@
-"""Verifies the algebra mechanically over the meaning of terms.
+"""Checks laws over the meaning of terms.  The axiom catalog is in
+``catalog``, which imports this module; this module never imports it, so
+``equiv`` and ``hoare`` requests never compile the catalog.
 
 Evaluation comes from ``syntax``: terms evaluate compositionally to
 weight matrices over an assignment of their atoms, and ``evaluate``
 (imported here, so ``engine.evaluate`` is the same function) needs
-nothing of this module.  Every law is term text: each catalog axiom is
-stored once, on its ``AxiomId``, as the formula it prints, and an
-equivalence t1 = t2 or a triple {b} p {c} (read b;p <= b;p;c) becomes a
-law of the same shape.  A law is compiled once per run by
-``syntax._compile`` to straight-line kernel calls, one per distinct
-subterm, as ``evaluate`` compiles a term.  One instance check runs a law
-and reports the first entry where it breaks; axiom checking runs it over
-assignments drawn exhaustively from a finite weight space or by seeded
-sampling, equivalence over a given model or a stream of random models,
-and ``recheck`` over a verdict's own witness.
+nothing of this module.  Every law is term text: a catalog axiom is the
+formula it prints, and an equivalence t1 = t2 or a triple {b} p {c}
+(read b;p <= b;p;c) becomes a law of the same shape.  A law is compiled
+once per run by ``syntax._compile`` to straight-line kernel calls, one
+per distinct subterm, as ``evaluate`` compiles a term.  One instance
+check runs a law and reports the first entry where it breaks; axiom
+checking runs it over assignments drawn exhaustively from a finite
+weight space or by seeded sampling, equivalence over a given model or a
+stream of random models, and ``catalog.recheck`` over a verdict's own
+witness.
 
 A run builds its candidate space once, and every law it checks (the
-whole catalog, for ``check_suite``) draws from it.  The space is ordered
-by distance from classical consistency (|tt + ff - 1|, ties broken by
-component, all computed on integer ranks).  An instance lists, in the
-order of the law's ``vars`` (alphabetical for a catalog law; programs,
-then tests, each alphabetical, for an equation, as random models are
-drawn), a test's n diagonal cells and a program's n*n row-major, as
-``_spans`` lays them out.  Exhaustive checking walks them
+whole catalog, for ``catalog.check_suite``) draws from it.  The space
+is ordered by distance from classical consistency (|tt + ff - 1|, ties
+broken by component, all computed on integer ranks).  An instance lists,
+in the order of the law's ``vars`` (alphabetical for a catalog law;
+programs, then tests, each alphabetical, for an equation, as random
+models are drawn), a test's n diagonal cells and a program's n*n
+row-major, as ``_spans`` lays them out.  Exhaustive checking walks them
 lexicographically over the space's order, the last cell varying fastest.
 So a reported counterexample is the most conservative one available, and
 a failing verdict's instance count is its witness's position in that walk.
 
-An equation in one test (216-220) needs only k of the walk's k^n
-instances, k the space's size.  Tests are diagonal relations, on which
-``+``, ``;``, ``!``, ``*``, ``0`` and ``1`` act state by state, so an
-instance fails iff one of its cells fails the law at one state.  The
-walk's first failure is then (s0, ..., s0, f), s0 the space's first cell
-and f the first failing one: among the k instances whose last cell alone
-varies, which so give the walk's own count and witness, or hold when it
-holds on all k^n; both guards count those k.  Runs too large for
-``MAX_EXHAUSTIVE`` or ``MAX_STEPS`` are refused from their sizes alone.
-
-One driver, ``_drive``, checks ``_run``'s laws and ``equiv_random``'s
+One driver, ``_drive``, checks ``catalog``'s laws and ``equiv_random``'s
 equation a chunk of B instances at a time in ``bitslice``: only it
 imports that module, so ``hoare`` and ``equiv --model`` requests never
 compile it.  A chunk's cell is the ``relp`` cell of each instance, cut
@@ -55,7 +47,6 @@ instances, and a long walk stays in bounded memory.
 from __future__ import annotations
 
 import random
-import re
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
@@ -79,12 +70,11 @@ from .syntax import (
     _units,
     atoms,
     evaluate,
-    parse,
     pretty,
     sort_check,
     sort_of,
 )
-from .twist import Weight, format_weight, weight_to_json
+from .twist import format_weight, weight_to_json
 
 DEFAULT_GODEL_GRID: tuple[Fraction, ...] = (
     Fraction(0),
@@ -94,7 +84,6 @@ DEFAULT_GODEL_GRID: tuple[Fraction, ...] = (
     Fraction(1),
 )
 
-MAX_EXHAUSTIVE = 10**6
 MAX_STEPS = 10**7
 
 
@@ -102,51 +91,6 @@ class Status(Enum):
     HOLDS = "holds"
     FAILS = "fails"
     UNKNOWN = "unknown"
-
-
-class AxiomId(Enum):
-    """The axiom catalog: a Kleene algebra whose tests form a
-    distributive complemented-lattice fragment; 219/220 are the two
-    Boolean principles the paraconsistent reading drops.  Each member is
-    its number and its law as printed: ``t0 = t1 = ... = tk`` is the
-    equations ti = tk, ``l <= r  ->  l' <= r'`` a Horn law.  Variables a, b,
-    c range over tests, all others over programs; a witness lists them in
-    alphabetical order."""
-
-    def __new__(cls, number: int, formula: str):
-        member = object.__new__(cls)
-        member._value_, member.formula = number, formula
-        return member
-
-    PLUS_ASSOC = 1, "p + (q + r) = (p + q) + r"
-    PLUS_COMM = 2, "p + q = q + p"
-    PLUS_ZERO = 3, "p + 0 = p"
-    PLUS_IDEM = 4, "p + p = p"
-    DOT_ASSOC = 5, "p;(q;r) = (p;q);r"
-    DOT_ONE = 6, "1;p = p;1 = p"
-    DOT_DIST_L = 7, "p;(q + r) = p;q + p;r"
-    DOT_DIST_R = 8, "(p + q);r = p;r + q;r"
-    DOT_ZERO = 9, "0;p = p;0 = 0"
-    STAR_UNFOLD_L = 10, "1 + p;p* = p*"
-    STAR_UNFOLD_R = 11, "1 + p*;p = p*"
-    STAR_IND_L = 14, "p;r <= r  ->  p*;r <= r"
-    STAR_IND_R = 15, "r;p <= r  ->  r;p* <= r"
-    TEST_PLUS_OVER_DOT = 213, "a + b;c = (a + b);(a + c)"
-    TEST_DOT_COMM = 214, "a;b = b;a"
-    TEST_DOT_OVER_PLUS = 215, "a;b + c = (a + c);(b + c)"
-    TEST_DOT_IDEM = 216, "a;a = a"
-    TEST_DOUBLE_NEG = 217, "!!a = a"
-    TEST_PLUS_ONE = 218, "a + 1 = 1"
-    TEST_NON_CONTRA = 219, "a;!a = 0"
-    TEST_EXCL_MIDDLE = 220, "a + !a = 1"
-
-    @property
-    def slug(self) -> str:
-        return self.name.lower().replace("_", "-")
-
-
-CORE_AXIOMS = tuple(a for a in AxiomId if a.value < 219)
-BOOLEAN_AXIOMS = (AxiomId.TEST_NON_CONTRA, AxiomId.TEST_EXCL_MIDDLE)
 
 
 class Witness(Record):
@@ -171,23 +115,6 @@ class _Law(Record):
 
     __slots__ = ("formula", "code", "leq", "premise", "vars", "terms")
     _defaults = {"leq": False, "premise": False, "vars": (), "terms": None}
-
-
-_TEST_VARS = frozenset("abc")
-
-
-class _Laws:
-    """The catalog; each lookup compiles a law afresh."""
-
-    def __getitem__(self, ident: AxiomId) -> _Law:
-        sides = [parse(side) for side in re.split("<=|->|=", ident.formula)]
-        horn = "->" in ident.formula  # four sides, else t0 = ... = tk as each ti = tk
-        code = _compile(sides if horn else [t for ti in sides[:-1] for t in (ti, sides[-1])])
-        variables = tuple((x, Sort.TEST if x in _TEST_VARS else Sort.PROGRAM) for x in code[0])
-        return _Law(ident.formula, code, leq=horn, premise=horn, vars=variables)
-
-
-_AXIOMS = _Laws()
 
 
 def _draw_order(programs: Iterable[str], tests: Iterable[str]) -> tuple:
@@ -252,17 +179,6 @@ def _space(lattice: LatticeId, godel_grid) -> _Space:
         cells = [(i, j) for i, j in cells if a[i] + a[j] == d]
     cells.sort(key=lambda c: (abs(a[c[0]] + a[c[1]] - d), c))
     return _Space(values, tuple(cells))
-
-
-def weight_space(lattice: LatticeId, godel_grid=None) -> tuple[Weight, ...]:
-    """All candidate weights, nearest classical consistency first: every
-    (tt, ff) pair over the carrier (over the grid on godel, by default
-    ``DEFAULT_GODEL_GRID``), but over bool2 only the consistent corners TOP
-    and BOT, so that checks over it coincide with ordinary relations.
-    """
-    space = _space(lattice, godel_grid)
-    table = [elem(lattice, v) for v in space.values]
-    return tuple(Weight(table[i], table[j]) for i, j in space.cells)
 
 
 def _spans(variables, n_states: int) -> tuple[list, int]:
@@ -369,16 +285,6 @@ def _count(count: int) -> str:
     return str(count) if count < 10**30 else f"{Decimal(count):.2e}"
 
 
-def _guard(law: _Law, k: int, n_states: int) -> None:
-    """Refuse a law with more than ``MAX_EXHAUSTIVE`` assignments over ``k``
-    candidates.  For k >= 2, 2^bit_length already exceeds the bound, so
-    that many cells are refused before any huge count is built."""
-    cells = _spans(law.vars, n_states)[1]
-    if k > 1 and cells >= MAX_EXHAUSTIVE.bit_length() or k**cells > MAX_EXHAUSTIVE:
-        raise EngineError(f"exhaustive space of {k}^{_count(cells)} instantiations exceeds "
-                          f"{MAX_EXHAUSTIVE}")
-
-
 def _guard_steps(samples: int, n_states: int) -> None:
     """Refuse ``samples`` instances over n states (random draws, or the k
     tests of a one-test walk) beyond ``MAX_STEPS`` kernel steps, each counting
@@ -390,34 +296,8 @@ def _guard_steps(samples: int, n_states: int) -> None:
                           f"exceeds {MAX_STEPS} kernel steps")
 
 
-def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> list[Verdict]:
-    """Check each law of ``core`` in ``mode``, then search each law of
-    ``search`` exhaustively for a witness, all on one candidate space.
-    Every refusal comes before ``states_for``, which a refused count hangs."""
-    if n_states < 1:
-        raise EngineError("need at least one state")
-    space = _space(lattice, godel_grid)
-    k = len(space.cells)
-    plan = []  # (ident, how, law, whether its walk takes k instances: see the module docstring)
-    for ident, how in [(i, mode) for i in core] + [(i, "search") for i in search]:
-        law = _AXIOMS[ident]
-        one_test = not law.premise and [sort for _, sort in law.vars] == [Sort.TEST]
-        plan.append((ident, how, law, one_test and how != "random"))
-    if mode == "exhaustive":
-        for _, _, law, reduced in plan[:len(core)]:
-            _guard(law, k, 1 if reduced else n_states)  # k instances, as at one state
-    elif mode != "random":
-        raise EngineError(f"unknown mode {mode!r}")
-    elif not samples or samples < 1:
-        raise EngineError("random mode needs a positive sample count")
-    _guard_steps(max([samples if mode == "random" else 1] + [k for *_, r in plan if r]), n_states)
-    states = states_for(n_states)
-    return [_drive(law, lattice, states, space, how, samples, seed,
-                   n_states - 1 if reduced else 0, ident) for ident, how, law, reduced in plan]
-
-
 def _drive(law: _Law, lattice, states, space: _Space, how: str, samples, seed, fixed: int = 0,
-           axiom: AxiomId | None = None) -> Verdict:
+           axiom=None) -> Verdict:
     """``law`` checked a chunk at a time: on ``samples`` instances drawn at
     ``seed`` if ``how`` is "random", else on the walk with its first
     ``fixed`` cells at the first, a holds counting k^fixed per instance."""
@@ -436,55 +316,6 @@ def _drive(law: _Law, lattice, states, space: _Space, how: str, samples, seed, f
                        samples=count * k**fixed, seed=seed)
     model = _model(lattice, states, space.values, law.vars, cells)
     return _verdict(law, model, how, axiom=axiom, samples=count, seed=seed)
-
-
-def check_axiom(
-    axiom: AxiomId | int,
-    lattice: LatticeId,
-    n_states: int,
-    mode: str = "exhaustive",
-    *,
-    samples: int | None = None,
-    seed: int | None = None,
-    godel_grid=None,
-) -> Verdict:
-    """Check one axiom by instantiating its variables over relations.
-
-    Exhaustive mode walks the whole finite instantiation space (refused
-    above ``MAX_EXHAUSTIVE``); random mode draws seeded samples.  A failing
-    verdict carries the first counterexample in enumeration order.
-    """
-    return _run(lattice, n_states, godel_grid, mode, samples, seed, (AxiomId(axiom),), ())[0]
-
-
-def find_boolean_witness(
-    lattice: LatticeId,
-    n_states: int,
-    godel_grid=None,
-) -> dict[AxiomId, Verdict]:
-    """Search tests refuting non-contradiction and excluded middle.
-
-    Each verdict is the exhaustive walk's (nearest classical consistency
-    first): the first violating test, or holds over all k^n tests.  Both
-    laws act state by state, so k of the tests decide it (module docstring).
-    """
-    verdicts = _run(lattice, n_states, godel_grid, "exhaustive", None, None, (), BOOLEAN_AXIOMS)
-    return dict(zip(BOOLEAN_AXIOMS, verdicts))
-
-
-def check_suite(
-    lattice: LatticeId,
-    n_states: int,
-    mode: str = "exhaustive",
-    *,
-    samples: int | None = None,
-    seed: int | None = None,
-    godel_grid=None,
-) -> list[Verdict]:
-    """The whole axiom suite on one candidate space: ``check_axiom`` of
-    each core axiom in catalog order, then ``find_boolean_witness``'s
-    verdicts for 219 and 220."""
-    return _run(lattice, n_states, godel_grid, mode, samples, seed, CORE_AXIOMS, BOOLEAN_AXIOMS)
 
 
 # ---------------------------------------------------------------------------
@@ -539,25 +370,6 @@ def hoare_check(pre: Term, prog: Term, post: Term, model: Model) -> Verdict:
 # Verdict plumbing
 
 
-def recheck(verdict: Verdict) -> bool:
-    """Re-run a failing verdict's law on its witness assignment; True iff
-    it breaks at the same entry with the same weights."""
-    if verdict.status is not Status.FAILS or verdict.witness is None:
-        raise EngineError("only failing verdicts carry a witness to recheck")
-    w = verdict.witness
-    if verdict.axiom is not None:
-        law = _AXIOMS[verdict.axiom]
-    elif w.terms is not None and len(w.terms) in (2, 3):
-        law = (_equation if len(w.terms) == 2 else _triple)(*map(parse, w.terms))
-    else:
-        raise EngineError("verdict carries no recheckable witness")
-    basis = next(iter(w.assignment.values()), w.model)
-    if basis is None:
-        raise EngineError("verdict carries no recheckable witness")
-    units = _units(basis.lattice, basis.states, basis.values)
-    return _break(law, w.assignment, *units) == (w.entry, w.lhs, w.rhs)
-
-
 def witness_parts(verdict: Verdict, unicode: bool, eq: str) -> list[str]:
     """A witness as text: each assigned relation as ``name{eq}{(u,v): w, ...}``,
     then the entry where the law breaks."""
@@ -572,18 +384,6 @@ def witness_parts(verdict: Verdict, unicode: bool, eq: str) -> list[str]:
     u, v = w.entry
     lhs, rhs = format_weight(w.lhs, unicode), format_weight(w.rhs, unicode)
     return parts + [f"at ({u},{v}): lhs={lhs} rhs={rhs}"]
-
-
-def axiom_row(verdict: Verdict, unicode: bool) -> str:
-    """A verdict's line in the text table of ``pkat axioms``."""
-    ax = verdict.axiom
-    row = (
-        f"({ax.value:>3}) {ax.slug:<20} {ax.formula:<28} "
-        f"{verdict.status.value:<5} checked={verdict.samples}"
-    )
-    if verdict.status is Status.FAILS:
-        row += "  witness " + " ".join(witness_parts(verdict, unicode, "="))
-    return row
 
 
 def _witness_to_dict(w: Witness) -> dict:

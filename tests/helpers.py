@@ -233,8 +233,8 @@ def oracle_load_model(document: str):
     """The model loader as it was before it read each value text once: every
     cell becomes a ``Weight`` through ``elem``, every relation is built by
     ``from_entries``.  Reads only well-formed JSON."""
-    from pkat.plts import (_check_name, _checked_pairs, _named_section, _read_states,
-                           _read_test_carrier)
+    from pkat.modelfile import (_check_name, _checked_pairs, _named_section, _read_states,
+                                _read_test_carrier)
 
     raw = json.loads(document, object_pairs_hook=_checked_pairs)
     if not isinstance(raw, dict):

@@ -11,18 +11,8 @@ import time
 from itertools import product
 
 from pkat.cli import main
-from pkat.engine import (
-    AxiomId,
-    CORE_AXIOMS,
-    Status,
-    check_axiom,
-    evaluate,
-    find_boolean_witness,
-    random_model,
-    random_prel,
-    states_for,
-    weight_space,
-)
+from pkat.catalog import AxiomId, CORE_AXIOMS, check_axiom, find_boolean_witness, weight_space
+from pkat.engine import Status, evaluate, random_model, random_prel, states_for
 from pkat.lattice import bottom, big_join, big_meet, carrier, implies, join, leq, meet, top
 from pkat.plts import valuation
 from pkat.relp import r_star_steps

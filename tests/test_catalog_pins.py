@@ -4,15 +4,9 @@ cannot move a verdict, a sample count or the first witness found."""
 
 import pytest
 
-from pkat import engine
-from pkat.engine import (
-    AxiomId,
-    Status,
-    check_axiom,
-    check_suite,
-    find_boolean_witness,
-    verdict_to_dict,
-)
+from pkat import catalog, engine
+from pkat.catalog import AxiomId, check_axiom, check_suite, find_boolean_witness
+from pkat.engine import Status, verdict_to_dict
 from pkat.syntax import Sort, atoms, parse, sort_of
 from pkat.twist import weight_to_json
 
@@ -111,7 +105,7 @@ def test_catalog_verdicts_are_pinned(config):
                                   seed=ax.value, godel_grid=grid)
         rows.append(_pin(verdict))
     found = find_boolean_witness(lattice, n, godel_grid=grid)
-    rows += [_pin(found[ax]) for ax in engine.BOOLEAN_AXIOMS]
+    rows += [_pin(found[ax]) for ax in catalog.BOOLEAN_AXIOMS]
     assert rows == PINS[config]
 
 
@@ -129,9 +123,9 @@ def test_suite_gives_the_per_law_verdicts(config, monkeypatch):
     mode, extra = ("exhaustive", {}) if samples is None else (
         "random", {"samples": samples, "seed": 11})
     rows = [check_axiom(ax, lattice, n, mode, godel_grid=grid, **extra)
-            for ax in engine.CORE_AXIOMS]
+            for ax in catalog.CORE_AXIOMS]
     found = find_boolean_witness(lattice, n, godel_grid=grid)
-    rows += [found[ax] for ax in engine.BOOLEAN_AXIOMS]
+    rows += [found[ax] for ax in catalog.BOOLEAN_AXIOMS]
     per_law = len(checked)
     suite = check_suite(lattice, n, mode, godel_grid=grid, **extra)
     assert [verdict_to_dict(v) for v in suite] == [verdict_to_dict(v) for v in rows]
@@ -154,7 +148,7 @@ def test_catalog_laws_parse_and_sort_check():
         for term in terms:
             sort = sort_of(term, programs, tests)
             assert wanted is None or sort is wanted
-        law = engine._AXIOMS[ax]
+        law = catalog._AXIOMS[ax]
         assert law.vars == tuple(
             (x, Sort.TEST if x in tests else Sort.PROGRAM) for x in names
         )

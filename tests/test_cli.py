@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -6,9 +8,10 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pkat
 import pkat.cli
@@ -298,6 +301,87 @@ def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
     done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     assert done.stderr == f"{loaded}\n" and (done.stdout != "") == bool(argv)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ((), []),
+    (("star", "--model", MODEL, "--program", "r"), ["pkat.modelfile"]),
+    (("classify", "--model", MODEL, "--name", "p"), ["pkat.modelfile"]),
+    (("eval", "--model", MODEL, "--term", "p;r*"), ["pkat.modelfile"]),
+    (("hoare", "--model", MODEL, "--pre", "p", "--prog", "r", "--post", "1"),
+     ["pkat.modelfile"]),
+    (("equiv", "--model", MODEL, "--t1", "r + r", "--t2", "r"), ["pkat.modelfile"]),
+    (("equiv", "--t1", "r*;r* + r*", "--t2", "r*", "--lattice", "lukasiewicz3", "--states", "2",
+      "--random", "20", "--seed", "1"), []),
+    (("axioms", "--lattice", "bool2", "--states", "1"), ["pkat.catalog"]),
+], ids=["import", "star", "classify", "eval", "hoare", "equiv-model", "equiv-random", "axioms"])
+def test_only_model_files_load_the_reader_and_only_axioms_the_catalog(argv, loaded):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
+    probe = ("import sys, pkat.cli\n"
+             "if sys.argv[1:]: pkat.cli.main(sys.argv[1:])\n"
+             "print(sorted({'pkat.catalog', 'pkat.modelfile'} & set(sys.modules)),"
+             " file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stderr == f"{loaded}\n" and (done.stdout != "") == bool(argv)
+
+
+# Each command's options, each with valid and invalid values ("--exhaustive" takes none).
+_OPTIONS = {
+    "eval": ["--model", "--term"],
+    "star": ["--model", "--program"],
+    "equiv": ["--model", "--t1", "--t2", "--lattice", "--states", "--random", "--seed", "--tests",
+              "--godel-grid"],
+    "axioms": ["--lattice", "--states", "--exhaustive", "--samples", "--seed", "--godel-grid"],
+    "classify": ["--model", "--name"],
+    "hoare": ["--model", "--pre", "--prog", "--post"],
+}
+_VALUES = {"--lattice": ["bool2", "godel", "nope", "x" * 50], "--states": ["2", "x", "-1"],
+           "--random": ["3", "x"], "--seed": ["0", "1e3"], "--samples": ["5", ""],
+           "--godel-grid": ["0,1/2,1"], "--tests": ["a,b"], "--exhaustive": []}
+_EXTRA = ["-h", "--help", "--he", "--lat", "--sta", "--json", "--unicode", "--nope", "extra", "p"]
+
+
+@st.composite
+def _argvs(draw):
+    """A command, or an unknown or no name, with some of its options in any
+    order, then a few tokens of any kind."""
+    command = draw(st.sampled_from([*_OPTIONS, "nope", None]))
+    argv = [] if command is None else [command]
+    for option in draw(st.permutations(_OPTIONS.get(command, []))):
+        if draw(st.integers(0, 3)):  # most options are given
+            values = _VALUES.get(option, ["p", "r;r*"])
+            argv += [option] + ([draw(st.sampled_from(values))] if values else [])
+    extra = draw(st.lists(st.sampled_from([*_EXTRA, *_OPTIONS]), max_size=2))
+    return argv + extra if draw(st.booleans()) else argv
+
+
+def _outcome(call):
+    """What ``call()`` printed, and its result or its SystemExit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return out.getvalue(), err.getvalue(), result
+
+
+@settings(max_examples=150, deadline=None)
+@example([])
+@example(["--json"])
+@example(["axioms", "--lat", "bool2", "--sta", "1"])
+@given(_argvs())
+def test_parsing_one_command_matches_the_full_tree(argv):
+    ran = []
+    handlers = {f"_cmd_{name}": lambda args: ran.append(args) or 0 for name in _OPTIONS}
+    with patch.dict(pkat.cli.__dict__, handlers):
+        got = _outcome(lambda: main(argv))
+        want = _outcome(lambda: pkat.cli._build_parser().parse_args(argv))
+    if ran:  # parsed: main ran the handler on the full tree's namespace
+        assert got == ("", "", 0) and want[:2] == ("", "") and ran == [want[2]]
+    else:
+        assert got == want and want[2][0] == "exit"
 
 
 def test_bitslice_loads_without_engine():

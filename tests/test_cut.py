@@ -15,7 +15,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from pkat.engine import evaluate
-from pkat.plts import model_from_dict
+from pkat.modelfile import model_from_dict
 from pkat.syntax import Dot, Not, Plus, Star
 
 from helpers import random_sorted_term

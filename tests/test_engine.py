@@ -1,28 +1,32 @@
 import json
 import random
+import tracemalloc
 from itertools import islice, product
 from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import pkat.catalog
 import pkat.engine
 import pkat.syntax
-from pkat.engine import (
+from pkat.catalog import (
     AxiomId,
     CORE_AXIOMS,
-    Status,
     check_axiom,
+    find_boolean_witness,
+    recheck,
+    weight_space,
+)
+from pkat.engine import (
+    Status,
     equiv,
     equiv_random,
     evaluate,
-    find_boolean_witness,
     hoare_check,
     random_model,
-    recheck,
     states_for,
     verdict_to_dict,
-    weight_space,
 )
 from pkat.errors import EngineError, SortError
 from pkat.lattice import carrier, elem
@@ -225,7 +229,7 @@ def test_assignments_match_the_index_decoder(lattice, n, axioms):
 
     space, states = pkat.engine._space(lattice, None), states_for(n)
     for ident in axioms:
-        law = pkat.engine._AXIOMS[ident]
+        law = pkat.catalog._AXIOMS[ident]
         size = len(space.cells) ** sum(n if s is Sort.TEST else n * n for _, s in law.vars)
         limit = size if size <= 20_000 else 2_000
         found = pkat.engine._walk(len(space.cells), pkat.engine._spans(law.vars, n)[1])
@@ -281,7 +285,7 @@ def test_exhaustive_space_guard():
 
 def test_a_huge_space_is_refused_from_its_exponent():
     # n = 10**10 states: the guard works on exponents, so nothing large is built.
-    guard, laws = pkat.engine._guard, pkat.engine._AXIOMS
+    guard, laws = pkat.catalog._guard, pkat.catalog._AXIOMS
     with pytest.raises(EngineError) as err:
         guard(laws[AxiomId.PLUS_ASSOC], 9, 10**10)
     assert str(err.value) == (
@@ -318,10 +322,10 @@ def test_suite_refuses_before_checking_any_law(monkeypatch):
     for stream in ("_walk", "_draws"):  # any check would raise TypeError
         monkeypatch.setattr(pkat.engine, stream, None)
     with pytest.raises(EngineError, match=r"^exhaustive space of 9\^27 "):
-        pkat.engine.check_suite(L3, 3)
+        pkat.catalog.check_suite(L3, 3)
     # The witness search's 2 tests at 48^4 steps each exceed the step cap.
     with pytest.raises(EngineError, match=r"^work of 2 x 47-state instances exceeds"):
-        pkat.engine.check_suite(B2, 47, "random", samples=1, seed=0)
+        pkat.catalog.check_suite(B2, 47, "random", samples=1, seed=0)
 
 
 def test_work_guard_counts_samples_and_star_rounds():
@@ -343,11 +347,12 @@ def test_work_guard_counts_samples_and_star_rounds():
 
 
 def test_random_work_is_refused_before_any_state_is_built(monkeypatch):
-    monkeypatch.setattr(pkat.engine, "states_for", None)  # building states would raise TypeError
+    for module in (pkat.catalog, pkat.engine):  # building states would raise TypeError
+        monkeypatch.setattr(module, "states_for", None)
     refusal = r"^work of 1 x 400-state instances exceeds 10000000 kernel steps$"
     for mode, samples in (("random", 1), ("exhaustive", None)):  # one candidate: 1 instance
         with pytest.raises(EngineError, match=refusal):
-            pkat.engine.check_suite(GD, 400, mode, samples=samples, seed=0, godel_grid=["1/2"])
+            pkat.catalog.check_suite(GD, 400, mode, samples=samples, seed=0, godel_grid=["1/2"])
     with pytest.raises(EngineError, match=refusal):
         equiv_random(parse("p;q"), parse("q;p"), GD, 400, 1, 0)
 
@@ -357,18 +362,33 @@ def test_every_check_refuses_a_huge_state_count_before_building_states(monkeypat
     def states_for(n):
         raise AssertionError("states_for ran before the guards")
 
-    monkeypatch.setattr(pkat.engine, "states_for", states_for)
+    for module in (pkat.catalog, pkat.engine):
+        monkeypatch.setattr(module, "states_for", states_for)
     n, work = 10**300, r"^work of \d+ x 1\.00e\+300-state instances exceeds"
     with pytest.raises(EngineError, match=r"^exhaustive space of 9\^3\.00e\+600 inst"):
-        pkat.engine.check_suite(L3, n)
+        pkat.catalog.check_suite(L3, n)
     with pytest.raises(EngineError, match=work):
-        pkat.engine.check_suite(L3, n, "random", samples=1, seed=0)
+        pkat.catalog.check_suite(L3, n, "random", samples=1, seed=0)
     with pytest.raises(EngineError, match=work):
         check_axiom(219, GD, n)
     with pytest.raises(EngineError, match=work):
         find_boolean_witness(GD, n)
     with pytest.raises(EngineError, match=work):
         equiv_random(parse("a;p"), parse("p;a"), GD, n, 1, 0, test_names="a")
+
+
+def test_a_refused_exhaustive_suite_never_builds_its_space():
+    # 1,000 grid points make 10^6 candidate cells; the refusal needs only their count.
+    grid = [f"{i}/999" for i in range(1000)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(EngineError) as err:
+            pkat.catalog.check_suite(GD, 1, godel_grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "exhaustive space of 1000000^3 instantiations exceeds 1000000"
+    assert peak < 5 * 2**20
 
 
 def test_random_mode_deterministic():
@@ -425,7 +445,7 @@ def _full_walk(ident, lattice, n, grid, mode):
     """The one-test law's verdict from every one of its k^n tests in walk
     order: the reference the k-instance check must reproduce."""
     engine = pkat.engine
-    law, space, states = engine._AXIOMS[ident], engine._space(lattice, grid), states_for(n)
+    law, space, states = pkat.catalog._AXIOMS[ident], engine._space(lattice, grid), states_for(n)
     instances = (({"a": oracle_relation(lattice, states, space, True, cells)}, None)
                  for cells in product(space.cells, repeat=n))
     units = engine._units(lattice, states, space.values)

@@ -20,10 +20,11 @@ EXPORTS = {
     "setp": "PSet oslash s_complement s_dot s_plus s_star s_subset upsilon",
     "syntax": "Atom Dot Not One Plus Sort Star Term Zero atoms desugar_if desugar_while "
               "parse pretty sort_check sort_of",
-    "engine": "AxiomId Status Verdict Witness check_axiom check_suite equiv equiv_random "
-              "evaluate find_boolean_witness hoare_check recheck verdict_to_dict",
+    "engine": "Status Verdict Witness equiv equiv_random evaluate hoare_check verdict_to_dict",
+    "catalog": "AxiomId check_axiom check_suite find_boolean_witness recheck",
 }
-SUBMODULES = ["engine", "errors", "lattice", "plts", "record", "relp", "setp", "syntax", "twist"]
+SUBMODULES = ["catalog", "engine", "errors", "lattice", "modelfile", "plts", "record", "relp",
+              "setp", "syntax", "twist"]
 NAMES = [(home, name) for home, names in EXPORTS.items() for name in names.split()]
 
 

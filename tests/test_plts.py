@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pkat.engine import evaluate, weight_space
+from pkat.catalog import weight_space
+from pkat.engine import evaluate
 from pkat.errors import ModelError
 from pkat.plts import (
     Model,

@@ -15,7 +15,8 @@ from fractions import Fraction
 import pytest
 
 import pkat
-from pkat.engine import AxiomId, Status, Verdict, Witness, _Law, _Space
+from pkat.catalog import AxiomId
+from pkat.engine import Status, Verdict, Witness, _Law, _Space
 from pkat.lattice import LatticeElem, LatticeId
 from pkat.plts import Model
 from pkat.syntax import Atom, Dot, Not, One, Plus, Star, Zero
