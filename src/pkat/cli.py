@@ -13,8 +13,9 @@ Each command imports only the modules it runs.  ``star`` and
 ``syntax``, which parses and evaluates terms; ``equiv``, ``axioms`` and
 ``hoare`` also load ``engine``, the checking half, and ``axioms`` the
 axiom ``catalog``.  Only commands that read a ``--model`` file load its
-reader, ``modelfile``.  A request that names a command builds that
-command's parser alone; help and usage errors come from the full tree.
+reader, ``modelfile``.  A request's parser gives options only to the
+commands its arguments name; argparse runs no other, so the request
+parses and prints as with the full tree (``_build_parser``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ if TYPE_CHECKING:
 
 
 def main(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()
@@ -77,44 +79,27 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-class _Retry(Exception):
-    """A parse that must print help or a usage error: the full tree prints it."""
+def _json(payload, code: int = 0) -> int:
+    """Print ``payload`` as ``--json`` output; return the exit ``code``."""
+    print(json.dumps(payload, indent=2))
+    return code
 
 
-class _OneCommandParser(argparse.ArgumentParser):
-    """A tree of one command, which raises ``_Retry`` instead of printing."""
-
-    def error(self, message):
-        raise _Retry
-
-    def print_help(self, file=None):
-        raise _Retry
-
-
-def _parse(argv) -> argparse.Namespace:
-    """The parsed ``argv``: with that command's subparser alone when it
-    names a command, and with the full tree for help, usage errors and
-    anything else, so every text printed is the full tree's."""
-    if argv and argv[0] in _COMMANDS:
-        try:
-            return _build_parser(argv[0]).parse_args(argv)
-        except _Retry:
-            pass
-    return _build_parser().parse_args(argv)
-
-
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The six commands' parser, or with ``only`` that command's alone,
-    which raises ``_Retry`` instead of printing."""
-    parser = (argparse.ArgumentParser if only is None else _OneCommandParser)(
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """The six commands' parser.  argparse runs a command's subparser only
+    when its name is an element of ``argv``, so only such a command gets
+    its options and handler; the others stay bare, without even ``-h``.
+    Every text printed is the full tree's, which ``argv=None`` builds."""
+    parser = argparse.ArgumentParser(
         prog="pkat",
         description="Evaluate and verify guarded programs weighted by "
         "evidence pairs over a truth-value lattice.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, options) in _COMMANDS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=text)
+        named = argv is None or name in argv
+        p = sub.add_parser(name, help=text, add_help=named)
+        if named:
             options(p)
             p.add_argument("--json", action="store_true", help="machine-readable output")
             p.add_argument("--unicode", action="store_true", help="print top/bot as symbols")
@@ -221,15 +206,13 @@ def _cmd_eval(args) -> int:
     term = _term(args, "term")
     rel = evaluate(term, model)
     if args.json:
-        payload = {
+        return _json({
             "term": pretty(term),
             "lattice": model.lattice.value,
             "states": list(model.states),
             "entries": prel_to_entries(rel),
             "classification": _classification(rel),
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
+        })
     print(f"term: {pretty(term)}")
     print(f"lattice: {model.lattice.value}")
     print(format_prel(rel, args.unicode))
@@ -242,15 +225,13 @@ def _cmd_star(args) -> int:
     model = _read_model(args.model)
     rel, steps = r_star_steps(program_relation(model, args.program))
     if args.json:
-        payload = {
+        return _json({
             "program": args.program,
             "lattice": model.lattice.value,
             "states": list(model.states),
             "entries": prel_to_entries(rel),
             "iterations": steps,
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
+        })
     print(f"star of {args.program}:")
     print(format_prel(rel, args.unicode))
     print(f"iterations: {steps}")
@@ -261,8 +242,7 @@ def _print_verdict(verdict: Verdict, args, lead: list[str]) -> int:
     from .engine import Status, verdict_to_dict, witness_parts
 
     if args.json:
-        print(json.dumps(verdict_to_dict(verdict), indent=2))
-        return 0 if verdict.status is Status.HOLDS else 1
+        return _json(verdict_to_dict(verdict), 0 if verdict.status is Status.HOLDS else 1)
     for line in lead:
         print(line)
     if verdict.status is Status.HOLDS:
@@ -316,25 +296,22 @@ def _cmd_axioms(args) -> int:
                            godel_grid=grid)
     core_ok = all(v.status is Status.HOLDS for v in verdicts[:len(CORE_AXIOMS)])
     if args.json:
-        payload = {
+        return _json({
             "lattice": lattice.value,
             "states": args.states,
             "mode": mode,
             "axioms": [verdict_to_dict(v) for v in verdicts],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"axiom suite: lattice={lattice.value} states={args.states} mode={mode}")
-        for verdict in verdicts:
-            print(axiom_row(verdict, args.unicode))
-        refuted = [str(v.axiom.value) for v in verdicts[len(CORE_AXIOMS):]
-                   if v.status is Status.FAILS]
-        print(
-            "core axioms: "
-            + ("all hold" if core_ok else "FAILURES above")
-            + "; boolean axioms refuted: "
-            + (",".join(refuted) if refuted else "none")
-        )
+        }, 0 if core_ok else 1)
+    print(f"axiom suite: lattice={lattice.value} states={args.states} mode={mode}")
+    for verdict in verdicts:
+        print(axiom_row(verdict, args.unicode))
+    refuted = [str(v.axiom.value) for v in verdicts[len(CORE_AXIOMS):] if v.status is Status.FAILS]
+    print(
+        "core axioms: "
+        + ("all hold" if core_ok else "FAILURES above")
+        + "; boolean axioms refuted: "
+        + (",".join(refuted) if refuted else "none")
+    )
     return 0 if core_ok else 1
 
 
@@ -342,14 +319,12 @@ def _cmd_classify(args) -> int:
     model = _read_model(args.model)
     rel = _named_relation(model, args.name)
     if args.json:
-        payload = {
+        return _json({
             "name": args.name,
             "lattice": model.lattice.value,
             "states": list(model.states),
             "classification": _classification(rel),
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
+        })
     print(f"classification of {args.name}:")
     print(_class_grid(rel))
     return 0

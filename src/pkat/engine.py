@@ -220,12 +220,6 @@ def _walk(k: int, width: int, fixed: int = 0):
     return product(*[range(1)] * fixed, *[range(k)] * (width - fixed))
 
 
-def random_prel(
-    rng: random.Random, lattice: LatticeId, states: tuple[str, ...], godel_grid=None
-) -> PRel:
-    return random_model(rng, lattice, states, ("r",), (), godel_grid).programs["r"]
-
-
 def random_model(
     rng: random.Random,
     lattice: LatticeId,

@@ -12,7 +12,7 @@ from itertools import product
 
 from pkat.cli import main
 from pkat.catalog import AxiomId, CORE_AXIOMS, check_axiom, find_boolean_witness, weight_space
-from pkat.engine import Status, evaluate, random_model, random_prel, states_for
+from pkat.engine import Status, evaluate, random_model, states_for
 from pkat.lattice import bottom, big_join, big_meet, carrier, implies, join, leq, meet, top
 from pkat.plts import valuation
 from pkat.relp import r_star_steps
@@ -152,7 +152,7 @@ def test_criterion_6_star_against_power_join_oracle():
         n = 1 + i % 4
         states = states_for(n)
         lattice = lattices[i % 3]
-        rel = random_prel(rng, lattice, states)
+        rel = random_model(rng, lattice, states, ("r",), ()).programs["r"]
         star, steps = r_star_steps(rel)
         assert steps <= n + 1
         expected = oracle_star(states, dict_matrix(rel), lattice, 2 * n)

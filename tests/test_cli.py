@@ -371,6 +371,10 @@ def _outcome(call):
 @example([])
 @example(["--json"])
 @example(["axioms", "--lat", "bool2", "--sta", "1"])
+@example(["--json", "equiv", "--t1", "p", "--t2", "p"])  # an option before the command
+@example(["equiv", "--t1", "star", "--t2", "eval", "--lattice", "bool2", "--states", "1",
+          "--random", "2"])  # command names as option values
+@example(["eval", "star", "--help"])  # two command names, and help
 @given(_argvs())
 def test_parsing_one_command_matches_the_full_tree(argv):
     ran = []

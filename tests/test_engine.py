@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tracemalloc
 from itertools import islice, product
 from math import prod
@@ -189,6 +190,23 @@ def test_rank_keyed_space_on_the_finite_lattices():
     for lattice in (B2, L3):
         assert weight_space(lattice) == _fraction_keyed_space(lattice)
     assert weight_space(GD) == _fraction_keyed_space(GD, pkat.engine.DEFAULT_GODEL_GRID)
+
+
+@settings(deadline=None)
+@example(B2, None)
+@example(L3, None)
+@example(GD, None)
+@given(st.just(GD), st.lists(_GRID_VALUE, min_size=2, max_size=9).filter(
+    lambda grid: len({elem(GD, v).value for v in grid}) > 1))
+def test_the_exhaustive_guard_counts_the_space_it_would_walk(lattice, grid):
+    # catalog._run counts k before it builds the space, by its own copy of
+    # _space's rule (bool2 keeps its two consistent corners); law 1 at three
+    # states is refused for any k > 1, and the refusal prints that k.
+    with pytest.raises(EngineError) as err:
+        check_axiom(1, lattice, 3, "exhaustive", godel_grid=grid)
+    k = re.fullmatch(r"exhaustive space of (\d+)\^27 instantiations exceeds 1000000",
+                     str(err.value))
+    assert k and int(k[1]) == len(weight_space(lattice, grid))
 
 
 def _indexed_assignments(law, lattice, states, space):
