@@ -1,6 +1,6 @@
 """Laws checked on a chunk of instances at once, one bit per (instance, cut):
 the ``engine`` docstring gives the chunks and their layout, ``relp`` the ops.
-The caller gives the cell offsets; each cell is encoded as a transposed bit string."""
+The caller gives the cell offsets; each cell's transposed bit string is made on first read."""
 
 from __future__ import annotations
 
@@ -30,6 +30,18 @@ def _star(x, _, n, w):
 _OPS = {Plus: _plus, Dot: _dot, Star: _star, Not: _not}
 
 
+class _Bits(dict):
+    """Cell i's bit string, formatted and kept when it is first read."""
+
+    def __init__(self, cells, top: int):
+        self.cells, self.top = cells, top
+
+    def __missing__(self, i: int) -> str:
+        t, f = self.cells[i]
+        self[i] = bits = format(_code(t, f, self.top), f"0{2 * self.top}b")
+        return bits
+
+
 def first_failure(law, spans, instances, n: int, cells, top: int):
     """The count of ``instances`` checked up to the first that fails ``law``
     and its cells, else the count of all and None.  An instance indexes
@@ -38,7 +50,7 @@ def first_failure(law, spans, instances, n: int, cells, top: int):
     where = {name: (i, j, n + 1 if test else 1) for name, test, i, j in spans}
     slots = [where[name] for name in names]
     ops = [(_OPS[op], i, j) for op, i, j in steps[2 + len(names):]]
-    bits = [format(_code(t, f, top), f"0{2 * top}b") for t, f in cells]
+    bits = _Bits(cells, top)
     instances, cap = iter(instances), max(1, MAX_BITS // (2 * top))
     count, size = 0, 1
     while chunk := list(islice(instances, size)):

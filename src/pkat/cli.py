@@ -266,22 +266,14 @@ def _cmd_equiv(args) -> int:
     t1, t2 = _term(args, "t1"), _term(args, "t2")
     lead = [f"t1: {pretty(t1)}", f"t2: {pretty(t2)}"]
     if args.model:
-        model = _read_model(args.model)
-        verdict = equiv(t1, t2, model)
-        return _print_verdict(verdict, args, lead)
-    if args.lattice is None or args.states is None or args.random is None:
-        raise EngineError("random mode needs --lattice, --states and --random")
-    tests = {name.strip() for name in args.tests.split(",") if name.strip()}
-    verdict = equiv_random(
-        t1,
-        t2,
-        LatticeId.from_name(args.lattice),
-        args.states,
-        args.random,
-        args.seed,
-        test_names=tests,
-        godel_grid=_parse_grid(args.godel_grid),
-    )
+        verdict = equiv(t1, t2, _read_model(args.model))
+    else:
+        if args.lattice is None or args.states is None or args.random is None:
+            raise EngineError("random mode needs --lattice, --states and --random")
+        tests = {name.strip() for name in args.tests.split(",") if name.strip()}
+        verdict = equiv_random(t1, t2, LatticeId.from_name(args.lattice), args.states,
+                               args.random, args.seed, test_names=tests,
+                               godel_grid=_parse_grid(args.godel_grid))
     return _print_verdict(verdict, args, lead)
 
 

@@ -21,10 +21,10 @@ whole catalog, for ``catalog.check_suite``) draws from it.  The space
 is ordered by distance from classical consistency (|tt + ff - 1|, ties
 broken by component, all computed on integer ranks).  An instance lists,
 in the order of the law's ``vars`` (alphabetical for a catalog law;
-programs, then tests, each alphabetical, for an equation, as random
-models are drawn), a test's n diagonal cells and a program's n*n
-row-major, as ``_spans`` lays them out.  Exhaustive checking walks them
-lexicographically over the space's order, the last cell varying fastest.
+programs, then tests, each alphabetical, for an equation), a test's n
+diagonal cells and a program's n*n row-major, as ``_spans`` lays them
+out.  Exhaustive checking walks them lexicographically over the space's
+order, the last cell varying fastest.
 So a reported counterexample is the most conservative one available, and
 a failing verdict's instance count is its witness's position in that walk.
 
@@ -90,7 +90,6 @@ MAX_STEPS = 10**7
 class Status(Enum):
     HOLDS = "holds"
     FAILS = "fails"
-    UNKNOWN = "unknown"
 
 
 class Witness(Record):
@@ -117,16 +116,12 @@ class _Law(Record):
     _defaults = {"leq": False, "premise": False, "vars": (), "terms": None}
 
 
-def _draw_order(programs: Iterable[str], tests: Iterable[str]) -> tuple:
-    """Variables as random models draw them: programs, then tests, each alphabetical."""
-    return (*zip(sorted(programs), repeat(Sort.PROGRAM)), *zip(sorted(tests), repeat(Sort.TEST)))
-
-
 def _equation(t1: Term, t2: Term, tests: Iterable[str] = ()) -> _Law:
     """t1 = t2, its atoms named in ``tests`` ranging over tests."""
     terms, code = (pretty(t1), pretty(t2)), _compile((t1, t2))
     names, tests = frozenset(code[0]), frozenset(tests)
-    variables = _draw_order(names - tests, names & tests)
+    variables = (*zip(sorted(names - tests), repeat(Sort.PROGRAM)),
+                 *zip(sorted(names & tests), repeat(Sort.TEST)))
     return _Law(" = ".join(terms), code, terms=terms, vars=variables)
 
 
@@ -218,19 +213,6 @@ def _walk(k: int, width: int, fixed: int = 0):
     cells, with its first ``fixed`` at the first, in lexicographic order:
     the last cell varies fastest."""
     return product(*[range(1)] * fixed, *[range(k)] * (width - fixed))
-
-
-def random_model(
-    rng: random.Random,
-    lattice: LatticeId,
-    states: tuple[str, ...],
-    program_names: Iterable[str],
-    test_names: Iterable[str],
-    godel_grid=None,
-) -> Model:
-    space, variables = _space(lattice, godel_grid), _draw_order(program_names, test_names)
-    ids = next(_draws(rng, len(space.cells), _spans(variables, len(states))[1], 1))
-    return _model(lattice, states, space.values, variables, [space.cells[i] for i in ids])
 
 
 # ---------------------------------------------------------------------------

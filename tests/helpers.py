@@ -157,6 +157,16 @@ def oracle_draw(rng: random.Random, lattice, states, space, test: bool):
     return oracle_relation(lattice, states, space, test, cells)
 
 
+def oracle_model(rng: random.Random, lattice, states, programs, tests, godel_grid=None):
+    """A model of the named programs, then tests, each alphabetical, its
+    cells drawn from ``rng`` one ``oracle_draw`` at a time."""
+    space = _space(lattice, godel_grid)
+    drawn = {name: oracle_draw(rng, lattice, states, space, False) for name in sorted(programs)}
+    tested = {name: _from_test(oracle_draw(rng, lattice, states, space, True))
+              for name in sorted(tests)}
+    return Model(lattice, states, drawn, tested, values=space.values)
+
+
 def oracle_assignments(law, lattice, states, space, fixed: int = 0):
     """Every assignment of the law's variables with its first ``fixed`` cells
     at the space's first, in lexicographic order: the last cell varies fastest."""
@@ -211,15 +221,8 @@ def oracle_equiv_random(t1, t2, lattice, n_states, samples, seed, test_names=(),
     tests = frozenset(test_names) & names
     states, rng = states_for(n_states), random.Random(seed)
     space = _space(lattice, godel_grid)
-
-    def model():
-        programs = {name: oracle_draw(rng, lattice, states, space, False)
-                    for name in sorted(names - tests)}
-        tested = {name: _from_test(oracle_draw(rng, lattice, states, space, True))
-                  for name in sorted(tests)}
-        return Model(lattice, states, programs, tested, values=space.values)
-
-    models = (model() for _ in range(samples))
+    models = (oracle_model(rng, lattice, states, names - tests, tests, godel_grid)
+              for _ in range(samples))
     instances = ((_atom_assignment(m, names), m) for m in models)
     units = _units(lattice, states, space.values)
     return oracle_check(_equation(t1, t2), instances, *units, lattice, n_states, "random",

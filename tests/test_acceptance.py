@@ -12,7 +12,7 @@ from itertools import product
 
 from pkat.cli import main
 from pkat.catalog import AxiomId, CORE_AXIOMS, check_axiom, find_boolean_witness, weight_space
-from pkat.engine import Status, evaluate, random_model, states_for
+from pkat.engine import Status, evaluate, states_for
 from pkat.lattice import bottom, big_join, big_meet, carrier, implies, join, leq, meet, top
 from pkat.plts import valuation
 from pkat.relp import r_star_steps
@@ -28,6 +28,7 @@ from helpers import (
     classical_eval,
     dict_matrix,
     lw,
+    oracle_model,
     oracle_star,
     prel_to_set,
     random_any_term,
@@ -152,7 +153,7 @@ def test_criterion_6_star_against_power_join_oracle():
         n = 1 + i % 4
         states = states_for(n)
         lattice = lattices[i % 3]
-        rel = random_model(rng, lattice, states, ("r",), ()).programs["r"]
+        rel = oracle_model(rng, lattice, states, ("r",), ()).programs["r"]
         star, steps = r_star_steps(rel)
         assert steps <= n + 1
         expected = oracle_star(states, dict_matrix(rel), lattice, 2 * n)
@@ -213,7 +214,7 @@ def test_criterion_9_classical_embedding():
     for i in range(1000):
         n = 1 + i % 3
         states = states_for(n)
-        model = random_model(rng, B2, states, programs, tests)
+        model = oracle_model(rng, B2, states, programs, tests)
         term = random_sorted_term(rng, rng.randint(0, 5), programs, tests)
         mine = prel_to_set(evaluate(term, model))
         sets = {name: prel_to_set(rel) for name, rel in model.programs.items()}

@@ -25,7 +25,6 @@ from pkat.engine import (
     equiv_random,
     evaluate,
     hoare_check,
-    random_model,
     states_for,
     verdict_to_dict,
 )
@@ -37,7 +36,7 @@ from pkat.syntax import Dot, Not, One, Plus, Sort, Star, parse
 from pkat.twist import Weight, wbot, wtop
 
 from helpers import (B2, GD, L3, PROGRAM_TERMS, TEST_TERMS, lw, oracle_check, oracle_eval,
-                     oracle_relation, random_sorted_term)
+                     oracle_model, oracle_relation, random_sorted_term)
 
 RICH_DOC = json.dumps(
     {
@@ -109,7 +108,7 @@ def test_evaluate_compositional(rich_model):
 def _models(draw):
     lattice, n = draw(st.sampled_from([B2, L3, GD])), draw(st.integers(1, 3))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    return random_model(rng, lattice, states_for(n), ("p", "q"), ("a", "b"))
+    return oracle_model(rng, lattice, states_for(n), ("p", "q"), ("a", "b"))
 
 
 def _walked_break(sides, leq, premise, env, units):
@@ -409,6 +408,20 @@ def test_a_refused_exhaustive_suite_never_builds_its_space():
     assert peak < 5 * 2**20
 
 
+def test_a_one_sample_suite_formats_only_the_cells_it_reads():
+    # 200 grid points make 40,000 candidate cells of 398 cut bits each; one sample reads few.
+    grid = [f"{i}/199" for i in range(200)]
+    tracemalloc.start()
+    try:
+        verdicts = pkat.catalog.check_suite(GD, 1, "random", samples=1, seed=0, godel_grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for ident, verdict in zip(CORE_AXIOMS, verdicts):
+        assert verdict == check_axiom(ident, GD, 1, "random", samples=1, seed=0, godel_grid=grid)
+    assert peak < 10 * 2**20
+
+
 def test_random_mode_deterministic():
     one = check_axiom(5, L3, 2, "random", samples=50, seed=7)
     two = check_axiom(5, L3, 2, "random", samples=50, seed=7)
@@ -635,14 +648,6 @@ def test_verdict_json_schema():
     assert json.loads(text) == payload
     held = verdict_to_dict(check_axiom(2, L3, 1, "exhaustive"))
     assert "witness" not in held
-
-
-def test_random_model_is_seed_deterministic():
-    states = states_for(2)
-    m1 = random_model(random.Random(9), L3, states, ("p",), ("a",))
-    m2 = random_model(random.Random(9), L3, states, ("p",), ("a",))
-    assert m1 == m2
-    assert set(m1.programs) == {"p"} and set(m1.tests) == {"a"}
 
 
 def test_recheck_reproduces_the_exact_witness(two_state_model):
