@@ -8,7 +8,8 @@ language with parser, an axiom-verification engine, and a CLI.
 
 The names below (and the submodules that hold them) resolve on first
 use, through a module ``__getattr__`` (PEP 562): ``import pkat`` loads
-no submodule, and ``pkat.check_axiom`` loads ``engine`` only then.
+no submodule, and ``pkat.check_axiom`` loads ``catalog`` (which imports
+``engine``) only then.
 """
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ and f the first failing one: among the k instances whose last cell alone
 varies, which so give the walk's own count and witness, or hold when it
 holds on all k^n; both guards count those k.  Runs too large for
 ``MAX_EXHAUSTIVE`` or ``MAX_STEPS`` are refused from their sizes alone,
-before the space is built.
+k as ``engine._grid_values`` counts it, before the space is built.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from .engine import (Status, Verdict, _break, _count, _drive, _equation, _grid_values,
-                     _guard_steps, _Law, _space, _spans, _triple, states_for, witness_parts)
+from .engine import (MAX_EXHAUSTIVE, Status, Verdict, _break, _count, _drive, _equation,
+                     _grid_values, _guard_steps, _Law, _space, _spans, _triple, states_for,
+                     witness_parts)
 from .errors import EngineError
 from .lattice import LatticeId, elem
 from .syntax import Sort, _compile, _units, parse
 from .twist import Weight
-
-MAX_EXHAUSTIVE = 10**6
 
 
 class AxiomId(Enum):
@@ -93,10 +92,9 @@ _AXIOMS = _Laws()
 
 
 def weight_space(lattice: LatticeId, godel_grid=None) -> tuple[Weight, ...]:
-    """All candidate weights, nearest classical consistency first: every
-    (tt, ff) pair over the carrier (over the grid on godel, by default
-    ``DEFAULT_GODEL_GRID``), but over bool2 only the consistent corners TOP
-    and BOT, so that checks over it coincide with ordinary relations.
+    """All candidate weights, nearest classical consistency first: the
+    cells ``engine._grid_values`` counts (over bool2 only the consistent
+    corners TOP and BOT), refused above ``MAX_EXHAUSTIVE``.
     """
     space = _space(lattice, godel_grid)
     table = [elem(lattice, v) for v in space.values]
@@ -120,8 +118,7 @@ def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> li
     and before ``states_for``, which a refused count hangs."""
     if n_states < 1:
         raise EngineError("need at least one state")
-    members = _grid_values(lattice, godel_grid)  # k as _space counts it: bool2 keeps 2 corners
-    k = 2 if lattice is LatticeId.BOOL2 else len(members) ** 2
+    k = _grid_values(lattice, godel_grid)[1]
     plan = []  # (ident, how, law, whether its walk takes k instances: see the module docstring)
     for ident, how in [(i, mode) for i in core] + [(i, "search") for i in search]:
         law = _AXIOMS[ident]

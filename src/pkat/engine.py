@@ -84,6 +84,7 @@ DEFAULT_GODEL_GRID: tuple[Fraction, ...] = (
     Fraction(1),
 )
 
+MAX_EXHAUSTIVE = 10**6
 MAX_STEPS = 10**7
 
 
@@ -142,15 +143,18 @@ def states_for(n_states: int) -> tuple[str, ...]:
     return tuple(f"w{i + 1}" for i in range(n_states))
 
 
-def _grid_values(lattice: LatticeId, godel_grid) -> set[Fraction]:
+def _grid_values(lattice: LatticeId, godel_grid) -> tuple[set[Fraction], int]:
+    """The values a cell's components range over, and k, the number of cells:
+    every (tt, ff) pair, but over bool2 only its two consistent corners."""
     if godel_grid is not None and lattice is not LatticeId.GODEL:
         raise EngineError(f"a godel grid applies only to the godel lattice, not {lattice.value}")
-    if lattice is LatticeId.GODEL:
-        grid = DEFAULT_GODEL_GRID if godel_grid is None else tuple(godel_grid)
-        if not grid:
-            raise EngineError("an empty interval grid makes no candidates")
-        return {elem(lattice, g).value for g in grid}
-    return {e.value for e in carrier(lattice)}
+    grid = DEFAULT_GODEL_GRID if godel_grid is None else tuple(godel_grid)
+    if lattice is not LatticeId.GODEL:
+        grid = carrier(lattice)
+    elif not grid:
+        raise EngineError("an empty interval grid makes no candidates")
+    values = {elem(lattice, g).value for g in grid}
+    return values, 2 if lattice is LatticeId.BOOL2 else len(values) ** 2
 
 
 class _Space(Record):
@@ -161,19 +165,19 @@ class _Space(Record):
 
 
 def _space(lattice: LatticeId, godel_grid) -> _Space:
-    """Built once per check; its loops draw from it.  Over the common
-    denominator ``d`` of the table, value ``i`` is the integer ``a[i]``,
-    so |tt + ff - 1| orders as |a[tt] + a[ff] - d| and values as ranks."""
-    members = _grid_values(lattice, godel_grid)
+    """Built once per check, unless k > ``MAX_EXHAUSTIVE``; its loops draw
+    from it.  Over the common denominator ``d`` of the table, value ``i`` is
+    the integer ``a[i]``, so |tt + ff - 1| orders as |a[tt] + a[ff] - d| and
+    values as ranks; the space is the first k cells in that order."""
+    members, k = _grid_values(lattice, godel_grid)
+    if k > MAX_EXHAUSTIVE:
+        raise EngineError(f"candidate space of {_count(k)} weights exceeds {MAX_EXHAUSTIVE}")
     values = value_table(members)
     ranks = [i for i, v in enumerate(values) if v in members]
     d = lcm(*(v.denominator for v in values))
     a = [v.numerator * (d // v.denominator) for v in values]
-    cells = [(i, j) for i in ranks for j in ranks]
-    if lattice is LatticeId.BOOL2:
-        cells = [(i, j) for i, j in cells if a[i] + a[j] == d]
-    cells.sort(key=lambda c: (abs(a[c[0]] + a[c[1]] - d), c))
-    return _Space(values, tuple(cells))
+    cells = sorted(product(ranks, ranks), key=lambda c: (abs(a[c[0]] + a[c[1]] - d), c))
+    return _Space(values, tuple(cells[:k]))  # bool2's 2 consistent corners alone sit at distance 0
 
 
 def _spans(variables, n_states: int) -> tuple[list, int]:

@@ -2,8 +2,9 @@ import json
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 from itertools import islice, product
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,7 +32,8 @@ from pkat.engine import (
 from pkat.errors import EngineError, SortError
 from pkat.lattice import carrier, elem
 from pkat.plts import load_model
-from pkat.relp import from_ranks, identity, r_dot, r_leq, r_plus, r_star, t_complement, zero
+from pkat.relp import (from_ranks, identity, r_dot, r_leq, r_plus, r_star, t_complement,
+                       value_table, zero)
 from pkat.syntax import Dot, Not, One, Plus, Sort, Star, parse
 from pkat.twist import Weight, wbot, wtop
 
@@ -198,14 +200,36 @@ def test_rank_keyed_space_on_the_finite_lattices():
 @given(st.just(GD), st.lists(_GRID_VALUE, min_size=2, max_size=9).filter(
     lambda grid: len({elem(GD, v).value for v in grid}) > 1))
 def test_the_exhaustive_guard_counts_the_space_it_would_walk(lattice, grid):
-    # catalog._run counts k before it builds the space, by its own copy of
-    # _space's rule (bool2 keeps its two consistent corners); law 1 at three
-    # states is refused for any k > 1, and the refusal prints that k.
+    # catalog._run counts k before it builds the space, as engine._grid_values
+    # counts it for _space (bool2 keeps its two consistent corners); law 1 at
+    # three states is refused for any k > 1, and the refusal prints that k.
     with pytest.raises(EngineError) as err:
         check_axiom(1, lattice, 3, "exhaustive", godel_grid=grid)
     k = re.fullmatch(r"exhaustive space of (\d+)\^27 instantiations exceeds 1000000",
                      str(err.value))
     assert k and int(k[1]) == len(weight_space(lattice, grid))
+
+
+@settings(deadline=None)
+@example(B2, None)
+@example(L3, None)
+@given(st.just(GD), st.lists(st.sampled_from([Fraction(i, q) for q in range(1, 9)
+                                              for i in range(q + 1)]), min_size=1, max_size=12))
+def test_the_space_is_the_first_k_cells_of_the_sorted_product(lattice, grid):
+    # The oracle filters bool2's pairs to its consistent corners before the
+    # sort; _space sorts every pair and keeps the first k.
+    members = ({e.value for e in carrier(lattice)} if grid is None
+               else {elem(lattice, g).value for g in grid})
+    values = value_table(members)
+    ranks = [i for i, v in enumerate(values) if v in members]
+    d = lcm(*(v.denominator for v in values))
+    a = [v.numerator * (d // v.denominator) for v in values]
+    cells = [(i, j) for i in ranks for j in ranks]
+    if lattice is B2:
+        cells = [(i, j) for i, j in cells if a[i] + a[j] == d]
+    cells.sort(key=lambda c: (abs(a[c[0]] + a[c[1]] - d), c))
+    space = pkat.engine._space(lattice, grid)
+    assert (space.values, space.cells) == (values, tuple(cells))
 
 
 def _indexed_assignments(law, lattice, states, space):
@@ -406,6 +430,24 @@ def test_a_refused_exhaustive_suite_never_builds_its_space():
         tracemalloc.stop()
     assert str(err.value) == "exhaustive space of 1000000^3 instantiations exceeds 1000000"
     assert peak < 5 * 2**20
+
+
+def test_an_over_size_candidate_space_is_refused_before_it_is_built():
+    # 1,001 grid points make 1,002,001 candidate cells, one sample of which is
+    # drawn: the random runs pass every other guard, so _space refuses them.
+    grid = [f"{i}/1000" for i in range(1001)]
+    runs = (lambda: equiv_random(parse("p"), parse("p;p"), GD, 1, 1, 0, godel_grid=grid),
+            lambda: check_axiom(2, GD, 1, "random", samples=1, seed=0, godel_grid=grid))
+    for run in runs:
+        tracemalloc.start()
+        try:
+            with pytest.raises(EngineError) as err:
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "candidate space of 1002001 weights exceeds 1000000"
+        assert peak < 5 * 2**20
 
 
 def test_a_one_sample_suite_formats_only_the_cells_it_reads():
