@@ -59,7 +59,6 @@ from .lattice import LatticeId, carrier, elem
 from .plts import Model, model_to_dict
 from .record import Record
 from .relp import PRel, align, from_cells, prel_to_entries, r_leq, value_table
-from .setp import _from_test
 from .syntax import (
     Dot,
     Sort,
@@ -198,10 +197,7 @@ def _model(lattice, states, values, variables, cells) -> Model:
     for name, test, start, stop in _spans(variables, n)[0]:
         on = range(0, n * n, n + 1 if test else 1)
         rel = from_cells(lattice, states, values, dict(zip(on, cells[start:stop])), ranks)
-        if test:
-            tests[name] = _from_test(rel)
-        else:
-            programs[name] = rel
+        (tests if test else programs)[name] = rel
     return Model(lattice, states, programs, tests, values=values)
 
 

@@ -1,6 +1,6 @@
 """The model-file reader: a parsed document (format in ``plts``) to a
-``plts.Model``, each distinct value read once.  Only ``plts.load_model``
-imports this module, when it is called.
+``plts.Model`` of ``relp.PRel``s on one table, each distinct value read
+once.  Only ``plts.load_model`` imports this module, when it is called.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from .errors import CarrierError, LatticeMismatchError, ModelError
 from .lattice import LatticeId, bottom, elem, top
 from .plts import Model
 from .relp import from_cells, value_table
-from .setp import _from_test
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -62,8 +61,7 @@ def model_from_dict(raw) -> Model:
     return Model(
         lattice, states,
         {name: from_cells(lattice, states, values, c, ranks) for name, c in programs.items()},
-        {name: _from_test(from_cells(lattice, states, values, c, ranks))
-         for name, c in tests.items()},
+        {name: from_cells(lattice, states, values, c, ranks) for name, c in tests.items()},
         carrier, values,
     )
 

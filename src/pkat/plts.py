@@ -2,14 +2,14 @@
 
 A model fixes a lattice, an ordered nonempty set of states, named
 program relations (total weight matrices) and named tests (one weight
-per state).  A test is stored once, as a ``setp.PSet``: the subidentity
-matrix carrying its per-state weights on the diagonal, which is what
+per state).  A test is stored once, as its subidentity ``relp.PRel``:
+the matrix carrying its per-state weights on the diagonal, which is what
 the test's name denotes inside a term.  Programs and tests share one
 value table (see ``relp``), built at load.  This module holds ``Model``,
-its accessors and the writers ``model_to_dict`` and ``model_to_text``.
-The reader is ``modelfile``, which ``load_model`` imports when it is
-called, so ``axioms`` and ``equiv --random`` never compile it.  The
-document format::
+its accessors and the writers ``model_to_dict``, ``model_to_text`` and
+``diagonal_to_json`` (which ``setp.pset_to_json`` calls).  The reader is
+``modelfile``, which ``load_model`` imports when it is called, so
+``axioms`` and ``equiv --random`` never compile it.  The document format::
 
     {"lattice": "lukasiewicz3",
      "states": ["w1", "w2"],
@@ -40,15 +40,14 @@ from .errors import ModelError, quoted
 from .lattice import elem_to_json
 from .record import Record
 from .relp import PRel, prel_to_entries
-from .setp import pset_to_json
-from .twist import Weight
+from .twist import Weight, weight_to_json
 
 
 class Model(Record):
     """A lattice, its ordered ``states``, ``programs`` (name to ``PRel``),
-    ``tests`` (name to ``PSet``), the ``test_carrier`` elements or None,
-    and ``values``: the table the programs and tests share (see ``relp``),
-    which equality and ``repr`` leave out."""
+    ``tests`` (name to its subidentity ``PRel``), the ``test_carrier``
+    elements or None, and ``values``: the table the programs and tests
+    share (see ``relp``), which equality and ``repr`` leave out."""
 
     __slots__ = ("lattice", "states", "programs", "tests", "test_carrier", "values")
     _defaults = {"programs": MappingProxyType({}), "tests": MappingProxyType({}),
@@ -62,7 +61,7 @@ def valuation(m: Model, prop: str, state: str) -> Weight:
         raise ModelError(f"unknown proposition {prop!r}")
     if state not in m.states:
         raise ModelError(f"unknown state {state!r}")
-    return m.tests[prop][state]
+    return m.tests[prop].entry(state, state)
 
 
 def program_relation(m: Model, name: str) -> PRel:
@@ -75,16 +74,15 @@ def diagonal_relation(m: Model, name: str) -> PRel:
     """The subidentity matrix of a test."""
     if name not in m.tests:
         raise ModelError(f"unknown test {quoted(name)}")
-    return m.tests[name].relation
+    return m.tests[name]
 
 
 def _named_relation(m: Model, name: str) -> PRel:
     """A program's relation, else a test's subidentity matrix."""
-    if name in m.programs:
-        return m.programs[name]
-    if name in m.tests:
-        return m.tests[name].relation
-    raise ModelError(f"unknown relation {quoted(name)}")
+    rel = m.programs.get(name) or m.tests.get(name)
+    if rel is None:
+        raise ModelError(f"unknown relation {quoted(name)}")
+    return rel
 
 
 def load_model(document: str | bytes) -> Model:
@@ -110,11 +108,16 @@ def model_to_dict(m: Model) -> dict:
         "lattice": m.lattice.value,
         "states": list(m.states),
         "programs": {name: prel_to_entries(rel) for name, rel in m.programs.items()},
-        "tests": {name: pset_to_json(test) for name, test in m.tests.items()},
+        "tests": {name: diagonal_to_json(test) for name, test in m.tests.items()},
     }
     if m.test_carrier is not None:
         out["test_carrier"] = [elem_to_json(e) for e in m.test_carrier]
     return out
+
+
+def diagonal_to_json(test: PRel) -> dict:
+    """A test's weights as the model file format writes them: state to [tt, ff]."""
+    return {u: pair for (u, v), pair in test.pairs(weight_to_json) if u == v}
 
 
 def model_to_text(m: Model) -> str:

@@ -9,7 +9,8 @@ power of a set beyond the zeroth collapses onto the set itself, so the
 star of any set is the constant-TOP set, the identity relation, which
 ``r_star`` returns without a search: a test has no edge off the
 diagonal.  A ``PSet`` reads as a mapping from state to weight, and
-compares equal to a dict with the same entries.
+compares equal to a dict with the same entries.  A model holds a test
+as the relation alone (see ``plts``), so no other module imports this.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from collections.abc import Mapping
 
 from .errors import ShapeError
 from .lattice import LatticeId
+from .plts import diagonal_to_json
 from .relp import PRel, from_diagonal, identity, r_dot, r_leq, r_plus, r_star, t_complement, zero
-from .twist import Weight, weight_to_json
+from .twist import Weight
 
 
 class PSet(Mapping):
@@ -124,4 +126,4 @@ def s_subset(a: PSet, b: PSet) -> bool:
 
 def pset_to_json(a: PSet) -> dict:
     """Same shape as a test valuation in the model file format."""
-    return {u: pair for (u, v), pair in a.relation.pairs(weight_to_json) if u == v}
+    return diagonal_to_json(a.relation)

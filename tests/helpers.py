@@ -19,8 +19,16 @@ from pkat.engine import Status, Verdict, Witness, _break, _equation, _space, _un
 from pkat.errors import CarrierError, LatticeMismatchError, ModelError
 from pkat.lattice import LatticeElem, LatticeId, elem
 from pkat.plts import Model
-from pkat.relp import from_entries, from_ranks, r_dot, r_plus, r_star, t_complement, value_table
-from pkat.setp import PSet, _from_test
+from pkat.relp import (
+    from_diagonal,
+    from_entries,
+    from_ranks,
+    r_dot,
+    r_plus,
+    r_star,
+    t_complement,
+    value_table,
+)
 from pkat.syntax import Atom, Dot, Not, One, Plus, Sort, Star, Term, Zero, _atom_assignment, atoms
 from pkat.twist import Weight, weight, wbot, wjoin, wmeet, wtop
 
@@ -162,8 +170,7 @@ def oracle_model(rng: random.Random, lattice, states, programs, tests, godel_gri
     cells drawn from ``rng`` one ``oracle_draw`` at a time."""
     space = _space(lattice, godel_grid)
     drawn = {name: oracle_draw(rng, lattice, states, space, False) for name in sorted(programs)}
-    tested = {name: _from_test(oracle_draw(rng, lattice, states, space, True))
-              for name in sorted(tests)}
+    tested = {name: oracle_draw(rng, lattice, states, space, True) for name in sorted(tests)}
     return Model(lattice, states, drawn, tested, values=space.values)
 
 
@@ -315,8 +322,7 @@ def oracle_load_model(document: str):
     weights = [w for table in (*entries.values(), *diagonals.values()) for w in table.values()]
     values = value_table({x.value for w in weights for x in (w.tt, w.ff)})
     programs = {name: from_entries(lattice, states, t, values) for name, t in entries.items()}
-    tests = {name: PSet(lattice, states, tuple(d.values()), values)
-             for name, d in diagonals.items()}
+    tests = {name: from_diagonal(lattice, states, d, values) for name, d in diagonals.items()}
     return Model(lattice, states, programs, tests, carrier, values)
 
 

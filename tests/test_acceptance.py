@@ -219,8 +219,8 @@ def test_criterion_9_classical_embedding():
         mine = prel_to_set(evaluate(term, model))
         sets = {name: prel_to_set(rel) for name, rel in model.programs.items()}
         sat = {
-            name: {w for w, value in diag.items() if value == t2}
-            for name, diag in model.tests.items()
+            name: {w for w in states if test.entry(w, w) == t2}
+            for name, test in model.tests.items()
         }
         assert mine == classical_eval(term, states, sets, sat)
     report(9, "1000 random boolean term/model pairs match the set-relation oracle")

@@ -319,7 +319,7 @@ def test_only_model_files_load_the_reader_and_only_axioms_the_catalog(argv, load
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
     probe = ("import sys, pkat.cli\n"
              "if sys.argv[1:]: pkat.cli.main(sys.argv[1:])\n"
-             "print(sorted({'pkat.catalog', 'pkat.modelfile'} & set(sys.modules)),"
+             "print(sorted({'pkat.catalog', 'pkat.modelfile', 'pkat.setp'} & set(sys.modules)),"
              " file=sys.stderr)")
     done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
@@ -693,7 +693,7 @@ def _rendered(draw):
     rel = PRel(lattice, states, weights, values=unused)
     test = PSet(lattice, states, weights[::n + 1], rel.values)
     carrier = draw(st.none() | st.just((bottom(lattice), top(lattice))))
-    model = Model(lattice, states, {"r": rel}, {"p": test}, carrier, rel.values)
+    model = Model(lattice, states, {"r": rel}, {"p": test.relation}, carrier, rel.values)
     return rel, test, model
 
 

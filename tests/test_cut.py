@@ -52,7 +52,7 @@ def _cut_model(model, theta):
         "states": list(model.states),
         "programs": {name: [[u, v, *_cut(w, theta)] for (u, v), w in rel.pairs()]
                      for name, rel in model.programs.items()},
-        "tests": {name: {u: _cut(w, theta) for u, w in test.items()}
+        "tests": {name: {u: _cut(test.entry(u, u), theta) for u in model.states}
                   for name, test in model.tests.items()},
     })
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pkat.catalog import weight_space
-from pkat.engine import evaluate
+from pkat.engine import Status, equiv_random, evaluate
 from pkat.errors import ModelError
 from pkat.plts import (
     Model,
@@ -16,6 +16,7 @@ from pkat.plts import (
     diagonal_relation,
     valuation,
 )
+from pkat.relp import PRel, is_test
 from pkat.syntax import parse
 from pkat.twist import wbot, weight
 
@@ -244,15 +245,11 @@ def test_bool2_models_are_four_valued():
 
 def test_model_tests_read_as_state_to_weight_maps(two_state_model):
     p = two_state_model.tests["p"]
-    assert p["w1"] == lw("top", "bot") and p["w2"] == lw("u", "bot")
-    assert list(p.items()) == [("w1", lw("top", "bot")), ("w2", lw("u", "bot"))]
-    assert p == {"w1": lw("top", "bot"), "w2": lw("u", "bot")}
-    assert {"w1": lw("top", "bot"), "w2": lw("u", "bot")} == p
-    assert p != {"w1": lw("top", "bot"), "w2": lw("u", "u")}
-    assert "w9" not in p and p.get("w9") is None
+    assert valuation(two_state_model, "p", "w1") == p.entry("w1", "w1") == lw("top", "bot")
+    assert valuation(two_state_model, "p", "w2") == p.entry("w2", "w2") == lw("u", "bot")
     # the test is stored once: its relation is what terms evaluate
-    assert diagonal_relation(two_state_model, "p") is p.relation
-    assert evaluate(parse("p"), two_state_model) is p.relation
+    assert diagonal_relation(two_state_model, "p") is p
+    assert evaluate(parse("p"), two_state_model) is p
 
 
 def test_canonical_form_of_the_two_state_fixture(data_dir):
@@ -284,9 +281,8 @@ def _load_both(document: str):
     if isinstance(new, Model):
         assert new.values == old.values
         assert list(new.programs) == list(old.programs) and list(new.tests) == list(old.tests)
-        tests = zip(new.tests.values(), old.tests.values())
         pairs = [*zip(new.programs.values(), old.programs.values()),
-                 *((a.relation, b.relation) for a, b in tests)]
+                 *zip(new.tests.values(), old.tests.values())]
         for a, b in pairs:
             assert (a.values, a.tt, a.ff) == (b.values, b.tt, b.ff)
     return new
@@ -394,3 +390,28 @@ def _documents(draw):
 @given(_documents())
 def test_the_loader_matches_the_weight_path_oracle(document):
     _load_both(document)
+
+
+def _assert_tests_are_subidentity_relations(m):
+    """Each test of ``m`` is its subidentity relation on the model's own
+    table, and ``valuation`` reads its diagonal."""
+    for name, rel in m.tests.items():
+        assert type(rel) is PRel and is_test(rel) and rel.values is m.values
+        for s in m.states:
+            assert valuation(m, name, s) == rel.entry(s, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_documents(), st.sampled_from([L3, GD]), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_each_model_test_is_held_as_its_subidentity_relation(document, lattice, n, seed):
+    try:
+        loaded = load_model(document)
+    except ModelError:
+        pass
+    else:
+        _assert_tests_are_subidentity_relations(loaded)
+    # a countermodel drawn by the checker holds its tests the same way
+    verdict = equiv_random(parse("a;p + b"), parse("p;a + b"), lattice, n, 50, seed,
+                           test_names="ab")
+    assert verdict.status is Status.FAILS and list(verdict.witness.model.tests) == ["a", "b"]
+    _assert_tests_are_subidentity_relations(verdict.witness.model)

@@ -12,6 +12,7 @@ from pkat.lattice import elem, elem_to_json
 from pkat.plts import load_model
 from pkat.setp import (
     PSet,
+    _from_test,
     from_values,
     oslash,
     pset_to_json,
@@ -155,7 +156,7 @@ def test_json_round_trip(phi):
     payload = pset_to_json(phi)
     assert payload == {"w1": ["top", "u"], "w2": ["u", "u"]}
     doc = {"lattice": L3.value, "states": list(W), "tests": {"p": payload}}
-    assert load_model(json.dumps(doc)).tests["p"] == phi
+    assert load_model(json.dumps(doc)).tests["p"] == phi.relation
     with pytest.raises(ModelError):
         load_model(json.dumps(dict(doc, tests={"p": ["not", "a", "map"]})))
 
@@ -195,7 +196,7 @@ def set_operands(draw):
             "tests": {"t": pset_to_json(from_values(lattice, states,
                                                     dict(zip(states, second_weights))))},
         }
-        second = load_model(json.dumps(doc)).tests["t"]
+        second = _from_test(load_model(json.dumps(doc)).tests["t"])
     return first, second
 
 

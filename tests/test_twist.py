@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from pkat.errors import LatticeMismatchError, ModelError
 from pkat.lattice import elem
-from pkat.plts import load_model
+from pkat.plts import load_model, valuation
 from pkat.twist import (
     ConsistencyClass,
     Weight,
@@ -188,7 +188,7 @@ def test_mismatched_components_rejected():
 def _read_weight(lattice, pair):
     """``pair`` read back through a one-state model document."""
     doc = {"lattice": lattice.value, "states": ["s"], "tests": {"p": {"s": pair}}}
-    return load_model(json.dumps(doc)).tests["p"]["s"]
+    return valuation(load_model(json.dumps(doc)), "p", "s")
 
 
 def test_weight_json_round_trip():
