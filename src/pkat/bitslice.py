@@ -1,11 +1,11 @@
-"""Laws checked on a chunk of instances at once, one bit per (instance, cut):
-the ``engine`` docstring gives the chunks and their layout, ``relp`` the ops.
-The caller gives the cell offsets; each cell's transposed bit string is made on first read."""
+"""The kernels that check a law on one chunk of instances at once, one bit
+per (instance, cut): ``engine._drive`` loops over the chunks, and its
+module docstring gives their layout; ``relp`` gives the ops.  Each
+cell's transposed bit string is made on first read."""
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import islice
 from operator import or_
 
 from .relp import _code, _dot, _exceeds, _not, _plus
@@ -40,27 +40,6 @@ class _Bits(dict):
         t, f = self.cells[i]
         self[i] = bits = format(_code(t, f, self.top), f"0{2 * self.top}b")
         return bits
-
-
-def first_failure(law, spans, instances, n: int, cells, top: int):
-    """The count of ``instances`` checked up to the first that fails ``law``
-    and its cells, else the count of all and None.  An instance indexes
-    ``cells``, (tt, ff) rank pairs, where ``spans`` (``engine._spans``) lays out ``law.vars``."""
-    names, steps, roots = law.code
-    where = {name: (i, j, n + 1 if test else 1) for name, test, i, j in spans}
-    slots = [where[name] for name in names]
-    ops = [(_OPS[op], i, j) for op, i, j in steps[2 + len(names):]]
-    bits = _Bits(cells, top)
-    instances, cap = iter(instances), max(1, MAX_BITS // (2 * top))
-    count, size = 0, 1
-    while chunk := list(islice(instances, size)):
-        bad = _breaks(law, slots, ops, roots, _encode(chunk, bits, 2 * top), len(chunk), n, top)
-        if bad:
-            b = (bad & -bad).bit_length() - 1
-            return count + b + 1, [cells[i] for i in chunk[b]]
-        count += len(chunk)
-        size = min(2 * size, cap)
-    return count, None
 
 
 def _encode(chunk, bits, w: int) -> list[int]:

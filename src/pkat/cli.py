@@ -122,8 +122,8 @@ def _equiv_options(p) -> None:
     p.add_argument("--lattice", type=_lattice, choices=_LATTICES)
     p.add_argument("--states", type=_int)
     p.add_argument("--random", type=_int, metavar="SAMPLES")
-    p.add_argument("--seed", type=_int, default=0)
-    p.add_argument("--tests", default="", metavar="NAMES",
+    p.add_argument("--seed", type=_int)  # random mode; 0 when not given
+    p.add_argument("--tests", metavar="NAMES",
                    help="comma-separated atoms to treat as tests (random mode)")
     p.add_argument("--godel-grid", metavar="VALUES")
 
@@ -263,16 +263,20 @@ def _cmd_equiv(args) -> int:
     from .engine import equiv, equiv_random
     from .syntax import pretty
 
+    given = [name for name in ("lattice", "states", "random", "seed", "tests", "godel_grid")
+             if getattr(args, name) is not None]  # random mode's options, which --model excludes
+    if args.model is not None and given:
+        raise EngineError(f"--{given[0].replace('_', '-')} applies to random mode, not --model")
     t1, t2 = _term(args, "t1"), _term(args, "t2")
     lead = [f"t1: {pretty(t1)}", f"t2: {pretty(t2)}"]
-    if args.model:
+    if args.model is not None:
         verdict = equiv(t1, t2, _read_model(args.model))
     else:
         if args.lattice is None or args.states is None or args.random is None:
             raise EngineError("random mode needs --lattice, --states and --random")
-        tests = {name.strip() for name in args.tests.split(",") if name.strip()}
+        tests = {name.strip() for name in (args.tests or "").split(",") if name.strip()}
         verdict = equiv_random(t1, t2, LatticeId.from_name(args.lattice), args.states,
-                               args.random, args.seed, test_names=tests,
+                               args.random, args.seed or 0, test_names=tests,
                                godel_grid=_parse_grid(args.godel_grid))
     return _print_verdict(verdict, args, lead)
 

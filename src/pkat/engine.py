@@ -29,7 +29,8 @@ So a reported counterexample is the most conservative one available, and
 a failing verdict's instance count is its witness's position in that walk.
 
 One driver, ``_drive``, checks ``catalog``'s laws and ``equiv_random``'s
-equation a chunk of B instances at a time in ``bitslice``: only it
+equation a chunk of B instances at a time: it alone loops over the
+chunks, each evaluated by ``bitslice``'s kernels.  Only ``_drive``
 imports that module, so ``hoare`` and ``equiv --model`` requests never
 compile it.  A chunk's cell is the ``relp`` cell of each instance, cut
 by cut: over ranks 0..top and with W = top·B, bit (t-1)·B + b is set
@@ -50,7 +51,7 @@ import random
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, product, repeat
+from itertools import accumulate, islice, product, repeat
 from math import lcm
 from typing import Iterable, Mapping
 
@@ -274,24 +275,35 @@ def _guard_steps(samples: int, n_states: int) -> None:
 
 def _drive(law: _Law, lattice, states, space: _Space, how: str, samples, seed, fixed: int = 0,
            axiom=None) -> Verdict:
-    """``law`` checked a chunk at a time: on ``samples`` instances drawn at
-    ``seed`` if ``how`` is "random", else on the walk with its first
-    ``fixed`` cells at the first, a holds counting k^fixed per instance."""
-    from .bitslice import first_failure
+    """``law`` checked a chunk at a time, as the module docstring says: on
+    ``samples`` instances drawn at ``seed`` if ``how`` is "random", else on
+    the walk with its first ``fixed`` cells at the first, a holds counting
+    k^fixed per instance and a fails the instances up to its witness."""
+    from .bitslice import _OPS, MAX_BITS, _Bits, _breaks, _encode
 
-    n_states, k = len(states), len(space.cells)
-    spans, width = _spans(law.vars, n_states)
+    n, k = len(states), len(space.cells)
+    spans, width = _spans(law.vars, n)
     if how == "random":
         instances = _draws(random.Random(seed), k, width, samples)
     else:
         seed, instances = None, _walk(k, width, fixed)  # a walk's verdict has no seed
+    names, steps, roots = law.code
+    where = {name: (i, j, n + 1 if test else 1) for name, test, i, j in spans}
+    slots = [where[name] for name in names]
+    ops = [(_OPS[op], i, j) for op, i, j in steps[2 + len(names):]]
     top = len(space.values) - 1
-    count, cells = first_failure(law, spans, instances, n_states, space.cells, top)
-    if cells is None:
-        return Verdict(Status.HOLDS, lattice, n_states, how, axiom=axiom,
-                       samples=count * k**fixed, seed=seed)
-    model = _model(lattice, states, space.values, law.vars, cells)
-    return _verdict(law, model, how, axiom=axiom, samples=count, seed=seed)
+    bits, cap = _Bits(space.cells, top), max(1, MAX_BITS // (2 * top))
+    count, size = 0, 1
+    while chunk := list(islice(instances, size)):
+        bad = _breaks(law, slots, ops, roots, _encode(chunk, bits, 2 * top), len(chunk), n, top)
+        if bad:
+            b = (bad & -bad).bit_length() - 1
+            cells = [space.cells[i] for i in chunk[b]]
+            model = _model(lattice, states, space.values, law.vars, cells)
+            return _verdict(law, model, how, axiom=axiom, samples=count + b + 1, seed=seed)
+        count += len(chunk)
+        size = min(2 * size, cap)
+    return Verdict(Status.HOLDS, lattice, n, how, axiom=axiom, samples=count * k**fixed, seed=seed)
 
 
 # ---------------------------------------------------------------------------

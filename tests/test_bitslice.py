@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pkat.catalog
 import pkat.engine
-from pkat.bitslice import MAX_BITS, _encode, first_failure
+from pkat.bitslice import MAX_BITS, _encode
 from pkat.catalog import (AxiomId, check_axiom, check_suite, find_boolean_witness, recheck,
                           weight_space)
 from pkat.engine import Status, equiv_random, verdict_to_dict
@@ -152,11 +152,13 @@ def test_an_exhaustive_law_failing_at_its_second_instance_encodes_a_few(monkeypa
     assert (verdict.status, verdict.samples) == (Status.FAILS, 2) and len(taken) <= 3
     # The same law's full walk at six states: 9^6 tests, of which it takes three.
     engine = pkat.engine
-    law, cells = pkat.catalog._AXIOMS[AxiomId.TEST_NON_CONTRA], engine._space(L3, None).cells
+    law, space = pkat.catalog._AXIOMS[AxiomId.TEST_NON_CONTRA], engine._space(L3, None)
     taken.clear()
-    found = first_failure(law, engine._spans(law.vars, 6)[0], engine._walk(len(cells), 6), 6,
-                          cells, 2)
-    assert found == (2, [cells[0]] * 5 + [cells[1]]) and len(taken) == 3
+    found = engine._drive(law, L3, engine.states_for(6), space, "exhaustive", None, None)
+    (test,) = found.witness.assignment.values()
+    diagonal = list(zip(test.tt, test.ff))[::7]
+    assert found.samples == 2 and diagonal == [space.cells[0]] * 5 + [space.cells[1]]
+    assert len(taken) == 3
 
 
 # --- the encoding -------------------------------------------------------------------

@@ -121,6 +121,23 @@ def test_equiv_random_needs_flags(capsys):
     assert code == 2 and "random mode" in err
 
 
+def test_equiv_with_an_empty_model_path_reads_it(capsys):
+    code, out, err = run(capsys, "equiv", "--model", "", "--t1", "p", "--t2", "p")
+    assert (code, out) == (3, "")
+    assert err == "model error: [Errno 2] No such file or directory: ''\n"
+
+
+@pytest.mark.parametrize("option, value", [("--lattice", "bool2"), ("--states", "1"),
+                                           ("--random", "3"), ("--seed", "0"), ("--tests", ""),
+                                           ("--godel-grid", "0.5")])
+def test_equiv_refuses_a_random_mode_option_with_a_model(capsys, option, value):
+    # Refused before the model is read: the path names no file.
+    code, out, err = run(capsys, "equiv", "--model", "missing.json", "--t1", "r", "--t2", "r",
+                         option, value)
+    assert (code, out) == (2, "")
+    assert err == f"engine error: {option} applies to random mode, not --model\n"
+
+
 def test_axioms_table_exit_zero(capsys):
     code, out, _ = run(
         capsys, "axioms", "--lattice", "lukasiewicz3", "--states", "1", "--exhaustive"
