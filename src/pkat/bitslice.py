@@ -1,7 +1,8 @@
 """The kernels that check a law on one chunk of instances at once, one bit
 per (instance, cut): ``engine._drive`` loops over the chunks, and its
-module docstring gives their layout; ``relp`` gives the ops.  Each
-cell's transposed bit string is made on first read."""
+module docstring gives their layout.  ``_OPS`` are ``relp``'s ops, with
+``*`` as Warshall's closure: ``r_star``'s search reads per-cell cut counts.
+Each cell's transposed bit string is made on first read."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from functools import reduce
 from operator import or_
 
 from .relp import _code, _dot, _exceeds, _not, _plus
-from .syntax import Dot, Not, Plus, Star
+from .syntax import Dot, Not, Plus, Star, _fill
 
 MAX_BITS = 1 << 13  # per cell: a chunk holds at most MAX_BITS // (2 * top) instances
 
@@ -49,21 +50,22 @@ def _encode(chunk, bits, w: int) -> list[int]:
     return [int("".join([s[i::w] for i in range(w)]), 2) for s in columns]
 
 
-def _breaks(law, slots, ops, roots, cells, size: int, n: int, top: int) -> int:
-    """The mask of the chunk's instances that break the law."""
+def _breaks(law, slots, cells, size: int, n: int, top: int) -> int:
+    """The mask of instances breaking the law, the sides run lazily as in ``engine._break``."""
     w = top * size
+    kernels = {op: lambda x, y=None, f=f: f(x, y, n, w) for op, f in _OPS.items()}
     zero = [0] * (n * n)
     values = [_not(zero, None, n, w), zero]  # 1 = !0
     for i, j, step in slots:
         rel = [0] * (n * n)
         rel[::step] = cells[i:j]
         values.append(rel)
-    for op, i, j in ops:
-        values.append(op(values[i], None if j is None else values[j], n, w))
-    pairs = [(values[i], values[j]) for i, j in zip(roots[::2], roots[1::2])]
-    excused = _fold(_exceeds(*pairs.pop(0)), size) if law.premise else 0
+    sides = (_fill(values, law.code[1], root, kernels) for root in law.code[2])
+    excused = _fold(_exceeds(next(sides), next(sides)), size) if law.premise else 0
+    if excused == (1 << size) - 1:
+        return 0
     bad = 0
-    for lhs, rhs in pairs:
+    for lhs, rhs in zip(sides, sides):
         bad |= _exceeds(lhs, rhs) if law.leq else reduce(or_, map(int.__xor__, lhs, rhs))
     return _fold(bad, size) & ~excused
 

@@ -30,19 +30,18 @@ a failing verdict's instance count is its witness's position in that walk.
 
 One driver, ``_drive``, checks ``catalog``'s laws and ``equiv_random``'s
 equation a chunk of B instances at a time: it alone loops over the
-chunks, each evaluated by ``bitslice``'s kernels.  Only ``_drive``
-imports that module, so ``hoare`` and ``equiv --model`` requests never
+chunks, and ``bitslice._breaks`` runs the law on each, through
+``syntax._fill`` as ``_break`` runs it on one instance.  Only ``_drive``
+imports ``bitslice``, so ``hoare`` and ``equiv --model`` requests never
 compile it.  A chunk's cell is the ``relp`` cell of each instance, cut
 by cut: over ranks 0..top and with W = top·B, bit (t-1)·B + b is set
-when instance b has tt >= t, and bit W + s·B + b when it has ff <= s, so
-``relp``'s ops run on it as they are, and ``bitslice`` runs ``*`` as
-Warshall's closure.  The first failing instance is the lowest set bit of
-the break mask, after the instances whose premise fails are masked out;
-that instance alone is then built as relations and run by ``_break`` for
-its witness.  Chunks are taken lazily from the walk or from ``rng``, in
-the order the driver draws them, doubling from 1 up to
-``bitslice.MAX_BITS`` bits a cell: a run that fails early encodes a few
-instances, and a long walk stays in bounded memory.
+when instance b has tt >= t, and bit W + s·B + b when it has ff <= s.
+The first failing instance, the lowest set bit of the mask ``_breaks``
+returns, is then built alone as relations and run by ``_break`` for its
+witness.  Chunks are taken lazily from the walk or from ``rng``, in the
+order the driver draws them, doubling from 1 up to ``bitslice.MAX_BITS``
+bits a cell: a run that fails early encodes a few instances, and a long
+walk stays in bounded memory.
 """
 
 from __future__ import annotations
@@ -279,7 +278,7 @@ def _drive(law: _Law, lattice, states, space: _Space, how: str, samples, seed, f
     ``samples`` instances drawn at ``seed`` if ``how`` is "random", else on
     the walk with its first ``fixed`` cells at the first, a holds counting
     k^fixed per instance and a fails the instances up to its witness."""
-    from .bitslice import _OPS, MAX_BITS, _Bits, _breaks, _encode
+    from .bitslice import MAX_BITS, _Bits, _breaks, _encode
 
     n, k = len(states), len(space.cells)
     spans, width = _spans(law.vars, n)
@@ -287,15 +286,13 @@ def _drive(law: _Law, lattice, states, space: _Space, how: str, samples, seed, f
         instances = _draws(random.Random(seed), k, width, samples)
     else:
         seed, instances = None, _walk(k, width, fixed)  # a walk's verdict has no seed
-    names, steps, roots = law.code
     where = {name: (i, j, n + 1 if test else 1) for name, test, i, j in spans}
-    slots = [where[name] for name in names]
-    ops = [(_OPS[op], i, j) for op, i, j in steps[2 + len(names):]]
+    slots = [where[name] for name in law.code[0]]
     top = len(space.values) - 1
     bits, cap = _Bits(space.cells, top), max(1, MAX_BITS // (2 * top))
     count, size = 0, 1
     while chunk := list(islice(instances, size)):
-        bad = _breaks(law, slots, ops, roots, _encode(chunk, bits, 2 * top), len(chunk), n, top)
+        bad = _breaks(law, slots, _encode(chunk, bits, 2 * top), len(chunk), n, top)
         if bad:
             b = (bad & -bad).bit_length() - 1
             cells = [space.cells[i] for i in chunk[b]]

@@ -21,8 +21,8 @@ that starts no token), each character counting as one column.
 
 ``evaluate`` interprets a term as a weight matrix.  Terms are compiled
 to straight-line kernel calls over slots, one per distinct subterm
-(``_compile``), and run over the relations of their atoms (``_fill``);
-``engine`` runs every law it checks through the same two functions.
+(``_compile``); ``_fill`` alone runs them, over relations or, with
+``bitslice``'s kernels, over a chunk of the instances ``engine`` checks.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import re
 from enum import Enum
 from typing import Iterable, Union
 
-from .errors import ParseError, SortError, quoted
+from .errors import ParseError, ShapeError, SortError, quoted
 from .lattice import LatticeId
 from .plts import Model, _named_relation
 from .record import Record
@@ -275,9 +275,9 @@ def _compile(terms) -> tuple:
     return names, tuple(steps), roots
 
 
-def _fill(slots: list[PRel], steps, root: int) -> PRel:
-    """Slot ``root``'s value, running the steps up to it not yet run with kernels bound now."""
-    kernels = {Dot: r_dot, Plus: r_plus, Star: r_star, Not: t_complement}
+def _fill(slots: list, steps, root: int, kernels=None):
+    """Slot ``root``'s value, running steps not yet run on ``kernels``, else relp's bound now."""
+    kernels = kernels or {Dot: r_dot, Plus: r_plus, Star: r_star, Not: t_complement}
     for op, i, j in steps[len(slots):root + 1]:
         kernel = kernels[op]
         slots.append(kernel(slots[i]) if j is None else kernel(slots[i], slots[j]))
@@ -285,4 +285,10 @@ def _fill(slots: list[PRel], steps, root: int) -> PRel:
 
 
 def _atom_assignment(model: Model, names: Iterable[str]) -> dict[str, PRel]:
-    return {name: _named_relation(model, name) for name in sorted(names)}
+    """Each name's relation in ``model``, which must range over its lattice and states."""
+    env = {name: _named_relation(model, name) for name in sorted(names)}
+    for name, rel in env.items():
+        if rel.lattice is not model.lattice or rel.states != model.states:
+            raise ShapeError(f"relation {quoted(name)} does not range over its model's "
+                             f"{model.lattice.value} states")
+    return env

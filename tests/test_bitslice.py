@@ -14,6 +14,7 @@ from unittest.mock import patch
 
 from hypothesis import example, given, settings, strategies as st
 
+import pkat.bitslice
 import pkat.catalog
 import pkat.engine
 from pkat.bitslice import MAX_BITS, _encode
@@ -127,6 +128,17 @@ def test_equiv_random_matches_the_per_instance_loop(terms, space, n, samples, se
     want = oracle_equiv_random(t1, t2, lattice, n, samples, seed, "ab", grid)
     assert verdict_to_dict(got) == verdict_to_dict(want)
     assert got.status is Status.HOLDS or recheck(got)
+
+
+def test_a_repeated_star_runs_once_per_chunk(monkeypatch):
+    # r* occurs three times on the left and once on the right: one slot, so
+    # one Warshall closure for each chunk encoded.
+    stars, chunks = [], []
+    star, encode = pkat.bitslice._OPS[Star], pkat.bitslice._encode
+    monkeypatch.setitem(pkat.bitslice._OPS, Star, lambda *a: stars.append(a) or star(*a))
+    monkeypatch.setattr(pkat.bitslice, "_encode", lambda *a: chunks.append(a) or encode(*a))
+    verdict = equiv_random(parse("r*;r* + r*"), parse("r*"), L3, 2, 20, 1)
+    assert verdict.status is Status.HOLDS and len(stars) == len(chunks) > 1
 
 
 # --- early exits --------------------------------------------------------------------

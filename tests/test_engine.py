@@ -29,16 +29,16 @@ from pkat.engine import (
     states_for,
     verdict_to_dict,
 )
-from pkat.errors import EngineError, SortError
+from pkat.errors import EngineError, ShapeError, SortError
 from pkat.lattice import carrier, elem
-from pkat.plts import load_model
-from pkat.relp import (from_ranks, identity, r_dot, r_leq, r_plus, r_star, t_complement,
+from pkat.plts import Model, load_model
+from pkat.relp import (PRel, from_ranks, identity, r_dot, r_leq, r_plus, r_star, t_complement,
                        value_table, zero)
 from pkat.syntax import Dot, Not, One, Plus, Sort, Star, parse
 from pkat.twist import Weight, wbot, wtop
 
 from helpers import (B2, GD, L3, PROGRAM_TERMS, TEST_TERMS, lw, oracle_check, oracle_eval,
-                     oracle_model, oracle_relation, random_sorted_term)
+                     oracle_model, oracle_relation, random_sorted_term, weight)
 
 RICH_DOC = json.dumps(
     {
@@ -598,6 +598,19 @@ def test_equiv_computes_a_repeated_star_once(two_state_model, monkeypatch):
     monkeypatch.setattr(pkat.syntax, "r_star", lambda rel: stars.append(rel) or star(rel))
     verdict = equiv(parse("r*;r* + r*"), parse("r*"), two_state_model)
     assert verdict.status is Status.HOLDS and len(stars) == 1
+
+
+def test_a_relation_off_its_models_lattice_or_states_is_refused():
+    # A model built through the API may hold a relation over other states or
+    # another lattice: no check may answer about that relation in its place.
+    r = PRel(GD, ("a", "b"), [weight(GD, "0.5", "0.25")] * 4)
+    checks = [lambda m: evaluate(parse("r;r"), m), lambda m: equiv(parse("r"), parse("r;r"), m),
+              lambda m: equiv(parse("r*"), parse("r*;r*"), m),
+              lambda m: hoare_check(One(), parse("r"), One(), m)]
+    for model in (Model(GD, ("x",), {"r": r}), Model(L3, ("a", "b"), {"r": r})):
+        for check in checks:
+            with pytest.raises(ShapeError, match="relation 'r' does not range over"):
+                check(model)
 
 
 def test_equiv_random_program_composition_not_commutative():

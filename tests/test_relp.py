@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import pkat.relp
 
+from pkat.bitslice import _star as warshall
 from pkat.errors import ShapeError, SortError
 from pkat.relp import (
     PRel,
@@ -288,6 +289,8 @@ def _check_star(r):
             break
         joined = grown
     assert (dict_matrix(star), steps) == (joined, rounds)
+    # The chunk kernels' Warshall closure, on this one instance, agrees.
+    assert warshall(r.bits, None, len(states), len(r.values) - 1) == list(star.bits)
 
 
 @st.composite
