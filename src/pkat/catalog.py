@@ -1,18 +1,7 @@
-"""The axiom catalog and its suite, checked by ``engine._drive``.
+"""The axiom catalog and its suite, checked by ``engine._check``.
 
 Each axiom is stored once, on its ``AxiomId``, as the formula it prints.
 Of the commands only ``axioms`` imports this module; ``engine`` never does.
-
-An equation in one test (216-220) needs only k of the walk's k^n
-instances, k the space's size.  Tests are diagonal relations, on which
-``+``, ``;``, ``!``, ``*``, ``0`` and ``1`` act state by state, so an
-instance fails iff one of its cells fails the law at one state.  The
-walk's first failure is then (s0, ..., s0, f), s0 the space's first cell
-and f the first failing one: among the k instances whose last cell alone
-varies, which so give the walk's own count and witness, or hold when it
-holds on all k^n; both guards count those k.  Runs too large for
-``MAX_EXHAUSTIVE`` or ``MAX_STEPS`` are refused from their sizes alone,
-k as ``engine._grid_values`` counts it, before the space is built.
 """
 
 from __future__ import annotations
@@ -20,9 +9,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from .engine import (MAX_EXHAUSTIVE, Status, Verdict, _break, _count, _drive, _equation,
-                     _grid_values, _guard_steps, _Law, _space, _spans, _triple, states_for,
-                     witness_parts)
+from .engine import Status, Verdict, _break, _check, _equation, _Law, _space, _triple, witness_parts
 from .errors import EngineError
 from .lattice import LatticeId, elem
 from .syntax import Sort, _compile, _units, parse
@@ -101,40 +88,13 @@ def weight_space(lattice: LatticeId, godel_grid=None) -> tuple[Weight, ...]:
     return tuple(Weight(table[i], table[j]) for i, j in space.cells)
 
 
-def _guard(law: _Law, k: int, n_states: int) -> None:
-    """Refuse a law with more than ``MAX_EXHAUSTIVE`` assignments over ``k``
-    candidates.  For k >= 2, 2^bit_length already exceeds the bound, so
-    that many cells are refused before any huge count is built."""
-    cells = _spans(law.vars, n_states)[1]
-    if k > 1 and cells >= MAX_EXHAUSTIVE.bit_length() or k**cells > MAX_EXHAUSTIVE:
-        raise EngineError(f"exhaustive space of {k}^{_count(cells)} instantiations exceeds "
-                          f"{MAX_EXHAUSTIVE}")
-
-
 def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> list[Verdict]:
-    """Check each law of ``core`` in ``mode``, then search each law of
-    ``search`` exhaustively for a witness, all on one candidate space.
-    Every refusal comes before the space is built, from its size k alone,
-    and before ``states_for``, which a refused count hangs."""
-    if n_states < 1:
-        raise EngineError("need at least one state")
-    k = _grid_values(lattice, godel_grid)[1]
-    plan = []  # (ident, how, law, whether its walk takes k instances: see the module docstring)
-    for ident, how in [(i, mode) for i in core] + [(i, "search") for i in search]:
-        law = _AXIOMS[ident]
-        one_test = not law.premise and [sort for _, sort in law.vars] == [Sort.TEST]
-        plan.append((ident, how, law, one_test and how != "random"))
-    if mode == "exhaustive":
-        for _, _, law, reduced in plan[:len(core)]:
-            _guard(law, k, 1 if reduced else n_states)  # k instances, as at one state
-    elif mode != "random":
+    """Each law of ``core`` checked in ``mode``, then each law of ``search``
+    searched exhaustively for a witness, by ``engine._check``."""
+    if mode not in ("exhaustive", "random"):
         raise EngineError(f"unknown mode {mode!r}")
-    elif not samples or samples < 1:
-        raise EngineError("random mode needs a positive sample count")
-    _guard_steps(max([samples if mode == "random" else 1] + [k for *_, r in plan if r]), n_states)
-    space, states = _space(lattice, godel_grid), states_for(n_states)
-    return [_drive(law, lattice, states, space, how, samples, seed,
-                   n_states - 1 if reduced else 0, ident) for ident, how, law, reduced in plan]
+    plan = [(_AXIOMS[i], mode, i) for i in core] + [(_AXIOMS[i], "search", i) for i in search]
+    return _check(plan, lattice, n_states, godel_grid, samples, seed)
 
 
 def check_axiom(
@@ -165,7 +125,7 @@ def find_boolean_witness(
 
     Each verdict is the exhaustive walk's (nearest classical consistency
     first): the first violating test, or holds over all k^n tests.  Both
-    laws act state by state, so k of the tests decide it (module docstring).
+    laws act state by state, so k of the tests decide it (``engine`` docstring).
     """
     verdicts = _run(lattice, n_states, godel_grid, "exhaustive", None, None, (), BOOLEAN_AXIOMS)
     return dict(zip(BOOLEAN_AXIOMS, verdicts))

@@ -28,20 +28,28 @@ order, the last cell varying fastest.
 So a reported counterexample is the most conservative one available, and
 a failing verdict's instance count is its witness's position in that walk.
 
-One driver, ``_drive``, checks ``catalog``'s laws and ``equiv_random``'s
-equation a chunk of B instances at a time: it alone loops over the
-chunks, and ``bitslice._breaks`` runs the law on each, through
-``syntax._fill`` as ``_break`` runs it on one instance.  Only ``_drive``
-imports ``bitslice``, so ``hoare`` and ``equiv --model`` requests never
-compile it.  A chunk's cell is the ``relp`` cell of each instance, cut
-by cut: over ranks 0..top and with W = top·B, bit (t-1)·B + b is set
-when instance b has tt >= t, and bit W + s·B + b when it has ff <= s.
-The first failing instance, the lowest set bit of the mask ``_breaks``
-returns, is then built alone as relations and run by ``_break`` for its
-witness.  Chunks are taken lazily from the walk or from ``rng``, in the
-order the driver draws them, doubling from 1 up to ``bitslice.MAX_BITS``
-bits a cell: a run that fails early encodes a few instances, and a long
-walk stays in bounded memory.
+One admission path, ``_check``, refuses ``catalog``'s laws and
+``equiv_random``'s equation from their sizes alone, k as ``_grid_values``
+counts it, before the space or any state is built.  A walked law in one
+test and no premise (216-220) takes only k of its k^n instances.  The
+test ops act on a diagonal state by state, so an instance fails iff one
+of its cells fails at one state, and the walk's first failure is
+(s0, ..., s0, f): s0 the space's first cell, f the first failing one.
+So the k instances whose last cell alone varies give the walk's verdict.
+
+One driver, ``_drive``, then checks each law a chunk of B instances at a
+time: it alone loops over the chunks, and ``bitslice._breaks`` runs the
+law on each, through ``syntax._fill`` as ``_break`` runs it on one
+instance.  Only ``_drive`` imports ``bitslice``, so ``hoare`` and
+``equiv --model`` requests never compile it.  A chunk's cell is the
+``relp`` cell of each instance, cut by cut: over ranks 0..top and with
+W = top·B, bit (t-1)·B + b is set when instance b has tt >= t, and bit
+W + s·B + b when it has ff <= s.  The first failing instance, the lowest
+set bit of the mask ``_breaks`` returns, is then built alone as relations
+and run by ``_break`` for its witness.  Chunks are taken lazily from the
+walk or from ``rng``, in the order the driver draws them, doubling from
+1 up to ``bitslice.MAX_BITS`` bits a cell: a run that fails early
+encodes a few instances, and a long walk stays in bounded memory.
 """
 
 from __future__ import annotations
@@ -137,8 +145,6 @@ def _triple(pre: Term, prog: Term, post: Term) -> _Law:
 
 
 def states_for(n_states: int) -> tuple[str, ...]:
-    if n_states < 1:
-        raise EngineError("need at least one state")
     return tuple(f"w{i + 1}" for i in range(n_states))
 
 
@@ -261,13 +267,23 @@ def _count(count: int) -> str:
     return str(count) if count < 10**30 else f"{Decimal(count):.2e}"
 
 
+def _guard(law: _Law, k: int, n_states: int) -> None:
+    """Refuse a law with more than ``MAX_EXHAUSTIVE`` assignments over ``k``
+    candidates.  For k >= 2, 2^bit_length already exceeds the bound, so
+    that many cells are refused before any huge count is built."""
+    cells = _spans(law.vars, n_states)[1]
+    if k > 1 and cells >= MAX_EXHAUSTIVE.bit_length() or k**cells > MAX_EXHAUSTIVE:
+        raise EngineError(f"exhaustive space of {k}^{_count(cells)} instantiations exceeds "
+                          f"{MAX_EXHAUSTIVE}")
+
+
 def _guard_steps(samples: int, n_states: int) -> None:
     """Refuse ``samples`` instances over n states (random draws, or the k
     tests of a one-test walk) beyond ``MAX_STEPS`` kernel steps, each counting
     (n + 1)^4: n + 1 products of n^3 steps.  This is an admission rule that
     fixes which runs are refused, not a cost model: a star searches rather
     than multiplies, and the chunked loops run many instances per step."""
-    if n_states > 0 and samples * (n_states + 1) ** 4 > MAX_STEPS:  # states_for refuses n < 1
+    if samples * (n_states + 1) ** 4 > MAX_STEPS:
         raise EngineError(f"work of {_count(samples)} x {_count(n_states)}-state instances "
                           f"exceeds {MAX_STEPS} kernel steps")
 
@@ -303,6 +319,30 @@ def _drive(law: _Law, lattice, states, space: _Space, how: str, samples, seed, f
     return Verdict(Status.HOLDS, lattice, n, how, axiom=axiom, samples=count * k**fixed, seed=seed)
 
 
+def _check(plan, lattice: LatticeId, n_states: int, godel_grid, samples, seed) -> list[Verdict]:
+    """Each (law, how, axiom) of ``plan`` checked by ``_drive`` on one space,
+    built once every law passes the guards, which need only n and k."""
+    if n_states < 1:
+        raise EngineError("need at least one state")
+    k = _grid_values(lattice, godel_grid)[1]
+    runs, work = [], 1
+    for law, how, axiom in plan:
+        fixed = 0
+        if how == "random":
+            if not samples or samples < 1:
+                raise EngineError("random mode needs a positive sample count")
+            work = max(work, samples)
+        elif not law.premise and [sort for _, sort in law.vars] == [Sort.TEST]:
+            fixed, work = n_states - 1, max(work, k)  # a walk of k instances, as work
+        else:
+            _guard(law, k, n_states)
+        runs.append((law, how, axiom, fixed))
+    _guard_steps(work, n_states)
+    space, states = _space(lattice, godel_grid), states_for(n_states)
+    return [_drive(law, lattice, states, space, how, samples, seed, fixed, axiom)
+            for law, how, axiom, fixed in runs]
+
+
 # ---------------------------------------------------------------------------
 # Term equivalence and triples
 
@@ -332,13 +372,12 @@ def equiv_random(
     """
     if samples < 1:
         raise EngineError("need a positive sample count")
-    _guard_steps(samples, n_states)
     tests = frozenset(test_names)
     programs = (atoms(t1) | atoms(t2)) - tests
     for term in (t1, t2):
         sort_of(term, programs, tests)
-    return _drive(_equation(t1, t2, tests), lattice, states_for(n_states),
-                  _space(lattice, godel_grid), "random", samples, seed)
+    law = _equation(t1, t2, tests)
+    return _check([(law, "random", None)], lattice, n_states, godel_grid, samples, seed)[0]
 
 
 def hoare_check(pre: Term, prog: Term, post: Term, model: Model) -> Verdict:

@@ -35,7 +35,7 @@ from .errors import ParseError, ShapeError, SortError, quoted
 from .lattice import LatticeId
 from .plts import Model, _named_relation
 from .record import Record
-from .relp import PRel, identity, r_dot, r_plus, r_star, t_complement, zero
+from .relp import PRel, identity, is_test, r_dot, r_plus, r_star, t_complement, zero
 
 
 class Zero(Record):
@@ -285,10 +285,13 @@ def _fill(slots: list, steps, root: int, kernels=None):
 
 
 def _atom_assignment(model: Model, names: Iterable[str]) -> dict[str, PRel]:
-    """Each name's relation in ``model``, which must range over its lattice and states."""
+    """Each name's relation in ``model``, which must range over its lattice and
+    states, and be a subidentity relation if it is a test."""
     env = {name: _named_relation(model, name) for name in sorted(names)}
     for name, rel in env.items():
         if rel.lattice is not model.lattice or rel.states != model.states:
             raise ShapeError(f"relation {quoted(name)} does not range over its model's "
                              f"{model.lattice.value} states")
+        if name in model.tests and not is_test(model.tests[name]):
+            raise ShapeError(f"test {quoted(name)} is not a subidentity relation")
     return env

@@ -531,6 +531,13 @@ def test_unbounded_work_is_refused_in_one_line(capsys, argv, work):
     assert run(capsys, *argv) == (2, "", message)
 
 
+def test_a_malformed_equation_is_named_before_its_work(capsys):
+    # Both the terms and the 400 states are refused; the terms are named first.
+    argv = ("equiv", "--t1", "!r", "--t2", "r", "--lattice", "bool2", "--states", "400",
+            "--random", "1")
+    assert run(capsys, *argv) == (2, "", "sort error: '!' applies only to tests\n")
+
+
 @pytest.mark.parametrize("lattice", ["bool2", "lukasiewicz3"])
 def test_godel_grid_off_the_godel_lattice_is_usage_error(capsys, lattice):
     message = f"engine error: a godel grid applies only to the godel lattice, not {lattice}\n"

@@ -200,7 +200,7 @@ def test_rank_keyed_space_on_the_finite_lattices():
 @given(st.just(GD), st.lists(_GRID_VALUE, min_size=2, max_size=9).filter(
     lambda grid: len({elem(GD, v).value for v in grid}) > 1))
 def test_the_exhaustive_guard_counts_the_space_it_would_walk(lattice, grid):
-    # catalog._run counts k before it builds the space, as engine._grid_values
+    # engine._check counts k before it builds the space, as engine._grid_values
     # counts it for _space (bool2 keeps its two consistent corners); law 1 at
     # three states is refused for any k > 1, and the refusal prints that k.
     with pytest.raises(EngineError) as err:
@@ -326,7 +326,7 @@ def test_exhaustive_space_guard():
 
 def test_a_huge_space_is_refused_from_its_exponent():
     # n = 10**10 states: the guard works on exponents, so nothing large is built.
-    guard, laws = pkat.catalog._guard, pkat.catalog._AXIOMS
+    guard, laws = pkat.engine._guard, pkat.catalog._AXIOMS
     with pytest.raises(EngineError) as err:
         guard(laws[AxiomId.PLUS_ASSOC], 9, 10**10)
     assert str(err.value) == (
@@ -346,6 +346,19 @@ def test_a_huge_space_is_refused_from_its_exponent():
             guard(laws[AxiomId.TEST_DOT_IDEM], k + 1, n)
     with pytest.raises(EngineError, match=r"^exhaustive space of 9\^12 inst"):
         guard(laws[AxiomId.PLUS_ASSOC], 9, 2)
+
+
+def test_the_exhaustive_guard_covers_the_witness_search():
+    # A searched law walks k^cells unless it is one-test, so it is guarded as in
+    # exhaustive mode; "search" is a plan's mode, not one a caller may ask for.
+    plan = [(pkat.catalog._AXIOMS[AxiomId.PLUS_ASSOC], "search", None)]
+    with pytest.raises(EngineError) as err:
+        pkat.engine._check(plan, L3, 2, None, None, None)
+    assert str(err.value) == "exhaustive space of 9^12 instantiations exceeds 1000000"
+    with pytest.raises(EngineError, match="^unknown mode 'search'$"):
+        check_axiom(1, L3, 1, "search")
+    with pytest.raises(EngineError, match="^unknown mode 'bogus'$"):  # before the state count
+        check_axiom(1, L3, 0, "bogus")
 
 
 def test_a_refused_count_is_printed_in_full_up_to_30_digits():
@@ -388,8 +401,7 @@ def test_work_guard_counts_samples_and_star_rounds():
 
 
 def test_random_work_is_refused_before_any_state_is_built(monkeypatch):
-    for module in (pkat.catalog, pkat.engine):  # building states would raise TypeError
-        monkeypatch.setattr(module, "states_for", None)
+    monkeypatch.setattr(pkat.engine, "states_for", None)  # building states would raise TypeError
     refusal = r"^work of 1 x 400-state instances exceeds 10000000 kernel steps$"
     for mode, samples in (("random", 1), ("exhaustive", None)):  # one candidate: 1 instance
         with pytest.raises(EngineError, match=refusal):
@@ -403,8 +415,7 @@ def test_every_check_refuses_a_huge_state_count_before_building_states(monkeypat
     def states_for(n):
         raise AssertionError("states_for ran before the guards")
 
-    for module in (pkat.catalog, pkat.engine):
-        monkeypatch.setattr(module, "states_for", states_for)
+    monkeypatch.setattr(pkat.engine, "states_for", states_for)
     n, work = 10**300, r"^work of \d+ x 1\.00e\+300-state instances exceeds"
     with pytest.raises(EngineError, match=r"^exhaustive space of 9\^3\.00e\+600 inst"):
         pkat.catalog.check_suite(L3, n)
@@ -611,6 +622,13 @@ def test_a_relation_off_its_models_lattice_or_states_is_refused():
         for check in checks:
             with pytest.raises(ShapeError, match="relation 'r' does not range over"):
                 check(model)
+    # Nor may a test hold weight off its diagonal: it would be checked as a test.
+    t = PRel(L3, ("x", "y"), [weight(L3, "top", "bot")] * 4)
+    model = Model(L3, ("x", "y"), {"r": identity(L3, ("x", "y"))}, {"t": t})
+    for check in (lambda: evaluate(parse("t"), model), lambda: equiv(parse("t + 1"), One(), model),
+                  lambda: hoare_check(parse("t"), parse("r"), parse("t"), model)):
+        with pytest.raises(ShapeError, match="^test 't' is not a subidentity relation$"):
+            check()
 
 
 def test_equiv_random_program_composition_not_commutative():
