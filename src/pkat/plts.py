@@ -6,8 +6,9 @@ per state).  A test is stored once, as its subidentity ``relp.PRel``:
 the matrix carrying its per-state weights on the diagonal, which is what
 the test's name denotes inside a term.  Programs and tests share one
 value table (see ``relp``), built at load.  This module holds ``Model``,
-its accessors and the writers ``model_to_dict``, ``model_to_text`` and
-``diagonal_to_json`` (which ``setp.pset_to_json`` calls).  The reader is
+its accessors, the writers ``model_to_dict``, ``model_to_text`` and
+``diagonal_to_json`` (which ``setp.pset_to_json`` calls), and the two
+helpers every command shares: ``_read_model`` and ``_json``.  The reader is
 ``modelfile``, which ``load_model`` imports when it is called, so
 ``axioms`` and ``equiv --random`` never compile it.  The document format::
 
@@ -100,6 +101,24 @@ def load_model(document: str | bytes) -> Model:
     except RecursionError as exc:
         raise ModelError("invalid JSON: document nests too deeply") from exc
     return model_from_dict(raw)
+
+
+def _read_model(path: str) -> Model:
+    """The model in the file at ``path``; a file that cannot be read is a ``ModelError``."""
+    try:
+        with open(path, "rb") as handle:
+            document = handle.read()
+    except OSError as exc:
+        if exc.filename is None:
+            raise ModelError(str(exc)) from exc
+        raise ModelError(f"[Errno {exc.errno}] {exc.strerror}: {quoted(path)}") from exc
+    return load_model(document)
+
+
+def _json(payload, code: int = 0) -> int:
+    """Print ``payload`` as ``--json`` output; return the exit ``code``."""
+    print(json.dumps(payload, indent=2))
+    return code
 
 
 def model_to_dict(m: Model) -> dict:

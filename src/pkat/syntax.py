@@ -100,6 +100,15 @@ def parse(src: str) -> Term:
     return term
 
 
+def _term(args, option: str) -> Term:
+    """Parse the term given as ``--option``; a parse error names the option."""
+    try:
+        return parse(getattr(args, option))
+    except ParseError as exc:
+        exc.args = (f"--{option}: {exc}",)
+        raise
+
+
 def _expected(what: str, tok: tuple[str, str, int], src: str) -> ParseError:
     kind, text, at = tok
     return _error(src, at, f"expected {what}, found {repr(text) if kind else 'end of input'}")

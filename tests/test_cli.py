@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pkat
+import pkat.checks
 import pkat.cli
+import pkat.views
 from pkat.cli import main
 from pkat.lattice import bottom, elem, elem_to_json, top
 from pkat.plts import Model, load_model, model_to_dict
@@ -320,6 +322,55 @@ def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
     assert done.stderr == f"{loaded}\n" and (done.stdout != "") == bool(argv)
 
 
+_VIEWS = ["_cmd_classify", "_cmd_eval", "_cmd_star"]
+_CHECKS = ["_cmd_axioms", "_cmd_equiv", "_cmd_hoare"]
+
+
+@pytest.mark.parametrize("argv, handlers", [
+    ((), []),
+    (("--help",), []),
+    (("equiv", "--t1", "p"), []),
+    (("star", "--model", MODEL, "--program", "r"), _VIEWS),
+    (("classify", "--model", MODEL, "--name", "p"), _VIEWS),
+    (("eval", "--model", MODEL, "--term", "p;r*"), _VIEWS),
+    (("hoare", "--model", MODEL, "--pre", "p", "--prog", "r", "--post", "1"), _CHECKS),
+    (("equiv", "--model", MODEL, "--t1", "r + r", "--t2", "r"), _CHECKS),
+    (("equiv", "--t1", "r*;r* + r*", "--t2", "r*", "--lattice", "lukasiewicz3", "--states", "2",
+      "--random", "20", "--seed", "1"), _CHECKS),
+    (("axioms", "--lattice", "bool2", "--states", "1"), _CHECKS),
+], ids=["import", "help", "usage-error", "star", "classify", "eval", "hoare", "equiv-model",
+        "equiv-random", "axioms"])
+def test_each_request_compiles_only_its_command_groups_handlers(argv, handlers):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
+    probe = ("import sys, pkat.cli\n"
+             "try:\n"
+             "    if sys.argv[1:]: pkat.cli.main(sys.argv[1:])\n"
+             "except SystemExit:\n"
+             "    pass\n"
+             "modules = [m for k, m in sys.modules.items() if k.startswith('pkat.')]\n"
+             "print(sorted({n for m in modules for n in vars(m) if n.startswith('_cmd_')}))\n"
+             "print(sorted({'pkat.plts', 'pkat.relp', 'pkat.twist', 'pkat.modelfile'}"
+             " & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    *_, names, loaded = done.stdout.splitlines()
+    assert names == str(handlers)
+    if not handlers:  # nothing ran: only the parser was compiled
+        assert loaded == "[]"
+
+
+def test_a_module_run_compiles_cli_once():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
+    probe = ("import runpy, sys\n"
+             "try:\n"
+             "    runpy.run_module('pkat.cli', run_name='__main__', alter_sys=True)\n"
+             "except SystemExit as exc:\n"
+             "    print(exc.code, 'pkat.cli' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", probe, "star", "--model", MODEL, "--program", "r"],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert done.stdout.startswith("star of r:") and done.stderr == "0 False\n"
+
+
 @pytest.mark.parametrize("argv, loaded", [
     ((), []),
     (("star", "--model", MODEL, "--program", "r"), ["pkat.modelfile"]),
@@ -396,7 +447,7 @@ def _outcome(call):
 def test_parsing_one_command_matches_the_full_tree(argv):
     ran = []
     handlers = {f"_cmd_{name}": lambda args: ran.append(args) or 0 for name in _OPTIONS}
-    with patch.dict(pkat.cli.__dict__, handlers):
+    with patch.dict(pkat.views.__dict__, handlers), patch.dict(pkat.checks.__dict__, handlers):
         got = _outcome(lambda: main(argv))
         want = _outcome(lambda: pkat.cli._build_parser().parse_args(argv))
     if ran:  # parsed: main ran the handler on the full tree's namespace
@@ -547,13 +598,34 @@ def test_godel_grid_off_the_godel_lattice_is_usage_error(capsys, lattice):
         assert run(capsys, *argv, "--godel-grid", "0.5") == (2, "", message)
 
 
-def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+# One request per command, and the module holding its handler.
+_REQUESTS = {
+    "eval": ("views", ("--model", MODEL, "--term", "r")),
+    "star": ("views", ("--model", MODEL, "--program", "r")),
+    "classify": ("views", ("--model", MODEL, "--name", "p")),
+    "equiv": ("checks", ("--t1", "p", "--t2", "p", "--lattice", "bool2", "--states", "1",
+                         "--random", "1")),
+    "hoare": ("checks", ("--model", MODEL, "--pre", "p", "--prog", "r", "--post", "1")),
+    "axioms": ("checks", ("--lattice", "bool2", "--states", "1")),
+}
+
+
+@pytest.mark.parametrize("command, importable", [*((command, True) for command in _REQUESTS),
+                                                 ("star", False)],
+                         ids=[*_REQUESTS, "unimportable"])
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, command, importable):
     def broken(args):
         raise RuntimeError("no such luck")
 
-    monkeypatch.setattr(pkat.cli, "_cmd_eval", broken)
-    code, out, err = run(capsys, "eval", "--model", MODEL, "--term", "r")
-    assert (code, out, err) == (70, "", "internal error: RuntimeError: no such luck\n")
+    home, argv = _REQUESTS[command]
+    if importable:
+        monkeypatch.setattr(f"pkat.{home}._cmd_{command}", broken)
+        error = "RuntimeError: no such luck"
+    else:
+        monkeypatch.setitem(sys.modules, f"pkat.{home}", None)
+        error = f"ModuleNotFoundError: import of pkat.{home} halted; None in sys.modules"
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out, err) == (70, "", f"internal error: {error}\n")
     assert "Traceback" not in err
 
 
@@ -734,9 +806,9 @@ def test_renderers_match_their_per_cell_weight_forms(case, unicode):
     assert prel_to_entries(rel) == _oracle_entries(rel)
     assert format_prel(rel, unicode) == format_grid(
         rel.states, [format_weight(w, unicode) for w in weights])
-    assert pkat.cli._classification(rel) == [
+    assert pkat.views._classification(rel) == [
         [u, v, classify(w).value] for (u, v), w in zip(labels, weights)]
-    assert pkat.cli._class_grid(rel) == format_grid(
+    assert pkat.views._class_grid(rel) == format_grid(
         rel.states, [classify(w).value for w in weights])
     diagonal = oracle_weights(test.relation)[::len(rel.states) + 1]
     assert pset_to_json(test) == {s: weight_to_json(w) for s, w in zip(rel.states, diagonal)}
@@ -762,8 +834,8 @@ def test_renderers_print_godel_values_as_fractions_and_bool2_as_ints():
     assert r.values == tuple(map(Fraction, ("0", "1/4", "1/3", "1/2", "2/3", "1")))
     assert prel_to_entries(r)[1] == ["a", "b", "1/3", "0.5"]
     assert format_prel(r).splitlines()[1] == "a  (0,1)  (1/3,0.5)"
-    assert pkat.cli._classification(r)[1] == ["a", "b", "vague"]
+    assert pkat.views._classification(r)[1] == ["a", "b", "vague"]
     bool2 = load_model(json.dumps({"lattice": "bool2", "states": ["a"],
                                    "programs": {"r": [["a", "a", 1, 1]]}}))
     assert prel_to_entries(bool2.programs["r"]) == [["a", "a", 1, 1]]
-    assert pkat.cli._class_grid(bool2.programs["r"]).splitlines()[1] == "a  inconsistent"
+    assert pkat.views._class_grid(bool2.programs["r"]).splitlines()[1] == "a  inconsistent"
