@@ -9,11 +9,10 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from .engine import Status, Verdict, _break, _check, _equation, _Law, _space, _triple, witness_parts
+from .engine import Status, Verdict, _break, _check, _equation, _Law, _triple, witness_parts
 from .errors import EngineError
-from .lattice import LatticeId, elem
+from .lattice import LatticeId
 from .syntax import Sort, _compile, _units, parse
-from .twist import Weight
 
 
 class AxiomId(Enum):
@@ -76,16 +75,6 @@ class _Laws:
 
 
 _AXIOMS = _Laws()
-
-
-def weight_space(lattice: LatticeId, godel_grid=None) -> tuple[Weight, ...]:
-    """All candidate weights, nearest classical consistency first: the
-    cells ``engine._grid_values`` counts (over bool2 only the consistent
-    corners TOP and BOT), refused above ``MAX_EXHAUSTIVE``.
-    """
-    space = _space(lattice, godel_grid)
-    table = [elem(lattice, v) for v in space.values]
-    return tuple(Weight(table[i], table[j]) for i, j in space.cells)
 
 
 def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> list[Verdict]:

@@ -55,12 +55,12 @@ encodes a few instances, and a long walk stays in bounded memory.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Mapping
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, islice, product, repeat
 from math import lcm
-from typing import Iterable, Mapping
 
 from .errors import EngineError, SortError
 from .lattice import LatticeId, carrier, elem

@@ -16,9 +16,9 @@ which is the greatest c with meet(a, c) <= b.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
 
 from .errors import CarrierError, LatticeMismatchError
 from .record import Record
@@ -77,7 +77,7 @@ class LatticeElem(Record):
         return f"<{self.lattice.value}:{elem_to_text(self)}>"
 
 
-ElemLike = Union[LatticeElem, Fraction, int, str]
+ElemLike = LatticeElem | Fraction | int | str
 
 
 def elem(lattice: LatticeId, value: ElemLike) -> LatticeElem:

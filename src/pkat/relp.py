@@ -39,11 +39,11 @@ only, which keeps the result subidentity.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import reduce
-from itertools import product, repeat
+from itertools import product
 from operator import and_, or_
-from typing import Iterable, Iterator, Mapping
 
 from .errors import ShapeError, SortError
 from .lattice import LatticeElem, LatticeId
@@ -91,10 +91,6 @@ class PRel:
     def __repr__(self):
         return f"PRel({self.lattice}, {self.states!r}, {self.weights!r})"
 
-    # Each cell's support (tt) and opposition (ff) rank, row-major, decoded.
-    tt = property(lambda r: tuple(_ranks(c, len(r.values) - 1)[0] for c in r.bits))
-    ff = property(lambda r: tuple(_ranks(c, len(r.values) - 1)[1] for c in r.bits))
-
     @property
     def weights(self) -> tuple[Weight, ...]:
         return tuple(cell_forms(self, lambda w: w))
@@ -129,11 +125,6 @@ def _from_bits(lattice: LatticeId, states, values, bits) -> PRel:
     r = object.__new__(PRel)
     r.lattice, r.states, r.values, r.bits = lattice, states, values, tuple(bits)
     return r
-
-
-def from_ranks(lattice: LatticeId, states, values, tt, ff) -> PRel:
-    """A relation from row-major ranks into a table made by ``value_table``."""
-    return _from_bits(lattice, states, values, map(_code, tt, ff, repeat(len(values) - 1)))
 
 
 def from_entries(

@@ -28,8 +28,8 @@ to straight-line kernel calls over slots, one per distinct subterm
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable, Union
 
 from .errors import ParseError, ShapeError, SortError, quoted
 from .lattice import LatticeId
@@ -66,7 +66,7 @@ class Not(Record):
     __slots__ = ("inner",)
 
 
-Term = Union[Zero, One, Atom, Plus, Dot, Star, Not]
+Term = Zero | One | Atom | Plus | Dot | Star | Not
 
 
 class Sort(Enum):

@@ -20,9 +20,10 @@ from pkat.errors import CarrierError, LatticeMismatchError, ModelError
 from pkat.lattice import LatticeElem, LatticeId, elem
 from pkat.plts import Model
 from pkat.relp import (
+    _ranks,
+    from_cells,
     from_diagonal,
     from_entries,
-    from_ranks,
     r_dot,
     r_plus,
     r_star,
@@ -90,6 +91,27 @@ def oracle_star(states, a: dict, lattice, max_power: int) -> dict:
     return acc
 
 
+# --- ranks and spaces through the library's encoders (relp, engine._space) ---
+
+
+def from_rank_lists(lattice, states, values, tt, ff):
+    """The relation whose row-major cells hold ranks ``tt`` and ``ff`` into ``values``."""
+    return from_cells(lattice, states, values, dict(enumerate(zip(tt, ff))), range(len(values)))
+
+
+def rank_lists(rel) -> tuple:
+    """(tt, ff): each cell's support and opposition rank, row-major, decoded."""
+    top = len(rel.values) - 1
+    return tuple(zip(*(_ranks(c, top) for c in rel.bits)))
+
+
+def space_weights(lattice, godel_grid=None) -> tuple:
+    """The weights of ``engine._space``'s cells, in its order."""
+    space = _space(lattice, godel_grid)
+    table = [elem(lattice, v) for v in space.values]
+    return tuple(Weight(table[i], table[j]) for i, j in space.cells)
+
+
 # --- rank-form kernel (independent of the cut bits) ---------------------------
 # A relation as two row-major tuples of ranks into one table: ``tt`` and ``ff``.
 
@@ -155,7 +177,7 @@ def oracle_relation(lattice, states, space, test: bool, cells):
     tt, ff = [0] * (n * n), [len(space.values) - 1] * (n * n)
     step = n + 1 if test else 1
     tt[::step], ff[::step] = zip(*cells)
-    return from_ranks(lattice, states, space.values, tuple(tt), tuple(ff))
+    return from_rank_lists(lattice, states, space.values, tt, ff)
 
 
 def oracle_draw(rng: random.Random, lattice, states, space, test: bool):
@@ -329,7 +351,7 @@ def oracle_load_model(document: str):
 def oracle_weights(rel) -> list:
     """Each cell's weight, row-major, decoded cell by cell from its ranks."""
     elem_at = lambda rank: LatticeElem(rel.lattice, rel.values[rank])  # noqa: E731
-    return [Weight(elem_at(t), elem_at(f)) for t, f in zip(rel.tt, rel.ff)]
+    return [Weight(elem_at(t), elem_at(f)) for t, f in zip(*rank_lists(rel))]
 
 
 # --- ordinary binary-relation oracle (classical embedding) ------------------

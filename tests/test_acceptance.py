@@ -11,7 +11,7 @@ import time
 from itertools import product
 
 from pkat.cli import main
-from pkat.catalog import AxiomId, CORE_AXIOMS, check_axiom, find_boolean_witness, weight_space
+from pkat.catalog import AxiomId, CORE_AXIOMS, check_axiom, find_boolean_witness
 from pkat.engine import Status, evaluate, states_for
 from pkat.lattice import bottom, big_join, big_meet, carrier, implies, join, leq, meet, top
 from pkat.plts import valuation
@@ -34,6 +34,7 @@ from helpers import (
     random_any_term,
     random_godel_elem,
     random_sorted_term,
+    space_weights,
 )
 
 
@@ -166,7 +167,7 @@ def test_criterion_7_set_star_closed_form():
     states = ("w1", "w2", "w3")
     for i in range(500):
         lattice = L3 if i % 2 else GD
-        pool = weight_space(lattice)
+        pool = space_weights(lattice)
         values = {w: rng.choice(pool) for w in states}
         phi = from_values(lattice, states, values)
         star = s_star(phi)

@@ -18,13 +18,12 @@ import pkat.bitslice
 import pkat.catalog
 import pkat.engine
 from pkat.bitslice import MAX_BITS, _encode
-from pkat.catalog import (AxiomId, check_axiom, check_suite, find_boolean_witness, recheck,
-                          weight_space)
+from pkat.catalog import AxiomId, check_axiom, check_suite, find_boolean_witness, recheck
 from pkat.engine import Status, equiv_random, verdict_to_dict
 from pkat.relp import _code
 from pkat.syntax import Dot, One, Plus, Sort, Star, parse
 
-from helpers import B2, GD, L3, PROGRAM_TERMS, oracle_equiv_random, oracle_run
+from helpers import B2, GD, L3, PROGRAM_TERMS, oracle_equiv_random, oracle_run, rank_lists
 
 GODEL9 = ["0", "1/8", "1/4", "3/8", "1/2", "5/8", "3/4", "7/8", "1"]
 GRIDS = [(B2, None), (L3, None), (GD, ["1/2"]), (GD, ["0", "1/3", "1"]), (GD, GODEL9)]
@@ -51,7 +50,7 @@ def _runs(draw):
     if how == "random":
         samples, seed = draw(st.sampled_from([1, 5, 25])), draw(st.integers(0, 999))
         return lattice, grid, n, how, draw(st.sampled_from(list(AxiomId))).value, samples, seed
-    k = len(weight_space(lattice, grid))
+    k = len(pkat.engine._space(lattice, grid).cells)
     fits = [a.value for a in AxiomId if _walk_size(pkat.catalog._AXIOMS[a], k, n) <= WALK_LIMIT]
     return lattice, grid, n, how, draw(st.sampled_from(fits)), None, None
 
@@ -88,7 +87,8 @@ def _horn(formula):
        st.integers(0, 99))
 def test_failing_horn_laws_match_the_per_instance_loop(formula, space, n, seed):
     lattice, grid = space
-    law, ident, k = _horn(formula), AxiomId.STAR_IND_L, len(weight_space(lattice, grid))
+    law, ident = _horn(formula), AxiomId.STAR_IND_L
+    k = len(pkat.engine._space(lattice, grid).cells)
     for how, samples in (("random", 40), ("exhaustive", None)):
         if how == "exhaustive" and _walk_size(law, k, n) > WALK_LIMIT:
             continue
@@ -168,7 +168,7 @@ def test_an_exhaustive_law_failing_at_its_second_instance_encodes_a_few(monkeypa
     taken.clear()
     found = engine._drive(law, L3, engine.states_for(6), space, "exhaustive", None, None)
     (test,) = found.witness.assignment.values()
-    diagonal = list(zip(test.tt, test.ff))[::7]
+    diagonal = list(zip(*rank_lists(test)))[::7]
     assert found.samples == 2 and diagonal == [space.cells[0]] * 5 + [space.cells[1]]
     assert len(taken) == 3
 

@@ -464,6 +464,30 @@ def test_bitslice_loads_without_engine():
     assert done.stdout == "False\n"
 
 
+def test_no_module_and_no_request_imports_typing():
+    # Under -S, so that a site hook which preloads typing cannot hide an import of it.
+    src = pathlib.Path(pkat.__file__).parent
+    env = dict(os.environ, PYTHONPATH=str(src.parent))
+    modules = sorted(path.stem for path in src.glob("*.py") if path.stem != "__init__")
+    requests = [["eval", "--model", MODEL, "--term", "p;r*"],
+                ["star", "--model", MODEL, "--program", "r", "--json"],
+                ["classify", "--model", MODEL, "--name", "p"],
+                ["equiv", "--t1", "a;p", "--t2", "p;a", "--tests", "a", "--lattice", "godel",
+                 "--states", "2", "--random", "5", "--seed", "1"],
+                ["hoare", "--model", MODEL, "--pre", "p", "--prog", "r", "--post", "1"],
+                ["axioms", "--lattice", "lukasiewicz3", "--states", "1", "--json"]]
+    probe = ("import contextlib, importlib, io, sys\n"
+             f"for name in {modules!r}: importlib.import_module('pkat.' + name)\n"
+             "import pkat.cli\n"
+             f"for argv in {requests!r}:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        print(pkat.cli.main(argv), file=sys.stderr)\n"
+             "print('typing' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert (done.stderr, done.stdout) == ("0\n0\n0\n1\n0\n0\n", "False\n")
+
+
 def test_a_state_count_past_the_digit_limit_is_refused_in_one_line(capsys):
     # 3 * N^2 cells has more digits than str() converts, so the exponent is rounded.
     code, out, err = run(capsys, "axioms", "--lattice", "bool2", "--states", "1" * 2200)

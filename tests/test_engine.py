@@ -18,7 +18,6 @@ from pkat.catalog import (
     check_axiom,
     find_boolean_witness,
     recheck,
-    weight_space,
 )
 from pkat.engine import (
     Status,
@@ -32,13 +31,14 @@ from pkat.engine import (
 from pkat.errors import EngineError, ShapeError, SortError
 from pkat.lattice import carrier, elem
 from pkat.plts import Model, load_model
-from pkat.relp import (PRel, from_ranks, identity, r_dot, r_leq, r_plus, r_star, t_complement,
+from pkat.relp import (PRel, identity, r_dot, r_leq, r_plus, r_star, t_complement,
                        value_table, zero)
 from pkat.syntax import Dot, Not, One, Plus, Sort, Star, parse
 from pkat.twist import Weight, wbot, wtop
 
-from helpers import (B2, GD, L3, PROGRAM_TERMS, TEST_TERMS, lw, oracle_check, oracle_eval,
-                     oracle_model, oracle_relation, random_sorted_term, weight)
+from helpers import (B2, GD, L3, PROGRAM_TERMS, TEST_TERMS, from_rank_lists, lw, oracle_check,
+                     oracle_eval, oracle_model, oracle_relation, random_sorted_term, rank_lists,
+                     space_weights, weight)
 
 RICH_DOC = json.dumps(
     {
@@ -149,18 +149,18 @@ def test_compiled_laws_match_the_term_walk(model, t1, t2, b):
 
 
 def test_weight_space_sizes_and_order():
-    luka = weight_space(L3)
+    luka = space_weights(L3)
     assert len(luka) == 9
     assert luka[0] == wbot(L3)
     assert luka[1] == lw("u", "u")
     assert luka[2] == wtop(L3)
-    boolean = weight_space(B2)
+    boolean = space_weights(B2)
     assert set(boolean) == {wtop(B2), wbot(B2)}
-    godel = weight_space(GD)
+    godel = space_weights(GD)
     assert len(godel) == 25
-    godel_small = weight_space(GD, godel_grid=("0", "0.5", "1"))
+    godel_small = space_weights(GD, godel_grid=("0", "0.5", "1"))
     assert len(godel_small) == 9
-    deduped = weight_space(GD, godel_grid=("0", "0.5", "1/2", "1"))
+    deduped = space_weights(GD, godel_grid=("0", "0.5", "1/2", "1"))
     assert deduped == godel_small
 
 
@@ -184,13 +184,13 @@ _GRID_VALUE = st.one_of(
 
 @given(st.lists(_GRID_VALUE, min_size=1, max_size=9))
 def test_rank_keyed_space_matches_the_fraction_keyed_order(grid):
-    assert weight_space(GD, godel_grid=grid) == _fraction_keyed_space(GD, grid)
+    assert space_weights(GD, godel_grid=grid) == _fraction_keyed_space(GD, grid)
 
 
 def test_rank_keyed_space_on_the_finite_lattices():
     for lattice in (B2, L3):
-        assert weight_space(lattice) == _fraction_keyed_space(lattice)
-    assert weight_space(GD) == _fraction_keyed_space(GD, pkat.engine.DEFAULT_GODEL_GRID)
+        assert space_weights(lattice) == _fraction_keyed_space(lattice)
+    assert space_weights(GD) == _fraction_keyed_space(GD, pkat.engine.DEFAULT_GODEL_GRID)
 
 
 @settings(deadline=None)
@@ -207,7 +207,7 @@ def test_the_exhaustive_guard_counts_the_space_it_would_walk(lattice, grid):
         check_axiom(1, lattice, 3, "exhaustive", godel_grid=grid)
     k = re.fullmatch(r"exhaustive space of (\d+)\^27 instantiations exceeds 1000000",
                      str(err.value))
-    assert k and int(k[1]) == len(weight_space(lattice, grid))
+    assert k and int(k[1]) == len(pkat.engine._space(lattice, grid).cells)
 
 
 @settings(deadline=None)
@@ -246,7 +246,7 @@ def _indexed_assignments(law, lattice, states, space):
         if test:
             cells = [cells[j // (n + 1)] if j % (n + 1) == 0 else bot for j in range(n * n)]
         tt, ff = zip(*cells)
-        return from_ranks(lattice, states, space.values, tt, ff)
+        return from_rank_lists(lattice, states, space.values, tt, ff)
 
     tests = [sort is Sort.TEST for _, sort in law.vars]
     sizes = [k ** (n if test else n * n) for test in tests]
@@ -266,7 +266,7 @@ def _indexed_assignments(law, lattice, states, space):
 def test_assignments_match_the_index_decoder(lattice, n, axioms):
     def cells(law, env):  # each variable's cells as the walk lists them: a test's diagonal
         return tuple(cell for (_, sort), r in zip(law.vars, env.values())
-                     for cell in list(zip(r.tt, r.ff))[::n + 1 if sort is Sort.TEST else 1])
+                     for cell in list(zip(*rank_lists(r)))[::n + 1 if sort is Sort.TEST else 1])
 
     space, states = pkat.engine._space(lattice, None), states_for(n)
     for ident in axioms:
@@ -545,7 +545,7 @@ def _one_test_runs(draw):
     if lattice is GD:
         values = ["0", "1/4", "1/3", "1/2", "2/3", "3/4", "1"]
         grid = draw(st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True))
-    k = len(weight_space(lattice, grid))
+    k = len(pkat.engine._space(lattice, grid).cells)
     top = max(n for n in range(1, 9 if lattice is B2 else 5) if k**n <= 729)
     return lattice, grid, draw(st.integers(1, top))
 

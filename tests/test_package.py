@@ -1,4 +1,7 @@
 import importlib
+import json
+import pathlib
+import re
 
 import pytest
 
@@ -55,3 +58,24 @@ def test_an_unknown_name_is_an_attribute_error():
 
 def test_dir_lists_the_exports():
     assert {name for _, name in NAMES} | set(SUBMODULES) <= set(dir(pkat))
+
+
+def _readme_block(heading, language):
+    """The first fenced ``language`` block under README's ``## heading``."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"\n## {heading}\n", 1)[1]
+    return re.search(rf"^```{language}\n(.*?)^```", section, re.S | re.M)[1]
+
+
+def test_the_readme_library_example_runs_as_written(capsys, data_dir, tmp_path, monkeypatch):
+    model = (data_dir / "two_state.json").read_text()
+    assert json.loads(_readme_block("Model files", "json")) == json.loads(model)
+    (tmp_path / "model.json").write_text(model)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(_readme_block("Library example", "python"), "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[:4] == [
+        "w1 w1 <(top,bot)> consistent",
+        "w1 w2 <(top,bot)> consistent",
+        "w2 w1 <(u,u)> consistent",
+        "w2 w2 <(u,bot)> vague",
+    ]

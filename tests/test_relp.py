@@ -14,7 +14,6 @@ from pkat.relp import (
     PRel,
     format_prel,
     from_entries,
-    from_ranks,
     identity,
     is_test,
     prel_to_entries,
@@ -37,6 +36,7 @@ from helpers import (
     L3,
     LUKA_WEIGHTS,
     dict_matrix,
+    from_rank_lists,
     gw,
     lw,
     oracle_dot,
@@ -46,6 +46,7 @@ from helpers import (
     rank_complement,
     rank_dot,
     rank_leq,
+    rank_lists,
     rank_plus,
 )
 
@@ -333,9 +334,10 @@ def _round_star(r):
     one_tt = [top if k % (n + 1) == 0 else 0 for k in range(n * n)]
     one_ff = [top - t for t in one_tt]
     tt, ff = one_tt, one_ff
+    r_tt, r_ff = rank_lists(r)
     for step in range(1, n + 2):
-        nxt_tt = list(map(max, one_tt, dot(r.tt, tt, max, min)))
-        nxt_ff = list(map(min, one_ff, dot(r.ff, ff, min, max)))
+        nxt_tt = list(map(max, one_tt, dot(r_tt, tt, max, min)))
+        nxt_ff = list(map(min, one_ff, dot(r_ff, ff, min, max)))
         if (nxt_tt, nxt_ff) == (tt, ff):
             return tuple(tt), tuple(ff), step
         tt, ff = nxt_tt, nxt_ff
@@ -352,9 +354,9 @@ def test_star_of_forty_states_matches_the_round_loop():
                                                     for _ in range(12)]
     for i, j in edges:
         tt[i * n + j], ff[i * n + j] = rng.randint(1, 15), rng.randint(0, 14)
-    r = from_ranks(GD, tuple(f"s{i}" for i in range(n)), values, tuple(tt), tuple(ff))
+    r = from_rank_lists(GD, tuple(f"s{i}" for i in range(n)), values, tuple(tt), tuple(ff))
     star, steps = r_star_steps(r)
-    assert (star.tt, star.ff, steps) == _round_star(r)
+    assert (*rank_lists(star), steps) == _round_star(r)
     assert steps > 10
 
 
@@ -421,7 +423,7 @@ RANK_TABLES = [
 @st.composite
 def rank_operands(draw):
     """Two relations of n <= 6 states over one lattice, each as (relation,
-    table, tt, ff) and built by ``from_ranks``.  A table is the lattice's
+    table, tt, ff) and built by ``from_rank_lists``.  A table is the lattice's
     whole table or a few of its values, so operands may sit on different
     tables; a relation is a test half the time."""
     lattice, whole = draw(st.sampled_from(RANK_TABLES))
@@ -439,7 +441,7 @@ def rank_operands(draw):
                 if k % (n + 1):
                     tt[k], ff[k] = 0, top
         tt, ff = tuple(tt), tuple(ff)
-        out.append((from_ranks(lattice, states, table, tt, ff), table, tt, ff))
+        out.append((from_rank_lists(lattice, states, table, tt, ff), table, tt, ff))
     return out
 
 
@@ -449,7 +451,7 @@ def test_cut_bits_match_the_rank_form(operands):
     (r, r_table, *r_ranks), (s, s_table, *s_ranks) = operands
     lattice, n = r.lattice, len(r.states)
     for rel, table, (tt, ff) in ((r, r_table, r_ranks), (s, s_table, s_ranks)):
-        assert (rel.values, rel.tt, rel.ff) == (table, tt, ff)
+        assert (rel.values, *rank_lists(rel)) == (table, tt, ff)
         top = len(table) - 1  # bit t-1 for tt >= t, bit top+s for ff <= s
         assert list(rel.bits) == [sum(1 << c - 1 for c in range(1, top + 1) if t >= c)
                                   + sum(1 << top + c for c in range(top) if f <= c)
@@ -461,13 +463,13 @@ def test_cut_bits_match_the_rank_form(operands):
             for table, pair in ((r_table, r_ranks), (s_table, s_ranks)))
 
     def ranks(rel):
-        return rel.values, [rel.tt, rel.ff]
+        return rel.values, [*rank_lists(rel)]
 
     assert ranks(r_plus(r, s)) == (merged, list(rank_plus(a, b)))
     assert ranks(r_dot(r, s)) == (merged, list(rank_dot(a, b, n)))
     assert r_leq(r, s) == rank_leq(a, b)
     assert (r == s) == (a == b)
-    again = from_ranks(lattice, r.states, merged, *a)
+    again = from_rank_lists(lattice, r.states, merged, *a)
     assert again == r and hash(again) == hash(r)
     top = len(r_table) - 1
     test = all(r_ranks[0][k] == 0 and r_ranks[1][k] == top for k in range(n * n) if k % (n + 1))
