@@ -1,8 +1,11 @@
-"""The kernels that check a law on one chunk of instances at once, one bit
-per (instance, cut): ``engine._drive`` loops over the chunks, and its
-module docstring gives their layout.  ``_OPS`` are ``relp``'s ops, with
-``*`` as Warshall's closure: ``r_star``'s search reads per-cell cut counts.
-Each cell's transposed bit string is made on first read."""
+"""The kernels that check a law on one chunk of B instances at once, one
+bit per (instance, cut); ``engine._drive`` loops over the chunks.  A
+chunk's cell is the ``relp`` cell of each instance, cut by cut: over
+ranks 0..top and with W = top·B, bit (t-1)·B + b is set when instance b
+has tt >= t, and bit W + s·B + b when it has ff <= s.  ``_breaks``
+encodes a chunk so and names its first failing instance.  ``_OPS`` are
+``relp``'s ops, with ``*`` as Warshall's closure: ``r_star``'s search
+reads per-cell cut counts."""
 
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from operator import or_
 from .relp import _code, _dot, _exceeds, _not, _plus
 from .syntax import Dot, Not, Plus, Star, _fill
 
-MAX_BITS = 1 << 13  # per cell: a chunk holds at most MAX_BITS // (2 * top) instances
+MAX_BITS = 1 << 13  # the most bits a chunk cell holds: ``_Bits.cap`` follows from it
 
 
 def _star(x, _, n, w):
@@ -32,10 +35,10 @@ _OPS = {Plus: _plus, Dot: _dot, Star: _star, Not: _not}
 
 
 class _Bits(dict):
-    """Cell i's bit string, formatted and kept when it is first read."""
+    """Cell i's bit string, made and kept when first read; a chunk holds ``cap`` instances."""
 
     def __init__(self, cells, top: int):
-        self.cells, self.top = cells, top
+        self.cells, self.top, self.cap = cells, top, max(1, MAX_BITS // (2 * top))
 
     def __missing__(self, i: int) -> str:
         t, f = self.cells[i]
@@ -50,9 +53,11 @@ def _encode(chunk, bits, w: int) -> list[int]:
     return [int("".join([s[i::w] for i in range(w)]), 2) for s in columns]
 
 
-def _breaks(law, slots, cells, size: int, n: int, top: int) -> int:
-    """The mask of instances breaking the law, the sides run lazily as in ``engine._break``."""
-    w = top * size
+def _breaks(law, slots, chunk, bits: _Bits, n: int) -> int | None:
+    """The index of ``chunk``'s first instance breaking the law, else None;
+    the sides run lazily as in ``engine._break``."""
+    size, top = len(chunk), bits.top
+    cells, w = _encode(chunk, bits, 2 * top), top * size
     kernels = {op: lambda x, y=None, f=f: f(x, y, n, w) for op, f in _OPS.items()}
     zero = [0] * (n * n)
     values = [_not(zero, None, n, w), zero]  # 1 = !0
@@ -63,11 +68,12 @@ def _breaks(law, slots, cells, size: int, n: int, top: int) -> int:
     sides = (_fill(values, law.code[1], root, kernels) for root in law.code[2])
     excused = _fold(_exceeds(next(sides), next(sides)), size) if law.premise else 0
     if excused == (1 << size) - 1:
-        return 0
+        return None
     bad = 0
     for lhs, rhs in zip(sides, sides):
         bad |= _exceeds(lhs, rhs) if law.leq else reduce(or_, map(int.__xor__, lhs, rhs))
-    return _fold(bad, size) & ~excused
+    bad = _fold(bad, size) & ~excused
+    return (bad & -bad).bit_length() - 1 if bad else None
 
 
 def _fold(bits: int, size: int) -> int:

@@ -17,16 +17,15 @@ stream of random models, and ``catalog.recheck`` over a verdict's own
 witness.
 
 A run builds its candidate space once, and every law it checks (the
-whole catalog, for ``catalog.check_suite``) draws from it.  The space
-is ordered by distance from classical consistency (|tt + ff - 1|, ties
-broken by component, all computed on integer ranks).  An instance lists,
-in the order of the law's ``vars`` (alphabetical for a catalog law;
-programs, then tests, each alphabetical, for an equation), a test's n
+whole catalog, for ``catalog.check_suite``) draws from it, nearest
+classical consistency (|tt + ff - 1|) first, as ``_space`` orders it.
+An instance lists, in the order of the law's ``vars`` (alphabetical for
+a catalog law; for an equation, as ``_equation`` sorts them), a test's n
 diagonal cells and a program's n*n row-major, as ``_spans`` lays them
 out.  Exhaustive checking walks them lexicographically over the space's
-order, the last cell varying fastest.
-So a reported counterexample is the most conservative one available, and
-a failing verdict's instance count is its witness's position in that walk.
+order, the last cell varying fastest.  So a reported counterexample is
+the most conservative one available, and a failing verdict's instance
+count is its witness's position in that walk.
 
 One admission path, ``_check``, refuses ``catalog``'s laws and
 ``equiv_random``'s equation from their sizes alone, k as ``_grid_values``
@@ -37,19 +36,15 @@ of its cells fails at one state, and the walk's first failure is
 (s0, ..., s0, f): s0 the space's first cell, f the first failing one.
 So the k instances whose last cell alone varies give the walk's verdict.
 
-One driver, ``_drive``, then checks each law a chunk of B instances at a
-time: it alone loops over the chunks, and ``bitslice._breaks`` runs the
-law on each, through ``syntax._fill`` as ``_break`` runs it on one
-instance.  Only ``_drive`` imports ``bitslice``, so ``hoare`` and
-``equiv --model`` requests never compile it.  A chunk's cell is the
-``relp`` cell of each instance, cut by cut: over ranks 0..top and with
-W = top·B, bit (t-1)·B + b is set when instance b has tt >= t, and bit
-W + s·B + b when it has ff <= s.  The first failing instance, the lowest
-set bit of the mask ``_breaks`` returns, is then built alone as relations
-and run by ``_break`` for its witness.  Chunks are taken lazily from the
-walk or from ``rng``, in the order the driver draws them, doubling from
-1 up to ``bitslice.MAX_BITS`` bits a cell: a run that fails early
-encodes a few instances, and a long walk stays in bounded memory.
+One driver, ``_drive``, then checks each law a chunk of instances at a
+time: it alone loops over the chunks, and ``bitslice._breaks``, whose
+module gives the chunk layout, runs the law on each through ``syntax._fill``
+as ``_break`` runs it on one instance.  The chunk's first failing instance
+is then built alone as relations and run by ``_break`` for its witness.
+Only ``_drive`` imports ``bitslice``, so ``hoare`` and ``equiv --model``
+requests never compile it.  Chunks are taken lazily from the walk or from
+``rng``, doubling from 1 up to ``bitslice._Bits.cap``: a run that fails
+early encodes a few instances, and a long walk stays in bounded memory.
 """
 
 from __future__ import annotations
@@ -59,7 +54,7 @@ from collections.abc import Iterable, Mapping
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, islice, product, repeat
+from itertools import accumulate, islice, product
 from math import lcm
 
 from .errors import EngineError, SortError
@@ -125,12 +120,12 @@ class _Law(Record):
 
 
 def _equation(t1: Term, t2: Term, tests: Iterable[str] = ()) -> _Law:
-    """t1 = t2, its atoms named in ``tests`` ranging over tests."""
-    terms, code = (pretty(t1), pretty(t2)), _compile((t1, t2))
-    names, tests = frozenset(code[0]), frozenset(tests)
-    variables = (*zip(sorted(names - tests), repeat(Sort.PROGRAM)),
-                 *zip(sorted(names & tests), repeat(Sort.TEST)))
-    return _Law(" = ".join(terms), code, terms=terms, vars=variables)
+    """t1 = t2, its atoms named in ``tests`` ranging over tests; its ``vars``
+    are the programs, then the tests, each alphabetical (a stable sort)."""
+    terms, code, tests = (pretty(t1), pretty(t2)), _compile((t1, t2)), frozenset(tests)
+    variables = sorted(((x, Sort.TEST if x in tests else Sort.PROGRAM) for x in code[0]),
+                       key=lambda v: v[1] is Sort.TEST)
+    return _Law(" = ".join(terms), code, terms=terms, vars=tuple(variables))
 
 
 def _triple(pre: Term, prog: Term, post: Term) -> _Law:
@@ -173,7 +168,8 @@ def _space(lattice: LatticeId, godel_grid) -> _Space:
     """Built once per check, unless k > ``MAX_EXHAUSTIVE``; its loops draw
     from it.  Over the common denominator ``d`` of the table, value ``i`` is
     the integer ``a[i]``, so |tt + ff - 1| orders as |a[tt] + a[ff] - d| and
-    values as ranks; the space is the first k cells in that order."""
+    values as ranks; the space is the first k cells in that order, ties in
+    the product's (tt, ff) order, which the stable sort keeps."""
     members, k = _grid_values(lattice, godel_grid)
     if k > MAX_EXHAUSTIVE:
         raise EngineError(f"candidate space of {_count(k)} weights exceeds {MAX_EXHAUSTIVE}")
@@ -181,7 +177,7 @@ def _space(lattice: LatticeId, godel_grid) -> _Space:
     ranks = [i for i, v in enumerate(values) if v in members]
     d = lcm(*(v.denominator for v in values))
     a = [v.numerator * (d // v.denominator) for v in values]
-    cells = sorted(product(ranks, ranks), key=lambda c: (abs(a[c[0]] + a[c[1]] - d), c))
+    cells = sorted(product(ranks, ranks), key=lambda c: abs(a[c[0]] + a[c[1]] - d))
     return _Space(values, tuple(cells[:k]))  # bool2's 2 consistent corners alone sit at distance 0
 
 
@@ -294,7 +290,7 @@ def _drive(law: _Law, lattice, states, space: _Space, how: str, samples, seed, f
     ``samples`` instances drawn at ``seed`` if ``how`` is "random", else on
     the walk with its first ``fixed`` cells at the first, a holds counting
     k^fixed per instance and a fails the instances up to its witness."""
-    from .bitslice import MAX_BITS, _Bits, _breaks, _encode
+    from .bitslice import _Bits, _breaks
 
     n, k = len(states), len(space.cells)
     spans, width = _spans(law.vars, n)
@@ -304,18 +300,16 @@ def _drive(law: _Law, lattice, states, space: _Space, how: str, samples, seed, f
         seed, instances = None, _walk(k, width, fixed)  # a walk's verdict has no seed
     where = {name: (i, j, n + 1 if test else 1) for name, test, i, j in spans}
     slots = [where[name] for name in law.code[0]]
-    top = len(space.values) - 1
-    bits, cap = _Bits(space.cells, top), max(1, MAX_BITS // (2 * top))
+    bits = _Bits(space.cells, len(space.values) - 1)
     count, size = 0, 1
     while chunk := list(islice(instances, size)):
-        bad = _breaks(law, slots, _encode(chunk, bits, 2 * top), len(chunk), n, top)
-        if bad:
-            b = (bad & -bad).bit_length() - 1
+        b = _breaks(law, slots, chunk, bits, n)
+        if b is not None:
             cells = [space.cells[i] for i in chunk[b]]
             model = _model(lattice, states, space.values, law.vars, cells)
             return _verdict(law, model, how, axiom=axiom, samples=count + b + 1, seed=seed)
         count += len(chunk)
-        size = min(2 * size, cap)
+        size = min(2 * size, bits.cap)
     return Verdict(Status.HOLDS, lattice, n, how, axiom=axiom, samples=count * k**fixed, seed=seed)
 
 

@@ -18,10 +18,12 @@ import pkat.checks
 import pkat.cli
 import pkat.views
 from pkat.cli import main
-from pkat.lattice import bottom, elem, elem_to_json, top
-from pkat.plts import Model, load_model, model_to_dict
+from pkat.engine import Status, equiv, equiv_random, hoare_check, verdict_to_dict
+from pkat.lattice import LatticeId, bottom, elem, elem_to_json, top
+from pkat.plts import Model, _read_model, load_model, model_to_dict
 from pkat.relp import PRel, format_grid, format_prel, prel_to_entries
 from pkat.setp import PSet, pset_to_json
+from pkat.syntax import parse
 from pkat.twist import Weight, classify, format_weight, weight_to_json
 
 from helpers import B2, GD, L3, oracle_weights
@@ -503,6 +505,25 @@ def test_classify_command(capsys):
     assert ["w1", "w1", "consistent"] in payload["classification"]
     code, _, err = run(capsys, "classify", "--model", MODEL, "--name", "zz")
     assert code == 3 and "unknown relation" in err
+
+
+def test_equiv_and_hoare_print_the_verdict_as_json(capsys):
+    # --json prints verdict_to_dict: exit 0 when the law holds, 1 when it fails.
+    model = _read_model(GODEL_MODEL)
+    requests = [
+        (["equiv", "--t1", "r*;r* + r*", "--t2", "r*", "--lattice", "lukasiewicz3", "--states",
+          "2", "--random", "20", "--seed", "1"],
+         equiv_random(parse("r*;r* + r*"), parse("r*"), LatticeId.LUKASIEWICZ3, 2, 20, 1)),
+        (["equiv", "--model", GODEL_MODEL, "--t1", "q;!q", "--t2", "0"],
+         equiv(parse("q;!q"), parse("0"), model)),
+        (["hoare", "--model", GODEL_MODEL, "--pre", "q", "--prog", "r*", "--post", "!q"],
+         hoare_check(parse("q"), parse("r*"), parse("!q"), model)),
+    ]
+    for argv, verdict in requests:
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == (0 if verdict.status is Status.HOLDS else 1)
+        assert json.loads(out) == json.loads(json.dumps(verdict_to_dict(verdict)))
+    assert [v.status for _, v in requests] == [Status.HOLDS, Status.FAILS, Status.FAILS]
 
 
 def test_hoare_command(capsys):

@@ -16,6 +16,7 @@ from pkat.catalog import (
     AxiomId,
     CORE_AXIOMS,
     check_axiom,
+    check_suite,
     find_boolean_witness,
     recheck,
 )
@@ -145,6 +146,12 @@ def test_compiled_laws_match_the_term_walk(model, t1, t2, b):
         assert engine._break(law, env, *units) == want
 
 
+def test_an_equations_variables_are_its_programs_then_its_tests_each_alphabetical():
+    law = pkat.engine._equation(parse("b;q + a;p"), parse("p"), tests="ab")
+    assert law.vars == (("p", Sort.PROGRAM), ("q", Sort.PROGRAM),
+                        ("a", Sort.TEST), ("b", Sort.TEST))
+
+
 # --- weight spaces ---------------------------------------------------------------
 
 
@@ -213,8 +220,8 @@ def test_the_exhaustive_guard_counts_the_space_it_would_walk(lattice, grid):
 @settings(deadline=None)
 @example(B2, None)
 @example(L3, None)
-@given(st.just(GD), st.lists(st.sampled_from([Fraction(i, q) for q in range(1, 9)
-                                              for i in range(q + 1)]), min_size=1, max_size=12))
+@given(st.just(GD), st.lists(st.sampled_from([Fraction(i, q) for q in range(1, 16)
+                                              for i in range(q + 1)]), min_size=1, max_size=60))
 def test_the_space_is_the_first_k_cells_of_the_sorted_product(lattice, grid):
     # The oracle filters bool2's pairs to its consistent corners before the
     # sort; _space sorts every pair and keeps the first k.
@@ -747,3 +754,22 @@ def test_recheck_requires_failure():
     verdict = check_axiom(2, L3, 1, "exhaustive")
     with pytest.raises(EngineError):
         recheck(verdict)
+
+
+def test_recheck_refuses_a_witness_it_cannot_rebuild():
+    # No axiom and no witness terms: no law to run.
+    verdict = check_axiom(AxiomId.TEST_NON_CONTRA, L3, 1, "exhaustive")
+    assert verdict.status is Status.FAILS and verdict.witness.terms is None
+    with pytest.raises(EngineError, match="^verdict carries no recheckable witness$"):
+        recheck(verdict.replace(axiom=None))
+    # An empty assignment and no model: no lattice or states to run it on.
+    bare = equiv_random(parse("1"), parse("0"), GD, 2, 5, 0)
+    assert bare.witness.assignment == {} and bare.witness.model is not None
+    with pytest.raises(EngineError, match="^verdict carries no recheckable witness$"):
+        recheck(bare.replace(witness=bare.witness.replace(model=None)))
+
+
+def test_an_empty_grid_makes_no_candidates():
+    # The CLI refuses --godel-grid "" as a bad value first; the library refuses it here.
+    with pytest.raises(EngineError, match="^an empty interval grid makes no candidates$"):
+        check_suite(GD, 1, godel_grid=())

@@ -312,3 +312,12 @@ def test_finite_values_are_read_from_each_spelling(lattice, spellings):
             elem(lattice, bad)
     with pytest.raises(CarrierError, match=f"^'1/3' is not a {lattice.value} value$"):
         LatticeElem(lattice, Fraction(1, 3))
+
+
+def test_an_element_is_an_exact_rational_in_the_unit_interval_of_its_lattice():
+    with pytest.raises(CarrierError, match="exact rationals"):
+        LatticeElem(GD, 0.5)
+    with pytest.raises(CarrierError, match=r"^'1.5' lies outside \[0, 1\]$"):
+        LatticeElem(GD, Fraction(3, 2))
+    with pytest.raises(LatticeMismatchError, match="does not belong to lukasiewicz3"):
+        elem(L3, elem(GD, "1/2"))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pkat.cli import main
 from pkat.engine import Status, equiv_random, evaluate
 from pkat.errors import ModelError
 from pkat.plts import (
@@ -58,6 +59,11 @@ def test_diagonal_relation_is_subidentity(two_state_model):
     assert t.entry("w1", "w1") == lw("top", "bot")
     assert t.entry("w2", "w2") == lw("u", "bot")
     assert t.entry("w1", "w2") == wbot(L3)
+
+
+def test_diagonal_relation_of_an_unknown_test_is_a_model_error(two_state_model):
+    with pytest.raises(ModelError, match="^unknown test 'zz'$"):
+        diagonal_relation(two_state_model, "zz")
 
 
 def test_unlisted_test_state_defaults_bot():
@@ -389,6 +395,23 @@ def _documents(draw):
 @given(_documents())
 def test_the_loader_matches_the_weight_path_oracle(document):
     _load_both(document)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"lattice": 2}, "'lattice' must be a string"),
+    ({"programs": {"r": {}}}, "program 'r': expected an array of entries"),
+    ({"states": ["s", ""]}, "state names must be nonempty strings, got ''"),
+    ({"test_carrier": []}, "'test_carrier' must be a nonempty array"),
+    ({"tests": []}, "'tests' must be an object of named entries"),
+], ids=["lattice", "program", "state", "test-carrier", "tests"])
+def test_each_shape_refusal_is_the_oracles_and_exits_three(fields, message, tmp_path, capsys):
+    # Refusals the document strategy above reaches only by chance.
+    document = json.dumps({"lattice": "bool2", "states": ["s"], **fields})
+    assert _load_both(document) == f"ModelError: {message}"
+    path = tmp_path / "model.json"
+    path.write_text(document)
+    assert main(["star", "--model", str(path), "--program", "r"]) == 3
+    assert capsys.readouterr() == ("", f"model error: {message}\n")
 
 
 def _assert_tests_are_subidentity_relations(m):

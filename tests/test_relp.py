@@ -247,6 +247,15 @@ def test_shape_checks(rel_r):
         PRel(L3, ("w",), (weight(B2, 1, 0),))
 
 
+def test_a_relation_is_unequal_to_a_non_relation_and_across_lattices_or_states(rel_r):
+    assert (rel_r == "r") is False and (rel_r == 0) is False
+    assert (identity(L3, W) == identity(GD, W)) is False
+    assert (identity(L3, W) == identity(L3, ("w1", "w3"))) is False
+    # the same entries over the same states in another order
+    assert (rel_r == from_entries(L3, W[::-1], {("w1", "w2"): lw("top", "bot"),
+                                                ("w2", "w1"): lw("top", "u")})) is False
+
+
 def test_format_and_entries_export(rel_r):
     text = format_prel(rel_r)
     assert "(top,bot)" in text and text.splitlines()[0].strip().startswith("w1")
