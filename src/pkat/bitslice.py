@@ -2,10 +2,11 @@
 bit per (instance, cut); ``engine._drive`` loops over the chunks.  A
 chunk's cell is the ``relp`` cell of each instance, cut by cut: over
 ranks 0..top and with W = top·B, bit (t-1)·B + b is set when instance b
-has tt >= t, and bit W + s·B + b when it has ff <= s.  ``_breaks``
-encodes a chunk so and names its first failing instance.  ``_OPS`` are
-``relp``'s ops, with ``*`` as Warshall's closure: ``r_star``'s search
-reads per-cell cut counts."""
+has tt >= t, and bit W + s·B + b when it has ff <= s.  A run's laws share
+one ``_Space``: its cells, as rank pairs into its value table, and their
+bit strings, each made when first read.  ``_breaks`` encodes a chunk so
+and names its first failing instance.  ``_OPS`` are ``relp``'s ops, with
+``*`` as Warshall's closure: ``r_star``'s search reads per-cell cut counts."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from operator import or_
 from .relp import _code, _dot, _exceeds, _not, _plus
 from .syntax import Dot, Not, Plus, Star, _fill
 
-MAX_BITS = 1 << 13  # the most bits a chunk cell holds: ``_Bits.cap`` follows from it
+MAX_BITS = 1 << 13  # the most bits a chunk cell holds: ``_Space.cap`` follows from it
 
 
 def _star(x, _, n, w):
@@ -34,11 +35,12 @@ def _star(x, _, n, w):
 _OPS = {Plus: _plus, Dot: _dot, Star: _star, Not: _not}
 
 
-class _Bits(dict):
+class _Space(dict):
     """Cell i's bit string, made and kept when first read; a chunk holds ``cap`` instances."""
 
-    def __init__(self, cells, top: int):
-        self.cells, self.top, self.cap = cells, top, max(1, MAX_BITS // (2 * top))
+    def __init__(self, table, cells):
+        self.table, self.cells, self.top = table, cells, len(table) - 1
+        self.cap = max(1, MAX_BITS // (2 * self.top))
 
     def __missing__(self, i: int) -> str:
         t, f = self.cells[i]
@@ -53,17 +55,17 @@ def _encode(chunk, bits, w: int) -> list[int]:
     return [int("".join([s[i::w] for i in range(w)]), 2) for s in columns]
 
 
-def _breaks(law, slots, chunk, bits: _Bits, n: int) -> int | None:
-    """The index of ``chunk``'s first instance breaking the law, else None;
-    the sides run lazily as in ``engine._break``."""
-    size, top = len(chunk), bits.top
-    cells, w = _encode(chunk, bits, 2 * top), top * size
+def _breaks(law, spans, chunk, space: _Space, n: int) -> int | None:
+    """The index of ``chunk``'s first instance breaking the law, its cells at
+    ``spans``, else None; the sides run lazily as in ``engine._break``."""
+    size, top = len(chunk), space.top
+    cells, w = _encode(chunk, space, 2 * top), top * size
     kernels = {op: lambda x, y=None, f=f: f(x, y, n, w) for op, f in _OPS.items()}
     zero = [0] * (n * n)
     values = [_not(zero, None, n, w), zero]  # 1 = !0
-    for i, j, step in slots:
+    for _, test, i, j in spans:
         rel = [0] * (n * n)
-        rel[::step] = cells[i:j]
+        rel[::n + 1 if test else 1] = cells[i:j]
         values.append(rel)
     sides = (_fill(values, law.code[1], root, kernels) for root in law.code[2])
     excused = _fold(_exceeds(next(sides), next(sides)), size) if law.premise else 0

@@ -45,8 +45,12 @@ from .lattice import LatticeId
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
     try:
+        try:
+            args = _build_parser(argv).parse_args(argv)
+        except SystemExit:  # after help or a usage error: a failed write is an output error
+            sys.stdout.flush()
+            raise
         home = import_module(f"{__package__}.{_COMMANDS[args.command][2]}")
         code = getattr(home, f"_cmd_{args.command}")(args)
         sys.stdout.flush()

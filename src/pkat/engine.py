@@ -16,16 +16,17 @@ weight space or by seeded sampling, equivalence over a given model or a
 stream of random models, and ``catalog.recheck`` over a verdict's own
 witness.
 
-A run builds its candidate space once, and every law it checks (the
-whole catalog, for ``catalog.check_suite``) draws from it, nearest
-classical consistency (|tt + ff - 1|) first, as ``_space`` orders it.
-An instance lists, in the order of the law's ``vars`` (alphabetical for
-a catalog law; for an equation, as ``_equation`` sorts them), a test's n
-diagonal cells and a program's n*n row-major, as ``_spans`` lays them
-out.  Exhaustive checking walks them lexicographically over the space's
-order, the last cell varying fastest.  So a reported counterexample is
-the most conservative one available, and a failing verdict's instance
-count is its witness's position in that walk.
+A run builds its candidate space once, a ``bitslice._Space``, and every
+law it checks (the whole catalog, for ``catalog.check_suite``) draws from
+it, nearest classical consistency (|tt + ff - 1|) first, as ``_space``
+orders it, so a run encodes each cell once for all its laws.
+An instance lists, in the order of the law's ``vars``, its compiled
+names' (alphabetical for a catalog law, programs then tests for an
+equation), a test's n diagonal cells and a program's n*n row-major, as
+``_spans`` lays them out.  Exhaustive checking walks them
+lexicographically over the space's order, the last cell varying fastest.
+So a reported counterexample is the most conservative one available, and
+a failing verdict's instance count is its witness's position in that walk.
 
 One admission path, ``_check``, refuses ``catalog``'s laws and
 ``equiv_random``'s equation from their sizes alone, k as ``_grid_values``
@@ -41,10 +42,11 @@ time: it alone loops over the chunks, and ``bitslice._breaks``, whose
 module gives the chunk layout, runs the law on each through ``syntax._fill``
 as ``_break`` runs it on one instance.  The chunk's first failing instance
 is then built alone as relations and run by ``_break`` for its witness.
-Only ``_drive`` imports ``bitslice``, so ``hoare`` and ``equiv --model``
-requests never compile it.  Chunks are taken lazily from the walk or from
-``rng``, doubling from 1 up to ``bitslice._Bits.cap``: a run that fails
-early encodes a few instances, and a long walk stays in bounded memory.
+Only ``_space`` and ``_drive`` import ``bitslice``, so ``hoare`` and
+``equiv --model`` requests never compile it.  Chunks are taken lazily from
+the walk or from ``rng``, doubling from 1 up to ``bitslice._Space.cap``: a
+run that fails early encodes a few instances, and a long walk stays in
+bounded memory.
 """
 
 from __future__ import annotations
@@ -121,11 +123,11 @@ class _Law(Record):
 
 def _equation(t1: Term, t2: Term, tests: Iterable[str] = ()) -> _Law:
     """t1 = t2, its atoms named in ``tests`` ranging over tests; its ``vars``
-    are the programs, then the tests, each alphabetical (a stable sort)."""
-    terms, code, tests = (pretty(t1), pretty(t2)), _compile((t1, t2)), frozenset(tests)
-    variables = sorted(((x, Sort.TEST if x in tests else Sort.PROGRAM) for x in code[0]),
-                       key=lambda v: v[1] is Sort.TEST)
-    return _Law(" = ".join(terms), code, terms=terms, vars=tuple(variables))
+    are the programs, then the tests, each alphabetical."""
+    terms, tests = (pretty(t1), pretty(t2)), frozenset(tests)
+    code = _compile((t1, t2), tests)
+    variables = tuple((x, Sort.TEST if x in tests else Sort.PROGRAM) for x in code[0])
+    return _Law(" = ".join(terms), code, terms=terms, vars=variables)
 
 
 def _triple(pre: Term, prog: Term, post: Term) -> _Law:
@@ -157,19 +159,16 @@ def _grid_values(lattice: LatticeId, godel_grid) -> tuple[set[Fraction], int]:
     return values, 2 if lattice is LatticeId.BOOL2 else len(values) ** 2
 
 
-class _Space(Record):
-    """The candidates of one (lattice, grid), nearest classical consistency
-    first: ``cells`` are the (tt, ff) rank pairs into ``values``."""
+def _space(lattice: LatticeId, godel_grid):
+    """The ``bitslice._Space`` of one (lattice, grid), nearest classical
+    consistency first: built once per check, unless k > ``MAX_EXHAUSTIVE``;
+    its loops draw from it.  Over the common denominator ``d`` of the table,
+    value ``i`` is the integer ``a[i]``, so |tt + ff - 1| orders as
+    |a[tt] + a[ff] - d| and values as ranks; the space is the first k cells
+    in that order, ties in the product's (tt, ff) order, which the stable
+    sort keeps."""
+    from .bitslice import _Space
 
-    __slots__ = ("values", "cells")
-
-
-def _space(lattice: LatticeId, godel_grid) -> _Space:
-    """Built once per check, unless k > ``MAX_EXHAUSTIVE``; its loops draw
-    from it.  Over the common denominator ``d`` of the table, value ``i`` is
-    the integer ``a[i]``, so |tt + ff - 1| orders as |a[tt] + a[ff] - d| and
-    values as ranks; the space is the first k cells in that order, ties in
-    the product's (tt, ff) order, which the stable sort keeps."""
     members, k = _grid_values(lattice, godel_grid)
     if k > MAX_EXHAUSTIVE:
         raise EngineError(f"candidate space of {_count(k)} weights exceeds {MAX_EXHAUSTIVE}")
@@ -284,13 +283,13 @@ def _guard_steps(samples: int, n_states: int) -> None:
                           f"exceeds {MAX_STEPS} kernel steps")
 
 
-def _drive(law: _Law, lattice, states, space: _Space, how: str, samples, seed, fixed: int = 0,
+def _drive(law: _Law, lattice, states, space, how: str, samples, seed, fixed: int = 0,
            axiom=None) -> Verdict:
     """``law`` checked a chunk at a time, as the module docstring says: on
     ``samples`` instances drawn at ``seed`` if ``how`` is "random", else on
     the walk with its first ``fixed`` cells at the first, a holds counting
     k^fixed per instance and a fails the instances up to its witness."""
-    from .bitslice import _Bits, _breaks
+    from .bitslice import _breaks
 
     n, k = len(states), len(space.cells)
     spans, width = _spans(law.vars, n)
@@ -298,18 +297,15 @@ def _drive(law: _Law, lattice, states, space: _Space, how: str, samples, seed, f
         instances = _draws(random.Random(seed), k, width, samples)
     else:
         seed, instances = None, _walk(k, width, fixed)  # a walk's verdict has no seed
-    where = {name: (i, j, n + 1 if test else 1) for name, test, i, j in spans}
-    slots = [where[name] for name in law.code[0]]
-    bits = _Bits(space.cells, len(space.values) - 1)
     count, size = 0, 1
     while chunk := list(islice(instances, size)):
-        b = _breaks(law, slots, chunk, bits, n)
+        b = _breaks(law, spans, chunk, space, n)
         if b is not None:
             cells = [space.cells[i] for i in chunk[b]]
-            model = _model(lattice, states, space.values, law.vars, cells)
+            model = _model(lattice, states, space.table, law.vars, cells)
             return _verdict(law, model, how, axiom=axiom, samples=count + b + 1, seed=seed)
         count += len(chunk)
-        size = min(2 * size, bits.cap)
+        size = min(2 * size, space.cap)
     return Verdict(Status.HOLDS, lattice, n, how, axiom=axiom, samples=count * k**fixed, seed=seed)
 
 

@@ -258,12 +258,13 @@ def _units(lattice: LatticeId, states, values) -> tuple[PRel, PRel]:
     return identity(lattice, states, values), zero(lattice, states, values)
 
 
-def _compile(terms) -> tuple:
+def _compile(terms, tests=frozenset()) -> tuple:
     """The terms as one straight-line program: their atoms' names, the steps
     and each term's root slot.  Slots 0 and 1 hold ``1`` and ``0``, then the
-    atoms; step s, a term type and its operands' slots (the second None for
-    ``*`` and ``!``), fills each later slot s.  Equal subterms share one slot."""
-    names = sorted(frozenset().union(*map(atoms, terms)))
+    atoms, alphabetical but those in ``tests`` last; step s, a term type and
+    its operands' slots (the second None for ``*`` and ``!``), fills each
+    later slot s.  Equal subterms share one slot."""
+    names = sorted(frozenset().union(*map(atoms, terms)), key=lambda x: (x in tests, x))
     steps = [None] * (2 + len(names))
     slot_of = {One(): 0, Zero(): 1, **{Atom(x): s for s, x in enumerate(names, 2)}}
 

@@ -108,7 +108,7 @@ def rank_lists(rel) -> tuple:
 def space_weights(lattice, godel_grid=None) -> tuple:
     """The weights of ``engine._space``'s cells, in its order."""
     space = _space(lattice, godel_grid)
-    table = [elem(lattice, v) for v in space.values]
+    table = [elem(lattice, v) for v in space.table]
     return tuple(Weight(table[i], table[j]) for i, j in space.cells)
 
 
@@ -174,10 +174,10 @@ def oracle_relation(lattice, states, space, test: bool, cells):
     """The relation with the given space cells, row-major, or the test with
     them on its diagonal; every other cell is BOT."""
     n = len(states)
-    tt, ff = [0] * (n * n), [len(space.values) - 1] * (n * n)
+    tt, ff = [0] * (n * n), [len(space.table) - 1] * (n * n)
     step = n + 1 if test else 1
     tt[::step], ff[::step] = zip(*cells)
-    return from_rank_lists(lattice, states, space.values, tt, ff)
+    return from_rank_lists(lattice, states, space.table, tt, ff)
 
 
 def oracle_draw(rng: random.Random, lattice, states, space, test: bool):
@@ -193,7 +193,7 @@ def oracle_model(rng: random.Random, lattice, states, programs, tests, godel_gri
     space = _space(lattice, godel_grid)
     drawn = {name: oracle_draw(rng, lattice, states, space, False) for name in sorted(programs)}
     tested = {name: oracle_draw(rng, lattice, states, space, True) for name in sorted(tests)}
-    return Model(lattice, states, drawn, tested, values=space.values)
+    return Model(lattice, states, drawn, tested, values=space.table)
 
 
 def oracle_assignments(law, lattice, states, space, fixed: int = 0):
@@ -236,7 +236,7 @@ def oracle_run(law, ident, lattice, n_states, godel_grid, how, samples=None, see
                        for name, sort in law.vars}, None) for _ in range(samples))
     else:
         instances = oracle_assignments(law, lattice, states, space, fixed)
-    units = _units(lattice, states, space.values)
+    units = _units(lattice, states, space.table)
     verdict = oracle_check(law, instances, *units, lattice, n_states, how, axiom=ident,
                            seed=seed if how == "random" else None)
     if fixed and verdict.status is Status.HOLDS:
@@ -253,7 +253,7 @@ def oracle_equiv_random(t1, t2, lattice, n_states, samples, seed, test_names=(),
     models = (oracle_model(rng, lattice, states, names - tests, tests, godel_grid)
               for _ in range(samples))
     instances = ((_atom_assignment(m, names), m) for m in models)
-    units = _units(lattice, states, space.values)
+    units = _units(lattice, states, space.table)
     return oracle_check(_equation(t1, t2), instances, *units, lattice, n_states, "random",
                         seed=seed)
 

@@ -141,6 +141,15 @@ def test_a_repeated_star_runs_once_per_chunk(monkeypatch):
     assert verdict.status is Status.HOLDS and len(stars) == len(chunks) > 1
 
 
+def test_a_run_encodes_each_cell_at_most_once_for_all_its_laws(monkeypatch):
+    # 21 laws over the 81 cells of a 9-point grid share one space.
+    codes, code = [], pkat.bitslice._code
+    monkeypatch.setattr(pkat.bitslice, "_code", lambda *a: codes.append(a) or code(*a))
+    grid = [Fraction(i, 8) for i in range(9)]
+    verdicts = check_suite(GD, 2, "random", samples=8, seed=0, godel_grid=grid)
+    assert len(verdicts) == 21 and 0 < len(codes) <= 81
+
+
 # --- early exits --------------------------------------------------------------------
 
 

@@ -770,35 +770,66 @@ def test_axioms_exhaustive_and_samples_exclude_each_other(capsys):
     assert "not allowed with" in capsys.readouterr().err
 
 
-def test_closed_stdout_is_not_an_error():
-    # The read end is closed before the child writes, so the write always
-    # fails with EPIPE.
+def _child_env(unbuffered=None):
+    """This environment, running pkat from source with PYTHONUNBUFFERED as given:
+    left as it is if None, else removed, and set to 1 if ``unbuffered``."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
-    child = subprocess.Popen(
-        [sys.executable, "-m", "pkat.cli", "eval", "--model", MODEL, "--term", "r;p"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _into_closed_stdout(argv, env):
+    """(exit code, stderr) of ``pkat argv`` whose stdout's read end is closed
+    before the child writes, so the write always fails with EPIPE."""
+    child = subprocess.Popen([sys.executable, "-m", "pkat.cli", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     child.stdout.close()
     err = child.stderr.read()
     child.stderr.close()
-    assert child.wait(timeout=60) == 141
-    assert err == b""
+    return child.wait(timeout=60), err
+
+
+def _into_full_device(argv, env):
+    """The finished ``pkat argv`` whose stdout is /dev/full (ENOSPC on write)."""
+    with open("/dev/full", "w") as full:
+        return subprocess.run([sys.executable, "-m", "pkat.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+
+
+def test_closed_stdout_is_not_an_error():
+    argv = ["eval", "--model", MODEL, "--term", "r;p"]
+    assert _into_closed_stdout(argv, _child_env()) == (141, b"")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 @pytest.mark.parametrize("buffered", [False, True])
 def test_failed_output_write_is_an_output_error(buffered):
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
-    env.pop("PYTHONUNBUFFERED", None)
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    with open("/dev/full", "w") as full:
-        child = subprocess.run(
-            [sys.executable, "-m", "pkat.cli", "eval", "--model", MODEL, "--term", "p;p"],
-            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
-        )
+    argv = ["eval", "--model", MODEL, "--term", "p;p"]
+    child = _into_full_device(argv, _child_env(unbuffered=not buffered))
     assert child.returncode == 74
     # No traceback: one line naming the failure (ENOSPC on /dev/full).
+    assert child.stderr.startswith(b"output error: [Errno 28]")
+    assert child.stderr.count(b"\n") == 1
+
+
+# Help that argparse writes keeps the same contract with buffered stdout, the
+# default.  Unbuffered, argparse swallows the failed write itself and exits 0.
+HELP_ARGVS = [["--help"], ["equiv", "--help"]]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+def test_help_into_a_closed_stdout_is_not_an_error(argv):
+    assert _into_closed_stdout(argv, _child_env(unbuffered=False)) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+def test_help_into_a_failed_output_write_is_an_output_error(argv):
+    child = _into_full_device(argv, _child_env(unbuffered=False))
+    assert child.returncode == 74
     assert child.stderr.startswith(b"output error: [Errno 28]")
     assert child.stderr.count(b"\n") == 1
 

@@ -152,6 +152,15 @@ def test_an_equations_variables_are_its_programs_then_its_tests_each_alphabetica
                         ("a", Sort.TEST), ("b", Sort.TEST))
 
 
+def test_a_laws_compiled_names_are_its_instance_layout():
+    # _drive places an instance's cells in the slots of code[0] in vars order,
+    # so the two orders must be one.
+    law = pkat.engine._equation(parse("b;q + a;p"), parse("p"), tests="ab")
+    assert law.code[0] == ["p", "q", "a", "b"]
+    for law in [law, *(pkat.catalog._AXIOMS[ident] for ident in AxiomId)]:
+        assert [name for name, _ in law.vars] == law.code[0]
+
+
 # --- weight spaces ---------------------------------------------------------------
 
 
@@ -236,7 +245,7 @@ def test_the_space_is_the_first_k_cells_of_the_sorted_product(lattice, grid):
         cells = [(i, j) for i, j in cells if a[i] + a[j] == d]
     cells.sort(key=lambda c: (abs(a[c[0]] + a[c[1]] - d), c))
     space = pkat.engine._space(lattice, grid)
-    assert (space.values, space.cells) == (values, tuple(cells))
+    assert (space.table, space.cells) == (values, tuple(cells))
 
 
 def _indexed_assignments(law, lattice, states, space):
@@ -245,7 +254,7 @@ def _indexed_assignments(law, lattice, states, space):
     ``// k^(w-1-i) % k``, and a test's cells lie on the diagonal, BOT
     elsewhere."""
     n, k = len(states), len(space.cells)
-    bot = (0, len(space.values) - 1)
+    bot = (0, len(space.table) - 1)
 
     def relation(test, index):
         width = n if test else n * n
@@ -253,7 +262,7 @@ def _indexed_assignments(law, lattice, states, space):
         if test:
             cells = [cells[j // (n + 1)] if j % (n + 1) == 0 else bot for j in range(n * n)]
         tt, ff = zip(*cells)
-        return from_rank_lists(lattice, states, space.values, tt, ff)
+        return from_rank_lists(lattice, states, space.table, tt, ff)
 
     tests = [sort is Sort.TEST for _, sort in law.vars]
     sizes = [k ** (n if test else n * n) for test in tests]
@@ -539,7 +548,7 @@ def _full_walk(ident, lattice, n, grid, mode):
     law, space, states = pkat.catalog._AXIOMS[ident], engine._space(lattice, grid), states_for(n)
     instances = (({"a": oracle_relation(lattice, states, space, True, cells)}, None)
                  for cells in product(space.cells, repeat=n))
-    units = engine._units(lattice, states, space.values)
+    units = engine._units(lattice, states, space.table)
     return oracle_check(law, instances, *units, lattice, n, mode, axiom=ident)
 
 

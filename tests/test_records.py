@@ -16,7 +16,7 @@ import pytest
 
 import pkat
 from pkat.catalog import AxiomId
-from pkat.engine import Status, Verdict, Witness, _Law, _Space
+from pkat.engine import Status, Verdict, Witness, _Law
 from pkat.lattice import LatticeElem, LatticeId
 from pkat.plts import Model
 from pkat.syntax import Atom, Dot, Not, One, Plus, Star, Zero
@@ -64,11 +64,6 @@ CASES = {
         ("p = q", (("p", "q"), (None,) * 4, (2, 3)), True, False, (), None),
         "_Law(formula='p = q', code=(('p', 'q'), (None, None, None, None), (2, 3)), "
         "leq=False, premise=False, vars=(), terms=None)",
-    ),
-    _Space: (
-        ((Fraction(0), Fraction(1)), ()),
-        ((Fraction(0), HALF, Fraction(1)), ()),
-        "_Space(values=(Fraction(0, 1), Fraction(1, 1)), cells=())",
     ),
 }
 UNHASHABLE = {Model, Witness}  # they hold dicts
