@@ -10,25 +10,29 @@ is printed).
 
 This module is the parser and the dispatcher: of pkat it loads only
 ``errors`` and ``lattice`` (for the ``--lattice`` choices), so ``--help``
-and a usage error compile nothing else.  Each ``_COMMANDS`` row names the
-module holding the command's handler ``_cmd_<name>``, imported when the
-handler runs: ``views`` for ``eval``, ``star`` and ``classify``, ``checks``
-for ``equiv``, ``hoare`` and ``axioms``.  A handler loads only the modules
+and a usage error compile nothing else.  ``_COMMANDS`` holds each
+command's options as ``add_argument`` keyword arguments.  A well-formed
+request is read from that table alone (``_parse``); argparse, built from
+the same table, is imported only for any other command line, to print help
+or a usage error.  Each ``_COMMANDS`` row names the module holding the
+command's handler ``_cmd_<name>``, imported when the handler runs:
+``views`` for ``eval``, ``star`` and ``classify``, ``checks`` for
+``equiv``, ``hoare`` and ``axioms``.  A handler loads only the modules
 it runs.  ``star`` and ``classify`` need the model and its relations;
 ``eval`` also loads ``syntax``, which parses and evaluates terms; the
 checks also load ``engine``, the checking half, and ``axioms`` the axiom
 ``catalog``.  Only commands that read a ``--model`` file load its reader,
-``modelfile``.  A request's parser gives options only to the commands its
-arguments name; argparse runs no other, so the request parses and prints
-as with the full tree (``_build_parser``).
+``modelfile``.  argparse's parser gives options only to the commands the
+arguments name; it runs no other, so the request parses and prints as
+with the full tree (``_build_parser``).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 
 from .errors import (
     CarrierError,
@@ -46,12 +50,8 @@ from .lattice import LatticeId
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        try:
-            args = _build_parser(argv).parse_args(argv)
-        except SystemExit:  # after help or a usage error: a failed write is an output error
-            sys.stdout.flush()
-            raise
-        home = import_module(f"{__package__}.{_COMMANDS[args.command][2]}")
+        args = _parse(argv) or _argparse(argv)
+        home = import_module(f"{__package__}.{_COMMANDS[args.command][1]}")
         code = getattr(home, f"_cmd_{args.command}")(args)
         sys.stdout.flush()
         return code
@@ -82,56 +82,92 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _build_parser(argv=None) -> argparse.ArgumentParser:
+def _parse(argv):
+    """The namespace argparse gives ``argv``, read from ``_options`` alone when
+    ``argv`` is a command and then only its options, each named in full and
+    given once, each value not starting with ``-`` and passing the option's
+    ``type`` and ``choices``, the required ones present and at most one
+    ``either`` option; None for any other ``argv``, which ``_argparse`` reads."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options, given = _options(argv[0]), {}
+    words = iter(argv[1:])
+    for word in words:
+        spec = options.get(word)
+        if spec is None or word in given:
+            return None
+        if spec.get("action") == "store_true":
+            given[word] = True
+            continue
+        text = next(words, "-")
+        if text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except Exception:  # argparse calls the type again and reports what it raises
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[word] = value
+    if any(spec.get("required") and option not in given for option, spec in options.items()):
+        return None
+    if sum(option in given for option, spec in options.items() if spec.get("either")) > 1:
+        return None
+    args = SimpleNamespace(command=argv[0])
+    for option, spec in options.items():
+        default = spec.get("default", False if spec.get("action") == "store_true" else None)
+        setattr(args, option[2:].replace("-", "_"), given.get(option, default))
+    return args
+
+
+def _argparse(argv):
+    """argparse's namespace for ``argv``, or its help or usage error and its
+    exit.  Help is written here: argparse would swallow a failed write, which
+    must reach ``main``'s output error handling."""
+    import contextlib
+    import io
+
+    help_text = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(help_text):
+            return _build_parser(argv).parse_args(argv)
+    except SystemExit:
+        sys.stdout.write(help_text.getvalue())
+        sys.stdout.flush()
+        raise
+
+
+def _build_parser(argv=None):
     """The six commands' parser.  argparse runs a command's subparser only
     when its name is an element of ``argv``, so only such a command gets
     its options; the others stay bare, without even ``-h``.
     Every text printed is the full tree's, which ``argv=None`` builds."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pkat",
         description="Evaluate and verify guarded programs weighted by "
         "evidence pairs over a truth-value lattice.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, options, _) in _COMMANDS.items():
+    for name, (text, _, _) in _COMMANDS.items():
         named = argv is None or name in argv
         p = sub.add_parser(name, help=text, add_help=named)
         if named:
-            options(p)
-            p.add_argument("--json", action="store_true", help="machine-readable output")
-            p.add_argument("--unicode", action="store_true", help="print top/bot as symbols")
+            group = None
+            for option, spec in _options(name).items():
+                spec = dict(spec)
+                if spec.pop("either", False):
+                    group = group or p.add_mutually_exclusive_group()
+                    group.add_argument(option, **spec)
+                else:
+                    p.add_argument(option, **spec)
     return parser
 
 
-def _required(*options):
-    """Adds each of ``options``, all required."""
-    def add(p):
-        for option in options:
-            p.add_argument(option, required=True)
-    return add
-
-
-def _equiv_options(p) -> None:
-    p.add_argument("--model")
-    p.add_argument("--t1", required=True)
-    p.add_argument("--t2", required=True)
-    p.add_argument("--lattice", type=_lattice, choices=_LATTICES)
-    p.add_argument("--states", type=_int)
-    p.add_argument("--random", type=_int, metavar="SAMPLES")
-    p.add_argument("--seed", type=_int)  # random mode; 0 when not given
-    p.add_argument("--tests", metavar="NAMES",
-                   help="comma-separated atoms to treat as tests (random mode)")
-    p.add_argument("--godel-grid", metavar="VALUES")
-
-
-def _axioms_options(p) -> None:
-    p.add_argument("--lattice", required=True, type=_lattice, choices=_LATTICES)
-    p.add_argument("--states", type=_int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true", help="the default")
-    mode.add_argument("--samples", type=_int, help="random mode: instances per axiom")
-    p.add_argument("--seed", type=_int, default=0)
-    p.add_argument("--godel-grid", metavar="VALUES")
+def _options(command: str) -> dict:
+    """Each option of ``command`` with its ``add_argument`` keyword arguments."""
+    return {**_COMMANDS[command][2], **_FLAGS}
 
 
 def _int(text: str) -> int:
@@ -139,7 +175,8 @@ def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(f"invalid int value: {quoted(text)}") from None
 
 
 _LATTICES = [l.value for l in LatticeId]
@@ -151,19 +188,49 @@ def _lattice(text: str) -> str:
     above the message lists the choices)."""
     if len(text) <= 40:
         return text
-    raise argparse.ArgumentTypeError(f"invalid choice: {quoted(text)}")
+    from argparse import ArgumentTypeError
+    raise ArgumentTypeError(f"invalid choice: {quoted(text)}")
 
 
-# Each command's help line, its options before --json and --unicode, and the
-# module holding its handler ``_cmd_<name>``.
+_REQUIRED = {"required": True}
+_COUNT = {"type": _int}
+_LATTICE = {"type": _lattice, "choices": _LATTICES}
+_FLAGS = {"--json": {"action": "store_true", "help": "machine-readable output"},
+          "--unicode": {"action": "store_true", "help": "print top/bot as symbols"}}
+
+# Each command's help line, the module holding its handler ``_cmd_<name>``, and
+# its options before --json and --unicode, each with its ``add_argument``
+# keyword arguments; ``either`` marks the options of one mutually exclusive group.
 _COMMANDS = {
-    "eval": ("interpret a term over a model", _required("--model", "--term"), "views"),
-    "star": ("star of a named program relation", _required("--model", "--program"), "views"),
-    "equiv": ("compare two terms", _equiv_options, "checks"),
-    "axioms": ("run the axiom suite over a lattice", _axioms_options, "checks"),
-    "classify": ("consistency class of each entry", _required("--model", "--name"), "views"),
-    "hoare": ("check a triple {pre} prog {post}",
-              _required("--model", "--pre", "--prog", "--post"), "checks"),
+    "eval": ("interpret a term over a model", "views",
+             {"--model": _REQUIRED, "--term": _REQUIRED}),
+    "star": ("star of a named program relation", "views",
+             {"--model": _REQUIRED, "--program": _REQUIRED}),
+    "equiv": ("compare two terms", "checks", {
+        "--model": {},
+        "--t1": _REQUIRED,
+        "--t2": _REQUIRED,
+        "--lattice": _LATTICE,
+        "--states": _COUNT,
+        "--random": {"type": _int, "metavar": "SAMPLES"},
+        "--seed": _COUNT,  # random mode; 0 when not given
+        "--tests": {"metavar": "NAMES",
+                    "help": "comma-separated atoms to treat as tests (random mode)"},
+        "--godel-grid": {"metavar": "VALUES"},
+    }),
+    "axioms": ("run the axiom suite over a lattice", "checks", {
+        "--lattice": {**_LATTICE, "required": True},
+        "--states": {**_COUNT, "required": True},
+        "--exhaustive": {"action": "store_true", "help": "the default", "either": True},
+        "--samples": {**_COUNT, "help": "random mode: instances per axiom", "either": True},
+        "--seed": {**_COUNT, "default": 0},
+        "--godel-grid": {"metavar": "VALUES"},
+    }),
+    "classify": ("consistency class of each entry", "views",
+                 {"--model": _REQUIRED, "--name": _REQUIRED}),
+    "hoare": ("check a triple {pre} prog {post}", "checks",
+              {"--model": _REQUIRED, "--pre": _REQUIRED, "--prog": _REQUIRED,
+               "--post": _REQUIRED}),
 }
 
 

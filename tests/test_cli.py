@@ -312,16 +312,28 @@ def test_an_error_quotes_the_users_text_at_most_40_characters(capsys, argv, code
     (("equiv", "--model", MODEL, "--t1", "r + r", "--t2", "r"), ["pkat.engine", "pkat.syntax"]),
     (("equiv", "--t1", "r*;r* + r*", "--t2", "r*", "--lattice", "lukasiewicz3", "--states", "2",
       "--random", "20", "--seed", "1"), ["pkat.bitslice", "pkat.engine", "pkat.syntax"]),
-], ids=["import", "star", "classify", "eval", "hoare", "equiv-model", "equiv-random"])
+    (("axioms", "--lattice", "bool2", "--states", "1", "--samples", "2", "--json"),
+     ["pkat.bitslice", "pkat.engine", "pkat.syntax"]),
+    # Only help and usage errors, and what the table does not read (here an
+    # abbreviated option), go to argparse.
+    (("--help",), ["argparse", "locale"]),
+    (("equiv", "--t1", "p"), ["argparse", "locale"]),
+    (("axioms", "--lat", "bool2", "--states", "1"),
+     ["argparse", "locale", "pkat.bitslice", "pkat.engine", "pkat.syntax"]),
+], ids=["import", "star", "classify", "eval", "hoare", "equiv-model", "equiv-random", "axioms",
+        "help", "usage-error", "abbreviated"])
 def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
     probe = ("import sys, pkat.cli\n"
-             "if sys.argv[1:]: pkat.cli.main(sys.argv[1:])\n"
-             "print(sorted({'pkat.syntax', 'pkat.engine', 'pkat.bitslice'} & set(sys.modules)),"
-             " file=sys.stderr)")
+             "try:\n"
+             "    if sys.argv[1:]: pkat.cli.main(sys.argv[1:])\n"
+             "except SystemExit as exc:\n"
+             "    print('exit', exc.code)\n"
+             "print(sorted({'argparse', 'locale', 'pkat.syntax', 'pkat.engine', 'pkat.bitslice'}"
+             " & set(sys.modules)), file=sys.stderr)")
     done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
-    assert done.stderr == f"{loaded}\n" and (done.stdout != "") == bool(argv)
+    assert done.stderr.splitlines()[-1] == f"{loaded}" and (done.stdout != "") == bool(argv)
 
 
 _VIEWS = ["_cmd_classify", "_cmd_eval", "_cmd_star"]
@@ -445,15 +457,27 @@ def _outcome(call):
 @example(["equiv", "--t1", "star", "--t2", "eval", "--lattice", "bool2", "--states", "1",
           "--random", "2"])  # command names as option values
 @example(["eval", "star", "--help"])  # two command names, and help
+# The edges of what main reads without argparse:
+@example(["axioms", "--lattice", "bool2", "--states", "1_0"])  # both read by int()
+@example(["axioms", "--lattice", "bool2", "--states", "\u0663"])
+@example(["equiv", "--t1", "p", "--t2", "p", "--seed", "-5"])  # argparse reads it
+@example(["equiv", "--t1", "-p", "--t2", "p"])  # an option where a value belongs
+@example(["equiv", "--t2", "p", "--t1"])
+@example(["equiv", "--t1", "p", "--t1", "q", "--t2", "p"])
+@example(["equiv", "--t1=p", "--t2", "p"])
+@example(["equiv", "--t1", "", "--t2", "p"])
+@example(["axioms", "--lattice", "bool2", "--states", "1", "--exhaustive", "--samples", "3"])
+@example(["axioms", "--lattice", "x" * 41, "--states", "1"])
+@example(["axioms", "--lattice", "bool2", "--states", "1", "--samples", "1" * 4301])
 @given(_argvs())
 def test_parsing_one_command_matches_the_full_tree(argv):
     ran = []
-    handlers = {f"_cmd_{name}": lambda args: ran.append(args) or 0 for name in _OPTIONS}
+    handlers = {f"_cmd_{name}": lambda args: ran.append(vars(args)) or 0 for name in _OPTIONS}
     with patch.dict(pkat.views.__dict__, handlers), patch.dict(pkat.checks.__dict__, handlers):
         got = _outcome(lambda: main(argv))
         want = _outcome(lambda: pkat.cli._build_parser().parse_args(argv))
-    if ran:  # parsed: main ran the handler on the full tree's namespace
-        assert got == ("", "", 0) and want[:2] == ("", "") and ran == [want[2]]
+    if ran:  # parsed: main ran the handler on the full tree's fields
+        assert got == ("", "", 0) and want[:2] == ("", "") and ran == [vars(want[2])]
     else:
         assert got == want and want[2][0] == "exit"
 
@@ -815,20 +839,20 @@ def test_failed_output_write_is_an_output_error(buffered):
     assert child.stderr.count(b"\n") == 1
 
 
-# Help that argparse writes keeps the same contract with buffered stdout, the
-# default.  Unbuffered, argparse swallows the failed write itself and exits 0.
-HELP_ARGVS = [["--help"], ["equiv", "--help"]]
+# Help keeps the same contract, with buffered stdout (the default) and unbuffered.
+HELP_CASES = [pytest.param(argv, buffered, id=" ".join(argv) + ("" if buffered else " unbuffered"))
+              for argv in (["--help"], ["equiv", "--help"]) for buffered in (True, False)]
 
 
-@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
-def test_help_into_a_closed_stdout_is_not_an_error(argv):
-    assert _into_closed_stdout(argv, _child_env(unbuffered=False)) == (141, b"")
+@pytest.mark.parametrize("argv, buffered", HELP_CASES)
+def test_help_into_a_closed_stdout_is_not_an_error(argv, buffered):
+    assert _into_closed_stdout(argv, _child_env(unbuffered=not buffered)) == (141, b"")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
-@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
-def test_help_into_a_failed_output_write_is_an_output_error(argv):
-    child = _into_full_device(argv, _child_env(unbuffered=False))
+@pytest.mark.parametrize("argv, buffered", HELP_CASES)
+def test_help_into_a_failed_output_write_is_an_output_error(argv, buffered):
+    child = _into_full_device(argv, _child_env(unbuffered=not buffered))
     assert child.returncode == 74
     assert child.stderr.startswith(b"output error: [Errno 28]")
     assert child.stderr.count(b"\n") == 1
