@@ -9,22 +9,22 @@ output was written (as a process killed by SIGPIPE reports it; nothing
 is printed).
 
 This module is the parser and the dispatcher: of pkat it loads only
-``errors`` and ``lattice`` (for the ``--lattice`` choices), so ``--help``
-and a usage error compile nothing else.  ``_COMMANDS`` holds each
-command's options as ``add_argument`` keyword arguments.  A well-formed
-request is read from that table alone (``_parse``); argparse, built from
-the same table, is imported only for any other command line, to print help
-or a usage error.  Each ``_COMMANDS`` row names the module holding the
-command's handler ``_cmd_<name>``, imported when the handler runs:
-``views`` for ``eval``, ``star`` and ``classify``, ``checks`` for
-``equiv``, ``hoare`` and ``axioms``.  A handler loads only the modules
-it runs.  ``star`` and ``classify`` need the model and its relations;
-``eval`` also loads ``syntax``, which parses and evaluates terms; the
-checks also load ``engine``, the checking half, and ``axioms`` the axiom
-``catalog``.  Only commands that read a ``--model`` file load its reader,
-``modelfile``.  argparse's parser gives options only to the commands the
-arguments name; it runs no other, so the request parses and prints as
-with the full tree (``_build_parser``).
+``errors``, ``lattice`` (for the ``--lattice`` choices) and ``record``,
+so ``--help`` and a usage error compile nothing else.  ``_COMMANDS``
+holds each command's options as ``add_argument`` keyword arguments.  A
+well-formed request is read from that table alone (``_parse``);
+argparse, built from the same table, is imported only for any other
+command line: help, a usage error, or what the table does not read (an
+abbreviated option, ``--opt=value``, a value starting with ``-``).
+Each ``_COMMANDS`` row names the module holding the command's handler
+``_cmd_<name>``, imported when the handler runs: ``views`` for ``eval``,
+``star`` and ``classify``, ``checks`` for ``equiv``, ``hoare`` and
+``axioms``.  A handler loads only the modules it runs.  ``star`` and
+``classify`` need the model and its relations; ``eval`` also loads
+``syntax``, which parses and evaluates terms; the checks also load
+``engine``, the checking half, and ``axioms`` the axiom ``catalog``.
+Only commands that read a ``--model`` file load its reader,
+``modelfile``.
 """
 
 from __future__ import annotations
@@ -84,17 +84,18 @@ def _fail(message: str, code: int) -> int:
 
 def _parse(argv):
     """The namespace argparse gives ``argv``, read from ``_options`` alone when
-    ``argv`` is a command and then only its options, each named in full and
-    given once, each value not starting with ``-`` and passing the option's
-    ``type`` and ``choices``, the required ones present and at most one
-    ``either`` option; None for any other ``argv``, which ``_argparse`` reads."""
+    ``argv`` is a command and then only its options, each named in full (a
+    repeated one keeps its last value), each value not starting with ``-``
+    and passing the option's ``type`` and ``choices``, the required ones
+    present and at most one ``either`` option; None for any other ``argv``,
+    which ``_argparse`` reads."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     options, given = _options(argv[0]), {}
     words = iter(argv[1:])
     for word in words:
         spec = options.get(word)
-        if spec is None or word in given:
+        if spec is None:
             return None
         if spec.get("action") == "store_true":
             given[word] = True
@@ -130,18 +131,15 @@ def _argparse(argv):
     help_text = io.StringIO()
     try:
         with contextlib.redirect_stdout(help_text):
-            return _build_parser(argv).parse_args(argv)
+            return _build_parser().parse_args(argv)
     except SystemExit:
         sys.stdout.write(help_text.getvalue())
         sys.stdout.flush()
         raise
 
 
-def _build_parser(argv=None):
-    """The six commands' parser.  argparse runs a command's subparser only
-    when its name is an element of ``argv``, so only such a command gets
-    its options; the others stay bare, without even ``-h``.
-    Every text printed is the full tree's, which ``argv=None`` builds."""
+def _build_parser():
+    """The six commands' parser, each with its options and ``-h``."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -151,17 +149,15 @@ def _build_parser(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, _, _) in _COMMANDS.items():
-        named = argv is None or name in argv
-        p = sub.add_parser(name, help=text, add_help=named)
-        if named:
-            group = None
-            for option, spec in _options(name).items():
-                spec = dict(spec)
-                if spec.pop("either", False):
-                    group = group or p.add_mutually_exclusive_group()
-                    group.add_argument(option, **spec)
-                else:
-                    p.add_argument(option, **spec)
+        p = sub.add_parser(name, help=text)
+        group = None
+        for option, spec in _options(name).items():
+            spec = dict(spec)
+            if spec.pop("either", False):
+                group = group or p.add_mutually_exclusive_group()
+                group.add_argument(option, **spec)
+            else:
+                p.add_argument(option, **spec)
     return parser
 
 

@@ -249,8 +249,9 @@ def evaluate(term: Term, model: Model) -> PRel:
     """Interpret a term as a weight matrix over the model's states."""
     sort_check(term, model)
     names, steps, (root,) = _compile((term,))
+    env = _atom_assignment(model, names)
     units = _units(model.lattice, model.states, model.values)
-    return _fill([*units, *_atom_assignment(model, names).values()], steps, root)
+    return _fill([*units, *map(env.__getitem__, names)], steps, root)
 
 
 def _units(lattice: LatticeId, states, values) -> tuple[PRel, PRel]:

@@ -314,6 +314,9 @@ def test_an_error_quotes_the_users_text_at_most_40_characters(capsys, argv, code
       "--random", "20", "--seed", "1"), ["pkat.bitslice", "pkat.engine", "pkat.syntax"]),
     (("axioms", "--lattice", "bool2", "--states", "1", "--samples", "2", "--json"),
      ["pkat.bitslice", "pkat.engine", "pkat.syntax"]),
+    # A repeated option is read without argparse; its last value counts, as in argparse.
+    (("axioms", "--lattice", "bool2", "--states", "1", "--samples", "1", "--samples", "2",
+      "--json"), ["pkat.bitslice", "pkat.engine", "pkat.syntax"]),
     # Only help and usage errors, and what the table does not read (here an
     # abbreviated option), go to argparse.
     (("--help",), ["argparse", "locale"]),
@@ -321,7 +324,7 @@ def test_an_error_quotes_the_users_text_at_most_40_characters(capsys, argv, code
     (("axioms", "--lat", "bool2", "--states", "1"),
      ["argparse", "locale", "pkat.bitslice", "pkat.engine", "pkat.syntax"]),
 ], ids=["import", "star", "classify", "eval", "hoare", "equiv-model", "equiv-random", "axioms",
-        "help", "usage-error", "abbreviated"])
+        "repeated", "help", "usage-error", "abbreviated"])
 def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
     probe = ("import sys, pkat.cli\n"
@@ -467,6 +470,8 @@ def _outcome(call):
 @example(["equiv", "--t1=p", "--t2", "p"])
 @example(["equiv", "--t1", "", "--t2", "p"])
 @example(["axioms", "--lattice", "bool2", "--states", "1", "--exhaustive", "--samples", "3"])
+@example(["axioms", "--lattice", "bool2", "--states", "1", "--samples", "3", "--samples", "4"])
+@example(["axioms", "--lattice", "bool2", "--states", "1", "--json", "--json"])
 @example(["axioms", "--lattice", "x" * 41, "--states", "1"])
 @example(["axioms", "--lattice", "bool2", "--states", "1", "--samples", "1" * 4301])
 @given(_argvs())
