@@ -61,8 +61,7 @@ def _breaks(law, spans, chunk, space: _Space, n: int) -> int | None:
     size, top = len(chunk), space.top
     cells, w = _encode(chunk, space, 2 * top), top * size
     kernels = {op: lambda x, y=None, f=f: f(x, y, n, w) for op, f in _OPS.items()}
-    zero = [0] * (n * n)
-    values = [_not(zero, None, n, w), zero]  # 1 = !0
+    values = [[0] * (n * n)]
     for _, test, i, j in spans:
         rel = [0] * (n * n)
         rel[::n + 1 if test else 1] = cells[i:j]

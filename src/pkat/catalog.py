@@ -12,7 +12,8 @@ from enum import Enum
 from .engine import Status, Verdict, _break, _check, _equation, _Law, _triple, witness_parts
 from .errors import EngineError
 from .lattice import LatticeId
-from .syntax import Sort, _compile, _units, parse
+from .relp import zero
+from .syntax import _compile, parse
 
 
 class AxiomId(Enum):
@@ -70,8 +71,7 @@ class _Laws:
         sides = [parse(side) for side in re.split("<=|->|=", ident.formula)]
         horn = "->" in ident.formula  # four sides, else t0 = ... = tk as each ti = tk
         code = _compile(sides if horn else [t for ti in sides[:-1] for t in (ti, sides[-1])])
-        variables = tuple((x, Sort.TEST if x in _TEST_VARS else Sort.PROGRAM) for x in code[0])
-        return _Law(ident.formula, code, leq=horn, premise=horn, vars=variables)
+        return _Law(ident.formula, code, leq=horn, premise=horn, tests=_TEST_VARS)
 
 
 _AXIOMS = _Laws()
@@ -150,8 +150,8 @@ def recheck(verdict: Verdict) -> bool:
     basis = next(iter(w.assignment.values()), w.model)
     if basis is None:
         raise EngineError("verdict carries no recheckable witness")
-    units = _units(basis.lattice, basis.states, basis.values)
-    return _break(law, w.assignment, *units) == (w.entry, w.lhs, w.rhs)
+    zer = zero(basis.lattice, basis.states, basis.values)
+    return _break(law, w.assignment, zer) == (w.entry, w.lhs, w.rhs)
 
 
 def axiom_row(verdict: Verdict, unicode: bool) -> str:

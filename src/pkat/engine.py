@@ -20,13 +20,14 @@ A run builds its candidate space once, a ``bitslice._Space``, and every
 law it checks (the whole catalog, for ``catalog.check_suite``) draws from
 it, nearest classical consistency (|tt + ff - 1|) first, as ``_space``
 orders it, so a run encodes each cell once for all its laws.
-An instance lists, in the order of the law's ``vars``, its compiled
-names' (alphabetical for a catalog law, programs then tests for an
-equation), a test's n diagonal cells and a program's n*n row-major, as
-``_spans`` lays them out.  Exhaustive checking walks them
-lexicographically over the space's order, the last cell varying fastest.
-So a reported counterexample is the most conservative one available, and
-a failing verdict's instance count is its witness's position in that walk.
+An instance lists, in the order of the law's compiled names
+(alphabetical for a catalog law, programs then tests for an equation),
+a test's n diagonal cells for a name in the law's ``tests``, else a
+program's n*n row-major, as ``_spans`` lays them out.  Exhaustive
+checking walks them lexicographically over the space's order, the last
+cell varying fastest.  So a reported counterexample is the most
+conservative one available, and a failing verdict's instance count is
+its witness's position in that walk.
 
 One admission path, ``_check``, refuses ``catalog``'s laws and
 ``equiv_random``'s equation from their sizes alone, k as ``_grid_values``
@@ -63,7 +64,7 @@ from .errors import EngineError, SortError
 from .lattice import LatticeId, carrier, elem
 from .plts import Model, model_to_dict
 from .record import Record
-from .relp import PRel, align, from_cells, prel_to_entries, r_leq, value_table
+from .relp import PRel, align, from_cells, prel_to_entries, r_leq, value_table, zero
 from .syntax import (
     Dot,
     Sort,
@@ -71,7 +72,6 @@ from .syntax import (
     _atom_assignment,
     _compile,
     _fill,
-    _units,
     atoms,
     evaluate,
     pretty,
@@ -113,21 +113,20 @@ class Verdict(Record):
 class _Law(Record):
     """Goals ``lhs = rhs`` (``lhs <= rhs`` when ``leq``), required only where
     the premise ``lhs <= rhs``, if ``premise``, holds: ``code`` compiles
-    their sides, the premise's first.  ``vars`` are its (name, sort)
-    variables in instance order; ``formula`` and ``terms`` are what a
-    witness prints, with its model when the law has ``terms``."""
+    their sides, the premise's first; its names, in instance order, range
+    over tests if in ``tests``, else over programs.  ``formula`` and
+    ``terms`` are what a witness prints, with its model when the law has
+    ``terms``."""
 
-    __slots__ = ("formula", "code", "leq", "premise", "vars", "terms")
-    _defaults = {"leq": False, "premise": False, "vars": (), "terms": None}
+    __slots__ = ("formula", "code", "leq", "premise", "tests", "terms")
+    _defaults = {"leq": False, "premise": False, "tests": frozenset(), "terms": None}
 
 
 def _equation(t1: Term, t2: Term, tests: Iterable[str] = ()) -> _Law:
-    """t1 = t2, its atoms named in ``tests`` ranging over tests; its ``vars``
-    are the programs, then the tests, each alphabetical."""
+    """t1 = t2, its atoms named in ``tests`` ranging over tests; its compiled
+    names are the programs, then the tests, each alphabetical."""
     terms, tests = (pretty(t1), pretty(t2)), frozenset(tests)
-    code = _compile((t1, t2), tests)
-    variables = tuple((x, Sort.TEST if x in tests else Sort.PROGRAM) for x in code[0])
-    return _Law(" = ".join(terms), code, terms=terms, vars=variables)
+    return _Law(" = ".join(terms), _compile((t1, t2), tests), terms=terms, tests=tests)
 
 
 def _triple(pre: Term, prog: Term, post: Term) -> _Law:
@@ -180,22 +179,21 @@ def _space(lattice: LatticeId, godel_grid):
     return _Space(values, tuple(cells[:k]))  # bool2's 2 consistent corners alone sit at distance 0
 
 
-def _spans(variables, n_states: int) -> tuple[list, int]:
-    """Where each of ``variables``, (name, sort) pairs, sits in an instance
-    over n states, as (name, test, start, stop): in turn, a test's n
-    diagonal cells or a program's n*n row-major; and the instance's width."""
-    tests = [sort is Sort.TEST for _, sort in variables]
+def _spans(law: _Law, n_states: int) -> tuple[list, int]:
+    """Where each of the law's compiled names sits in an instance over n
+    states, as (name, test, start, stop): in turn, a test's n diagonal cells
+    or a program's n*n row-major; and the instance's width."""
+    tests = [x in law.tests for x in law.code[0]]
     cuts = [0, *accumulate(n_states if test else n_states**2 for test in tests)]
-    spans = [(x, test, i, j) for (x, _), test, i, j in zip(variables, tests, cuts, cuts[1:])]
-    return spans, cuts[-1]
+    return list(zip(law.code[0], tests, cuts, cuts[1:])), cuts[-1]
 
 
-def _model(lattice, states, values, variables, cells) -> Model:
-    """The model of an instance of ``variables``, its ``cells`` placed by
+def _model(lattice, states, values, law: _Law, cells) -> Model:
+    """The model of an instance of the law's names, its ``cells`` placed by
     ``_spans``; every other cell is BOT."""
     n, ranks = len(states), range(len(values))
     programs, tests = {}, {}
-    for name, test, start, stop in _spans(variables, n)[0]:
+    for name, test, start, stop in _spans(law, n)[0]:
         on = range(0, n * n, n + 1 if test else 1)
         rel = from_cells(lattice, states, values, dict(zip(on, cells[start:stop])), ranks)
         (tests if test else programs)[name] = rel
@@ -229,12 +227,12 @@ def _first_break(lhs: PRel, rhs: PRel, require_leq: bool):
             return (lhs.states[k // n], lhs.states[k % n]), lhs.cell(k), rhs.cell(k)
 
 
-def _break(law: _Law, env: Mapping[str, PRel], one: PRel, zer: PRel):
-    """None when the instance ``env`` satisfies the law, else its first
-    break: the entry and the two sides' weights there.  A pair of sides
-    runs only when the pairs before it held."""
+def _break(law: _Law, env: Mapping[str, PRel], zer: PRel):
+    """None when the instance ``env``, with ``zer`` its ``0``, satisfies the
+    law, else its first break: the entry and the two sides' weights there.
+    A pair of sides runs only when the pairs before it held."""
     names, steps, roots = law.code
-    slots = [one, zer, *map(env.__getitem__, names)]
+    slots = [zer, *map(env.__getitem__, names)]
     sides = (_fill(slots, steps, root) for root in roots)
     if law.premise and not r_leq(next(sides), next(sides)):
         return None
@@ -249,7 +247,7 @@ def _verdict(law: _Law, model: Model, mode: str, **fields) -> Verdict:
     their first break as the witness, which carries the model if the law
     has user ``terms``."""
     env = _atom_assignment(model, law.code[0])
-    found = _break(law, env, *_units(model.lattice, model.states, model.values))
+    found = _break(law, env, zero(model.lattice, model.states, model.values))
     if found is not None:
         shown = model if law.terms is not None else None
         fields["witness"] = Witness(env, *found, law.formula, shown, law.terms)
@@ -266,7 +264,7 @@ def _guard(law: _Law, k: int, n_states: int) -> None:
     """Refuse a law with more than ``MAX_EXHAUSTIVE`` assignments over ``k``
     candidates.  For k >= 2, 2^bit_length already exceeds the bound, so
     that many cells are refused before any huge count is built."""
-    cells = _spans(law.vars, n_states)[1]
+    cells = _spans(law, n_states)[1]
     if k > 1 and cells >= MAX_EXHAUSTIVE.bit_length() or k**cells > MAX_EXHAUSTIVE:
         raise EngineError(f"exhaustive space of {k}^{_count(cells)} instantiations exceeds "
                           f"{MAX_EXHAUSTIVE}")
@@ -292,7 +290,7 @@ def _drive(law: _Law, lattice, states, space, how: str, samples, seed, fixed: in
     from .bitslice import _breaks
 
     n, k = len(states), len(space.cells)
-    spans, width = _spans(law.vars, n)
+    spans, width = _spans(law, n)
     if how == "random":
         instances = _draws(random.Random(seed), k, width, samples)
     else:
@@ -302,7 +300,7 @@ def _drive(law: _Law, lattice, states, space, how: str, samples, seed, fixed: in
         b = _breaks(law, spans, chunk, space, n)
         if b is not None:
             cells = [space.cells[i] for i in chunk[b]]
-            model = _model(lattice, states, space.table, law.vars, cells)
+            model = _model(lattice, states, space.table, law, cells)
             return _verdict(law, model, how, axiom=axiom, samples=count + b + 1, seed=seed)
         count += len(chunk)
         size = min(2 * size, space.cap)
@@ -322,7 +320,7 @@ def _check(plan, lattice: LatticeId, n_states: int, godel_grid, samples, seed) -
             if not samples or samples < 1:
                 raise EngineError("random mode needs a positive sample count")
             work = max(work, samples)
-        elif not law.premise and [sort for _, sort in law.vars] == [Sort.TEST]:
+        elif not law.premise and [x in law.tests for x in law.code[0]] == [True]:
             fixed, work = n_states - 1, max(work, k)  # a walk of k instances, as work
         else:
             _guard(law, k, n_states)

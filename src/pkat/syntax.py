@@ -32,10 +32,9 @@ from collections.abc import Iterable
 from enum import Enum
 
 from .errors import ParseError, ShapeError, SortError, quoted
-from .lattice import LatticeId
 from .plts import Model, _named_relation
 from .record import Record
-from .relp import PRel, identity, is_test, r_dot, r_plus, r_star, t_complement, zero
+from .relp import PRel, is_test, r_dot, r_plus, r_star, t_complement, zero
 
 
 class Zero(Record):
@@ -250,27 +249,24 @@ def evaluate(term: Term, model: Model) -> PRel:
     sort_check(term, model)
     names, steps, (root,) = _compile((term,))
     env = _atom_assignment(model, names)
-    units = _units(model.lattice, model.states, model.values)
-    return _fill([*units, *map(env.__getitem__, names)], steps, root)
-
-
-def _units(lattice: LatticeId, states, values) -> tuple[PRel, PRel]:
-    """The relations ``1`` and ``0``, built once per check."""
-    return identity(lattice, states, values), zero(lattice, states, values)
+    zer = zero(model.lattice, model.states, model.values)
+    return _fill([zer, *map(env.__getitem__, names)], steps, root)
 
 
 def _compile(terms, tests=frozenset()) -> tuple:
     """The terms as one straight-line program: their atoms' names, the steps
-    and each term's root slot.  Slots 0 and 1 hold ``1`` and ``0``, then the
-    atoms, alphabetical but those in ``tests`` last; step s, a term type and
-    its operands' slots (the second None for ``*`` and ``!``), fills each
-    later slot s.  Equal subterms share one slot."""
+    and each term's root slot.  Slot 0 holds ``0``, then the atoms,
+    alphabetical but those in ``tests`` last; step s, a term type and its
+    operands' slots (the second None for ``*`` and ``!``), fills each later
+    slot s.  Equal subterms share one slot, and ``1`` compiles as ``!0``."""
     names = sorted(frozenset().union(*map(atoms, terms)), key=lambda x: (x in tests, x))
-    steps = [None] * (2 + len(names))
-    slot_of = {One(): 0, Zero(): 1, **{Atom(x): s for s, x in enumerate(names, 2)}}
+    steps = [None] * (1 + len(names))
+    slot_of = {Zero(): 0, **{Atom(x): s for s, x in enumerate(names, 1)}}
 
     def slot(term) -> int:  # post-order, so slots are numbered in evaluation order
         match term:
+            case One():
+                key = (Not, 0, None)
             case Plus(left, right) | Dot(left, right):
                 key = (type(term), slot(left), slot(right))
             case Star(inner) | Not(inner):

@@ -15,7 +15,7 @@ from operator import ge, le
 
 from hypothesis import strategies as st
 
-from pkat.engine import Status, Verdict, Witness, _break, _equation, _space, _units, states_for
+from pkat.engine import Status, Verdict, Witness, _break, _equation, _space, states_for
 from pkat.errors import CarrierError, LatticeMismatchError, ModelError
 from pkat.lattice import LatticeElem, LatticeId, elem
 from pkat.plts import Model
@@ -24,13 +24,15 @@ from pkat.relp import (
     from_cells,
     from_diagonal,
     from_entries,
+    identity,
     r_dot,
     r_plus,
     r_star,
     t_complement,
     value_table,
+    zero,
 )
-from pkat.syntax import Atom, Dot, Not, One, Plus, Sort, Star, Term, Zero, _atom_assignment, atoms
+from pkat.syntax import Atom, Dot, Not, One, Plus, Star, Term, Zero, _atom_assignment, atoms
 from pkat.twist import Weight, weight, wbot, wjoin, wmeet, wtop
 
 L3 = LatticeId.LUKASIEWICZ3
@@ -147,6 +149,11 @@ def rank_complement(r, n: int) -> tuple:
 # --- term-walk oracle (independent of the compiled form) --------------------
 
 
+def units(lattice, states, values):
+    """The relations ``1`` and ``0`` that ``oracle_eval`` reads for its constants."""
+    return identity(lattice, states, values), zero(lattice, states, values)
+
+
 def oracle_eval(term: Term, env: dict, one, zer):
     """Interpret a term over an assignment of its atoms by walking it, one
     kernel call per node, so a repeated subterm is computed each time."""
@@ -199,23 +206,23 @@ def oracle_model(rng: random.Random, lattice, states, programs, tests, godel_gri
 def oracle_assignments(law, lattice, states, space, fixed: int = 0):
     """Every assignment of the law's variables with its first ``fixed`` cells
     at the space's first, in lexicographic order: the last cell varies fastest."""
-    n = len(states)
-    cuts = [0, *accumulate(n if sort is Sort.TEST else n * n for _, sort in law.vars)]
+    n, names = len(states), law.code[0]
+    cuts = [0, *accumulate(n if name in law.tests else n * n for name in names)]
     pools = [space.cells[:1]] * fixed + [space.cells] * (cuts[-1] - fixed)
     return (
-        ({name: oracle_relation(lattice, states, space, sort is Sort.TEST, cells[i:j])
-          for (name, sort), i, j in zip(law.vars, cuts, cuts[1:])}, None)
+        ({name: oracle_relation(lattice, states, space, name in law.tests, cells[i:j])
+          for name, i, j in zip(names, cuts, cuts[1:])}, None)
         for cells in product(*pools)
     )
 
 
-def oracle_check(law, instances, one, zer, lattice, n_states, mode, **fields):
+def oracle_check(law, instances, zer, lattice, n_states, mode, **fields):
     """Check the law on each (assignment, model) of ``instances`` in turn, one
     ``_break`` each: fails at the first break with its witness, else holds;
     ``samples`` counts the instances checked."""
     k = 0
     for k, (env, model) in enumerate(instances, 1):
-        found = _break(law, env, one, zer)
+        found = _break(law, env, zer)
         if found is not None:
             witness = Witness(dict(env), *found, law.formula, model, law.terms)
             return Verdict(Status.FAILS, lattice, n_states, mode, witness=witness,
@@ -228,16 +235,16 @@ def oracle_run(law, ident, lattice, n_states, godel_grid, how, samples=None, see
     refusals left out: random draws, the exhaustive walk, or the walk of k
     last-cell instances that a one-test law takes outside random mode."""
     space, states = _space(lattice, godel_grid), states_for(n_states)
-    one_test = not law.premise and [sort for _, sort in law.vars] == [Sort.TEST]
+    one_test = not law.premise and [x in law.tests for x in law.code[0]] == [True]
     fixed = n_states - 1 if one_test and how != "random" else 0
     if how == "random":
         rng = random.Random(seed)
-        instances = (({name: oracle_draw(rng, lattice, states, space, sort is Sort.TEST)
-                       for name, sort in law.vars}, None) for _ in range(samples))
+        instances = (({name: oracle_draw(rng, lattice, states, space, name in law.tests)
+                       for name in law.code[0]}, None) for _ in range(samples))
     else:
         instances = oracle_assignments(law, lattice, states, space, fixed)
-    units = _units(lattice, states, space.table)
-    verdict = oracle_check(law, instances, *units, lattice, n_states, how, axiom=ident,
+    zer = zero(lattice, states, space.table)
+    verdict = oracle_check(law, instances, zer, lattice, n_states, how, axiom=ident,
                            seed=seed if how == "random" else None)
     if fixed and verdict.status is Status.HOLDS:
         verdict = verdict.replace(samples=verdict.samples * len(space.cells) ** fixed)
@@ -253,8 +260,8 @@ def oracle_equiv_random(t1, t2, lattice, n_states, samples, seed, test_names=(),
     models = (oracle_model(rng, lattice, states, names - tests, tests, godel_grid)
               for _ in range(samples))
     instances = ((_atom_assignment(m, names), m) for m in models)
-    units = _units(lattice, states, space.table)
-    return oracle_check(_equation(t1, t2), instances, *units, lattice, n_states, "random",
+    zer = zero(lattice, states, space.table)
+    return oracle_check(_equation(t1, t2), instances, zer, lattice, n_states, "random",
                         seed=seed)
 
 

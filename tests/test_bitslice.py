@@ -21,7 +21,7 @@ from pkat.bitslice import MAX_BITS, _encode
 from pkat.catalog import AxiomId, check_axiom, check_suite, find_boolean_witness, recheck
 from pkat.engine import Status, equiv_random, verdict_to_dict
 from pkat.relp import _code
-from pkat.syntax import Dot, One, Plus, Sort, Star, parse
+from pkat.syntax import Dot, Not, One, Plus, Star, parse
 
 from helpers import B2, GD, L3, PROGRAM_TERMS, oracle_equiv_random, oracle_run, rank_lists
 
@@ -35,8 +35,8 @@ FAILING_HORN = ["q <= p + m  ->  q <= p", "p <= q  ->  q <= p", "p;q <= q;p  -> 
 
 
 def _walk_size(law, k, n):
-    one_test = not law.premise and [sort for _, sort in law.vars] == [Sort.TEST]
-    return k if one_test else k ** sum(n if s is Sort.TEST else n * n for _, s in law.vars)
+    tests = [x in law.tests for x in law.code[0]]
+    return k if not law.premise and tests == [True] else k ** sum(n if t else n * n for t in tests)
 
 
 @st.composite
@@ -139,6 +139,29 @@ def test_a_repeated_star_runs_once_per_chunk(monkeypatch):
     monkeypatch.setattr(pkat.bitslice, "_encode", lambda *a: chunks.append(a) or encode(*a))
     verdict = equiv_random(parse("r*;r* + r*"), parse("r*"), L3, 2, 20, 1)
     assert verdict.status is Status.HOLDS and len(stars) == len(chunks) > 1
+
+
+def _complements_and_chunks(monkeypatch, t1, t2):
+    """Run equiv_random on t1 = t2, recording each complement and each chunk encoded."""
+    nots, chunks = [], []
+    complement, encode = pkat.bitslice._not, pkat.bitslice._encode
+    counted = lambda *a: nots.append(a) or complement(*a)
+    monkeypatch.setattr(pkat.bitslice, "_not", counted)
+    monkeypatch.setitem(pkat.bitslice._OPS, Not, counted)
+    monkeypatch.setattr(pkat.bitslice, "_encode", lambda *a: chunks.append(a) or encode(*a))
+    verdict = equiv_random(parse(t1), parse(t2), L3, 2, 20, 1)
+    return verdict, nots, chunks
+
+
+def test_a_law_without_1_or_negation_complements_nothing(monkeypatch):
+    verdict, nots, chunks = _complements_and_chunks(monkeypatch, "p;q", "q;p")
+    assert verdict.status is Status.FAILS and chunks and nots == []
+
+
+def test_1_is_complemented_once_per_chunk(monkeypatch):
+    # 1 compiles as !0: one Not step for each chunk encoded.
+    verdict, nots, chunks = _complements_and_chunks(monkeypatch, "1;p", "p")
+    assert verdict.status is Status.HOLDS and len(nots) == len(chunks) > 1
 
 
 def test_a_run_encodes_each_cell_at_most_once_for_all_its_laws(monkeypatch):

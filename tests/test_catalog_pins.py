@@ -114,9 +114,9 @@ def test_suite_gives_the_per_law_verdicts(config, monkeypatch):
     # Every instance checked is recorded, so draws show even where all hold.
     checked, real_break = [], engine._break
 
-    def recording(law, env, *units):
+    def recording(law, env, zer):
         checked.append((law.formula, dict(env)))
-        return real_break(law, env, *units)
+        return real_break(law, env, zer)
 
     monkeypatch.setattr(engine, "_break", recording)
     lattice, n, grid, samples = CONFIGS[config]
@@ -149,8 +149,7 @@ def test_catalog_laws_parse_and_sort_check():
             sort = sort_of(term, programs, tests)
             assert wanted is None or sort is wanted
         law = catalog._AXIOMS[ax]
-        assert law.vars == tuple(
-            (x, Sort.TEST if x in tests else Sort.PROGRAM) for x in names
-        )
+        assert law.code[0] == list(names)
+        assert {x for x in names if x in law.tests} == tests
     verdict = check_axiom(219, L3, 1, "exhaustive")
     assert verdict.status is Status.FAILS and list(verdict.witness.assignment) == ["a"]

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import pkat.catalog
 import pkat.engine
+import pkat.relp
 import pkat.syntax
 from pkat.catalog import (
     AxiomId,
@@ -34,12 +35,12 @@ from pkat.lattice import carrier, elem
 from pkat.plts import Model, load_model
 from pkat.relp import (PRel, identity, r_dot, r_leq, r_plus, r_star, t_complement,
                        value_table, zero)
-from pkat.syntax import Dot, Not, One, Plus, Sort, Star, parse
+from pkat.syntax import Dot, Not, One, Plus, Star, parse
 from pkat.twist import Weight, wbot, wtop
 
 from helpers import (B2, GD, L3, PROGRAM_TERMS, TEST_TERMS, from_rank_lists, lw, oracle_check,
                      oracle_eval, oracle_model, oracle_relation, random_sorted_term, rank_lists,
-                     space_weights, weight)
+                     space_weights, units, weight)
 
 RICH_DOC = json.dumps(
     {
@@ -70,6 +71,14 @@ def test_evaluate_constants(two_state_model):
     assert evaluate(parse("1"), m) == identity(L3, m.states)
     assert evaluate(parse("0"), m) == zero(L3, m.states)
     assert evaluate(parse("r;0"), m) == zero(L3, m.states)
+
+
+def test_evaluating_a_term_without_1_or_negation_complements_nothing(monkeypatch):
+    model = oracle_model(random.Random(5), L3, states_for(2), ("p", "q"), ())
+    nots, complement = [], pkat.relp._not
+    monkeypatch.setattr(pkat.relp, "_not", lambda *a: nots.append(a) or complement(*a))
+    got = evaluate(parse("p;q"), model)
+    assert got == r_dot(model.programs["p"], model.programs["q"]) and nots == []
 
 
 def test_evaluate_worked_example(two_state_model):
@@ -114,9 +123,9 @@ def _models(draw):
     return oracle_model(rng, lattice, states_for(n), ("p", "q"), ("a", "b"))
 
 
-def _walked_break(sides, leq, premise, env, units):
+def _walked_break(sides, leq, premise, env, constants):
     """The first break of the law with these sides, each side walked in full."""
-    values = [oracle_eval(side, env, *units) for side in sides]
+    values = [oracle_eval(side, env, *constants) for side in sides]
     pairs = list(zip(values[::2], values[1::2]))
     if premise and not r_leq(*pairs.pop(0)):
         return None
@@ -129,8 +138,8 @@ def _walked_break(sides, leq, premise, env, units):
 def test_compiled_laws_match_the_term_walk(model, t1, t2, b):
     engine = pkat.engine
     env = engine._atom_assignment(model, "abpq")
-    units = engine._units(model.lattice, model.states, model.values)
-    assert evaluate(t1, model) == oracle_eval(t1, env, *units)
+    one, zer = units(model.lattice, model.states, model.values)
+    assert evaluate(t1, model) == oracle_eval(t1, env, one, zer)
     sum12, star1 = Plus(t1, t2), Star(t1)
     goals = [sum12, Plus(t2, t1), Plus(One(), Dot(t1, star1)), star1, Dot(t1, t2), Dot(t2, t1)]
     laws = [  # (law, its sides, leq, premise)
@@ -142,23 +151,23 @@ def test_compiled_laws_match_the_term_walk(model, t1, t2, b):
     ]
     for law, sides, leq, premise in laws:
         law = law or engine._Law("", engine._compile(sides), leq=leq, premise=premise)
-        want = _walked_break(sides, leq, premise, env, units)
-        assert engine._break(law, env, *units) == want
+        want = _walked_break(sides, leq, premise, env, (one, zer))
+        assert engine._break(law, env, zer) == want
 
 
 def test_an_equations_variables_are_its_programs_then_its_tests_each_alphabetical():
     law = pkat.engine._equation(parse("b;q + a;p"), parse("p"), tests="ab")
-    assert law.vars == (("p", Sort.PROGRAM), ("q", Sort.PROGRAM),
-                        ("a", Sort.TEST), ("b", Sort.TEST))
+    assert law.code[0] == ["p", "q", "a", "b"]
+    assert [x in law.tests for x in law.code[0]] == [False, False, True, True]
 
 
 def test_a_laws_compiled_names_are_its_instance_layout():
-    # _drive places an instance's cells in the slots of code[0] in vars order,
-    # so the two orders must be one.
+    # _drive places an instance's cells in the slots of code[0], a test's
+    # n diagonal cells and a program's n*n.
     law = pkat.engine._equation(parse("b;q + a;p"), parse("p"), tests="ab")
     assert law.code[0] == ["p", "q", "a", "b"]
-    for law in [law, *(pkat.catalog._AXIOMS[ident] for ident in AxiomId)]:
-        assert [name for name, _ in law.vars] == law.code[0]
+    assert pkat.engine._spans(law, 2) == ([("p", False, 0, 4), ("q", False, 4, 8),
+                                           ("a", True, 8, 10), ("b", True, 10, 12)], 12)
 
 
 # --- weight spaces ---------------------------------------------------------------
@@ -264,12 +273,13 @@ def _indexed_assignments(law, lattice, states, space):
         tt, ff = zip(*cells)
         return from_rank_lists(lattice, states, space.table, tt, ff)
 
-    tests = [sort is Sort.TEST for _, sort in law.vars]
+    names = law.code[0]
+    tests = [name in law.tests for name in names]
     sizes = [k ** (n if test else n * n) for test in tests]
     strides = [prod(sizes[i + 1:]) for i in range(len(sizes))]
     for index in range(prod(sizes)):
         yield {name: relation(test, index // stride % size)
-               for (name, _), test, stride, size in zip(law.vars, tests, strides, sizes)}
+               for name, test, stride, size in zip(names, tests, strides, sizes)}
 
 
 @pytest.mark.parametrize("lattice, n, axioms", [
@@ -281,15 +291,15 @@ def _indexed_assignments(law, lattice, states, space):
 ])
 def test_assignments_match_the_index_decoder(lattice, n, axioms):
     def cells(law, env):  # each variable's cells as the walk lists them: a test's diagonal
-        return tuple(cell for (_, sort), r in zip(law.vars, env.values())
-                     for cell in list(zip(*rank_lists(r)))[::n + 1 if sort is Sort.TEST else 1])
+        return tuple(cell for name, r in zip(law.code[0], env.values())
+                     for cell in list(zip(*rank_lists(r)))[::n + 1 if name in law.tests else 1])
 
     space, states = pkat.engine._space(lattice, None), states_for(n)
     for ident in axioms:
         law = pkat.catalog._AXIOMS[ident]
-        size = len(space.cells) ** sum(n if s is Sort.TEST else n * n for _, s in law.vars)
+        size = len(space.cells) ** sum(n if x in law.tests else n * n for x in law.code[0])
         limit = size if size <= 20_000 else 2_000
-        found = pkat.engine._walk(len(space.cells), pkat.engine._spans(law.vars, n)[1])
+        found = pkat.engine._walk(len(space.cells), pkat.engine._spans(law, n)[1])
         decoded = _indexed_assignments(law, lattice, states, space)
         assert [tuple(space.cells[i] for i in ids) for ids in islice(found, limit)] == [
             cells(law, env) for env in islice(decoded, limit)]
@@ -548,8 +558,8 @@ def _full_walk(ident, lattice, n, grid, mode):
     law, space, states = pkat.catalog._AXIOMS[ident], engine._space(lattice, grid), states_for(n)
     instances = (({"a": oracle_relation(lattice, states, space, True, cells)}, None)
                  for cells in product(space.cells, repeat=n))
-    units = engine._units(lattice, states, space.table)
-    return oracle_check(law, instances, *units, lattice, n, mode, axiom=ident)
+    return oracle_check(law, instances, zero(lattice, states, space.table), lattice, n, mode,
+                        axiom=ident)
 
 
 @st.composite

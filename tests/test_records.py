@@ -60,10 +60,10 @@ CASES = {
         "samples=4, seed=None)",
     ),
     _Law: (
-        ("p = q", (("p", "q"), (None,) * 4, (2, 3)), False, False, (), None),
-        ("p = q", (("p", "q"), (None,) * 4, (2, 3)), True, False, (), None),
-        "_Law(formula='p = q', code=(('p', 'q'), (None, None, None, None), (2, 3)), "
-        "leq=False, premise=False, vars=(), terms=None)",
+        ("p = q", (("p", "q"), (None,) * 3, (1, 2)), False, False, frozenset(), None),
+        ("p = q", (("p", "q"), (None,) * 3, (1, 2)), True, False, frozenset(), None),
+        "_Law(formula='p = q', code=(('p', 'q'), (None, None, None), (1, 2)), "
+        "leq=False, premise=False, tests=frozenset(), terms=None)",
     ),
 }
 UNHASHABLE = {Model, Witness}  # they hold dicts

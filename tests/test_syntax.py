@@ -14,6 +14,7 @@ from pkat.syntax import (
     Sort,
     Star,
     Zero,
+    _compile,
     atoms,
     desugar_if,
     desugar_while,
@@ -33,6 +34,11 @@ def test_precedence_example():
 def test_constants():
     assert parse("0") == Zero()
     assert parse("1") == One()
+
+
+def test_1_compiles_as_not_0_into_one_slot():
+    names, steps, (one, not_zero) = _compile((One(), Not(Zero())))
+    assert names == [] and one == not_zero and steps[one] == (Not, 0, None)
 
 
 def test_negated_group():
