@@ -126,6 +126,7 @@ class _Reader:
 
     def __init__(self, lattice, states):
         self.lattice, self.states, self.memo, self.values = lattice, states, {}, []
+        self.index = {s: i for i, s in enumerate(states)}
 
     def value(self, x) -> int:
         key = type(x), x
@@ -138,20 +139,22 @@ class _Reader:
 
     def cells(self, owner, entries, test=False) -> dict[int, tuple[int, int]]:
         """The cells of (from, to, [tt, ff]) ``entries``, by row-major index."""
-        cells, states, n = {}, self.states, len(self.states)
+        cells, index, n = {}, self.index, len(self.states)
         for u, v, pair in entries:
-            for s in (u, v):
-                if s not in states:
-                    raise ModelError(f"{owner}: unknown state {s!r}")
+            try:
+                i, j = index[u], index[v]
+            except (KeyError, TypeError):  # undeclared, or unhashable (never a name)
+                s = v if u in self.states else u
+                raise ModelError(f"{owner}: unknown state {s!r}") from None
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ModelError(f"{owner}: a weight is a two-element [tt, ff] array, got {pair!r}")
             try:
                 slots = self.value(pair[0]), self.value(pair[1])
             except (CarrierError, LatticeMismatchError) as exc:
                 raise ModelError(f"{owner}: {exc}") from exc
-            if test and u != v:
+            if test and i != j:
                 raise ModelError(f"{owner}: entry ({u!r}, {v!r}) is off the diagonal")
-            k = states.index(u) * n + states.index(v)
+            k = i * n + j
             if k in cells:
                 what = f"for state {u!r}" if test else f"({u!r}, {v!r})"
                 raise ModelError(f"{owner}: duplicate entry {what}")

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -378,14 +379,43 @@ def test_each_request_compiles_only_its_command_groups_handlers(argv, handlers):
 
 def test_a_module_run_compiles_cli_once():
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
-    probe = ("import runpy, sys\n"
+    probe = ("import gc, runpy, sys\n"
              "try:\n"
              "    runpy.run_module('pkat.cli', run_name='__main__', alter_sys=True)\n"
              "except SystemExit as exc:\n"
-             "    print(exc.code, 'pkat.cli' in sys.modules, file=sys.stderr)")
+             "    print(exc.code, 'pkat.cli' in sys.modules, gc.get_freeze_count() > 0,"
+             " file=sys.stderr)")
     done = subprocess.run([sys.executable, "-c", probe, "star", "--model", MODEL, "--program", "r"],
                           capture_output=True, text=True, env=env, timeout=60, check=True)
-    assert done.stdout.startswith("star of r:") and done.stderr == "0 False\n"
+    assert done.stdout.startswith("star of r:") and done.stderr == "0 False True\n"
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(capsys):
+    frozen = gc.get_freeze_count()
+    assert pkat.cli.main(["star", "--model", MODEL, "--program", "r"]) == 0
+    assert gc.get_freeze_count() == frozen
+    assert capsys.readouterr().out.startswith("star of r:")
+
+
+def test_the_pkat_script_exits_as_a_module_run_with_the_heap_frozen():
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).parents[1]
+    entry = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]["pkat"]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
+    argv = ["equiv", "--t1", "p;p", "--t2", "p", "--lattice", "godel", "--states", "2",
+            "--random", "20", "--seed", "1", "--json"]
+    # As the installed script runs it: sys.exit of the entry's return value.
+    probe = ("import gc, importlib, sys\n"
+             "module, _, name = sys.argv.pop(1).partition(':')\n"
+             "code = getattr(importlib.import_module(module), name)()\n"
+             "print(gc.get_freeze_count() > 0, file=sys.stderr)\n"
+             "sys.exit(code)")
+    script = subprocess.run([sys.executable, "-c", probe, entry, *argv], capture_output=True,
+                            text=True, env=env, timeout=60)
+    module = subprocess.run([sys.executable, "-m", "pkat.cli", *argv], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert (script.returncode, script.stderr) == (1, "True\n")
+    assert module.returncode == 1 and script.stdout == module.stdout != ""
 
 
 @pytest.mark.parametrize("argv, loaded", [

@@ -124,11 +124,27 @@ def test_weight_outside_carrier_rejected():
         )
 
 
-def test_undeclared_state_rejected():
+def test_undeclared_state_rejected(tmp_path, capsys):
     with pytest.raises(ModelError, match="unknown state"):
         load_model(doc(programs={"r": [["w1", "w3", "top", "bot"]]}))
     with pytest.raises(ModelError, match="unknown state"):
         load_model(doc(tests={"p": {"w3": ["top", "bot"]}}))
+    # A state field may be any JSON value, an unhashable array or object too.
+    path = tmp_path / "model.json"
+    for fields, state in [
+        ({"programs": {"r": [["w1", ["w2"], "top", "bot"]]}}, "['w2']"),
+        ({"programs": {"r": [[{"w1": 1}, "w3", "top", "bot"]]}}, "{'w1': 1}"),
+        ({"tests": {"p": [[["w1"], ["w1"], "top", "bot"]]}}, "['w1']"),
+        ({"tests": {"p": [["w1", {}, "top", "bot"]]}}, "{}"),
+    ]:
+        owner = "program 'r'" if "programs" in fields else "test 'p'"
+        message = f"{owner}: unknown state {state}"
+        with pytest.raises(ModelError) as raised:
+            load_model(doc(**fields))
+        assert str(raised.value) == message
+        path.write_text(doc(**fields))
+        assert main(["star", "--model", str(path), "--program", "r"]) == 3
+        assert capsys.readouterr() == ("", f"model error: {message}\n")
 
 
 def test_duplicate_entries_rejected():
