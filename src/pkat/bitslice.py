@@ -67,12 +67,12 @@ def _breaks(law, spans, chunk, space: _Space, n: int) -> int | None:
         rel[::n + 1 if test else 1] = cells[i:j]
         values.append(rel)
     sides = (_fill(values, law.code[1], root, kernels) for root in law.code[2])
-    excused = _fold(_exceeds(next(sides), next(sides)), size) if law.premise else 0
+    excused = _fold(_exceeds(next(sides), next(sides)), size) if law.horn else 0
     if excused == (1 << size) - 1:
         return None
     bad = 0
     for lhs, rhs in zip(sides, sides):
-        bad |= _exceeds(lhs, rhs) if law.leq else reduce(or_, map(int.__xor__, lhs, rhs))
+        bad |= _exceeds(lhs, rhs) if law.horn else reduce(or_, map(int.__xor__, lhs, rhs))
     bad = _fold(bad, size) & ~excused
     return (bad & -bad).bit_length() - 1 if bad else None
 

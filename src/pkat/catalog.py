@@ -71,7 +71,7 @@ class _Laws:
         sides = [parse(side) for side in re.split("<=|->|=", ident.formula)]
         horn = "->" in ident.formula  # four sides, else t0 = ... = tk as each ti = tk
         code = _compile(sides if horn else [t for ti in sides[:-1] for t in (ti, sides[-1])])
-        return _Law(ident.formula, code, leq=horn, premise=horn, tests=_TEST_VARS)
+        return _Law(ident.formula, code, horn, _TEST_VARS)
 
 
 _AXIOMS = _Laws()
@@ -150,7 +150,7 @@ def recheck(verdict: Verdict) -> bool:
     basis = next(iter(w.assignment.values()), w.model)
     if basis is None:
         raise EngineError("verdict carries no recheckable witness")
-    zer = zero(basis.lattice, basis.states, basis.values)
+    zer = zero(basis.lattice, basis.states)
     return _break(law, w.assignment, zer) == (w.entry, w.lhs, w.rhs)
 
 

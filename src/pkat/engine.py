@@ -7,11 +7,11 @@ weight matrices over an assignment of their atoms, and ``evaluate``
 (imported here, so ``engine.evaluate`` is the same function) needs
 nothing of this module.  Every law is term text: a catalog axiom is the
 formula it prints, and an equivalence t1 = t2 or a triple {b} p {c}
-(read b;p <= b;p;c) becomes a law of the same shape.  A law is compiled
-once per run by ``syntax._compile`` to straight-line kernel calls, one
-per distinct subterm, as ``evaluate`` compiles a term.  One instance
-check runs a law and reports the first entry where it breaks; axiom
-checking runs it over assignments drawn exhaustively from a finite
+(the equation b;p = b;p;c) becomes a law of the same shape.  A law is
+compiled once per run by ``syntax._compile`` to straight-line kernel
+calls, one per distinct subterm, as ``evaluate`` compiles a term.  One
+instance check runs a law and reports the first entry where it breaks;
+axiom checking runs it over assignments drawn exhaustively from a finite
 weight space or by seeded sampling, equivalence over a given model or a
 stream of random models, and ``catalog.recheck`` over a verdict's own
 witness.
@@ -111,15 +111,14 @@ class Verdict(Record):
 
 
 class _Law(Record):
-    """Goals ``lhs = rhs`` (``lhs <= rhs`` when ``leq``), required only where
-    the premise ``lhs <= rhs``, if ``premise``, holds: ``code`` compiles
-    their sides, the premise's first; its names, in instance order, range
-    over tests if in ``tests``, else over programs.  ``formula`` and
-    ``terms`` are what a witness prints, with its model when the law has
-    ``terms``."""
+    """Goals ``lhs = rhs``, or if ``horn`` the goal ``lhs <= rhs`` required
+    only where the premise ``lhs <= rhs`` holds: ``code`` compiles their
+    sides, the premise's first; its names, in instance order, range over
+    tests if in ``tests``, else over programs.  ``formula`` and ``terms``
+    are what a witness prints, with its model when the law has ``terms``."""
 
-    __slots__ = ("formula", "code", "leq", "premise", "tests", "terms")
-    _defaults = {"leq": False, "premise": False, "tests": frozenset(), "terms": None}
+    __slots__ = ("formula", "code", "horn", "tests", "terms")
+    _defaults = {"horn": False, "tests": frozenset(), "terms": None}
 
 
 def _equation(t1: Term, t2: Term, tests: Iterable[str] = ()) -> _Law:
@@ -130,10 +129,11 @@ def _equation(t1: Term, t2: Term, tests: Iterable[str] = ()) -> _Law:
 
 
 def _triple(pre: Term, prog: Term, post: Term) -> _Law:
-    """{pre} prog {post}: pre;prog <= pre;prog;post."""
+    """{pre} prog {post}: pre;prog = pre;prog;post.  As post <= 1 and ``;`` is
+    monotone, the right side never exceeds the left: pre;prog <= pre;prog;post."""
     terms = (pretty(pre), pretty(prog), pretty(post))
     lhs = Dot(pre, prog)
-    return _Law("{%s} %s {%s}" % terms, _compile((lhs, Dot(lhs, post))), leq=True, terms=terms)
+    return _Law("{%s} %s {%s}" % terms, _compile((lhs, Dot(lhs, post))), terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +197,13 @@ def _model(lattice, states, values, law: _Law, cells) -> Model:
         on = range(0, n * n, n + 1 if test else 1)
         rel = from_cells(lattice, states, values, dict(zip(on, cells[start:stop])), ranks)
         (tests if test else programs)[name] = rel
-    return Model(lattice, states, programs, tests, values=values)
+    return Model(lattice, states, programs, tests)
 
 
 def _draws(rng: random.Random, k: int, width: int, count: int):
     """``count`` instances of ``width`` cells, each drawn from ``rng`` in turn
-    as an index into a space of ``k`` cells."""
-    ids = range(k)  # rng.choice draws from a range as from the cells themselves
-    return ([rng.choice(ids) for _ in range(width)] for _ in range(count))
+    as the one step ``rng.choice(range(k))`` takes: an index into ``k`` cells."""
+    return ([rng._randbelow(k) for _ in range(width)] for _ in range(count))
 
 
 def _walk(k: int, width: int, fixed: int = 0):
@@ -234,10 +233,10 @@ def _break(law: _Law, env: Mapping[str, PRel], zer: PRel):
     names, steps, roots = law.code
     slots = [zer, *map(env.__getitem__, names)]
     sides = (_fill(slots, steps, root) for root in roots)
-    if law.premise and not r_leq(next(sides), next(sides)):
+    if law.horn and not r_leq(next(sides), next(sides)):
         return None
     for left, right in zip(sides, sides):
-        found = _first_break(left, right, law.leq)
+        found = _first_break(left, right, law.horn)
         if found is not None:
             return found
 
@@ -247,7 +246,7 @@ def _verdict(law: _Law, model: Model, mode: str, **fields) -> Verdict:
     their first break as the witness, which carries the model if the law
     has user ``terms``."""
     env = _atom_assignment(model, law.code[0])
-    found = _break(law, env, zero(model.lattice, model.states, model.values))
+    found = _break(law, env, zero(model.lattice, model.states))
     if found is not None:
         shown = model if law.terms is not None else None
         fields["witness"] = Witness(env, *found, law.formula, shown, law.terms)
@@ -301,7 +300,10 @@ def _drive(law: _Law, lattice, states, space, how: str, samples, seed, fixed: in
         if b is not None:
             cells = [space.cells[i] for i in chunk[b]]
             model = _model(lattice, states, space.table, law, cells)
-            return _verdict(law, model, how, axiom=axiom, samples=count + b + 1, seed=seed)
+            verdict = _verdict(law, model, how, axiom=axiom, samples=count + b + 1, seed=seed)
+            if verdict.witness is None:  # a defect in the chunk kernels, never a verdict
+                raise RuntimeError(f"{law.formula}: a chunk's failing instance holds")
+            return verdict
         count += len(chunk)
         size = min(2 * size, space.cap)
     return Verdict(Status.HOLDS, lattice, n, how, axiom=axiom, samples=count * k**fixed, seed=seed)
@@ -320,7 +322,7 @@ def _check(plan, lattice: LatticeId, n_states: int, godel_grid, samples, seed) -
             if not samples or samples < 1:
                 raise EngineError("random mode needs a positive sample count")
             work = max(work, samples)
-        elif not law.premise and [x in law.tests for x in law.code[0]] == [True]:
+        elif not law.horn and [x in law.tests for x in law.code[0]] == [True]:
             fixed, work = n_states - 1, max(work, k)  # a walk of k instances, as work
         else:
             _guard(law, k, n_states)
@@ -358,7 +360,7 @@ def equiv_random(
     A holds verdict means no countermodel was found among the samples,
     not a proof; a fails verdict carries the first countermodel.
     """
-    if samples < 1:
+    if not samples or samples < 1:
         raise EngineError("need a positive sample count")
     tests = frozenset(test_names)
     programs = (atoms(t1) | atoms(t2)) - tests
@@ -369,7 +371,7 @@ def equiv_random(
 
 
 def hoare_check(pre: Term, prog: Term, post: Term, model: Model) -> Verdict:
-    """Triple {pre} prog {post}: require pre;prog <= pre;prog;post."""
+    """Triple {pre} prog {post}: require pre;prog = pre;prog;post (see ``_triple``)."""
     if sort_check(pre, model) is not Sort.TEST:
         raise SortError("the precondition must be a test")
     if sort_check(post, model) is not Sort.TEST:

@@ -58,12 +58,9 @@ def model_from_dict(raw) -> Model:
     values = value_table(read.values)
     rank = {v: i for i, v in enumerate(values)}
     ranks = [rank[v] for v in read.values]  # by slot
-    return Model(
-        lattice, states,
-        {name: from_cells(lattice, states, values, c, ranks) for name, c in programs.items()},
-        {name: from_cells(lattice, states, values, c, ranks) for name, c in tests.items()},
-        carrier, values,
-    )
+    relations = [{name: from_cells(lattice, states, values, c, ranks) for name, c in part.items()}
+                 for part in (programs, tests)]
+    return Model(lattice, states, *relations, carrier)
 
 
 def _read_states(value) -> tuple[str, ...]:

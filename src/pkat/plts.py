@@ -5,12 +5,14 @@ program relations (total weight matrices) and named tests (one weight
 per state).  A test is stored once, as its subidentity ``relp.PRel``:
 the matrix carrying its per-state weights on the diagonal, which is what
 the test's name denotes inside a term.  Programs and tests share one
-value table (see ``relp``), built at load.  This module holds ``Model``,
-its accessors, the writers ``model_to_dict``, ``model_to_text`` and
-``diagonal_to_json`` (which ``setp.pset_to_json`` calls), and the two
-helpers every command shares: ``_read_model`` and ``_json``.  The reader is
-``modelfile``, which ``load_model`` imports when it is called, so
-``axioms`` and ``equiv --random`` never compile it.  The document format::
+value table (see ``relp``), built at load and carried by the relations
+alone: a term's constants are built on {0, 1} and lifted onto it.  This
+module holds ``Model``, its accessors, the writers ``model_to_dict``,
+``model_to_text`` and ``diagonal_to_json`` (which ``setp.pset_to_json``
+calls), and the two helpers every command shares: ``_read_model`` and
+``_json``.  The reader is ``modelfile``, which ``load_model`` imports
+when it is called, so ``axioms`` and ``equiv --random`` never compile
+it.  The document format::
 
     {"lattice": "lukasiewicz3",
      "states": ["w1", "w2"],
@@ -46,14 +48,12 @@ from .twist import Weight, weight_to_json
 
 class Model(Record):
     """A lattice, its ordered ``states``, ``programs`` (name to ``PRel``),
-    ``tests`` (name to its subidentity ``PRel``), the ``test_carrier``
-    elements or None, and ``values``: the table the programs and tests
-    share (see ``relp``), which equality and ``repr`` leave out."""
+    ``tests`` (name to its subidentity ``PRel``) and the ``test_carrier``
+    elements or None.  A loaded model's relations share one value table."""
 
-    __slots__ = ("lattice", "states", "programs", "tests", "test_carrier", "values")
+    __slots__ = ("lattice", "states", "programs", "tests", "test_carrier")
     _defaults = {"programs": MappingProxyType({}), "tests": MappingProxyType({}),
-                 "test_carrier": None, "values": ()}
-    _compared = __slots__[:-1]
+                 "test_carrier": None}
 
 
 def valuation(m: Model, prop: str, state: str) -> Weight:

@@ -1,7 +1,7 @@
 """Immutable records.  A record's fields are its ``__slots__``, in
 constructor order; ``_defaults`` fills the ones left out, and equality,
-hashing and ``repr`` read ``_compared`` (all fields unless narrowed).
-Unlike a dataclass, defining one runs no generated code at import.
+hashing and ``repr`` read every field.  Unlike a dataclass, defining one
+runs no generated code at import.
 """
 
 from operator import attrgetter
@@ -12,8 +12,7 @@ class Record:
     _defaults: dict = {}
 
     def __init_subclass__(cls):
-        cls._compared = cls.__dict__.get("_compared", cls.__slots__)
-        cls._key = property(attrgetter(*cls._compared)) if cls._compared else ()
+        cls._key = property(attrgetter(*cls.__slots__)) if cls.__slots__ else ()
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
         cls.__match_args__ = cls.__slots__
 
@@ -37,7 +36,7 @@ class Record:
         return hash(self._key)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value=None):

@@ -23,6 +23,8 @@ that starts no token), each character counting as one column.
 to straight-line kernel calls over slots, one per distinct subterm
 (``_compile``); ``_fill`` alone runs them, over relations or, with
 ``bitslice``'s kernels, over a chunk of the instances ``engine`` checks.
+Over relations ``0`` is built on the table {0, 1}, and ``relp.align``
+lifts it, and so ``!0``, onto a model relation's table where they meet.
 """
 
 from __future__ import annotations
@@ -249,8 +251,7 @@ def evaluate(term: Term, model: Model) -> PRel:
     sort_check(term, model)
     names, steps, (root,) = _compile((term,))
     env = _atom_assignment(model, names)
-    zer = zero(model.lattice, model.states, model.values)
-    return _fill([zer, *map(env.__getitem__, names)], steps, root)
+    return _fill([zero(model.lattice, model.states), *map(env.__getitem__, names)], steps, root)
 
 
 def _compile(terms, tests=frozenset()) -> tuple:

@@ -200,7 +200,7 @@ def oracle_model(rng: random.Random, lattice, states, programs, tests, godel_gri
     space = _space(lattice, godel_grid)
     drawn = {name: oracle_draw(rng, lattice, states, space, False) for name in sorted(programs)}
     tested = {name: oracle_draw(rng, lattice, states, space, True) for name in sorted(tests)}
-    return Model(lattice, states, drawn, tested, values=space.table)
+    return Model(lattice, states, drawn, tested)
 
 
 def oracle_assignments(law, lattice, states, space, fixed: int = 0):
@@ -235,7 +235,7 @@ def oracle_run(law, ident, lattice, n_states, godel_grid, how, samples=None, see
     refusals left out: random draws, the exhaustive walk, or the walk of k
     last-cell instances that a one-test law takes outside random mode."""
     space, states = _space(lattice, godel_grid), states_for(n_states)
-    one_test = not law.premise and [x in law.tests for x in law.code[0]] == [True]
+    one_test = not law.horn and [x in law.tests for x in law.code[0]] == [True]
     fixed = n_states - 1 if one_test and how != "random" else 0
     if how == "random":
         rng = random.Random(seed)
@@ -352,7 +352,7 @@ def oracle_load_model(document: str):
     values = value_table({x.value for w in weights for x in (w.tt, w.ff)})
     programs = {name: from_entries(lattice, states, t, values) for name, t in entries.items()}
     tests = {name: from_diagonal(lattice, states, d, values) for name, d in diagonals.items()}
-    return Model(lattice, states, programs, tests, carrier, values)
+    return Model(lattice, states, programs, tests, carrier)
 
 
 def oracle_weights(rel) -> list:

@@ -36,7 +36,7 @@ FAILING_HORN = ["q <= p + m  ->  q <= p", "p <= q  ->  q <= p", "p;q <= q;p  -> 
 
 def _walk_size(law, k, n):
     tests = [x in law.tests for x in law.code[0]]
-    return k if not law.premise and tests == [True] else k ** sum(n if t else n * n for t in tests)
+    return k if not law.horn and tests == [True] else k ** sum(n if t else n * n for t in tests)
 
 
 @st.composite

@@ -20,6 +20,7 @@ import pkat.cli
 import pkat.views
 from pkat.cli import main
 from pkat.engine import Status, equiv, equiv_random, hoare_check, verdict_to_dict
+from pkat.errors import EngineError
 from pkat.lattice import LatticeId, bottom, elem, elem_to_json, top
 from pkat.plts import Model, _read_model, load_model, model_to_dict
 from pkat.relp import PRel, format_grid, format_prel, prel_to_entries
@@ -819,6 +820,8 @@ def test_equiv_zero_counts_are_given_not_missing(capsys):
     code, out, err = run(capsys, *equiv, "--states", "1")
     assert code == 2 and out == ""
     assert err == "engine error: random mode needs --lattice, --states and --random\n"
+    with pytest.raises(EngineError, match="^need a positive sample count$"):  # API only
+        equiv_random(parse("r"), parse("r"), LatticeId.BOOL2, 1, None, 0)
 
 
 def test_axioms_exhaustive_and_samples_exclude_each_other(capsys):
@@ -924,7 +927,7 @@ def _rendered(draw):
     rel = PRel(lattice, states, weights, values=unused)
     test = PSet(lattice, states, weights[::n + 1], rel.values)
     carrier = draw(st.none() | st.just((bottom(lattice), top(lattice))))
-    model = Model(lattice, states, {"r": rel}, {"p": test.relation}, carrier, rel.values)
+    model = Model(lattice, states, {"r": rel}, {"p": test.relation}, carrier)
     return rel, test, model
 
 

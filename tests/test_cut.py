@@ -65,7 +65,7 @@ def test_cut_commutes_with_evaluation(model, seed):
     test = random_sorted_term(rng, 2, PROGRAMS, TESTS, want_test=True)
     term = Plus(program(), Dot(Star(program()), Not(test)))  # holds both ! and *
     value = evaluate(term, model)
-    thetas = [theta for theta in model.values if theta > 0]
+    thetas = [theta for theta in model.programs["r"].values if theta > 0]  # the model's table
     assert Fraction(1) in thetas
     for theta in thetas:
         cut = evaluate(term, _cut_model(model, theta))

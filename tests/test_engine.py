@@ -5,11 +5,13 @@ import tracemalloc
 from fractions import Fraction
 from itertools import islice, product
 from math import lcm, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pkat.catalog
+import pkat.cli
 import pkat.engine
 import pkat.relp
 import pkat.syntax
@@ -39,8 +41,8 @@ from pkat.syntax import Dot, Not, One, Plus, Star, parse
 from pkat.twist import Weight, wbot, wtop
 
 from helpers import (B2, GD, L3, PROGRAM_TERMS, TEST_TERMS, from_rank_lists, lw, oracle_check,
-                     oracle_eval, oracle_model, oracle_relation, random_sorted_term, rank_lists,
-                     space_weights, units, weight)
+                     oracle_draw, oracle_eval, oracle_model, oracle_relation, random_sorted_term,
+                     rank_lists, space_weights, units, weight)
 
 RICH_DOC = json.dumps(
     {
@@ -71,6 +73,12 @@ def test_evaluate_constants(two_state_model):
     assert evaluate(parse("1"), m) == identity(L3, m.states)
     assert evaluate(parse("0"), m) == zero(L3, m.states)
     assert evaluate(parse("r;0"), m) == zero(L3, m.states)
+    # 0 is built on {0, 1}, and lifted with 1 onto the table of a relation it meets.
+    assert evaluate(parse("0"), m).values == (0, 1)
+    r = evaluate(parse("r"), m)
+    assert r.values == (0, Fraction(1, 2), 1)
+    lifted = evaluate(parse("1;r + 0"), m)
+    assert lifted == r and lifted.values == r.values
 
 
 def test_evaluating_a_term_without_1_or_negation_complements_nothing(monkeypatch):
@@ -138,7 +146,7 @@ def _walked_break(sides, leq, premise, env, constants):
 def test_compiled_laws_match_the_term_walk(model, t1, t2, b):
     engine = pkat.engine
     env = engine._atom_assignment(model, "abpq")
-    one, zer = units(model.lattice, model.states, model.values)
+    one, zer = units(model.lattice, model.states, ())
     assert evaluate(t1, model) == oracle_eval(t1, env, one, zer)
     sum12, star1 = Plus(t1, t2), Star(t1)
     goals = [sum12, Plus(t2, t1), Plus(One(), Dot(t1, star1)), star1, Dot(t1, t2), Dot(t2, t1)]
@@ -150,9 +158,46 @@ def test_compiled_laws_match_the_term_walk(model, t1, t2, b):
         (None, [Dot(t1, t2), t2, Dot(star1, t2), t2], True, True),  # star induction
     ]
     for law, sides, leq, premise in laws:
-        law = law or engine._Law("", engine._compile(sides), leq=leq, premise=premise)
+        law = law or engine._Law("", engine._compile(sides), horn=premise)
         want = _walked_break(sides, leq, premise, env, (one, zer))
         assert engine._break(law, env, zer) == want
+
+
+def _any_pair_model(rng: random.Random, lattice, n: int) -> Model:
+    """Programs p, q and tests a, b drawn over every (tt, ff) pair of the
+    lattice's table: bool2's four, (1, 1) and (0, 0) included."""
+    table = pkat.engine._space(lattice, None).table
+    pairs = SimpleNamespace(table=table, cells=list(product(range(len(table)), repeat=2)))
+    states = states_for(n)
+    programs = {x: oracle_draw(rng, lattice, states, pairs, False) for x in "pq"}
+    tests = {x: oracle_draw(rng, lattice, states, pairs, True) for x in "ab"}
+    return Model(lattice, states, programs, tests)
+
+
+def test_a_triple_breaks_as_its_sides_break_by_inclusion():
+    # {b} p {c} is compiled as the equation b;p = b;p;c.  Since c <= 1 the right
+    # side never exceeds the left, so its first break is the inclusion's.
+    engine, rng, failing = pkat.engine, random.Random(37), 0
+    for i in range(900):
+        model = _any_pair_model(rng, (B2, L3, GD)[i % 3], 1 + i % 9 // 3)
+        pre, post = (random_sorted_term(rng, 2, "pq", "ab", want_test=True) for _ in "bc")
+        prog = random_sorted_term(rng, 3, "pq", "ab")
+        lhs, rhs = evaluate(Dot(pre, prog), model), evaluate(Dot(Dot(pre, prog), post), model)
+        assert r_leq(rhs, lhs)
+        env, zer = engine._atom_assignment(model, "abpq"), zero(model.lattice, model.states)
+        want = engine._first_break(lhs, rhs, True)
+        assert engine._break(engine._triple(pre, prog, post), env, zer) == want
+        failing += want is not None
+    assert 100 < failing < 800  # failing triples and holding ones alike
+
+
+def test_a_chunk_failure_that_holds_as_relations_is_an_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(pkat.engine, "_break", lambda *args: None)
+    with pytest.raises(RuntimeError, match="a chunk's failing instance holds"):
+        check_axiom(AxiomId.TEST_NON_CONTRA, L3, 1)
+    assert pkat.cli.main(["axioms", "--lattice", "lukasiewicz3", "--states", "1"]) == 70
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: RuntimeError: ")
 
 
 def test_an_equations_variables_are_its_programs_then_its_tests_each_alphabetical():
@@ -549,6 +594,15 @@ def test_boolean_witness_on_interval_grid():
     for verdict in found.values():
         assert verdict.status is Status.FAILS
         assert verdict.witness.assignment["a"].entry("w1", "w1") == half
+
+
+def test_draws_are_the_cells_rng_choice_would_draw():
+    # Every seeded verdict rests on this stream, so it is checked on each Python.
+    for seed in (0, 7, 123):
+        ours, choice = random.Random(seed), random.Random(seed).choice
+        for k in range(1, 301):
+            drawn = list(pkat.engine._draws(ours, k, 3, 2))
+            assert drawn == [[choice(range(k)) for _ in range(3)] for _ in range(2)]
 
 
 def _full_walk(ident, lattice, n, grid, mode):

@@ -19,6 +19,7 @@ from pkat.catalog import AxiomId
 from pkat.engine import Status, Verdict, Witness, _Law
 from pkat.lattice import LatticeElem, LatticeId
 from pkat.plts import Model
+from pkat.record import Record
 from pkat.syntax import Atom, Dot, Not, One, Plus, Star, Zero
 from pkat.twist import Weight
 
@@ -41,8 +42,8 @@ CASES = {
     Weight: ((lw("top", "u").tt, lw("top", "u").ff), (lw("u", "u").tt, lw("u", "u").ff),
              "<(top,u)>"),
     Model: (
-        (B2, ("w1",), {}, {}, None, ()),
-        (B2, ("w1", "w2"), {}, {}, None, ()),
+        (B2, ("w1",), {}, {}, None),
+        (B2, ("w1", "w2"), {}, {}, None),
         "Model(lattice=<LatticeId.BOOL2: 'bool2'>, states=('w1',), programs={}, "
         "tests={}, test_carrier=None)",
     ),
@@ -60,10 +61,10 @@ CASES = {
         "samples=4, seed=None)",
     ),
     _Law: (
-        ("p = q", (("p", "q"), (None,) * 3, (1, 2)), False, False, frozenset(), None),
-        ("p = q", (("p", "q"), (None,) * 3, (1, 2)), True, False, frozenset(), None),
+        ("p = q", (("p", "q"), (None,) * 3, (1, 2)), False, frozenset(), None),
+        ("p = q", (("p", "q"), (None,) * 3, (1, 2)), True, frozenset(), None),
         "_Law(formula='p = q', code=(('p', 'q'), (None, None, None), (1, 2)), "
-        "leq=False, premise=False, tests=frozenset(), terms=None)",
+        "horn=False, tests=frozenset(), terms=None)",
     ),
 }
 UNHASHABLE = {Model, Witness}  # they hold dicts
@@ -121,19 +122,26 @@ def test_records_match_every_field_positionally():
             assert axiom is None and witness is None
         case _:
             pytest.fail("Verdict did not match positionally")
-    match Model(L3, ("w1",), {}, {}, None, (Fraction(0), Fraction(1))):
-        case Model(lattice, states, programs, tests, carrier, values):
-            assert (lattice, states, carrier, values) == (L3, ("w1",), None, (0, 1))
+    carrier = (LatticeElem(L3, Fraction(0)), LatticeElem(L3, Fraction(1)))
+    match Model(L3, ("w1",), {}, {}, carrier):
+        case Model(lattice, states, programs, tests, test_carrier):
+            assert (lattice, states, test_carrier) == (L3, ("w1",), carrier)
         case _:
             pytest.fail("Model did not match positionally")
 
 
-def test_model_equality_ignores_the_value_table():
-    plain = Model(L3, ("w1",), {}, {}, None, ())
-    tabled = Model(L3, ("w1",), {}, {}, None, (Fraction(0), HALF, Fraction(1)))
-    assert plain == tabled
-    assert "values" not in repr(tabled)
-    assert plain != Model(B2, ("w1",), {}, {}, None, ())
+def _subclasses(cls) -> set:
+    return {sub for direct in cls.__subclasses__() for sub in (direct, *_subclasses(direct))}
+
+
+def test_every_record_prints_every_field():
+    # Every record class has a case above; each printed by ``Record.__repr__``
+    # names all its fields, so none is left out of equality or ``repr``.
+    assert _subclasses(Record) <= set(CASES)
+    for cls, (fields, _, _) in CASES.items():
+        if cls.__repr__ is Record.__repr__:
+            text = repr(cls(*fields))
+            assert all(f"{name}=" in text for name in cls.__slots__), cls
 
 
 def test_construction_checks_its_fields():
@@ -166,8 +174,8 @@ def test_replace_changes_only_the_named_fields():
     verdict = Verdict(Status.HOLDS, L3, 1, "model", samples=1)
     assert verdict.replace(samples=None) == Verdict(Status.HOLDS, L3, 1, "model")
     assert verdict.samples == 1
-    tabled = Model(L3, ("w1",), {}, {}, None, (Fraction(0), HALF, Fraction(1)))
-    assert tabled.replace(states=("w2",)).values == tabled.values
+    carried = Model(L3, ("w1",), {}, {}, (LatticeElem(L3, Fraction(0)), LatticeElem(L3, HALF)))
+    assert carried.replace(states=("w2",)).test_carrier == carried.test_carrier
     with pytest.raises(TypeError):
         verdict.replace(sample=None)
 
