@@ -9,7 +9,10 @@ language with parser, an axiom-verification engine, and a CLI.
 The names below (and the submodules that hold them) resolve on first
 use, through a module ``__getattr__`` (PEP 562): ``import pkat`` loads
 no submodule, and ``pkat.check_axiom`` loads ``catalog`` (which imports
-``engine``) only then.
+``engine``) only then.  The object-level operations live in ``algebra``,
+which no command loads.  ``lattice``, ``twist``, ``relp`` and ``plts``
+resolve the public names that moved out of them the same way, each
+through the ``__getattr__`` that ``_moved`` makes.
 """
 
 __version__ = "0.1.0"
@@ -18,15 +21,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": "CarrierError EngineError LatticeMismatchError ModelError ParseError "
               "PkatError ShapeError SortError",
-    "lattice": "LatticeElem LatticeId big_join big_meet bottom carrier elem elem_to_text "
-               "implies join leq meet top",
-    "twist": "ConsistencyClass Weight classify format_weight negate wbot weight wjoin wleq "
-             "wmeet wtop",
-    "plts": "Model load_model model_to_dict model_to_text program_relation "
-            "diagonal_relation valuation",
-    "modelfile": "",
-    "relp": "PRel format_prel identity is_test r_dot r_leq r_plus r_star r_star_steps "
-            "t_complement zero",
+    "lattice": "LatticeElem LatticeId bottom carrier elem elem_to_text top",
+    "twist": "ConsistencyClass Weight classify format_weight",
+    "algebra": "big_join big_meet implies join leq meet negate wbot weight wjoin wleq wmeet "
+               "wtop identity diagonal_relation valuation",
+    "plts": "Model model_to_dict model_to_text program_relation",
+    "modelfile": "load_model",
+    "relp": "PRel is_test r_dot r_leq r_plus r_star r_star_steps t_complement zero",
+    "views": "format_prel",
     "setp": "PSet oslash s_complement s_dot s_plus s_star s_subset upsilon",
     "syntax": "Atom Dot Not One Plus Sort Star Term Zero atoms desugar_if desugar_while "
               "evaluate parse pretty sort_check sort_of",
@@ -52,3 +54,18 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted({*globals(), *_HOME})
+
+
+def _moved(module: str, **homes: str):
+    """The module ``__getattr__`` (PEP 562) of a submodule whose public names
+    moved out: each name listed in ``homes[home]`` resolves from ``home``."""
+    home_of = {name: home for home, names in homes.items() for name in names.split()}
+
+    def __getattr__(name: str):
+        if name not in home_of:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        from importlib import import_module
+
+        return getattr(import_module(f"{__name__}.{home_of[name]}"), name)
+
+    return __getattr__

@@ -1,4 +1,5 @@
-"""The axiom catalog and its suite, checked by ``engine._check``.
+"""The axiom catalog and its suite, checked by ``engine._check``, and the
+handler of the ``axioms`` command that runs it, ``_cmd_axioms``.
 
 Each axiom is stored once, on its ``AxiomId``, as the formula it prints.
 Of the commands only ``axioms`` imports this module; ``engine`` never does.
@@ -9,9 +10,11 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from .engine import Status, Verdict, _break, _check, _equation, _Law, _triple, witness_parts
+from .engine import (Status, Verdict, _break, _check, _equation, _Law, _parse_grid, _triple,
+                     verdict_to_dict, witness_parts)
 from .errors import EngineError
 from .lattice import LatticeId
+from .plts import _json
 from .relp import zero
 from .syntax import _compile, parse
 
@@ -93,13 +96,14 @@ def check_axiom(
     mode: str = "exhaustive",
     *,
     samples: int | None = None,
-    seed: int | None = None,
+    seed: int = 0,
     godel_grid=None,
 ) -> Verdict:
     """Check one axiom by instantiating its variables over relations.
 
     Exhaustive mode walks the whole finite instantiation space (refused
-    above ``MAX_EXHAUSTIVE``); random mode draws seeded samples.  A failing
+    above ``MAX_EXHAUSTIVE``); random mode draws samples at ``seed``, 0 unless
+    given, as ``pkat axioms --seed`` defaults.  A failing
     verdict carries the first counterexample in enumeration order.
     """
     return _run(lattice, n_states, godel_grid, mode, samples, seed, (AxiomId(axiom),), ())[0]
@@ -126,7 +130,7 @@ def check_suite(
     mode: str = "exhaustive",
     *,
     samples: int | None = None,
-    seed: int | None = None,
+    seed: int = 0,
     godel_grid=None,
 ) -> list[Verdict]:
     """The whole axiom suite on one candidate space: ``check_axiom`` of
@@ -164,3 +168,30 @@ def axiom_row(verdict: Verdict, unicode: bool) -> str:
     if verdict.status is Status.FAILS:
         row += "  witness " + " ".join(witness_parts(verdict, unicode, "="))
     return row
+
+
+def _cmd_axioms(args) -> int:
+    lattice = LatticeId.from_name(args.lattice)
+    grid = _parse_grid(args.godel_grid)
+    mode = "exhaustive" if args.samples is None else "random"
+    verdicts = check_suite(lattice, args.states, mode, samples=args.samples, seed=args.seed,
+                           godel_grid=grid)
+    core_ok = all(v.status is Status.HOLDS for v in verdicts[:len(CORE_AXIOMS)])
+    if args.json:
+        return _json({
+            "lattice": lattice.value,
+            "states": args.states,
+            "mode": mode,
+            "axioms": [verdict_to_dict(v) for v in verdicts],
+        }, 0 if core_ok else 1)
+    print(f"axiom suite: lattice={lattice.value} states={args.states} mode={mode}")
+    for verdict in verdicts:
+        print(axiom_row(verdict, args.unicode))
+    refuted = [str(v.axiom.value) for v in verdicts[len(CORE_AXIOMS):] if v.status is Status.FAILS]
+    print(
+        "core axioms: "
+        + ("all hold" if core_ok else "FAILURES above")
+        + "; boolean axioms refuted: "
+        + (",".join(refuted) if refuted else "none")
+    )
+    return 0 if core_ok else 1

@@ -1,25 +1,19 @@
-"""Handlers of the commands that check a law: ``equiv``, ``hoare`` and
-``axioms``.  ``cli`` imports this module when one of them runs; only
-``axioms`` loads the axiom ``catalog``.
+"""Handlers of the commands that check a given law: ``equiv`` and
+``hoare``.  ``cli`` imports this module when one of them runs; only
+their ``--model`` branches load the model-file reader, ``modelfile``.
+The ``axioms`` handler lives in ``catalog``.
 """
 
 from __future__ import annotations
 
 import json
 
-from .engine import (Status, Verdict, equiv, equiv_random, hoare_check, verdict_to_dict,
-                     witness_parts)
-from .errors import CarrierError, EngineError
-from .lattice import LatticeId, elem
-from .plts import _json, _read_model, model_to_dict
+from .engine import (Status, Verdict, _parse_grid, equiv, equiv_random, hoare_check,
+                     verdict_to_dict, witness_parts)
+from .errors import EngineError
+from .lattice import LatticeId
+from .plts import _json, model_to_dict
 from .syntax import _term, pretty
-
-
-def _parse_grid(text: str | None):
-    try:
-        return None if text is None else tuple(elem(LatticeId.GODEL, p) for p in text.split(","))
-    except CarrierError as exc:
-        raise EngineError(f"bad --godel-grid value: {exc}") from exc
 
 
 def _print_verdict(verdict: Verdict, args, lead: list[str]) -> int:
@@ -49,6 +43,8 @@ def _cmd_equiv(args) -> int:
     t1, t2 = _term(args, "t1"), _term(args, "t2")
     lead = [f"t1: {pretty(t1)}", f"t2: {pretty(t2)}"]
     if args.model is not None:
+        from .modelfile import _read_model
+
         verdict = equiv(t1, t2, _read_model(args.model))
     else:
         if args.lattice is None or args.states is None or args.random is None:
@@ -60,36 +56,9 @@ def _cmd_equiv(args) -> int:
     return _print_verdict(verdict, args, lead)
 
 
-def _cmd_axioms(args) -> int:
-    from .catalog import CORE_AXIOMS, axiom_row, check_suite
-
-    lattice = LatticeId.from_name(args.lattice)
-    grid = _parse_grid(args.godel_grid)
-    mode = "exhaustive" if args.samples is None else "random"
-    verdicts = check_suite(lattice, args.states, mode, samples=args.samples, seed=args.seed,
-                           godel_grid=grid)
-    core_ok = all(v.status is Status.HOLDS for v in verdicts[:len(CORE_AXIOMS)])
-    if args.json:
-        return _json({
-            "lattice": lattice.value,
-            "states": args.states,
-            "mode": mode,
-            "axioms": [verdict_to_dict(v) for v in verdicts],
-        }, 0 if core_ok else 1)
-    print(f"axiom suite: lattice={lattice.value} states={args.states} mode={mode}")
-    for verdict in verdicts:
-        print(axiom_row(verdict, args.unicode))
-    refuted = [str(v.axiom.value) for v in verdicts[len(CORE_AXIOMS):] if v.status is Status.FAILS]
-    print(
-        "core axioms: "
-        + ("all hold" if core_ok else "FAILURES above")
-        + "; boolean axioms refuted: "
-        + (",".join(refuted) if refuted else "none")
-    )
-    return 0 if core_ok else 1
-
-
 def _cmd_hoare(args) -> int:
+    from .modelfile import _read_model
+
     model = _read_model(args.model)
     pre, prog, post = (_term(args, option) for option in ("pre", "prog", "post"))
     verdict = hoare_check(pre, prog, post, model)

@@ -9,22 +9,23 @@ output was written (as a process killed by SIGPIPE reports it; nothing
 is printed).
 
 This module is the parser and the dispatcher: of pkat it loads only
-``errors``, ``lattice`` (for the ``--lattice`` choices) and ``record``,
-so ``--help`` and a usage error compile nothing else.  ``_COMMANDS``
-holds each command's options as ``add_argument`` keyword arguments.  A
-well-formed request is read from that table alone (``_parse``);
-argparse, built from the same table, is imported only for any other
-command line: help, a usage error, or what the table does not read (an
-abbreviated option, ``--opt=value``, a value starting with ``-``).
-Each ``_COMMANDS`` row names the module holding the command's handler
+``errors``, ``lattice`` (for the ``--lattice`` choices) and ``record``.
+``_COMMANDS`` holds each command's options as ``add_argument`` keyword
+arguments.  A well-formed request is read from that table alone
+(``_parse``); ``usage``, which builds argparse's parser from the same
+table, is imported only for any other command line: help, a usage
+error, or what the table does not read (an abbreviated option,
+``--opt=value``, a value starting with ``-``).  So ``--help`` and a
+usage error compile ``usage`` and nothing else of pkat.  Each
+``_COMMANDS`` row names the module holding the command's handler
 ``_cmd_<name>``, imported when the handler runs: ``views`` for ``eval``,
-``star`` and ``classify``, ``checks`` for ``equiv``, ``hoare`` and
-``axioms``.  A handler loads only the modules it runs.  ``star`` and
-``classify`` need the model and its relations; ``eval`` also loads
-``syntax``, which parses and evaluates terms; the checks also load
-``engine``, the checking half, and ``axioms`` the axiom ``catalog``.
-Only commands that read a ``--model`` file load its reader,
-``modelfile``.
+``star`` and ``classify``, ``checks`` for ``equiv`` and ``hoare``, and
+``catalog`` for ``axioms``.  A handler loads only the modules it runs.
+``star`` and ``classify`` need the model and its relations; ``eval``
+also loads ``syntax``, which parses and evaluates terms; the checks
+also load ``engine``, the checking half, and ``axioms`` the axiom
+``catalog`` alone, not ``checks``.  Only commands that read a
+``--model`` file load its reader, ``modelfile``.
 
 The process entry is ``cli`` (``python -m pkat.cli`` and the ``pkat``
 script): it runs ``main`` and then freezes the heap with ``gc.freeze()``,
@@ -58,7 +59,8 @@ from .lattice import LatticeId
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parse(argv) or _argparse(argv)
+        args = _parse(argv) or import_module(f"{__package__}.usage")._argparse(
+            argv, _COMMANDS, _options)
         home = import_module(f"{__package__}.{_COMMANDS[args.command][1]}")
         code = getattr(home, f"_cmd_{args.command}")(args)
         sys.stdout.flush()
@@ -103,7 +105,7 @@ def _parse(argv):
     repeated one keeps its last value), each value not starting with ``-``
     and passing the option's ``type`` and ``choices``, the required ones
     present and at most one ``either`` option; None for any other ``argv``,
-    which ``_argparse`` reads."""
+    which ``usage._argparse`` reads."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     options, given = _options(argv[0]), {}
@@ -134,46 +136,6 @@ def _parse(argv):
         default = spec.get("default", False if spec.get("action") == "store_true" else None)
         setattr(args, option[2:].replace("-", "_"), given.get(option, default))
     return args
-
-
-def _argparse(argv):
-    """argparse's namespace for ``argv``, or its help or usage error and its
-    exit.  Help is written here: argparse would swallow a failed write, which
-    must reach ``main``'s output error handling."""
-    import contextlib
-    import io
-
-    help_text = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(help_text):
-            return _build_parser().parse_args(argv)
-    except SystemExit:
-        sys.stdout.write(help_text.getvalue())
-        sys.stdout.flush()
-        raise
-
-
-def _build_parser():
-    """The six commands' parser, each with its options and ``-h``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="pkat",
-        description="Evaluate and verify guarded programs weighted by "
-        "evidence pairs over a truth-value lattice.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, _, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        group = None
-        for option, spec in _options(name).items():
-            spec = dict(spec)
-            if spec.pop("either", False):
-                group = group or p.add_mutually_exclusive_group()
-                group.add_argument(option, **spec)
-            else:
-                p.add_argument(option, **spec)
-    return parser
 
 
 def _options(command: str) -> dict:
@@ -229,7 +191,7 @@ _COMMANDS = {
                     "help": "comma-separated atoms to treat as tests (random mode)"},
         "--godel-grid": {"metavar": "VALUES"},
     }),
-    "axioms": ("run the axiom suite over a lattice", "checks", {
+    "axioms": ("run the axiom suite over a lattice", "catalog", {
         "--lattice": {**_LATTICE, "required": True},
         "--states": {**_COUNT, "required": True},
         "--exhaustive": {"action": "store_true", "help": "the default", "either": True},

@@ -60,7 +60,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, product
 from math import lcm
 
-from .errors import EngineError, SortError
+from .errors import CarrierError, EngineError, SortError
 from .lattice import LatticeId, carrier, elem
 from .plts import Model, model_to_dict
 from .record import Record
@@ -156,6 +156,14 @@ def _grid_values(lattice: LatticeId, godel_grid) -> tuple[set[Fraction], int]:
         raise EngineError("an empty interval grid makes no candidates")
     values = {elem(lattice, g).value for g in grid}
     return values, 2 if lattice is LatticeId.BOOL2 else len(values) ** 2
+
+
+def _parse_grid(text: str | None):
+    """The ``--godel-grid`` option's values, or None when it is not given."""
+    try:
+        return None if text is None else tuple(elem(LatticeId.GODEL, p) for p in text.split(","))
+    except CarrierError as exc:
+        raise EngineError(f"bad --godel-grid value: {exc}") from exc
 
 
 def _space(lattice: LatticeId, godel_grid):
@@ -321,6 +329,8 @@ def _check(plan, lattice: LatticeId, n_states: int, godel_grid, samples, seed) -
         if how == "random":
             if not samples or samples < 1:
                 raise EngineError("random mode needs a positive sample count")
+            if not isinstance(seed, int):  # random.Random(None) would draw from the OS
+                raise EngineError(f"random mode needs an int seed, got {type(seed).__name__}")
             work = max(work, samples)
         elif not law.horn and [x in law.tests for x in law.code[0]] == [True]:
             fixed, work = n_states - 1, max(work, k)  # a walk of k instances, as work

@@ -7,19 +7,17 @@ so equality and order are decidable.  The finite lattices are the table
 ``_FINITE``; ``_elem_from_text`` is the one parser of value text, and it
 never builds a power of ten beyond ``_MAX_DIGITS`` digits.
 
-On a chain, meet and join are min and max, and the residuum of meet is
-
-    a -> b  =  1  if a <= b,  else  b
-
-which is the greatest c with meet(a, c) <= b.
+The Heyting operations on elements (``meet``, ``join``, ``leq``,
+``implies``, ``big_join``, ``big_meet``) live in ``algebra``, which no
+command loads; this module resolves them from there (``__getattr__``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from enum import Enum
 from fractions import Fraction
 
+from . import _moved
 from .errors import CarrierError, LatticeMismatchError
 from .record import Record
 
@@ -148,62 +146,6 @@ def carrier(lattice: LatticeId) -> tuple[LatticeElem, ...]:
     return tuple(LatticeElem(lattice, value) for value in _VALUES[lattice])
 
 
-def _require_same(a: LatticeElem, b: LatticeElem) -> None:
-    if a.lattice is not b.lattice:
-        raise LatticeMismatchError(
-            f"cannot combine {a.lattice.value} with {b.lattice.value}"
-        )
-
-
-def _le(p: Fraction, q: Fraction) -> bool:
-    """``p <= q`` by cross-multiplication.
-
-    Fraction keeps its denominator positive, so this is exact; it skips
-    the generic numeric dispatch of ``Fraction.__le__``, which dominates
-    the cost of every lattice operation below.
-    """
-    return p is q or p.numerator * q.denominator <= q.numerator * p.denominator
-
-
-def meet(a: LatticeElem, b: LatticeElem) -> LatticeElem:
-    """Greatest lower bound (min on the chain)."""
-    _require_same(a, b)
-    return a if _le(a.value, b.value) else b
-
-
-def join(a: LatticeElem, b: LatticeElem) -> LatticeElem:
-    """Least upper bound (max on the chain)."""
-    _require_same(a, b)
-    return b if _le(a.value, b.value) else a
-
-
-def leq(a: LatticeElem, b: LatticeElem) -> bool:
-    _require_same(a, b)
-    return _le(a.value, b.value)
-
-
-def implies(a: LatticeElem, b: LatticeElem) -> LatticeElem:
-    """Residuum of meet: the greatest c with meet(a, c) <= b."""
-    _require_same(a, b)
-    return top(a.lattice) if _le(a.value, b.value) else b
-
-
-def big_join(lattice: LatticeId, elems: Iterable[LatticeElem]) -> LatticeElem:
-    """Supremum of a finite set; empty set gives the bottom."""
-    out = bottom(lattice)
-    for e in elems:
-        out = join(out, e)
-    return out
-
-
-def big_meet(lattice: LatticeId, elems: Iterable[LatticeElem]) -> LatticeElem:
-    """Infimum of a finite set; empty set gives the top."""
-    out = top(lattice)
-    for e in elems:
-        out = meet(out, e)
-    return out
-
-
 def _fraction_text(q: Fraction) -> str:
     """Exact decimal when the denominator divides a power of ten, else n/d."""
     d = q.denominator
@@ -233,3 +175,5 @@ def elem_to_json(e: LatticeElem) -> int | str:
     if e.lattice is LatticeId.BOOL2:
         return int(e.value)
     return elem_to_text(e)
+
+__getattr__ = _moved(__name__, algebra="meet join leq implies big_join big_meet")

@@ -1,18 +1,48 @@
-"""The model-file reader: a parsed document (format in ``plts``) to a
+"""The model-file reader: a document (format in ``plts``) to a
 ``plts.Model`` of ``relp.PRel``s on one table, each distinct value read
-once.  Only ``plts.load_model`` imports this module, when it is called.
+once.  ``load_model`` reads a document's text and ``_read_model`` a file.
+Of the commands only those given ``--model`` import this module:
+``views`` always, ``checks`` in its ``--model`` branches.
 """
 
 from __future__ import annotations
 
+import json
 import re
 
-from .errors import CarrierError, LatticeMismatchError, ModelError
+from .errors import CarrierError, LatticeMismatchError, ModelError, quoted
 from .lattice import LatticeId, bottom, elem, top
 from .plts import Model
 from .relp import from_cells, value_table
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+
+
+def load_model(document: str | bytes) -> Model:
+    """The model a document describes."""
+    try:
+        if isinstance(document, bytes):
+            document = document.decode("utf-8")
+        raw = json.loads(document, object_pairs_hook=_checked_pairs)
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # malformed JSON, or an integer too long to convert
+        raise ModelError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ModelError("invalid JSON: document nests too deeply") from exc
+    return model_from_dict(raw)
+
+
+def _read_model(path: str) -> Model:
+    """The model in the file at ``path``; a file that cannot be read is a ``ModelError``."""
+    try:
+        with open(path, "rb") as handle:
+            document = handle.read()
+    except OSError as exc:
+        if exc.filename is None:
+            raise ModelError(str(exc)) from exc
+        raise ModelError(f"[Errno {exc.errno}] {exc.strerror}: {quoted(path)}") from exc
+    return load_model(document)
 
 
 def _checked_pairs(pairs):

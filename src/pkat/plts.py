@@ -7,12 +7,15 @@ the matrix carrying its per-state weights on the diagonal, which is what
 the test's name denotes inside a term.  Programs and tests share one
 value table (see ``relp``), built at load and carried by the relations
 alone: a term's constants are built on {0, 1} and lifted onto it.  This
-module holds ``Model``, its accessors, the writers ``model_to_dict``,
-``model_to_text`` and ``diagonal_to_json`` (which ``setp.pset_to_json``
-calls), and the two helpers every command shares: ``_read_model`` and
-``_json``.  The reader is ``modelfile``, which ``load_model`` imports
-when it is called, so ``axioms`` and ``equiv --random`` never compile
-it.  The document format::
+module holds ``Model``, the accessors ``program_relation`` and
+``_named_relation``, the writers ``model_to_dict``, ``model_to_text`` and
+``diagonal_to_json`` (which ``setp.pset_to_json`` calls), and ``_json``,
+which prints every command's ``--json`` output.  The reader, with
+``load_model`` and ``_read_model``, is ``modelfile``, which only the
+commands given ``--model`` import, so ``axioms`` and ``equiv --random``
+never compile it; ``valuation`` and ``diagonal_relation``, which no
+command runs, are in ``algebra``.  This module resolves the three from
+there (``__getattr__``).  The document format::
 
     {"lattice": "lukasiewicz3",
      "states": ["w1", "w2"],
@@ -39,11 +42,12 @@ from __future__ import annotations
 import json
 from types import MappingProxyType
 
+from . import _moved
 from .errors import ModelError, quoted
 from .lattice import elem_to_json
 from .record import Record
 from .relp import PRel, prel_to_entries
-from .twist import Weight, weight_to_json
+from .twist import weight_to_json
 
 
 class Model(Record):
@@ -56,26 +60,10 @@ class Model(Record):
                  "test_carrier": None}
 
 
-def valuation(m: Model, prop: str, state: str) -> Weight:
-    """The stored (for, against) pair of a test at a state."""
-    if prop not in m.tests:
-        raise ModelError(f"unknown proposition {prop!r}")
-    if state not in m.states:
-        raise ModelError(f"unknown state {state!r}")
-    return m.tests[prop].entry(state, state)
-
-
 def program_relation(m: Model, name: str) -> PRel:
     if name not in m.programs:
         raise ModelError(f"unknown program {quoted(name)}")
     return m.programs[name]
-
-
-def diagonal_relation(m: Model, name: str) -> PRel:
-    """The subidentity matrix of a test."""
-    if name not in m.tests:
-        raise ModelError(f"unknown test {quoted(name)}")
-    return m.tests[name]
 
 
 def _named_relation(m: Model, name: str) -> PRel:
@@ -84,35 +72,6 @@ def _named_relation(m: Model, name: str) -> PRel:
     if rel is None:
         raise ModelError(f"unknown relation {quoted(name)}")
     return rel
-
-
-def load_model(document: str | bytes) -> Model:
-    """The model a document describes, read by ``modelfile``."""
-    from .modelfile import _checked_pairs, model_from_dict
-
-    try:
-        if isinstance(document, bytes):
-            document = document.decode("utf-8")
-        raw = json.loads(document, object_pairs_hook=_checked_pairs)
-    except UnicodeDecodeError as exc:
-        raise ModelError(f"not UTF-8 text: {exc}") from exc
-    except ValueError as exc:  # malformed JSON, or an integer too long to convert
-        raise ModelError(f"invalid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ModelError("invalid JSON: document nests too deeply") from exc
-    return model_from_dict(raw)
-
-
-def _read_model(path: str) -> Model:
-    """The model in the file at ``path``; a file that cannot be read is a ``ModelError``."""
-    try:
-        with open(path, "rb") as handle:
-            document = handle.read()
-    except OSError as exc:
-        if exc.filename is None:
-            raise ModelError(str(exc)) from exc
-        raise ModelError(f"[Errno {exc.errno}] {exc.strerror}: {quoted(path)}") from exc
-    return load_model(document)
 
 
 def _json(payload, code: int = 0) -> int:
@@ -141,3 +100,6 @@ def diagonal_to_json(test: PRel) -> dict:
 
 def model_to_text(m: Model) -> str:
     return json.dumps(model_to_dict(m), indent=2)
+
+__getattr__ = _moved(__name__, modelfile="load_model",
+                     algebra="valuation diagonal_relation")

@@ -35,6 +35,11 @@ The opposition is the same closure of ``top - ff``.  The rounds
 Tests are the subidentity matrices: everything off the diagonal is the
 least weight.  Complementing a test swaps evidence on the diagonal
 only, which keeps the result subidentity.
+
+Relations built from weight maps (``from_entries``, ``from_diagonal``)
+and ``identity`` live in ``algebra``, and relation text (``format_prel``,
+``format_grid``) in ``views``; this module resolves them from there
+(``__getattr__``).
 """
 
 from __future__ import annotations
@@ -45,14 +50,18 @@ from functools import reduce
 from itertools import product
 from operator import and_, or_
 
+from . import _moved
 from .errors import ShapeError, SortError
 from .lattice import LatticeElem, LatticeId
-from .twist import Weight, format_weight, weight_to_json
+from .twist import Weight, weight_to_json
 
 
 def value_table(values: Iterable[Fraction]) -> tuple[Fraction, ...]:
     """The sorted table holding ``values``, 0 and 1."""
     return tuple(sorted({*values, Fraction(0), Fraction(1)}))
+
+
+_UNITS = value_table(())
 
 
 def _check_states(states: tuple[str, ...]) -> None:
@@ -75,6 +84,8 @@ class PRel:
         _check_states(states)
         if len(weights) != n * n:
             raise ShapeError(f"expected {n * n} entries for {n} states, got {len(weights)}")
+        from .algebra import from_entries
+
         return from_entries(lattice, states, dict(zip(product(states, repeat=2), weights)), values)
 
     def __eq__(self, other):
@@ -127,25 +138,6 @@ def _from_bits(lattice: LatticeId, states, values, bits) -> PRel:
     return r
 
 
-def from_entries(
-    lattice: LatticeId, states, entries: Mapping[tuple[str, str], Weight], values=()
-) -> PRel:
-    """Total relation from a sparse entry map; missing pairs get BOT.  Only
-    the listed entries are encoded; every other cell is BOT."""
-    states = tuple(states)
-    index = {s: i for i, s in enumerate(states)}
-    for u, v in entries:
-        if u not in index or v not in index:
-            raise ShapeError(f"entry ({u!r}, {v!r}) names an unknown state")
-    _check_states(states)
-    if any(w.lattice is not lattice for w in entries.values()):
-        raise ShapeError("entry weight from a different lattice")
-    n = len(states)
-    cells = {index[u] * n + index[v]: (w.tt.value, w.ff.value) for (u, v), w in entries.items()}
-    table = value_table([*values, *(x for pair in cells.values() for x in pair)])
-    return from_cells(lattice, states, table, cells, {v: i for i, v in enumerate(table)})
-
-
 def from_cells(lattice: LatticeId, states, table, cells: Mapping[int, tuple], rank) -> PRel:
     """The relation on ``table`` whose row-major cell k holds ranks ``rank[t]``
     and ``rank[f]`` for ``cells[k] == (t, f)``; every other cell holds BOT."""
@@ -156,15 +148,11 @@ def from_cells(lattice: LatticeId, states, table, cells: Mapping[int, tuple], ra
     return _from_bits(lattice, states, table, bits)
 
 
-def identity(lattice: LatticeId, states: tuple[str, ...], values=()) -> PRel:
-    """TOP on the diagonal, BOT elsewhere, on the table holding ``values``: !0."""
-    return _apply(_not, zero(lattice, states, values))
-
-
-def zero(lattice: LatticeId, states: tuple[str, ...], values=()) -> PRel:
-    states, table = tuple(states), value_table(values)
+def zero(lattice: LatticeId, states: tuple[str, ...]) -> PRel:
+    """BOT everywhere, on the table {0, 1}."""
+    states = tuple(states)
     _check_states(states)
-    return _from_bits(lattice, states, table, (0,) * len(states) ** 2)
+    return _from_bits(lattice, states, _UNITS, (0,) * len(states) ** 2)
 
 
 def _lift(r: PRel, table: tuple) -> PRel:
@@ -295,11 +283,6 @@ def t_complement(t: PRel) -> PRel:
     return _apply(_not, t)
 
 
-def from_diagonal(lattice: LatticeId, states, diagonal: Mapping[str, Weight], values=()) -> PRel:
-    """The test carrying ``diagonal``; missing states get BOT."""
-    return from_entries(lattice, states, {(u, u): w for u, w in diagonal.items()}, values)
-
-
 def cell_forms(r: PRel, form) -> list:
     """``form(w)`` of each cell's weight ``w``, row-major: one call per distinct
     cell, decoded once."""
@@ -312,19 +295,5 @@ def prel_to_entries(r: PRel) -> list[list]:
     """Every entry as [u, v, tt, ff], row-major (defaults made explicit)."""
     return [[u, v, *pair] for (u, v), pair in r.pairs(weight_to_json)]
 
-
-def format_prel(r: PRel, unicode: bool = False) -> str:
-    """Aligned matrix with one weight pair per entry."""
-    return format_grid(r.states, cell_forms(r, lambda w: format_weight(w, unicode)))
-
-
-def format_grid(states, cells: list[str]) -> str:
-    """Row-major cell strings as a matrix labelled by ``states``."""
-    n = len(states)
-    widths = [max(len(states[j]), *(len(cells[i * n + j]) for i in range(n))) for j in range(n)]
-    label = max(len(s) for s in states)
-    lines = [" " * label + "  " + "  ".join(s.ljust(w) for s, w in zip(states, widths))]
-    for i, u in enumerate(states):
-        row = "  ".join(cells[i * n + j].ljust(widths[j]) for j in range(n))
-        lines.append(u.ljust(label) + "  " + row)
-    return "\n".join(line.rstrip() for line in lines)
+__getattr__ = _moved(__name__, algebra="from_entries identity from_diagonal",
+                     views="format_prel format_grid")

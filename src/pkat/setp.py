@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
+from .algebra import from_diagonal, identity
 from .errors import ShapeError
 from .lattice import LatticeId
 from .plts import diagonal_to_json
-from .relp import PRel, from_diagonal, identity, r_dot, r_leq, r_plus, r_star, t_complement, zero
+from .relp import PRel, r_dot, r_leq, r_plus, r_star, t_complement, zero
 from .twist import Weight
 
 

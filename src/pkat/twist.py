@@ -13,26 +13,19 @@ The two evidences are independent: comparing their sum with 1 places a
 pair on the vagueness/inconsistency square.  Complementary evidence
 (sum exactly 1) is consistent; missing evidence (sum below 1) is vague;
 contradicting evidence (sum above 1) is inconsistent.
+
+The pair operations (``weight``, ``wtop``, ``wbot``, ``wjoin``, ``wmeet``,
+``negate``, ``wleq``) live in ``algebra``, which no command loads; this
+module resolves them from there (``__getattr__``).
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
+from . import _moved
 from .errors import LatticeMismatchError
-from .lattice import (
-    ElemLike,
-    LatticeElem,
-    LatticeId,
-    bottom,
-    elem,
-    elem_to_json,
-    elem_to_text,
-    join,
-    leq,
-    meet,
-    top,
-)
+from .lattice import LatticeElem, LatticeId, elem_to_json, elem_to_text
 from .record import Record
 
 
@@ -63,39 +56,6 @@ class ConsistencyClass(Enum):
     INCONSISTENT = "inconsistent"
 
 
-def weight(lattice: LatticeId, tt: ElemLike, ff: ElemLike) -> Weight:
-    return Weight(elem(lattice, tt), elem(lattice, ff))
-
-
-def wtop(lattice: LatticeId) -> Weight:
-    """Full evidence for, none against: the greatest weight."""
-    return Weight(top(lattice), bottom(lattice))
-
-
-def wbot(lattice: LatticeId) -> Weight:
-    """No evidence for, full evidence against: the least weight."""
-    return Weight(bottom(lattice), top(lattice))
-
-
-def wjoin(x: Weight, y: Weight) -> Weight:
-    """Componentwise: join the support, meet the opposition."""
-    return Weight(join(x.tt, y.tt), meet(x.ff, y.ff))
-
-
-def wmeet(x: Weight, y: Weight) -> Weight:
-    """Componentwise: meet the support, join the opposition."""
-    return Weight(meet(x.tt, y.tt), join(x.ff, y.ff))
-
-
-def negate(x: Weight) -> Weight:
-    """Swap evidence for with evidence against (an involution)."""
-    return Weight(x.ff, x.tt)
-
-
-def wleq(x: Weight, y: Weight) -> bool:
-    return leq(x.tt, y.tt) and leq(y.ff, x.ff)
-
-
 def classify(x: Weight) -> ConsistencyClass:
     """Place a weight on the vagueness/inconsistency square.
 
@@ -116,3 +76,5 @@ def format_weight(x: Weight, unicode: bool = False) -> str:
 
 def weight_to_json(x: Weight) -> list:
     return [elem_to_json(x.tt), elem_to_json(x.ff)]
+
+__getattr__ = _moved(__name__, algebra="weight wtop wbot wjoin wmeet negate wleq")

@@ -1,13 +1,33 @@
 """Handlers of the commands that show a model: ``eval``, ``star`` and
-``classify``.  ``cli`` imports this module when one of them runs; only
-``eval`` loads ``syntax``.
+``classify``, and the relation text they print (``format_prel``,
+``format_grid``).  ``cli`` imports this module when one of them runs;
+each reads its model with ``modelfile``, and only ``eval`` loads
+``syntax``.
 """
 
 from __future__ import annotations
 
-from .plts import _json, _named_relation, _read_model, program_relation
-from .relp import PRel, cell_forms, format_grid, format_prel, prel_to_entries, r_star_steps
-from .twist import classify
+from .modelfile import _read_model
+from .plts import _json, _named_relation, program_relation
+from .relp import PRel, cell_forms, prel_to_entries, r_star_steps
+from .twist import classify, format_weight
+
+
+def format_prel(r: PRel, unicode: bool = False) -> str:
+    """Aligned matrix with one weight pair per entry."""
+    return format_grid(r.states, cell_forms(r, lambda w: format_weight(w, unicode)))
+
+
+def format_grid(states, cells: list[str]) -> str:
+    """Row-major cell strings as a matrix labelled by ``states``."""
+    n = len(states)
+    widths = [max(len(states[j]), *(len(cells[i * n + j]) for i in range(n))) for j in range(n)]
+    label = max(len(s) for s in states)
+    lines = [" " * label + "  " + "  ".join(s.ljust(w) for s, w in zip(states, widths))]
+    for i, u in enumerate(states):
+        row = "  ".join(cells[i * n + j].ljust(widths[j]) for j in range(n))
+        lines.append(u.ljust(label) + "  " + row)
+    return "\n".join(line.rstrip() for line in lines)
 
 
 def _class_name(w) -> str:

@@ -149,9 +149,10 @@ def rank_complement(r, n: int) -> tuple:
 # --- term-walk oracle (independent of the compiled form) --------------------
 
 
-def units(lattice, states, values):
-    """The relations ``1`` and ``0`` that ``oracle_eval`` reads for its constants."""
-    return identity(lattice, states, values), zero(lattice, states, values)
+def units(lattice, states):
+    """The relations ``1`` and ``0`` that ``oracle_eval`` reads for its constants,
+    on the table {0, 1}: kernels lift them where they meet a relation."""
+    return identity(lattice, states), zero(lattice, states)
 
 
 def oracle_eval(term: Term, env: dict, one, zer):
@@ -243,7 +244,7 @@ def oracle_run(law, ident, lattice, n_states, godel_grid, how, samples=None, see
                        for name in law.code[0]}, None) for _ in range(samples))
     else:
         instances = oracle_assignments(law, lattice, states, space, fixed)
-    zer = zero(lattice, states, space.table)
+    zer = zero(lattice, states)
     verdict = oracle_check(law, instances, zer, lattice, n_states, how, axiom=ident,
                            seed=seed if how == "random" else None)
     if fixed and verdict.status is Status.HOLDS:
@@ -260,7 +261,7 @@ def oracle_equiv_random(t1, t2, lattice, n_states, samples, seed, test_names=(),
     models = (oracle_model(rng, lattice, states, names - tests, tests, godel_grid)
               for _ in range(samples))
     instances = ((_atom_assignment(m, names), m) for m in models)
-    zer = zero(lattice, states, space.table)
+    zer = zero(lattice, states)
     return oracle_check(_equation(t1, t2), instances, zer, lattice, n_states, "random",
                         seed=seed)
 

@@ -15,14 +15,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pkat
+import pkat.catalog
 import pkat.checks
 import pkat.cli
+import pkat.usage
 import pkat.views
 from pkat.cli import main
 from pkat.engine import Status, equiv, equiv_random, hoare_check, verdict_to_dict
 from pkat.errors import EngineError
 from pkat.lattice import LatticeId, bottom, elem, elem_to_json, top
-from pkat.plts import Model, _read_model, load_model, model_to_dict
+from pkat.modelfile import _read_model
+from pkat.plts import Model, load_model, model_to_dict
 from pkat.relp import PRel, format_grid, format_prel, prel_to_entries
 from pkat.setp import PSet, pset_to_json
 from pkat.syntax import parse
@@ -304,27 +307,36 @@ def test_an_error_quotes_the_users_text_at_most_40_characters(capsys, argv, code
         assert last == message.format(q=repr(text))
 
 
+# What ``import pkat.cli`` loads besides the package: the parser and the lattice names.
+_PARSER = "cli errors lattice record"
+# A --model request's reader, model and relations.
+_MODELS = "modelfile plts relp twist"
+# A check on generated models: the engine, its chunk kernels and the term evaluator.
+_DRAWN = "bitslice engine plts relp syntax twist"
+
+
 @pytest.mark.parametrize("argv, loaded", [
-    ((), []),
-    (("star", "--model", MODEL, "--program", "r"), []),
-    (("classify", "--model", MODEL, "--name", "p"), []),
-    (("eval", "--model", MODEL, "--term", "p;r*"), ["pkat.syntax"]),
+    ((), _PARSER),
+    (("star", "--model", MODEL, "--program", "r"), f"{_PARSER} {_MODELS} views"),
+    (("classify", "--model", MODEL, "--name", "p"), f"{_PARSER} {_MODELS} views"),
+    (("eval", "--model", MODEL, "--term", "p;r*"), f"{_PARSER} {_MODELS} syntax views"),
     (("hoare", "--model", MODEL, "--pre", "p", "--prog", "r", "--post", "1"),
-     ["pkat.engine", "pkat.syntax"]),
-    (("equiv", "--model", MODEL, "--t1", "r + r", "--t2", "r"), ["pkat.engine", "pkat.syntax"]),
+     f"{_PARSER} {_MODELS} checks engine syntax"),
+    (("equiv", "--model", MODEL, "--t1", "r + r", "--t2", "r"),
+     f"{_PARSER} {_MODELS} checks engine syntax"),
     (("equiv", "--t1", "r*;r* + r*", "--t2", "r*", "--lattice", "lukasiewicz3", "--states", "2",
-      "--random", "20", "--seed", "1"), ["pkat.bitslice", "pkat.engine", "pkat.syntax"]),
+      "--random", "20", "--seed", "1"), f"{_PARSER} {_DRAWN} checks"),
     (("axioms", "--lattice", "bool2", "--states", "1", "--samples", "2", "--json"),
-     ["pkat.bitslice", "pkat.engine", "pkat.syntax"]),
+     f"{_PARSER} {_DRAWN} catalog"),
     # A repeated option is read without argparse; its last value counts, as in argparse.
     (("axioms", "--lattice", "bool2", "--states", "1", "--samples", "1", "--samples", "2",
-      "--json"), ["pkat.bitslice", "pkat.engine", "pkat.syntax"]),
+      "--json"), f"{_PARSER} {_DRAWN} catalog"),
     # Only help and usage errors, and what the table does not read (here an
-    # abbreviated option), go to argparse.
-    (("--help",), ["argparse", "locale"]),
-    (("equiv", "--t1", "p"), ["argparse", "locale"]),
+    # abbreviated option), go to argparse, through ``usage``.
+    (("--help",), f"argparse locale {_PARSER} usage"),
+    (("equiv", "--t1", "p"), f"argparse locale {_PARSER} usage"),
     (("axioms", "--lat", "bool2", "--states", "1"),
-     ["argparse", "locale", "pkat.bitslice", "pkat.engine", "pkat.syntax"]),
+     f"argparse locale {_PARSER} {_DRAWN} catalog usage"),
 ], ids=["import", "star", "classify", "eval", "hoare", "equiv-model", "equiv-random", "axioms",
         "repeated", "help", "usage-error", "abbreviated"])
 def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
@@ -334,15 +346,17 @@ def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
              "    if sys.argv[1:]: pkat.cli.main(sys.argv[1:])\n"
              "except SystemExit as exc:\n"
              "    print('exit', exc.code)\n"
-             "print(sorted({'argparse', 'locale', 'pkat.syntax', 'pkat.engine', 'pkat.bitslice'}"
-             " & set(sys.modules)), file=sys.stderr)")
+             "print(sorted(m for m in sys.modules if m in ('argparse', 'locale')"
+             " or m.partition('.')[0] == 'pkat'), file=sys.stderr)")
     done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
-    assert done.stderr.splitlines()[-1] == f"{loaded}" and (done.stdout != "") == bool(argv)
+    want = sorted({"pkat", *(m if m in ("argparse", "locale") else f"pkat.{m}"
+                             for m in loaded.split())})
+    assert done.stderr.splitlines()[-1] == f"{want}" and (done.stdout != "") == bool(argv)
 
 
 _VIEWS = ["_cmd_classify", "_cmd_eval", "_cmd_star"]
-_CHECKS = ["_cmd_axioms", "_cmd_equiv", "_cmd_hoare"]
+_CHECKS = ["_cmd_equiv", "_cmd_hoare"]
 
 
 @pytest.mark.parametrize("argv, handlers", [
@@ -356,7 +370,7 @@ _CHECKS = ["_cmd_axioms", "_cmd_equiv", "_cmd_hoare"]
     (("equiv", "--model", MODEL, "--t1", "r + r", "--t2", "r"), _CHECKS),
     (("equiv", "--t1", "r*;r* + r*", "--t2", "r*", "--lattice", "lukasiewicz3", "--states", "2",
       "--random", "20", "--seed", "1"), _CHECKS),
-    (("axioms", "--lattice", "bool2", "--states", "1"), _CHECKS),
+    (("axioms", "--lattice", "bool2", "--states", "1"), ["_cmd_axioms"]),
 ], ids=["import", "help", "usage-error", "star", "classify", "eval", "hoare", "equiv-model",
         "equiv-random", "axioms"])
 def test_each_request_compiles_only_its_command_groups_handlers(argv, handlers):
@@ -389,6 +403,23 @@ def test_a_module_run_compiles_cli_once():
     done = subprocess.run([sys.executable, "-c", probe, "star", "--model", MODEL, "--program", "r"],
                           capture_output=True, text=True, env=env, timeout=60, check=True)
     assert done.stdout.startswith("star of r:") and done.stderr == "0 False True\n"
+
+
+@pytest.mark.parametrize("argv, code", [(("--help",), 0), (("equiv", "--t1", "p"), 2)],
+                         ids=["help", "usage-error"])
+def test_argparse_in_a_module_run_compiles_cli_once(argv, code):
+    # ``usage`` is handed the option table, so it never imports the ``__main__`` parser again.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
+    probe = ("import runpy, sys\n"
+             "try:\n"
+             "    runpy.run_module('pkat.cli', run_name='__main__', alter_sys=True)\n"
+             "except SystemExit as exc:\n"
+             "    print(exc.code, 'pkat.cli' in sys.modules, 'pkat.usage' in sys.modules,"
+             " file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stderr.splitlines()[-1] == f"{code} False True"
+    assert ("usage: pkat" in done.stdout) == (code == 0)
 
 
 def test_main_in_process_leaves_the_heap_unfrozen(capsys):
@@ -509,9 +540,11 @@ def _outcome(call):
 def test_parsing_one_command_matches_the_full_tree(argv):
     ran = []
     handlers = {f"_cmd_{name}": lambda args: ran.append(vars(args)) or 0 for name in _OPTIONS}
-    with patch.dict(pkat.views.__dict__, handlers), patch.dict(pkat.checks.__dict__, handlers):
+    with patch.dict(pkat.views.__dict__, handlers), patch.dict(pkat.checks.__dict__, handlers), \
+            patch.dict(pkat.catalog.__dict__, handlers):
         got = _outcome(lambda: main(argv))
-        want = _outcome(lambda: pkat.cli._build_parser().parse_args(argv))
+        want = _outcome(lambda: pkat.usage._build_parser(pkat.cli._COMMANDS, pkat.cli._options)
+                        .parse_args(argv))
     if ran:  # parsed: main ran the handler on the full tree's fields
         assert got == ("", "", 0) and want[:2] == ("", "") and ran == [vars(want[2])]
     else:
@@ -711,7 +744,7 @@ _REQUESTS = {
     "equiv": ("checks", ("--t1", "p", "--t2", "p", "--lattice", "bool2", "--states", "1",
                          "--random", "1")),
     "hoare": ("checks", ("--model", MODEL, "--pre", "p", "--prog", "r", "--post", "1")),
-    "axioms": ("checks", ("--lattice", "bool2", "--states", "1")),
+    "axioms": ("catalog", ("--lattice", "bool2", "--states", "1")),
 }
 
 

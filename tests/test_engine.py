@@ -146,7 +146,7 @@ def _walked_break(sides, leq, premise, env, constants):
 def test_compiled_laws_match_the_term_walk(model, t1, t2, b):
     engine = pkat.engine
     env = engine._atom_assignment(model, "abpq")
-    one, zer = units(model.lattice, model.states, ())
+    one, zer = units(model.lattice, model.states)
     assert evaluate(t1, model) == oracle_eval(t1, env, one, zer)
     sum12, star1 = Plus(t1, t2), Star(t1)
     goals = [sum12, Plus(t2, t1), Plus(One(), Dot(t1, star1)), star1, Dot(t1, t2), Dot(t2, t1)]
@@ -605,6 +605,22 @@ def test_draws_are_the_cells_rng_choice_would_draw():
             assert drawn == [[choice(range(k)) for _ in range(3)] for _ in range(2)]
 
 
+def test_a_random_run_is_seeded_zero_unless_given_and_never_unseeded():
+    # random.Random(None) draws from the OS, so such a run could not be reproduced.
+    with pytest.raises(EngineError, match="random mode needs an int seed, got NoneType"):
+        equiv_random(parse("p;q"), parse("q;p"), GD, 2, 50, None)
+    with pytest.raises(EngineError, match="int seed"):
+        check_axiom(AxiomId.PLUS_COMM, L3, 1, "random", samples=5, seed=None)
+    unseeded = check_axiom(AxiomId.TEST_NON_CONTRA, L3, 2, "random", samples=40)
+    assert verdict_to_dict(unseeded) == verdict_to_dict(
+        check_axiom(AxiomId.TEST_NON_CONTRA, L3, 2, "random", samples=40, seed=0))
+    assert unseeded.status is Status.FAILS and unseeded.seed == 0
+    suite = check_suite(GD, 2, "random", samples=3)
+    assert [v.seed for v in suite] == [0] * len(CORE_AXIOMS) + [None, None]  # 219, 220 walk
+    assert list(map(verdict_to_dict, suite)) == list(
+        map(verdict_to_dict, check_suite(GD, 2, "random", samples=3, seed=0)))
+
+
 def _full_walk(ident, lattice, n, grid, mode):
     """The one-test law's verdict from every one of its k^n tests in walk
     order: the reference the k-instance check must reproduce."""
@@ -612,7 +628,7 @@ def _full_walk(ident, lattice, n, grid, mode):
     law, space, states = pkat.catalog._AXIOMS[ident], engine._space(lattice, grid), states_for(n)
     instances = (({"a": oracle_relation(lattice, states, space, True, cells)}, None)
                  for cells in product(space.cells, repeat=n))
-    return oracle_check(law, instances, zero(lattice, states, space.table), lattice, n, mode,
+    return oracle_check(law, instances, zero(lattice, states), lattice, n, mode,
                         axiom=ident)
 
 

@@ -26,17 +26,70 @@ EXPORTS = {
     "engine": "Status Verdict Witness equiv equiv_random evaluate hoare_check verdict_to_dict",
     "catalog": "AxiomId check_axiom check_suite find_boolean_witness recheck",
 }
-SUBMODULES = ["catalog", "engine", "errors", "lattice", "modelfile", "plts", "record", "relp",
-              "setp", "syntax", "twist"]
+SUBMODULES = ["algebra", "catalog", "engine", "errors", "lattice", "modelfile", "plts", "record",
+              "relp", "setp", "syntax", "twist", "views"]
 NAMES = [(home, name) for home, names in EXPORTS.items() for name in names.split()]
+
+# The public names each module defined before the object-level operations,
+# model-file reading and relation text moved out of the modules every check
+# loads (``checks`` and ``views`` defined none).
+DEFINED = {
+    "bitslice": "MAX_BITS",
+    "catalog": "AxiomId BOOLEAN_AXIOMS CORE_AXIOMS axiom_row check_axiom check_suite "
+               "find_boolean_witness recheck",
+    "cli": "cli main",
+    "engine": "DEFAULT_GODEL_GRID MAX_EXHAUSTIVE MAX_STEPS Status Verdict Witness equiv "
+              "equiv_random hoare_check states_for verdict_to_dict witness_parts",
+    "errors": "CarrierError EngineError LatticeMismatchError ModelError ParseError PkatError "
+              "ShapeError SortError quoted",
+    "lattice": "ElemLike LatticeElem LatticeId big_join big_meet bottom carrier elem "
+               "elem_to_json elem_to_text implies join leq meet top",
+    "modelfile": "model_from_dict",
+    "plts": "Model diagonal_relation diagonal_to_json load_model model_to_dict model_to_text "
+            "program_relation valuation",
+    "record": "Record",
+    "relp": "PRel align cell_forms format_grid format_prel from_cells from_diagonal from_entries "
+            "identity is_test prel_to_entries r_dot r_leq r_plus r_star r_star_steps "
+            "t_complement value_table zero",
+    "setp": "PSet from_values oslash pset_to_json s_complement s_dot s_plus s_star s_subset "
+            "upsilon",
+    "syntax": "Atom Dot Not One Plus Sort Star Term Zero atoms desugar_if desugar_while evaluate "
+              "parse pretty sort_check sort_of",
+    "twist": "ConsistencyClass Weight classify format_weight negate wbot weight weight_to_json "
+             "wjoin wleq wmeet wtop",
+}
 
 
 def test_each_export_is_its_home_modules_object():
-    home_of = {name: importlib.import_module(f"pkat.{home}") for home, name in NAMES}
-    assert [name for name, home in home_of.items()
-            if getattr(pkat, name) is not getattr(home, name)] == []
+    # ``_EXPORTS`` names where each name lives now, and it is the same object
+    # in the module that held it before.
+    home_of = {name: home for home, names in pkat._EXPORTS.items() for name in names.split()}
+    assert sorted(home_of) == sorted(name for _, name in NAMES)
+    assert [name for name, home in home_of.items() if getattr(pkat, name) is not
+            getattr(importlib.import_module(f"pkat.{home}"), name)] == []
+    assert [name for home, name in NAMES if getattr(pkat, name) is not
+            getattr(importlib.import_module(f"pkat.{home}"), name)] == []
     assert [name for name in SUBMODULES
             if getattr(pkat, name) is not importlib.import_module(f"pkat.{name}")] == []
+
+
+def test_each_modules_public_names_still_resolve_from_it():
+    missing, other = [], []
+    for module, names in DEFINED.items():
+        home = importlib.import_module(f"pkat.{module}")
+        for name in names.split():
+            if not hasattr(home, name):
+                missing.append(f"{module}.{name}")
+            elif name in pkat._HOME and getattr(home, name) is not getattr(pkat, name):
+                other.append(f"{module}.{name}")
+    assert (missing, other) == ([], [])
+
+
+def test_a_moved_name_resolves_only_where_it_was():
+    for module in ("lattice", "twist", "relp", "plts"):
+        with pytest.raises(AttributeError, match=f"pkat.{module}' has no attribute 'wcombine'"):
+            getattr(importlib.import_module(f"pkat.{module}"), "wcombine")
+    assert not hasattr(pkat.lattice, "wjoin") and not hasattr(pkat.twist, "meet")
 
 
 def test_star_import_binds_the_exports_and_submodules():
