@@ -7,12 +7,12 @@ lattices, the pair algebra, weighted sets and relations, a term
 language with parser, an axiom-verification engine, and a CLI.
 
 The names below (and the submodules that hold them) resolve on first
-use, through a module ``__getattr__`` (PEP 562): ``import pkat`` loads
-no submodule, and ``pkat.check_axiom`` loads ``catalog`` (which imports
-``engine``) only then.  The object-level operations live in ``algebra``,
-which no command loads.  ``lattice``, ``twist``, ``relp`` and ``plts``
-resolve the public names that moved out of them the same way, each
-through the ``__getattr__`` that ``_moved`` makes.
+use, through a module ``__getattr__`` (PEP 562) that ``_moved`` makes:
+``import pkat`` loads no submodule, and ``pkat.check_axiom`` loads
+``catalog`` (which imports ``engine``) only then, and binds the name in
+the package.  The object-level operations live in ``algebra``, which no
+command loads.  ``lattice``, ``twist``, ``relp`` and ``plts`` resolve the
+public names that moved out of them through the same resolver.
 """
 
 __version__ = "0.1.0"
@@ -36,29 +36,18 @@ _EXPORTS = {
     "catalog": "AxiomId check_axiom check_suite find_boolean_witness recheck",
     "record": "",
 }
-_HOME = {name: home for home, names in _EXPORTS.items() for name in (home, *names.split())}
-__all__ = list(_HOME)
-
-
-def __getattr__(name: str):
-    home = _HOME.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    module = import_module(f"{__name__}.{home}")
-    value = module if name == home else getattr(module, name)
-    globals()[name] = value
-    return value
+__all__ = [name for home, names in _EXPORTS.items() for name in (home, *names.split())]
 
 
 def __dir__():
-    return sorted({*globals(), *_HOME})
+    return sorted({*globals(), *__all__})
 
 
 def _moved(module: str, **homes: str):
-    """The module ``__getattr__`` (PEP 562) of a submodule whose public names
-    moved out: each name listed in ``homes[home]`` resolves from ``home``."""
+    """The module ``__getattr__`` (PEP 562) of ``module``, the one resolver of
+    the package's exports and of each submodule whose public names moved out:
+    a name listed in ``homes[home]`` is submodule ``home`` if it is ``home``,
+    else resolves from it, and is then bound in ``module``."""
     home_of = {name: home for home, names in homes.items() for name in names.split()}
 
     def __getattr__(name: str):
@@ -66,6 +55,12 @@ def _moved(module: str, **homes: str):
             raise AttributeError(f"module {module!r} has no attribute {name!r}")
         from importlib import import_module
 
-        return getattr(import_module(f"{__name__}.{home_of[name]}"), name)
+        home = import_module(f"{__name__}.{home_of[name]}")
+        value = home if name == home_of[name] else getattr(home, name)
+        setattr(import_module(module), name, value)
+        return value
 
     return __getattr__
+
+
+__getattr__ = _moved(__name__, **{home: f"{home} {names}" for home, names in _EXPORTS.items()})

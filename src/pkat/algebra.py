@@ -6,7 +6,8 @@ read as relations or as one weight.  The checker never runs these: it
 runs their cut-bit form in ``relp`` and ``bitslice``.  So no command
 loads this module; ``setp`` and the API do, and ``lattice``, ``twist``,
 ``relp`` and ``plts`` resolve the names below that they once held
-through their module ``__getattr__`` (PEP 562).
+through the module ``__getattr__`` (PEP 562) that ``pkat._moved`` makes,
+which binds each in the module on first use.
 
 On a chain, meet and join are min and max, and the residuum of meet is
 

@@ -1,8 +1,9 @@
 """The axiom catalog and its suite, checked by ``engine._check``, and the
 handler of the ``axioms`` command that runs it, ``_cmd_axioms``.
 
-Each axiom is stored once, on its ``AxiomId``, as the formula it prints.
-Of the commands only ``axioms`` imports this module; ``engine`` never does.
+Each axiom is stored once, on its ``AxiomId``, as the formula it prints,
+and ``_law`` compiles it on each lookup.  Of the commands only ``axioms``
+imports this module; ``engine`` never does.
 """
 
 from __future__ import annotations
@@ -67,17 +68,13 @@ BOOLEAN_AXIOMS = (AxiomId.TEST_NON_CONTRA, AxiomId.TEST_EXCL_MIDDLE)
 _TEST_VARS = frozenset("abc")
 
 
-class _Laws:
-    """The catalog; each lookup compiles a law afresh."""
-
-    def __getitem__(self, ident: AxiomId) -> _Law:
-        sides = [parse(side) for side in re.split("<=|->|=", ident.formula)]
-        horn = "->" in ident.formula  # four sides, else t0 = ... = tk as each ti = tk
-        code = _compile(sides if horn else [t for ti in sides[:-1] for t in (ti, sides[-1])])
-        return _Law(ident.formula, code, horn, _TEST_VARS)
-
-
-_AXIOMS = _Laws()
+def _law(ident: AxiomId) -> _Law:
+    """The law ``ident`` prints, compiled afresh with its tests as ``_equation``
+    compiles one: its names are the programs, then the tests, each alphabetical."""
+    sides = [parse(side) for side in re.split("<=|->|=", ident.formula)]
+    horn = "->" in ident.formula  # four sides, else t0 = ... = tk as each ti = tk
+    goals = sides if horn else [t for ti in sides[:-1] for t in (ti, sides[-1])]
+    return _Law(ident.formula, _compile(goals, _TEST_VARS), horn, _TEST_VARS)
 
 
 def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> list[Verdict]:
@@ -85,7 +82,7 @@ def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> li
     searched exhaustively for a witness, by ``engine._check``."""
     if mode not in ("exhaustive", "random"):
         raise EngineError(f"unknown mode {mode!r}")
-    plan = [(_AXIOMS[i], mode, i) for i in core] + [(_AXIOMS[i], "search", i) for i in search]
+    plan = [(_law(i), mode, i) for i in core] + [(_law(i), "search", i) for i in search]
     return _check(plan, lattice, n_states, godel_grid, samples, seed)
 
 
@@ -146,7 +143,7 @@ def recheck(verdict: Verdict) -> bool:
         raise EngineError("only failing verdicts carry a witness to recheck")
     w = verdict.witness
     if verdict.axiom is not None:
-        law = _AXIOMS[verdict.axiom]
+        law = _law(verdict.axiom)
     elif w.terms is not None and len(w.terms) in (2, 3):
         law = (_equation if len(w.terms) == 2 else _triple)(*map(parse, w.terms))
     else:

@@ -20,9 +20,9 @@ A run builds its candidate space once, a ``bitslice._Space``, and every
 law it checks (the whole catalog, for ``catalog.check_suite``) draws from
 it, nearest classical consistency (|tt + ff - 1|) first, as ``_space``
 orders it, so a run encodes each cell once for all its laws.
-An instance lists, in the order of the law's compiled names
-(alphabetical for a catalog law, programs then tests for an equation),
-a test's n diagonal cells for a name in the law's ``tests``, else a
+An instance lists, in the order of the law's compiled names (the
+programs, then the tests, each alphabetical, for every law), a test's
+n diagonal cells for a name in the law's ``tests``, else a
 program's n*n row-major, as ``_spans`` lays them out.  Exhaustive
 checking walks them lexicographically over the space's order, the last
 cell varying fastest.  So a reported counterexample is the most
@@ -130,7 +130,9 @@ def _equation(t1: Term, t2: Term, tests: Iterable[str] = ()) -> _Law:
 
 def _triple(pre: Term, prog: Term, post: Term) -> _Law:
     """{pre} prog {post}: pre;prog = pre;prog;post.  As post <= 1 and ``;`` is
-    monotone, the right side never exceeds the left: pre;prog <= pre;prog;post."""
+    monotone, the right side never exceeds the left (pre;prog;post <= pre;prog),
+    so the equation holds exactly where the triple's inclusion
+    pre;prog <= pre;prog;post does."""
     terms = (pretty(pre), pretty(prog), pretty(post))
     lhs = Dot(pre, prog)
     return _Law("{%s} %s {%s}" % terms, _compile((lhs, Dot(lhs, post))), terms=terms)

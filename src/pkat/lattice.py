@@ -4,8 +4,10 @@ Three instances are provided, all linearly ordered: the two-element
 Boolean algebra, the three-valued chain bot < u < top, and the unit
 interval under min/max.  Every value is held as an exact ``Fraction``
 so equality and order are decidable.  The finite lattices are the table
-``_FINITE``; ``_elem_from_text`` is the one parser of value text, and it
-never builds a power of ten beyond ``_MAX_DIGITS`` digits.
+``_FINITE``; ``_SPELLED`` holds every lattice's spellings, its bounds'
+(``_BOUNDS``) and its finite values'.  ``_elem_from_text`` is the one
+parser of value text, and it never builds a power of ten beyond
+``_MAX_DIGITS`` digits.
 
 The Heyting operations on elements (``meet``, ``join``, ``leq``,
 ``implies``, ``big_join``, ``big_meet``) live in ``algebra``, which no
@@ -49,8 +51,8 @@ _FINITE = {
 
 _VALUES = {lid: tuple(row[0] for row in rows) for lid, rows in _FINITE.items()}
 
-# Text spellings accepted for the bounds in every lattice.
-_BOUND_TEXT = {"bot": _ZERO, "top": _ONE, "⊥": _ZERO, "⊤": _ONE}
+# The bounds' spellings, which every lattice reads.
+_BOUNDS = ((_ZERO, "bot", "⊥"), (_ONE, "top", "⊤"))
 
 _MAX_DIGITS = 4300  # Python's default int/str limit: every value read prints again
 
@@ -103,10 +105,8 @@ def _elem_from_text(lattice: LatticeId, text: str) -> LatticeElem:
     """The value ``text`` spells.  Past ``_MAX_DIGITS``, an exponent is decided
     from the mantissa alone: zero gives 0, anything else is refused."""
     text = text.strip()
-    if text in _SPELLED.get(lattice, ()):
+    if text in _SPELLED[lattice]:
         return _SPELLED[lattice][text]
-    if text in _BOUND_TEXT:
-        return LatticeElem(lattice, _BOUND_TEXT[text])
     if lattice in _FINITE:
         raise CarrierError(f"{text!r} is not one of {', '.join(r[1] for r in _FINITE[lattice])}")
     if len(text) > _MAX_DIGITS:
@@ -124,19 +124,17 @@ def _elem_from_text(lattice: LatticeId, text: str) -> LatticeElem:
     return LatticeElem(lattice, value)
 
 
-# The finite lattices' elements by spelling, built once.
-_SPELLED = {lid: {s: LatticeElem(lid, row[0]) for row in rows for s in row[1:]}
-            for lid, rows in _FINITE.items()}
-_BOTTOMS = {lid: LatticeElem(lid, _ZERO) for lid in LatticeId}
-_TOPS = {lid: LatticeElem(lid, _ONE) for lid in LatticeId}
+# Every lattice's elements by spelling, its bounds' and its finite rows', built once.
+_SPELLED = {lid: {s: LatticeElem(lid, row[0]) for row in _BOUNDS + _FINITE.get(lid, ())
+                  for s in row[1:]} for lid in LatticeId}
 
 
 def bottom(lattice: LatticeId) -> LatticeElem:
-    return _BOTTOMS[lattice]
+    return _SPELLED[lattice]["bot"]
 
 
 def top(lattice: LatticeId) -> LatticeElem:
-    return _TOPS[lattice]
+    return _SPELLED[lattice]["top"]
 
 
 def carrier(lattice: LatticeId) -> tuple[LatticeElem, ...]:

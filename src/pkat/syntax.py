@@ -293,10 +293,12 @@ def _fill(slots: list, steps, root: int, kernels=None):
 
 
 def _atom_assignment(model: Model, names: Iterable[str]) -> dict[str, PRel]:
-    """Each name's relation in ``model``, which must range over its lattice and
-    states, and be a subidentity relation if it is a test."""
+    """Each name's relation in ``model``, which must name one relation, range
+    over its lattice and states, and be a subidentity relation if it is a test."""
     env = {name: _named_relation(model, name) for name in sorted(names)}
     for name, rel in env.items():
+        if name in model.tests and name in model.programs:
+            raise ShapeError(f"{quoted(name)} names both a program and a test")
         if rel.lattice is not model.lattice or rel.states != model.states:
             raise ShapeError(f"relation {quoted(name)} does not range over its model's "
                              f"{model.lattice.value} states")

@@ -51,7 +51,7 @@ def _runs(draw):
         samples, seed = draw(st.sampled_from([1, 5, 25])), draw(st.integers(0, 999))
         return lattice, grid, n, how, draw(st.sampled_from(list(AxiomId))).value, samples, seed
     k = len(pkat.engine._space(lattice, grid).cells)
-    fits = [a.value for a in AxiomId if _walk_size(pkat.catalog._AXIOMS[a], k, n) <= WALK_LIMIT]
+    fits = [a.value for a in AxiomId if _walk_size(pkat.catalog._law(a), k, n) <= WALK_LIMIT]
     return lattice, grid, n, how, draw(st.sampled_from(fits)), None, None
 
 
@@ -71,7 +71,7 @@ def _checked(lattice, grid, n, how, axiom, samples, seed):
 def test_axiom_verdicts_match_the_per_instance_loop(run):
     lattice, grid, n, how, axiom, samples, seed = run
     got = _checked(*run)
-    law = pkat.catalog._AXIOMS[AxiomId(axiom)]
+    law = pkat.catalog._law(AxiomId(axiom))
     want = oracle_run(law, AxiomId(axiom), lattice, n, grid, how, samples, seed)
     assert verdict_to_dict(got) == verdict_to_dict(want)
     assert got.status is Status.HOLDS or recheck(got)
@@ -79,7 +79,7 @@ def test_axiom_verdicts_match_the_per_instance_loop(run):
 
 def _horn(formula):
     """The formula compiled as the catalog compiles its laws."""
-    return pkat.catalog._Laws()[SimpleNamespace(formula=formula)]
+    return pkat.catalog._law(SimpleNamespace(formula=formula))
 
 
 @settings(max_examples=15, deadline=None)
@@ -92,7 +92,7 @@ def test_failing_horn_laws_match_the_per_instance_loop(formula, space, n, seed):
     for how, samples in (("random", 40), ("exhaustive", None)):
         if how == "exhaustive" and _walk_size(law, k, n) > WALK_LIMIT:
             continue
-        with patch.object(pkat.catalog, "_AXIOMS", {ident: law}):
+        with patch.object(pkat.catalog, "_law", {ident: law}.__getitem__):
             got = check_axiom(ident, lattice, n, how, samples=samples, seed=seed, godel_grid=grid)
         want = oracle_run(law, ident, lattice, n, grid, how, samples, seed)
         assert verdict_to_dict(got) == verdict_to_dict(want)
@@ -103,7 +103,7 @@ def test_a_failing_horn_law_skips_instances_whose_premise_fails():
     # holds; 45 of them break the goal.  The law fails at m = (u,u), p = BOT
     # and q = (u,u), the walk's 83rd instance.
     law = _horn(FAILING_HORN[0])
-    with patch.object(pkat.catalog, "_AXIOMS", {AxiomId.STAR_IND_L: law}):
+    with patch.object(pkat.catalog, "_law", {AxiomId.STAR_IND_L: law}.__getitem__):
         verdict = check_axiom(AxiomId.STAR_IND_L, L3, 1)
         assert recheck(verdict)
     want = oracle_run(law, AxiomId.STAR_IND_L, L3, 1, None, "exhaustive")
@@ -196,7 +196,7 @@ def test_an_exhaustive_law_failing_at_its_second_instance_encodes_a_few(monkeypa
     assert (verdict.status, verdict.samples) == (Status.FAILS, 2) and len(taken) <= 3
     # The same law's full walk at six states: 9^6 tests, of which it takes three.
     engine = pkat.engine
-    law, space = pkat.catalog._AXIOMS[AxiomId.TEST_NON_CONTRA], engine._space(L3, None)
+    law, space = pkat.catalog._law(AxiomId.TEST_NON_CONTRA), engine._space(L3, None)
     taken.clear()
     found = engine._drive(law, L3, engine.states_for(6), space, "exhaustive", None, None)
     (test,) = found.witness.assignment.values()
@@ -236,6 +236,6 @@ def test_a_sixty_point_grid_suite_matches_the_per_instance_loop_in_bounded_memor
         tracemalloc.stop()
     assert peak < 2 * 2**20
     for verdict in got:  # the oracle reads samples and seed in random mode only
-        law = pkat.catalog._AXIOMS[verdict.axiom]
+        law = pkat.catalog._law(verdict.axiom)
         want = oracle_run(law, verdict.axiom, GD, 1, grid, verdict.mode, 1, 0)
         assert verdict_to_dict(verdict) == verdict_to_dict(want)

@@ -7,7 +7,7 @@ import pytest
 from pkat import catalog, engine
 from pkat.catalog import AxiomId, check_axiom, check_suite, find_boolean_witness
 from pkat.engine import Status, verdict_to_dict
-from pkat.syntax import Sort, atoms, parse, sort_of
+from pkat.syntax import Sort, _compile, atoms, parse, sort_of
 from pkat.twist import weight_to_json
 
 from helpers import B2, GD, L3
@@ -148,8 +148,14 @@ def test_catalog_laws_parse_and_sort_check():
         for term in terms:
             sort = sort_of(term, programs, tests)
             assert wanted is None or sort is wanted
-        law = catalog._AXIOMS[ax]
+        law = catalog._law(ax)
         assert law.code[0] == list(names)
         assert {x for x in names if x in law.tests} == tests
+        # Its names are the programs, then the tests; as no law mixes the two,
+        # that is the alphabetical order the test-blind compile gives.
+        assert set(names) <= catalog._TEST_VARS or not set(names) & catalog._TEST_VARS
+        goals = terms if "->" in ax.formula else [
+            t for ti in terms[:-1] for t in (ti, terms[-1])]
+        assert law.code == _compile(goals)
     verdict = check_axiom(219, L3, 1, "exhaustive")
     assert verdict.status is Status.FAILS and list(verdict.witness.assignment) == ["a"]

@@ -341,7 +341,7 @@ def test_assignments_match_the_index_decoder(lattice, n, axioms):
 
     space, states = pkat.engine._space(lattice, None), states_for(n)
     for ident in axioms:
-        law = pkat.catalog._AXIOMS[ident]
+        law = pkat.catalog._law(ident)
         size = len(space.cells) ** sum(n if x in law.tests else n * n for x in law.code[0])
         limit = size if size <= 20_000 else 2_000
         found = pkat.engine._walk(len(space.cells), pkat.engine._spans(law, n)[1])
@@ -397,32 +397,32 @@ def test_exhaustive_space_guard():
 
 def test_a_huge_space_is_refused_from_its_exponent():
     # n = 10**10 states: the guard works on exponents, so nothing large is built.
-    guard, laws = pkat.engine._guard, pkat.catalog._AXIOMS
+    guard, law = pkat.engine._guard, pkat.catalog._law
     with pytest.raises(EngineError) as err:
-        guard(laws[AxiomId.PLUS_ASSOC], 9, 10**10)
+        guard(law(AxiomId.PLUS_ASSOC), 9, 10**10)
     assert str(err.value) == (
         "exhaustive space of 9^300000000000000000000 instantiations exceeds 1000000"
     )
     with pytest.raises(EngineError, match=r"^exhaustive space of 25\^10000000000 inst"):
-        guard(laws[AxiomId.TEST_NON_CONTRA], 25, 10**10)
+        guard(law(AxiomId.TEST_NON_CONTRA), 25, 10**10)
     # One candidate makes one assignment however many cells there are.
-    guard(laws[AxiomId.PLUS_ASSOC], 1, 10**10)
+    guard(law(AxiomId.PLUS_ASSOC), 1, 10**10)
     # An exponent beyond the float range is compared as an integer and printed as %.2e.
     with pytest.raises(EngineError, match=r"^exhaustive space of 2\^3\.00e\+400 inst"):
-        guard(laws[AxiomId.PLUS_ASSOC], 2, 10**200)
+        guard(law(AxiomId.PLUS_ASSOC), 2, 10**200)
     # The cap itself is exact: 10**6 assignments pass and one more is refused.
     for k, n in ((10, 6), (1000, 2), (10**6, 1)):
-        guard(laws[AxiomId.TEST_DOT_IDEM], k, n)
+        guard(law(AxiomId.TEST_DOT_IDEM), k, n)
         with pytest.raises(EngineError, match=f"^exhaustive space of {k + 1}\\^{n} inst"):
-            guard(laws[AxiomId.TEST_DOT_IDEM], k + 1, n)
+            guard(law(AxiomId.TEST_DOT_IDEM), k + 1, n)
     with pytest.raises(EngineError, match=r"^exhaustive space of 9\^12 inst"):
-        guard(laws[AxiomId.PLUS_ASSOC], 9, 2)
+        guard(law(AxiomId.PLUS_ASSOC), 9, 2)
 
 
 def test_the_exhaustive_guard_covers_the_witness_search():
     # A searched law walks k^cells unless it is one-test, so it is guarded as in
     # exhaustive mode; "search" is a plan's mode, not one a caller may ask for.
-    plan = [(pkat.catalog._AXIOMS[AxiomId.PLUS_ASSOC], "search", None)]
+    plan = [(pkat.catalog._law(AxiomId.PLUS_ASSOC), "search", None)]
     with pytest.raises(EngineError) as err:
         pkat.engine._check(plan, L3, 2, None, None, None)
     assert str(err.value) == "exhaustive space of 9^12 instantiations exceeds 1000000"
@@ -625,7 +625,7 @@ def _full_walk(ident, lattice, n, grid, mode):
     """The one-test law's verdict from every one of its k^n tests in walk
     order: the reference the k-instance check must reproduce."""
     engine = pkat.engine
-    law, space, states = pkat.catalog._AXIOMS[ident], engine._space(lattice, grid), states_for(n)
+    law, space, states = pkat.catalog._law(ident), engine._space(lattice, grid), states_for(n)
     instances = (({"a": oracle_relation(lattice, states, space, True, cells)}, None)
                  for cells in product(space.cells, repeat=n))
     return oracle_check(law, instances, zero(lattice, states), lattice, n, mode,
@@ -724,6 +724,13 @@ def test_a_relation_off_its_models_lattice_or_states_is_refused():
     for check in (lambda: evaluate(parse("t"), model), lambda: equiv(parse("t + 1"), One(), model),
                   lambda: hoare_check(parse("t"), parse("r"), parse("t"), model)):
         with pytest.raises(ShapeError, match="^test 't' is not a subidentity relation$"):
+            check()
+    # Nor may one name be both a program and a test: its sort and its relation would differ.
+    model = Model(L3, ("x", "y"), {"a": t}, {"a": zero(L3, ("x", "y"))})
+    for check in (lambda: evaluate(parse("a"), model), lambda: evaluate(parse("!a"), model),
+                  lambda: equiv(parse("a"), parse("a;a"), model),
+                  lambda: hoare_check(parse("a"), parse("a"), One(), model)):
+        with pytest.raises(ShapeError, match="^'a' names both a program and a test$"):
             check()
 
 

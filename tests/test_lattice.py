@@ -253,6 +253,9 @@ def test_unknown_lattice_name():
     (" 1/3 ", Fraction(1, 3)),
     ("0/7", 0),
     ("bot", 0),
+    ("⊥", 0),
+    ("top", 1),
+    (" top ", 1),
     ("⊤", 1),
 ])
 def test_interval_value_text(text, value):
@@ -299,8 +302,8 @@ def test_value_text_reads_as_fraction_does(text):
 
 
 @pytest.mark.parametrize("lattice, spellings", [
-    (B2, [["0", "bot", "⊥"], ["1", "top", "⊤"]]),
-    (L3, [["bot", "⊥"], ["u"], ["top", "⊤"]]),
+    (B2, [["0", "bot", "⊥"], ["1", "top", "⊤", " top "]]),
+    (L3, [["bot", "⊥"], ["u", " u "], ["top", "⊤"]]),
 ])
 def test_finite_values_are_read_from_each_spelling(lattice, spellings):
     assert [[elem(lattice, s) for s in group] for group in spellings] == [

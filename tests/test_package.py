@@ -1,7 +1,10 @@
 import importlib
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -80,7 +83,7 @@ def test_each_modules_public_names_still_resolve_from_it():
         for name in names.split():
             if not hasattr(home, name):
                 missing.append(f"{module}.{name}")
-            elif name in pkat._HOME and getattr(home, name) is not getattr(pkat, name):
+            elif name in pkat.__all__ and getattr(home, name) is not getattr(pkat, name):
                 other.append(f"{module}.{name}")
     assert (missing, other) == ([], [])
 
@@ -90,6 +93,22 @@ def test_a_moved_name_resolves_only_where_it_was():
         with pytest.raises(AttributeError, match=f"pkat.{module}' has no attribute 'wcombine'"):
             getattr(importlib.import_module(f"pkat.{module}"), "wcombine")
     assert not hasattr(pkat.lattice, "wjoin") and not hasattr(pkat.twist, "meet")
+
+
+def test_one_resolver_loads_a_names_home_on_first_use_and_binds_it():
+    # In a fresh interpreter: the package and a submodule resolve through the same
+    # ``_moved``, import only the home of the name asked for, and bind it there.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
+    probe = ("import sys, pkat\n"
+             "assert not [m for m in sys.modules if m.startswith('pkat.')]\n"
+             "pkat.check_axiom\n"
+             "assert 'pkat.catalog' in sys.modules and 'check_axiom' in vars(pkat)\n"
+             "pkat.lattice.meet\n"
+             "assert 'pkat.algebra' in sys.modules and 'pkat.modelfile' not in sys.modules\n"
+             "assert 'meet' in vars(pkat.lattice) and pkat.lattice.meet is pkat.algebra.meet\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_star_import_binds_the_exports_and_submodules():
