@@ -4,9 +4,10 @@ chunk's cell is the ``relp`` cell of each instance, cut by cut: over
 ranks 0..top and with W = top·B, bit (t-1)·B + b is set when instance b
 has tt >= t, and bit W + s·B + b when it has ff <= s.  A run's laws share
 one ``_Space``: its cells, as rank pairs into its value table, and their
-bit strings, each made when first read.  ``_breaks`` encodes a chunk so
-and names its first failing instance.  ``_OPS`` are ``relp``'s ops, with
-``*`` as Warshall's closure: ``r_star``'s search reads per-cell cut counts."""
+bit strings, each made when first read.  ``_encode`` lays a chunk out so,
+once for all the laws that read it, and ``_breaks`` names a law's first
+failing instance in it.  ``_OPS`` are ``relp``'s ops, with ``*`` as
+Warshall's closure: ``r_star``'s search reads per-cell cut counts."""
 
 from __future__ import annotations
 
@@ -55,11 +56,10 @@ def _encode(chunk, bits, w: int) -> list[int]:
     return [int("".join([s[i::w] for i in range(w)]), 2) for s in columns]
 
 
-def _breaks(law, spans, chunk, space: _Space, n: int) -> int | None:
-    """The index of ``chunk``'s first instance breaking the law, its cells at
-    ``spans``, else None; the sides run lazily as in ``engine._break``."""
-    size, top = len(chunk), space.top
-    cells, w = _encode(chunk, space, 2 * top), top * size
+def _breaks(law, spans, cells, size: int, space: _Space, n: int) -> int | None:
+    """The index of the first of ``size`` instances, ``cells`` as ``_encode`` gives
+    them, breaking the law at ``spans``, else None; sides run lazily as in ``engine._break``."""
+    w = space.top * size
     kernels = {op: lambda x, y=None, f=f: f(x, y, n, w) for op, f in _OPS.items()}
     values = [[0] * (n * n)]
     for _, test, i, j in spans:

@@ -38,16 +38,17 @@ of its cells fails at one state, and the walk's first failure is
 (s0, ..., s0, f): s0 the space's first cell, f the first failing one.
 So the k instances whose last cell alone varies give the walk's verdict.
 
-One driver, ``_drive``, then checks each law a chunk of instances at a
-time: it alone loops over the chunks, and ``bitslice._breaks``, whose
-module gives the chunk layout, runs the law on each through ``syntax._fill``
-as ``_break`` runs it on one instance.  The chunk's first failing instance
-is then built alone as relations and run by ``_break`` for its witness.
-Only ``_space`` and ``_drive`` import ``bitslice``, so ``hoare`` and
-``equiv --model`` requests never compile it.  Chunks are taken lazily from
-the walk or from ``rng``, doubling from 1 up to ``bitslice._Space.cap``: a
-run that fails early encodes a few instances, and a long walk stays in
-bounded memory.
+Laws of one width read the same instances, drawn at the run's seed or
+walked with the same cells fixed, so ``_check`` hands each such stream to
+one ``_drive`` call.  It alone loops over chunks, taken lazily, doubling
+from 1 up to ``bitslice._Space.cap``; it encodes each chunk once and runs
+on it each law not yet decided through ``bitslice._breaks``, as ``_break``
+runs a law on one instance.  A law's first failing instance is then built
+alone as relations and run by ``_break`` for its witness; the stream stops
+once every law has failed.  So a run that fails early encodes a few
+instances, and a long walk stays in bounded memory.  Only ``_space`` and
+``_drive`` import ``bitslice``, so ``hoare`` and ``equiv --model`` never
+compile it.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from collections.abc import Iterable, Mapping
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, islice, product
+from itertools import accumulate, islice, product, repeat
 from math import lcm
 
 from .errors import CarrierError, EngineError, SortError
@@ -80,13 +81,7 @@ from .syntax import (
 )
 from .twist import format_weight, weight_to_json
 
-DEFAULT_GODEL_GRID: tuple[Fraction, ...] = (
-    Fraction(0),
-    Fraction(1, 4),
-    Fraction(1, 2),
-    Fraction(3, 4),
-    Fraction(1),
-)
+DEFAULT_GODEL_GRID: tuple[Fraction, ...] = tuple(Fraction(i, 4) for i in range(5))
 
 MAX_EXHAUSTIVE = 10**6
 MAX_STEPS = 10**7
@@ -198,22 +193,23 @@ def _spans(law: _Law, n_states: int) -> tuple[list, int]:
     return list(zip(law.code[0], tests, cuts, cuts[1:])), cuts[-1]
 
 
-def _model(lattice, states, values, law: _Law, cells) -> Model:
-    """The model of an instance of the law's names, its ``cells`` placed by
-    ``_spans``; every other cell is BOT."""
-    n, ranks = len(states), range(len(values))
+def _model(lattice, states, space, spans, instance) -> Model:
+    """The model of an instance, its indices into ``space`` placed at the law's
+    ``spans``; every other cell is BOT."""
+    n, ranks = len(states), range(len(space.table))
     programs, tests = {}, {}
-    for name, test, start, stop in _spans(law, n)[0]:
-        on = range(0, n * n, n + 1 if test else 1)
-        rel = from_cells(lattice, states, values, dict(zip(on, cells[start:stop])), ranks)
-        (tests if test else programs)[name] = rel
+    for name, test, start, stop in spans:
+        cells = [space.cells[i] for i in instance[start:stop]]
+        on = dict(zip(range(0, n * n, n + 1 if test else 1), cells))
+        (tests if test else programs)[name] = from_cells(lattice, states, space.table, on, ranks)
     return Model(lattice, states, programs, tests)
 
 
 def _draws(rng: random.Random, k: int, width: int, count: int):
-    """``count`` instances of ``width`` cells, each drawn from ``rng`` in turn
-    as the one step ``rng.choice(range(k))`` takes: an index into ``k`` cells."""
-    return ([rng._randbelow(k) for _ in range(width)] for _ in range(count))
+    """``count`` instances of ``width`` cells, each an index into ``k`` cells drawn
+    as ``rng.choice(range(k))`` draws it: ``getrandbits(k.bit_length())`` until below k."""
+    cells = filter(k.__gt__, map(rng.getrandbits, repeat(k.bit_length())))
+    return (list(islice(cells, width)) for _ in range(count))
 
 
 def _walk(k: int, width: int, fixed: int = 0):
@@ -290,44 +286,41 @@ def _guard_steps(samples: int, n_states: int) -> None:
                           f"exceeds {MAX_STEPS} kernel steps")
 
 
-def _drive(law: _Law, lattice, states, space, how: str, samples, seed, fixed: int = 0,
-           axiom=None) -> Verdict:
-    """``law`` checked a chunk at a time, as the module docstring says: on
-    ``samples`` instances drawn at ``seed`` if ``how`` is "random", else on
-    the walk with its first ``fixed`` cells at the first, a holds counting
-    k^fixed per instance and a fails the instances up to its witness."""
-    from .bitslice import _breaks
+def _drive(runs: dict, instances, lattice, states, space, seed, fixed: int = 0) -> dict:
+    """The verdicts, by key, of the (law, how, axiom, spans) ``runs`` reading one stream
+    of ``instances``, drawn at ``seed`` or walked with the first ``fixed`` cells at
+    the first: a holds counts k^fixed per instance, a fails the instances to its witness."""
+    from .bitslice import _breaks, _encode
 
     n, k = len(states), len(space.cells)
-    spans, width = _spans(law, n)
-    if how == "random":
-        instances = _draws(random.Random(seed), k, width, samples)
-    else:
-        seed, instances = None, _walk(k, width, fixed)  # a walk's verdict has no seed
-    count, size = 0, 1
-    while chunk := list(islice(instances, size)):
-        b = _breaks(law, spans, chunk, space, n)
-        if b is not None:
-            cells = [space.cells[i] for i in chunk[b]]
-            model = _model(lattice, states, space.table, law, cells)
-            verdict = _verdict(law, model, how, axiom=axiom, samples=count + b + 1, seed=seed)
-            if verdict.witness is None:  # a defect in the chunk kernels, never a verdict
-                raise RuntimeError(f"{law.formula}: a chunk's failing instance holds")
-            return verdict
+    verdicts, count, size = {}, 0, 1
+    while len(verdicts) < len(runs) and (chunk := list(islice(instances, size))):
+        cells = _encode(chunk, space, 2 * space.top)
+        for i, (law, how, axiom, spans) in runs.items():
+            b = None if i in verdicts else _breaks(law, spans, cells, len(chunk), space, n)
+            if b is not None:
+                model = _model(lattice, states, space, spans, chunk[b])
+                verdicts[i] = _verdict(law, model, how, axiom=axiom, samples=count + b + 1,
+                                       seed=seed)
+                if verdicts[i].witness is None:  # a defect in the chunk kernels, never a verdict
+                    raise RuntimeError(f"{law.formula}: a chunk's failing instance holds")
         count += len(chunk)
         size = min(2 * size, space.cap)
-    return Verdict(Status.HOLDS, lattice, n, how, axiom=axiom, samples=count * k**fixed, seed=seed)
+    return verdicts | {i: Verdict(Status.HOLDS, lattice, n, how, axiom=axiom,
+                                  samples=count * k**fixed, seed=seed)
+                       for i, (_, how, axiom, _) in runs.items() if i not in verdicts}
 
 
 def _check(plan, lattice: LatticeId, n_states: int, godel_grid, samples, seed) -> list[Verdict]:
-    """Each (law, how, axiom) of ``plan`` checked by ``_drive`` on one space,
-    built once every law passes the guards, which need only n and k."""
+    """Each (law, how, axiom) of ``plan`` checked on one space, built once every
+    law passes the guards, which need only n and k: the laws that read one
+    stream, drawn or walked at one width, by one ``_drive``, in plan order."""
     if n_states < 1:
         raise EngineError("need at least one state")
     k = _grid_values(lattice, godel_grid)[1]
-    runs, work = [], 1
-    for law, how, axiom in plan:
-        fixed = 0
+    streams, work = {}, 1
+    for i, (law, how, axiom) in enumerate(plan):
+        (spans, width), fixed = _spans(law, n_states), 0
         if how == "random":
             if not samples or samples < 1:
                 raise EngineError("random mode needs a positive sample count")
@@ -338,11 +331,14 @@ def _check(plan, lattice: LatticeId, n_states: int, godel_grid, samples, seed) -
             fixed, work = n_states - 1, max(work, k)  # a walk of k instances, as work
         else:
             _guard(law, k, n_states)
-        runs.append((law, how, axiom, fixed))
+        streams.setdefault((how == "random", width, fixed), {})[i] = law, how, axiom, spans
     _guard_steps(work, n_states)
-    space, states = _space(lattice, godel_grid), states_for(n_states)
-    return [_drive(law, lattice, states, space, how, samples, seed, fixed, axiom)
-            for law, how, axiom, fixed in runs]
+    space, states, verdicts = _space(lattice, godel_grid), states_for(n_states), {}
+    for (drawn, width, fixed), runs in streams.items():
+        instances = (_draws(random.Random(seed), k, width, samples) if drawn else
+                     _walk(k, width, fixed))
+        verdicts |= _drive(runs, instances, lattice, states, space, seed if drawn else None, fixed)
+    return [verdicts[i] for i in range(len(plan))]
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,8 @@ class LatticeElem(Record):
     __slots__ = ("lattice", "value")
 
     def __init__(self, lattice: LatticeId, value: Fraction):
+        if not isinstance(lattice, LatticeId):
+            raise CarrierError(f"unknown lattice {lattice!r}")
         if not isinstance(value, Fraction):
             raise CarrierError(f"lattice values must be exact rationals, got {value!r}")
         if lattice in _VALUES:
@@ -82,6 +84,8 @@ ElemLike = LatticeElem | Fraction | int | str
 
 def elem(lattice: LatticeId, value: ElemLike) -> LatticeElem:
     """Build an element from text, an int, or an exact rational."""
+    if not isinstance(lattice, LatticeId):
+        raise CarrierError(f"unknown lattice {lattice!r}")
     if isinstance(value, LatticeElem):
         if value.lattice is not lattice:
             raise LatticeMismatchError(

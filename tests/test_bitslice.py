@@ -9,6 +9,7 @@ at a time, over bool2, Ł3 and godel grids, in every mode.
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -111,6 +112,44 @@ def test_a_failing_horn_law_skips_instances_whose_premise_fails():
     assert (verdict.status, verdict.samples) == (Status.FAILS, 83)
 
 
+def _suite_checked(lattice, grid, n, how, samples=None, seed=None):
+    """``check_suite``'s verdicts, each matched against the per-instance loop
+    on its own law."""
+    got = check_suite(lattice, n, how, samples=samples, seed=seed, godel_grid=grid)
+    assert [v.axiom for v in got] == list(AxiomId)
+    for verdict in got:
+        law = pkat.catalog._law(verdict.axiom)
+        want = oracle_run(law, verdict.axiom, lattice, n, grid, verdict.mode, samples, seed)
+        assert verdict_to_dict(verdict) == verdict_to_dict(want)
+    return got
+
+
+def test_suite_laws_sharing_streams_match_the_per_instance_loop():
+    # Laws of one width read one stream: at n = 1 a test and a program are one cell
+    # each, so program and test laws share it too.
+    for (lattice, grid), n in product(GRIDS, range(1, 4)):
+        _suite_checked(lattice, grid, n, "random", 25, n)
+        k = len(pkat.engine._space(lattice, grid).cells)
+        if all(_walk_size(pkat.catalog._law(a), k, n) <= WALK_LIMIT for a in AxiomId):
+            _suite_checked(lattice, grid, n, "exhaustive")
+
+
+def test_a_law_failing_amid_holding_laws_of_its_width_matches_the_per_instance_loop():
+    # Axiom 14's slot holds a failing Horn law.  Sampled at n = 2 it shares the
+    # stream of 2 and 15, which hold, and fails at its 18th instance, inside the
+    # fifth chunk; walked at n = 1 it fails at the 83rd of 729, amid six laws
+    # of three cells that hold.
+    law = pkat.catalog._law
+    for formula, n, how, samples, seed, at in ((FAILING_HORN[1], 2, "random", 40, 1, 18),
+                                               (FAILING_HORN[0], 1, "exhaustive", None, None, 83)):
+        failing = _horn(formula)
+        with patch.object(pkat.catalog, "_law",
+                          lambda i: failing if i is AxiomId.STAR_IND_L else law(i)):
+            got = _suite_checked(L3, None, n, how, samples, seed)
+        failed = [(v.axiom.value, v.samples) for v in got if v.status is Status.FAILS]
+        assert failed == [(14, at), (219, 2), (220, 2)]
+
+
 def _near(t1, t2):
     """Right sides that hold against t1, or fail on some models only."""
     return st.sampled_from([t2, Plus(t1, t1), Plus(One(), Dot(t1, Star(t1))), Plus(t1, t2),
@@ -198,11 +237,29 @@ def test_an_exhaustive_law_failing_at_its_second_instance_encodes_a_few(monkeypa
     engine = pkat.engine
     law, space = pkat.catalog._law(AxiomId.TEST_NON_CONTRA), engine._space(L3, None)
     taken.clear()
-    found = engine._drive(law, L3, engine.states_for(6), space, "exhaustive", None, None)
+    runs = {0: (law, "exhaustive", None, engine._spans(law, 6)[0])}
+    walk = engine._walk(len(space.cells), 6)
+    found = engine._drive(runs, walk, L3, engine.states_for(6), space, None)[0]
     (test,) = found.witness.assignment.values()
     diagonal = list(zip(*rank_lists(test)))[::7]
     assert found.samples == 2 and diagonal == [space.cells[0]] * 5 + [space.cells[1]]
     assert len(taken) == 3
+
+
+def test_a_suites_laws_of_one_width_share_one_stream(monkeypatch):
+    # Godel at n = 2 samples its 19 core laws from 5 streams, of 2, 4, 6, 8 and 12
+    # cells, in 5 chunks each (1, 2, 4, 8 and 5 instances); 219 and 220 share
+    # one walk, which both fail at its second test: 2 chunks.
+    streams = {"_draws": [], "_walk": []}
+    for name, made in streams.items():
+        stream = getattr(pkat.engine, name)
+        monkeypatch.setattr(pkat.engine, name,
+                            lambda *a, stream=stream, made=made: made.append(a) or stream(*a))
+    chunks, encode = [], pkat.bitslice._encode
+    monkeypatch.setattr(pkat.bitslice, "_encode", lambda *a: chunks.append(a) or encode(*a))
+    check_suite(GD, 2, "random", samples=20, seed=0)
+    assert sorted(a[2] for a in streams["_draws"]) == [2, 4, 6, 8, 12]
+    assert (len(streams["_walk"]), len(chunks)) == (1, 27)
 
 
 # --- the encoding -------------------------------------------------------------------

@@ -241,6 +241,14 @@ def test_unknown_lattice_name():
         LatticeId.from_name("fuzzy")
 
 
+@pytest.mark.parametrize("build", [lambda: elem("godel", 1), lambda: elem("godel", "0.5"),
+                                   lambda: LatticeElem("godel", Fraction(1, 2))])
+def test_a_lattice_that_is_not_a_lattice_id_is_refused(build):
+    # A lattice name is read by LatticeId.from_name; the name itself builds no element.
+    with pytest.raises(CarrierError, match="^unknown lattice 'godel'$"):
+        build()
+
+
 # --- value text -----------------------------------------------------------------
 
 
