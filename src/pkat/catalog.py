@@ -1,9 +1,9 @@
-"""The axiom catalog and its suite, checked by ``engine._check``, and the
+"""The axiom catalog and its suite, checked by ``bitslice._check``, and the
 handler of the ``axioms`` command that runs it, ``_cmd_axioms``.
 
 Each axiom is stored once, on its ``AxiomId``, as the formula it prints,
 and ``_law`` compiles it on each lookup.  Of the commands only ``axioms``
-imports this module; ``engine`` never does.
+imports this module; neither ``engine`` nor ``bitslice`` does.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from __future__ import annotations
 import re
 from enum import Enum
 
-from .engine import (Status, Verdict, _break, _check, _equation, _Law, _parse_grid, _triple,
-                     verdict_to_dict, witness_parts)
+from .bitslice import _check, _parse_grid
+from .engine import (Status, Verdict, _break, _equation, _Law, _triple, verdict_to_dict,
+                     witness_parts)
 from .errors import EngineError
 from .lattice import LatticeId
 from .plts import _json
@@ -79,7 +80,7 @@ def _law(ident: AxiomId) -> _Law:
 
 def _run(lattice, n_states, godel_grid, mode, samples, seed, core, search) -> list[Verdict]:
     """Each law of ``core`` checked in ``mode``, then each law of ``search``
-    searched exhaustively for a witness, by ``engine._check``."""
+    searched exhaustively for a witness, by ``bitslice._check``."""
     if mode not in ("exhaustive", "random"):
         raise EngineError(f"unknown mode {mode!r}")
     plan = [(_law(i), mode, i) for i in core] + [(_law(i), "search", i) for i in search]
@@ -115,7 +116,7 @@ def find_boolean_witness(
 
     Each verdict is the exhaustive walk's (nearest classical consistency
     first): the first violating test, or holds over all k^n tests.  Both
-    laws act state by state, so k of the tests decide it (``engine`` docstring).
+    laws act state by state, so k of the tests decide it (``bitslice`` docstring).
     """
     verdicts = _run(lattice, n_states, godel_grid, "exhaustive", None, None, (), BOOLEAN_AXIOMS)
     return dict(zip(BOOLEAN_AXIOMS, verdicts))

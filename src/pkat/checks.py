@@ -1,6 +1,7 @@
 """Handlers of the commands that check a given law: ``equiv`` and
 ``hoare``.  ``cli`` imports this module when one of them runs; only
-their ``--model`` branches load the model-file reader, ``modelfile``.
+their ``--model`` branches load the model-file reader, ``modelfile``,
+and only ``equiv``'s random branch the checking loops, ``bitslice``.
 The ``axioms`` handler lives in ``catalog``.
 """
 
@@ -8,8 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .engine import (Status, Verdict, _parse_grid, equiv, equiv_random, hoare_check,
-                     verdict_to_dict, witness_parts)
+from .engine import Status, Verdict, equiv, hoare_check, verdict_to_dict, witness_parts
 from .errors import EngineError
 from .lattice import LatticeId
 from .plts import _json, model_to_dict
@@ -47,6 +47,8 @@ def _cmd_equiv(args) -> int:
 
         verdict = equiv(t1, t2, _read_model(args.model))
     else:
+        from .bitslice import _parse_grid, equiv_random
+
         if args.lattice is None or args.states is None or args.random is None:
             raise EngineError("random mode needs --lattice, --states and --random")
         tests = {name.strip() for name in (args.tests or "").split(",") if name.strip()}

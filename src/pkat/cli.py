@@ -23,9 +23,10 @@ usage error compile ``usage`` and nothing else of pkat.  Each
 ``catalog`` for ``axioms``.  A handler loads only the modules it runs.
 ``star`` and ``classify`` need the model and its relations; ``eval``
 also loads ``syntax``, which parses and evaluates terms; the checks
-also load ``engine``, the checking half, and ``axioms`` the axiom
-``catalog`` alone, not ``checks``.  Only commands that read a
-``--model`` file load its reader, ``modelfile``.
+also load ``engine``, which holds laws and checks one instance;
+``equiv --random`` and ``axioms`` also the checking loops, ``bitslice``,
+and ``axioms`` the axiom ``catalog`` alone, not ``checks``.  Only
+commands that read a ``--model`` file load its reader, ``modelfile``.
 
 The process entry is ``cli`` (``python -m pkat.cli`` and the ``pkat``
 script): it runs ``main`` and then freezes the heap with ``gc.freeze()``,

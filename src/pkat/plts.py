@@ -32,7 +32,7 @@ weights may draw from (it must include bot and top).
 
 A ``bool2`` model is four-valued: a weight may be any pair over {0, 1},
 including (1, 1) and (0, 0), and such weights evaluate like any other.
-The ``bool2`` checks in ``engine`` draw only the classical corners
+The ``bool2`` checks in ``bitslice`` draw only the classical corners
 (1, 0) and (0, 1), so their verdicts speak about ordinary relations, not
 about every model this loader accepts.
 """

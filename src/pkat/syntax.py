@@ -22,7 +22,7 @@ that starts no token), each character counting as one column.
 ``evaluate`` interprets a term as a weight matrix.  Terms are compiled
 to straight-line kernel calls over slots, one per distinct subterm
 (``_compile``); ``_fill`` alone runs them, over relations or, with
-``bitslice``'s kernels, over a chunk of the instances ``engine`` checks.
+``bitslice``'s kernels, over a chunk of the instances its checking loops draw.
 Over relations ``0`` is built on the table {0, 1}, and ``relp.align``
 lifts it, and so ``!0``, onto a model relation's table where they meet.
 """

@@ -15,7 +15,8 @@ from operator import ge, le
 
 from hypothesis import strategies as st
 
-from pkat.engine import Status, Verdict, Witness, _break, _equation, _space, states_for
+from pkat.bitslice import _Space, states_for
+from pkat.engine import Status, Verdict, Witness, _break, _equation
 from pkat.errors import CarrierError, LatticeMismatchError, ModelError
 from pkat.lattice import LatticeElem, LatticeId, elem
 from pkat.plts import Model
@@ -93,7 +94,7 @@ def oracle_star(states, a: dict, lattice, max_power: int) -> dict:
     return acc
 
 
-# --- ranks and spaces through the library's encoders (relp, engine._space) ---
+# --- ranks and spaces through the library's encoders (relp, bitslice._Space) ---
 
 
 def from_rank_lists(lattice, states, values, tt, ff):
@@ -108,8 +109,8 @@ def rank_lists(rel) -> tuple:
 
 
 def space_weights(lattice, godel_grid=None) -> tuple:
-    """The weights of ``engine._space``'s cells, in its order."""
-    space = _space(lattice, godel_grid)
+    """The weights of ``bitslice._Space``'s cells, in its order."""
+    space = _Space(lattice, godel_grid)
     table = [elem(lattice, v) for v in space.table]
     return tuple(Weight(table[i], table[j]) for i, j in space.cells)
 
@@ -198,7 +199,7 @@ def oracle_draw(rng: random.Random, lattice, states, space, test: bool):
 def oracle_model(rng: random.Random, lattice, states, programs, tests, godel_grid=None):
     """A model of the named programs, then tests, each alphabetical, its
     cells drawn from ``rng`` one ``oracle_draw`` at a time."""
-    space = _space(lattice, godel_grid)
+    space = _Space(lattice, godel_grid)
     drawn = {name: oracle_draw(rng, lattice, states, space, False) for name in sorted(programs)}
     tested = {name: oracle_draw(rng, lattice, states, space, True) for name in sorted(tests)}
     return Model(lattice, states, drawn, tested)
@@ -235,7 +236,7 @@ def oracle_run(law, ident, lattice, n_states, godel_grid, how, samples=None, see
     """The verdict on ``law``, as axiom ``ident``, from the per-instance loop,
     refusals left out: random draws, the exhaustive walk, or the walk of k
     last-cell instances that a one-test law takes outside random mode."""
-    space, states = _space(lattice, godel_grid), states_for(n_states)
+    space, states = _Space(lattice, godel_grid), states_for(n_states)
     one_test = not law.horn and [x in law.tests for x in law.code[0]] == [True]
     fixed = n_states - 1 if one_test and how != "random" else 0
     if how == "random":
@@ -257,7 +258,7 @@ def oracle_equiv_random(t1, t2, lattice, n_states, samples, seed, test_names=(),
     names = atoms(t1) | atoms(t2)
     tests = frozenset(test_names) & names
     states, rng = states_for(n_states), random.Random(seed)
-    space = _space(lattice, godel_grid)
+    space = _Space(lattice, godel_grid)
     models = (oracle_model(rng, lattice, states, names - tests, tests, godel_grid)
               for _ in range(samples))
     instances = ((_atom_assignment(m, names), m) for m in models)

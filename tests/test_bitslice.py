@@ -17,7 +17,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import pkat.bitslice
 import pkat.catalog
-import pkat.engine
 from pkat.bitslice import MAX_BITS, _encode
 from pkat.catalog import AxiomId, check_axiom, check_suite, find_boolean_witness, recheck
 from pkat.engine import Status, equiv_random, verdict_to_dict
@@ -51,7 +50,7 @@ def _runs(draw):
     if how == "random":
         samples, seed = draw(st.sampled_from([1, 5, 25])), draw(st.integers(0, 999))
         return lattice, grid, n, how, draw(st.sampled_from(list(AxiomId))).value, samples, seed
-    k = len(pkat.engine._space(lattice, grid).cells)
+    k = len(pkat.bitslice._Space(lattice, grid).cells)
     fits = [a.value for a in AxiomId if _walk_size(pkat.catalog._law(a), k, n) <= WALK_LIMIT]
     return lattice, grid, n, how, draw(st.sampled_from(fits)), None, None
 
@@ -89,7 +88,7 @@ def _horn(formula):
 def test_failing_horn_laws_match_the_per_instance_loop(formula, space, n, seed):
     lattice, grid = space
     law, ident = _horn(formula), AxiomId.STAR_IND_L
-    k = len(pkat.engine._space(lattice, grid).cells)
+    k = len(pkat.bitslice._Space(lattice, grid).cells)
     for how, samples in (("random", 40), ("exhaustive", None)):
         if how == "exhaustive" and _walk_size(law, k, n) > WALK_LIMIT:
             continue
@@ -129,7 +128,7 @@ def test_suite_laws_sharing_streams_match_the_per_instance_loop():
     # each, so program and test laws share it too.
     for (lattice, grid), n in product(GRIDS, range(1, 4)):
         _suite_checked(lattice, grid, n, "random", 25, n)
-        k = len(pkat.engine._space(lattice, grid).cells)
+        k = len(pkat.bitslice._Space(lattice, grid).cells)
         if all(_walk_size(pkat.catalog._law(a), k, n) <= WALK_LIMIT for a in AxiomId):
             _suite_checked(lattice, grid, n, "exhaustive")
 
@@ -216,9 +215,9 @@ def test_a_run_encodes_each_cell_at_most_once_for_all_its_laws(monkeypatch):
 
 
 def _counted(monkeypatch, name):
-    """Record every instance the engine's stream ``name`` yields."""
-    taken, stream = [], getattr(pkat.engine, name)
-    monkeypatch.setattr(pkat.engine, name,
+    """Record every instance the checking loops' stream ``name`` yields."""
+    taken, stream = [], getattr(pkat.bitslice, name)
+    monkeypatch.setattr(pkat.bitslice, name,
                         lambda *a: (taken.append(c) or c for c in stream(*a)))
     return taken
 
@@ -234,12 +233,12 @@ def test_an_exhaustive_law_failing_at_its_second_instance_encodes_a_few(monkeypa
     verdict = check_axiom(AxiomId.TEST_NON_CONTRA, L3, 3)  # a walk of 9 tests
     assert (verdict.status, verdict.samples) == (Status.FAILS, 2) and len(taken) <= 3
     # The same law's full walk at six states: 9^6 tests, of which it takes three.
-    engine = pkat.engine
-    law, space = pkat.catalog._law(AxiomId.TEST_NON_CONTRA), engine._space(L3, None)
+    bitslice = pkat.bitslice
+    law, space = pkat.catalog._law(AxiomId.TEST_NON_CONTRA), bitslice._Space(L3, None)
     taken.clear()
-    runs = {0: (law, "exhaustive", None, engine._spans(law, 6)[0])}
-    walk = engine._walk(len(space.cells), 6)
-    found = engine._drive(runs, walk, L3, engine.states_for(6), space, None)[0]
+    runs = {0: (law, "exhaustive", None, bitslice._spans(law, 6)[0])}
+    walk = bitslice._walk(len(space.cells), 6)
+    found = bitslice._drive(runs, walk, L3, bitslice.states_for(6), space, None)[0]
     (test,) = found.witness.assignment.values()
     diagonal = list(zip(*rank_lists(test)))[::7]
     assert found.samples == 2 and diagonal == [space.cells[0]] * 5 + [space.cells[1]]
@@ -252,8 +251,8 @@ def test_a_suites_laws_of_one_width_share_one_stream(monkeypatch):
     # one walk, which both fail at its second test: 2 chunks.
     streams = {"_draws": [], "_walk": []}
     for name, made in streams.items():
-        stream = getattr(pkat.engine, name)
-        monkeypatch.setattr(pkat.engine, name,
+        stream = getattr(pkat.bitslice, name)
+        monkeypatch.setattr(pkat.bitslice, name,
                             lambda *a, stream=stream, made=made: made.append(a) or stream(*a))
     chunks, encode = [], pkat.bitslice._encode
     monkeypatch.setattr(pkat.bitslice, "_encode", lambda *a: chunks.append(a) or encode(*a))

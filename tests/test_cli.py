@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import gc
 import io
@@ -355,6 +356,40 @@ def test_each_command_loads_only_the_modules_it_runs(argv, loaded):
     assert done.stderr.splitlines()[-1] == f"{want}" and (done.stdout != "") == bool(argv)
 
 
+# The most AST nodes (summed ``ast.walk`` counts) that the pkat source files a
+# request loads may hold, ``cli`` and the package included.
+_RANDOM = ("--lattice", "lukasiewicz3", "--states", "2", "--random", "20", "--seed", "1")
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (("--help",), 3_100),
+    (("equiv", "--t1", "p"), 3_100),
+    (("eval", "--model", MODEL, "--term", "p;r*"), 10_200),
+    (("star", "--model", MODEL, "--program", "r"), 8_200),
+    (("classify", "--model", MODEL, "--name", "p"), 8_200),
+    (("hoare", "--model", MODEL, "--pre", "p", "--prog", "r", "--post", "1"), 11_300),
+    (("equiv", "--model", MODEL, "--t1", "r + r", "--t2", "r"), 11_300),
+    (("equiv", "--t1", "r*;r* + r*", "--t2", "r*", *_RANDOM), 12_072),
+    (("axioms", "--lattice", "bool2", "--states", "1", "--samples", "2", "--json"), 12_718),
+], ids=["help", "usage-error", "eval", "star", "classify", "hoare", "equiv-model",
+        "equiv-random", "axioms"])
+def test_each_request_kind_compiles_at_most_its_node_budget(argv, budget):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
+    probe = ("import sys, pkat.cli\n"
+             "try:\n"
+             "    pkat.cli.main(sys.argv[1:])\n"
+             "except SystemExit:\n"
+             "    pass\n"
+             "print([m.__file__ for name, m in sys.modules.items()"
+             " if name.partition('.')[0] == 'pkat'], file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                          env=env, timeout=60)
+    files = ast.literal_eval(done.stderr.splitlines()[-1])
+    nodes = sum(len(list(ast.walk(ast.parse(pathlib.Path(f).read_text(encoding="utf-8")))))
+                for f in files)
+    assert len(files) > 1 and nodes <= budget, (nodes, files)
+
+
 _VIEWS = ["_cmd_classify", "_cmd_eval", "_cmd_star"]
 _CHECKS = ["_cmd_equiv", "_cmd_hoare"]
 
@@ -551,12 +586,19 @@ def test_parsing_one_command_matches_the_full_tree(argv):
         assert got == want and want[2][0] == "exit"
 
 
-def test_bitslice_loads_without_engine():
+def test_model_checks_load_neither_bitslice_nor_random():
+    # Under -S, so that a site hook which preloads random cannot hide an import of it.
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pkat.__file__).parents[1]))
-    probe = "import sys, pkat.bitslice; print('pkat.engine' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
-    assert done.stdout == "False\n"
+    probe = ("import sys, pkat.engine, pkat.cli\n"
+             "codes = [pkat.cli.main(['hoare', '--model', sys.argv[1], '--pre', 'p',"
+             " '--prog', 'r;r*', '--post', '1']),\n"
+             "         pkat.cli.main(['equiv', '--model', sys.argv[1], '--t1', 'r + r',"
+             " '--t2', 'r'])]\n"
+             "loaded = {'pkat.bitslice', 'pkat.catalog', 'random'} & set(sys.modules)\n"
+             "print(codes, sorted(loaded), file=sys.stderr)\n")
+    done = subprocess.run([sys.executable, "-S", "-c", probe, MODEL], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert done.stderr == "[0, 0] []\n" and "status: holds" in done.stdout
 
 
 def test_no_module_and_no_request_imports_typing():

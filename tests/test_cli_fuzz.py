@@ -19,7 +19,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from pkat import engine
+from pkat import bitslice
 from pkat.cli import main
 from pkat.errors import EngineError
 
@@ -30,7 +30,7 @@ def _first_refused_state_count() -> int:
     n = 1
     while True:
         try:
-            engine._guard_steps(1, n)
+            bitslice._guard_steps(1, n)
         except EngineError:
             return n
         n += 1

@@ -10,11 +10,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import pkat.bitslice
 import pkat.catalog
 import pkat.cli
 import pkat.engine
 import pkat.relp
 import pkat.syntax
+from pkat.bitslice import states_for
 from pkat.catalog import (
     AxiomId,
     CORE_AXIOMS,
@@ -29,7 +31,6 @@ from pkat.engine import (
     equiv_random,
     evaluate,
     hoare_check,
-    states_for,
     verdict_to_dict,
 )
 from pkat.errors import EngineError, ShapeError, SortError
@@ -166,7 +167,7 @@ def test_compiled_laws_match_the_term_walk(model, t1, t2, b):
 def _any_pair_model(rng: random.Random, lattice, n: int) -> Model:
     """Programs p, q and tests a, b drawn over every (tt, ff) pair of the
     lattice's table: bool2's four, (1, 1) and (0, 0) included."""
-    table = pkat.engine._space(lattice, None).table
+    table = pkat.bitslice._Space(lattice, None).table
     pairs = SimpleNamespace(table=table, cells=list(product(range(len(table)), repeat=2)))
     states = states_for(n)
     programs = {x: oracle_draw(rng, lattice, states, pairs, False) for x in "pq"}
@@ -211,7 +212,7 @@ def test_a_laws_compiled_names_are_its_instance_layout():
     # n diagonal cells and a program's n*n.
     law = pkat.engine._equation(parse("b;q + a;p"), parse("p"), tests="ab")
     assert law.code[0] == ["p", "q", "a", "b"]
-    assert pkat.engine._spans(law, 2) == ([("p", False, 0, 4), ("q", False, 4, 8),
+    assert pkat.bitslice._spans(law, 2) == ([("p", False, 0, 4), ("q", False, 4, 8),
                                            ("a", True, 8, 10), ("b", True, 10, 12)], 12)
 
 
@@ -270,14 +271,14 @@ def test_rank_keyed_space_on_the_finite_lattices():
 @given(st.just(GD), st.lists(_GRID_VALUE, min_size=2, max_size=9).filter(
     lambda grid: len({elem(GD, v).value for v in grid}) > 1))
 def test_the_exhaustive_guard_counts_the_space_it_would_walk(lattice, grid):
-    # engine._check counts k before it builds the space, as engine._grid_values
-    # counts it for _space (bool2 keeps its two consistent corners); law 1 at
+    # bitslice._check counts k before it builds the space, as bitslice._grid_values
+    # counts it for _Space (bool2 keeps its two consistent corners); law 1 at
     # three states is refused for any k > 1, and the refusal prints that k.
     with pytest.raises(EngineError) as err:
         check_axiom(1, lattice, 3, "exhaustive", godel_grid=grid)
     k = re.fullmatch(r"exhaustive space of (\d+)\^27 instantiations exceeds 1000000",
                      str(err.value))
-    assert k and int(k[1]) == len(pkat.engine._space(lattice, grid).cells)
+    assert k and int(k[1]) == len(pkat.bitslice._Space(lattice, grid).cells)
 
 
 @settings(deadline=None)
@@ -287,7 +288,7 @@ def test_the_exhaustive_guard_counts_the_space_it_would_walk(lattice, grid):
                                               for i in range(q + 1)]), min_size=1, max_size=60))
 def test_the_space_is_the_first_k_cells_of_the_sorted_product(lattice, grid):
     # The oracle filters bool2's pairs to its consistent corners before the
-    # sort; _space sorts every pair and keeps the first k.
+    # sort; _Space sorts every pair and keeps the first k.
     members = ({e.value for e in carrier(lattice)} if grid is None
                else {elem(lattice, g).value for g in grid})
     values = value_table(members)
@@ -298,7 +299,7 @@ def test_the_space_is_the_first_k_cells_of_the_sorted_product(lattice, grid):
     if lattice is B2:
         cells = [(i, j) for i, j in cells if a[i] + a[j] == d]
     cells.sort(key=lambda c: (abs(a[c[0]] + a[c[1]] - d), c))
-    space = pkat.engine._space(lattice, grid)
+    space = pkat.bitslice._Space(lattice, grid)
     assert (space.table, space.cells) == (values, tuple(cells))
 
 
@@ -339,12 +340,12 @@ def test_assignments_match_the_index_decoder(lattice, n, axioms):
         return tuple(cell for name, r in zip(law.code[0], env.values())
                      for cell in list(zip(*rank_lists(r)))[::n + 1 if name in law.tests else 1])
 
-    space, states = pkat.engine._space(lattice, None), states_for(n)
+    space, states = pkat.bitslice._Space(lattice, None), states_for(n)
     for ident in axioms:
         law = pkat.catalog._law(ident)
         size = len(space.cells) ** sum(n if x in law.tests else n * n for x in law.code[0])
         limit = size if size <= 20_000 else 2_000
-        found = pkat.engine._walk(len(space.cells), pkat.engine._spans(law, n)[1])
+        found = pkat.bitslice._walk(len(space.cells), pkat.bitslice._spans(law, n)[1])
         decoded = _indexed_assignments(law, lattice, states, space)
         assert [tuple(space.cells[i] for i in ids) for ids in islice(found, limit)] == [
             cells(law, env) for env in islice(decoded, limit)]
@@ -397,7 +398,7 @@ def test_exhaustive_space_guard():
 
 def test_a_huge_space_is_refused_from_its_exponent():
     # n = 10**10 states: the guard works on exponents, so nothing large is built.
-    guard, law = pkat.engine._guard, pkat.catalog._law
+    guard, law = pkat.bitslice._guard, pkat.catalog._law
     with pytest.raises(EngineError) as err:
         guard(law(AxiomId.PLUS_ASSOC), 9, 10**10)
     assert str(err.value) == (
@@ -424,7 +425,7 @@ def test_the_exhaustive_guard_covers_the_witness_search():
     # exhaustive mode; "search" is a plan's mode, not one a caller may ask for.
     plan = [(pkat.catalog._law(AxiomId.PLUS_ASSOC), "search", None)]
     with pytest.raises(EngineError) as err:
-        pkat.engine._check(plan, L3, 2, None, None, None)
+        pkat.bitslice._check(plan, L3, 2, None, None, None)
     assert str(err.value) == "exhaustive space of 9^12 instantiations exceeds 1000000"
     with pytest.raises(EngineError, match="^unknown mode 'search'$"):
         check_axiom(1, L3, 1, "search")
@@ -433,7 +434,7 @@ def test_the_exhaustive_guard_covers_the_witness_search():
 
 
 def test_a_refused_count_is_printed_in_full_up_to_30_digits():
-    guard = pkat.engine._guard_steps
+    guard = pkat.bitslice._guard_steps
     with pytest.raises(EngineError, match=f"^work of {'9' * 30} x 1-state instances exceeds"):
         guard(10**30 - 1, 1)
     with pytest.raises(EngineError, match=r"^work of 1\.00e\+30 x 1-state instances exceeds"):
@@ -445,7 +446,7 @@ def test_a_refused_count_is_printed_in_full_up_to_30_digits():
 
 def test_suite_refuses_before_checking_any_law(monkeypatch):
     for stream in ("_walk", "_draws"):  # any check would raise TypeError
-        monkeypatch.setattr(pkat.engine, stream, None)
+        monkeypatch.setattr(pkat.bitslice, stream, None)
     with pytest.raises(EngineError, match=r"^exhaustive space of 9\^27 "):
         pkat.catalog.check_suite(L3, 3)
     # The witness search's 2 tests at 48^4 steps each exceed the step cap.
@@ -455,7 +456,7 @@ def test_suite_refuses_before_checking_any_law(monkeypatch):
 
 def test_work_guard_counts_samples_and_star_rounds():
     # Decided from the formula alone, so huge n and sample counts build nothing.
-    guard = pkat.engine._guard_steps
+    guard = pkat.bitslice._guard_steps
     with pytest.raises(EngineError) as err:
         guard(1, 10**10)
     assert str(err.value) == (
@@ -472,7 +473,7 @@ def test_work_guard_counts_samples_and_star_rounds():
 
 
 def test_random_work_is_refused_before_any_state_is_built(monkeypatch):
-    monkeypatch.setattr(pkat.engine, "states_for", None)  # building states would raise TypeError
+    monkeypatch.setattr(pkat.bitslice, "states_for", None)  # building states would raise TypeError
     refusal = r"^work of 1 x 400-state instances exceeds 10000000 kernel steps$"
     for mode, samples in (("random", 1), ("exhaustive", None)):  # one candidate: 1 instance
         with pytest.raises(EngineError, match=refusal):
@@ -486,7 +487,7 @@ def test_every_check_refuses_a_huge_state_count_before_building_states(monkeypat
     def states_for(n):
         raise AssertionError("states_for ran before the guards")
 
-    monkeypatch.setattr(pkat.engine, "states_for", states_for)
+    monkeypatch.setattr(pkat.bitslice, "states_for", states_for)
     n, work = 10**300, r"^work of \d+ x 1\.00e\+300-state instances exceeds"
     with pytest.raises(EngineError, match=r"^exhaustive space of 9\^3\.00e\+600 inst"):
         pkat.catalog.check_suite(L3, n)
@@ -516,7 +517,7 @@ def test_a_refused_exhaustive_suite_never_builds_its_space():
 
 def test_an_over_size_candidate_space_is_refused_before_it_is_built():
     # 1,001 grid points make 1,002,001 candidate cells, one sample of which is
-    # drawn: the random runs pass every other guard, so _space refuses them.
+    # drawn: the random runs pass every other guard, so _Space refuses them.
     grid = [f"{i}/1000" for i in range(1001)]
     runs = (lambda: equiv_random(parse("p"), parse("p;p"), GD, 1, 1, 0, godel_grid=grid),
             lambda: check_axiom(2, GD, 1, "random", samples=1, seed=0, godel_grid=grid))
@@ -601,7 +602,7 @@ def test_draws_are_the_cells_rng_choice_would_draw():
     for seed in (0, 7, 123):
         ours, choice = random.Random(seed), random.Random(seed).choice
         for k in range(1, 301):
-            drawn = list(pkat.engine._draws(ours, k, 3, 2))
+            drawn = list(pkat.bitslice._draws(ours, k, 3, 2))
             assert drawn == [[choice(range(k)) for _ in range(3)] for _ in range(2)]
 
 
@@ -621,11 +622,47 @@ def test_a_random_run_is_seeded_zero_unless_given_and_never_unseeded():
         map(verdict_to_dict, check_suite(GD, 2, "random", samples=3, seed=0)))
 
 
+@pytest.mark.parametrize("samples, n_states, kind", [(2.5, 1.5, "float"), ("3", "2", "str")])
+def test_a_count_that_is_not_an_int_is_refused_naming_its_type(samples, n_states, kind):
+    # Refused as a seed that is not an int is: with an EngineError naming the type.
+    count, states = f"an int sample count, got {kind}", f"need an int state count, got {kind}"
+    refusals = [
+        (lambda: equiv_random(parse("p"), parse("p;p"), GD, 1, samples, 0), f"need {count}"),
+        (lambda: check_suite(B2, 1, "random", samples=samples), f"random mode needs {count}"),
+        (lambda: check_axiom(2, B2, 1, "random", samples=samples), f"random mode needs {count}"),
+        (lambda: equiv_random(parse("p"), parse("p;p"), GD, n_states, 3, 0), states),
+        (lambda: check_suite(B2, n_states), states),
+        (lambda: check_axiom(2, B2, n_states, "random", samples=2), states),
+    ]
+    for run, message in refusals:
+        with pytest.raises(EngineError) as err:
+            run()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("count", [0, -1, 0.5, -1.5, None, ""])
+def test_a_count_refused_before_its_type_was_checked_keeps_its_message(count):
+    refusals = [
+        (lambda: equiv_random(parse("p"), parse("p;p"), GD, 1, count, 0),
+         "need a positive sample count"),
+        (lambda: check_axiom(2, B2, 1, "random", samples=count),
+         "random mode needs a positive sample count"),
+    ]
+    if count not in (None, ""):  # ``n_states < 1`` raised TypeError on these
+        refusals += [(lambda: check_suite(B2, count), "need at least one state"),
+                     (lambda: equiv_random(parse("p"), parse("p;p"), GD, count, 3, 0),
+                      "need at least one state")]
+    for run, message in refusals:
+        with pytest.raises(EngineError) as err:
+            run()
+        assert str(err.value) == message
+
+
 def _full_walk(ident, lattice, n, grid, mode):
     """The one-test law's verdict from every one of its k^n tests in walk
     order: the reference the k-instance check must reproduce."""
-    engine = pkat.engine
-    law, space, states = pkat.catalog._law(ident), engine._space(lattice, grid), states_for(n)
+    law, space = pkat.catalog._law(ident), pkat.bitslice._Space(lattice, grid)
+    states = states_for(n)
     instances = (({"a": oracle_relation(lattice, states, space, True, cells)}, None)
                  for cells in product(space.cells, repeat=n))
     return oracle_check(law, instances, zero(lattice, states), lattice, n, mode,
@@ -641,7 +678,7 @@ def _one_test_runs(draw):
     if lattice is GD:
         values = ["0", "1/4", "1/3", "1/2", "2/3", "3/4", "1"]
         grid = draw(st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True))
-    k = len(pkat.engine._space(lattice, grid).cells)
+    k = len(pkat.bitslice._Space(lattice, grid).cells)
     top = max(n for n in range(1, 9 if lattice is B2 else 5) if k**n <= 729)
     return lattice, grid, draw(st.integers(1, top))
 
@@ -672,8 +709,8 @@ def test_one_test_law_is_guarded_by_the_tests_it_checks():
 
 def test_bool2_witness_search_builds_two_tests_per_law(monkeypatch):
     # The walk took all 2^14 tests for each law; the search takes k = 2.
-    taken, walk = [], pkat.engine._walk
-    monkeypatch.setattr(pkat.engine, "_walk", lambda *a: (taken.append(c) or c for c in walk(*a)))
+    taken, walk = [], pkat.bitslice._walk
+    monkeypatch.setattr(pkat.bitslice, "_walk", lambda *a: (taken.append(c) or c for c in walk(*a)))
     found = find_boolean_witness(B2, 14)
     assert [(v.status, v.samples) for v in found.values()] == [(Status.HOLDS, 2**14)] * 2
     assert len(taken) <= 2 * 2
