@@ -37,12 +37,9 @@ def _require_same(a: LatticeElem, b: LatticeElem) -> None:
 
 
 def _le(p: Fraction, q: Fraction) -> bool:
-    """``p <= q`` by cross-multiplication.
-
-    Fraction keeps its denominator positive, so this is exact; it skips
-    the generic numeric dispatch of ``Fraction.__le__``, which dominates
-    the cost of every lattice operation below.
-    """
+    """``p <= q`` by cross-multiplication, exact since Fraction keeps its
+    denominator positive; the generic dispatch of ``Fraction.__le__``
+    would dominate the cost of every lattice operation below."""
     return p is q or p.numerator * q.denominator <= q.numerator * p.denominator
 
 

@@ -27,12 +27,13 @@ So the k instances whose last cell alone varies give the walk's verdict.
 Laws of one width read the same instances, drawn at the run's seed or
 walked with the same cells fixed, so ``_check`` hands each such stream to
 one ``_drive`` call.  It alone loops over chunks, taken lazily, doubling
-from 1 up to ``_Space.cap``; it encodes each chunk once and runs on it
-each law not yet decided through ``_breaks``, as ``engine._break`` runs a
-law on one instance.  A law's first failing instance is then built alone
-as relations and run by ``engine._verdict`` for its witness; the stream
-stops once every law has failed.  So a run that fails early encodes a
-few instances, and a long walk stays in bounded memory.
+from 1 up to ``_Space.cap``; it encodes each chunk once, binds ``_OPS``
+to the chunk's width once, and runs on it each law not yet decided through
+``_breaks``, as ``engine._break`` runs a law on one instance.  A law's
+first failing instance is then built alone as relations and run by
+``engine._verdict`` for its witness; the stream stops once every law has
+failed.  So a run that fails early encodes a few instances, and a long
+walk stays in bounded memory.
 
 A chunk of B instances holds one bit per (instance, cut): its cell is the
 ``relp`` cell of each instance, cut by cut.  Over ranks 0..top and with
@@ -185,11 +186,10 @@ def _encode(chunk, bits, w: int) -> list[int]:
     return [int("".join([s[i::w] for i in range(w)]), 2) for s in columns]
 
 
-def _breaks(law, spans, cells, size: int, space: _Space, n: int) -> int | None:
+def _breaks(law, spans, cells, size: int, kernels: dict, n: int) -> int | None:
     """The index of the first of ``size`` instances, ``cells`` as ``_encode`` gives
-    them, breaking the law at ``spans``, else None; sides run lazily as in ``engine._break``."""
-    w = space.top * size
-    kernels = {op: lambda x, y=None, f=f: f(x, y, n, w) for op, f in _OPS.items()}
+    them, breaking the law at ``spans`` on the chunk's ``kernels``, else None.  Every
+    goal pair runs on the whole chunk; only a premise excusing every instance stops early."""
     values = [[0] * (n * n)]
     for _, test, i, j in spans:
         values.append(rel := [0] * (n * n))
@@ -235,11 +235,10 @@ def _admit(value, kind: str, low: str = "") -> None:
         raise EngineError(f"{kind}, got {type(value).__name__}")
 
 
-def _guard(law: _Law, k: int, n_states: int) -> None:
-    """Refuse a law with more than ``MAX_EXHAUSTIVE`` assignments over ``k``
-    candidates.  For k >= 2, 2^bit_length already exceeds the bound, so
+def _guard(cells: int, k: int) -> None:
+    """Refuse a walk of more than ``MAX_EXHAUSTIVE`` assignments of ``cells`` cells
+    over ``k`` candidates.  For k >= 2, 2^bit_length already exceeds the bound, so
     that many cells are refused before any huge count is built."""
-    cells = _spans(law, n_states)[1]
     if k > 1 and cells >= MAX_EXHAUSTIVE.bit_length() or k**cells > MAX_EXHAUSTIVE:
         raise EngineError(f"exhaustive space of {k}^{_count(cells)} instantiations exceeds "
                           f"{MAX_EXHAUSTIVE}")
@@ -263,9 +262,10 @@ def _drive(runs: dict, instances, lattice, states, space, seed, fixed: int = 0) 
     n, k = len(states), len(space.cells)
     verdicts, count, size = {}, 0, 1
     while len(verdicts) < len(runs) and (chunk := list(islice(instances, size))):
-        cells = _encode(chunk, space, 2 * space.top)
+        cells, w = _encode(chunk, space, 2 * space.top), space.top * len(chunk)
+        kernels = {op: lambda x, y=None, f=f, w=w: f(x, y, n, w) for op, f in _OPS.items()}
         for i, (law, how, axiom, spans) in runs.items():
-            b = None if i in verdicts else _breaks(law, spans, cells, len(chunk), space, n)
+            b = None if i in verdicts else _breaks(law, spans, cells, len(chunk), kernels, n)
             if b is not None:
                 model = _model(lattice, states, space, spans, chunk[b])
                 verdicts[i] = _verdict(law, model, how, axiom=axiom, samples=count + b + 1,
@@ -296,7 +296,7 @@ def _check(plan, lattice: LatticeId, n_states: int, godel_grid, samples, seed) -
         elif not law.horn and width == n_states and spans[0][1]:  # one test and no premise
             fixed, work = n_states - 1, max(work, k)  # a walk of k instances, as work
         else:
-            _guard(law, k, n_states)
+            _guard(width, k)
         streams.setdefault((how == "random", width, fixed), {})[i] = law, how, axiom, spans
     _guard_steps(work, n_states)
     space, states, verdicts = _Space(lattice, godel_grid), states_for(n_states), {}

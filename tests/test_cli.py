@@ -137,6 +137,16 @@ def test_equiv_with_an_empty_model_path_reads_it(capsys):
     assert err == "model error: [Errno 2] No such file or directory: ''\n"
 
 
+def test_a_read_error_that_names_no_file_is_a_model_error(capsys, monkeypatch):
+    class Unreadable(io.BytesIO):
+        def read(self, *_):
+            raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr("pkat.modelfile.open", lambda *_: Unreadable(), raising=False)
+    code, out, err = run(capsys, "eval", "--model", MODEL, "--term", "r")
+    assert (code, out, err) == (3, "", "model error: [Errno 5] Input/output error\n")
+
+
 @pytest.mark.parametrize("option, value", [("--lattice", "bool2"), ("--states", "1"),
                                            ("--random", "3"), ("--seed", "0"), ("--tests", ""),
                                            ("--godel-grid", "0.5")])
@@ -369,8 +379,8 @@ _RANDOM = ("--lattice", "lukasiewicz3", "--states", "2", "--random", "20", "--se
     (("classify", "--model", MODEL, "--name", "p"), 8_200),
     (("hoare", "--model", MODEL, "--pre", "p", "--prog", "r", "--post", "1"), 11_300),
     (("equiv", "--model", MODEL, "--t1", "r + r", "--t2", "r"), 11_300),
-    (("equiv", "--t1", "r*;r* + r*", "--t2", "r*", *_RANDOM), 12_072),
-    (("axioms", "--lattice", "bool2", "--states", "1", "--samples", "2", "--json"), 12_718),
+    (("equiv", "--t1", "r*;r* + r*", "--t2", "r*", *_RANDOM), 12_056),
+    (("axioms", "--lattice", "bool2", "--states", "1", "--samples", "2", "--json"), 12_702),
 ], ids=["help", "usage-error", "eval", "star", "classify", "hoare", "equiv-model",
         "equiv-random", "axioms"])
 def test_each_request_kind_compiles_at_most_its_node_budget(argv, budget):
@@ -976,6 +986,15 @@ def test_eval_json_on_a_godel_model_matches_its_golden(capsys, golden_dir):
     argv = ["eval", "--model", GODEL_MODEL, "--term", "r + p;r* + s;!q", "--json"]
     for _ in range(2):
         assert run(capsys, *argv) == (0, (golden_dir / "eval_godel_json.txt").read_text(), "")
+
+
+def test_a_ten_point_grid_exhaustive_suite_matches_its_golden(capsys, golden_dir):
+    # 10^6 instances for each three-program law: 2,243 chunks of up to 455 instances
+    grid = ",".join(f"{i}/9" for i in range(10))
+    argv = ["axioms", "--lattice", "godel", "--states", "1", "--exhaustive", "--godel-grid", grid,
+            "--json"]
+    golden = (golden_dir / "axioms_godel_grid10_exhaustive.json").read_text()
+    assert run(capsys, *argv) == (0, golden, "")
 
 
 # --- renderers against their per-cell Weight forms ---------------------------

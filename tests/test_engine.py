@@ -398,7 +398,11 @@ def test_exhaustive_space_guard():
 
 def test_a_huge_space_is_refused_from_its_exponent():
     # n = 10**10 states: the guard works on exponents, so nothing large is built.
-    guard, law = pkat.bitslice._guard, pkat.catalog._law
+    law = pkat.catalog._law
+
+    def guard(law, k, n_states):
+        pkat.bitslice._guard(pkat.bitslice._spans(law, n_states)[1], k)
+
     with pytest.raises(EngineError) as err:
         guard(law(AxiomId.PLUS_ASSOC), 9, 10**10)
     assert str(err.value) == (

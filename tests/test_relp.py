@@ -265,6 +265,11 @@ def test_format_and_entries_export(rel_r):
     assert format_prel(rel_r, unicode=True).count("⊤") > 0
 
 
+def test_a_relation_reprs_as_its_lattice_states_and_row_major_weights(rel_r):
+    assert repr(rel_r) == ("PRel(LatticeId.LUKASIEWICZ3, ('w1', 'w2'), "
+                           "(<(bot,top)>, <(top,bot)>, <(top,u)>, <(bot,top)>))")
+
+
 # --- rank kernel against the Weight-level oracles ------------------------------
 
 THIRDS = tuple(gw(Fraction(t, 3), Fraction(f, 3)) for t in (1, 2) for f in (1, 2))

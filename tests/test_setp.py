@@ -148,6 +148,10 @@ def test_random_sets_star_is_constant_top():
         assert s_star(from_values(L3, W, values)) == upsilon(L3, W)
 
 
+def test_a_set_reprs_as_its_lattice_states_and_weights(phi):
+    assert repr(phi) == "PSet(LatticeId.LUKASIEWICZ3, ('w1', 'w2'), (<(top,u)>, <(u,u)>))"
+
+
 def test_json_round_trip(phi):
     # A set's JSON form reads back through the model loader, the one reader
     # of value text.
